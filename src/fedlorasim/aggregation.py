@@ -8,9 +8,10 @@ train the layer (the windowed count beta) versus how many did now (alpha):
     delta_new = beta/(alpha+beta) * delta_prev + alpha/(alpha+beta) * mean
 
 A layer nobody trained this round keeps its previous delta moving (the
-compensation), a layer everyone trains leans on fresh evidence. The fixed
-variant pins both coefficients to 1; plain per-layer averaging ignores
-history entirely.
+compensation), a layer everyone trains leans on fresh evidence. All three
+rules are this one blend and differ only in the weights: the fixed variant
+pins both coefficients to 1 (half and half), and plain per-layer averaging
+puts weight 0 on the previous delta, so it ignores history entirely.
 
 Deltas are dicts {block: (dN, dM)} of float64 arrays.
 """
@@ -97,18 +98,13 @@ def _layer_mean(contributions: list[tuple[np.ndarray, np.ndarray]]):
     return sn / k, sm / k
 
 
-def com_agg(
-    prev_delta: dict[int, tuple[np.ndarray, np.ndarray]],
-    client_deltas: Sequence[ClientDelta],
-    history: ContributionHistory,
-    carry_forward: bool = True,
-):
-    """Compensated layer-wise aggregation; returns (new delta, history).
+def _blend(prev_delta, client_deltas: Sequence[ClientDelta], weights):
+    """The one per-layer loop behind every rule: w_prev * prev + w_mean * mean.
 
-    Betas are computed from the window *before* this round's counts are
-    appended, so the blend always compares now against the recent past.
-    Layers with no contributor carry the previous delta forward (or zero out
-    when ``carry_forward`` is off or the layer has never been trained).
+    ``weights(j, alpha)`` gives layer j's (w_prev, w_mean) when alpha clients
+    trained it. A layer nobody trained keeps its previous delta when w_prev
+    is nonzero and is zero otherwise; a zero w_prev returns the mean itself.
+    Returns the new delta and the per-layer contributor counts.
     """
     _check_client_deltas(client_deltas, prev_delta)
     new_delta: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -116,21 +112,42 @@ def com_agg(
     for j in sorted(prev_delta):
         contributions = [deltas[j] for _, deltas, amap in client_deltas if amap.bits[j]]
         alpha = len(contributions)
-        beta = history.beta(j)
         counts.append(alpha)
+        wp, wc = weights(j, alpha)
         pn, pm = prev_delta[j]
         if alpha == 0:
-            if carry_forward and beta > 0:
-                new_delta[j] = (pn.copy(), pm.copy())
-            else:
-                new_delta[j] = (np.zeros_like(pn), np.zeros_like(pm))
-            continue
-        mn, mm = _layer_mean(contributions)
-        wp = beta / (alpha + beta)
-        wc = alpha / (alpha + beta)
-        new_delta[j] = (wp * pn + wc * mn, wp * pm + wc * mm)
+            new_delta[j] = (pn.copy(), pm.copy()) if wp else (np.zeros_like(pn), np.zeros_like(pm))
+        elif wp == 0:
+            new_delta[j] = _layer_mean(contributions)
+        else:
+            mn, mm = _layer_mean(contributions)
+            new_delta[j] = (wp * pn + wc * mn, wp * pm + wc * mm)
+    return new_delta, counts
+
+
+def com_agg(
+    prev_delta: dict[int, tuple[np.ndarray, np.ndarray]],
+    client_deltas: Sequence[ClientDelta],
+    history: ContributionHistory,
+    carry_forward: bool = True,
+):
+    """Compensated layer-wise aggregation; returns the new delta.
+
+    Betas are computed from the window *before* this round's counts are
+    appended to ``history`` (in place), so the blend always compares now
+    against the recent past. Layers with no contributor carry the previous
+    delta forward (or zero out when ``carry_forward`` is off or the layer
+    has never been trained).
+    """
+    def weights(j, alpha):
+        beta = history.beta(j)
+        if alpha == 0:
+            return (1.0 if carry_forward and beta > 0 else 0.0), 0.0
+        return beta / (alpha + beta), alpha / (alpha + beta)
+
+    new_delta, counts = _blend(prev_delta, client_deltas, weights)
     history.append(counts)
-    return new_delta, history
+    return new_delta
 
 
 def com_agg_fixed(
@@ -138,17 +155,7 @@ def com_agg_fixed(
     client_deltas: Sequence[ClientDelta],
 ):
     """Aggregation with both blend coefficients pinned to 1 (half and half)."""
-    _check_client_deltas(client_deltas, prev_delta)
-    new_delta: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for j in sorted(prev_delta):
-        contributions = [deltas[j] for _, deltas, amap in client_deltas if amap.bits[j]]
-        pn, pm = prev_delta[j]
-        if not contributions:
-            new_delta[j] = (pn.copy(), pm.copy())
-            continue
-        mn, mm = _layer_mean(contributions)
-        new_delta[j] = (0.5 * pn + 0.5 * mn, 0.5 * pm + 0.5 * mm)
-    return new_delta
+    return _blend(prev_delta, client_deltas, lambda j, alpha: (0.5, 0.5) if alpha else (1.0, 0.0))[0]
 
 
 def fed_avg(
@@ -156,18 +163,7 @@ def fed_avg(
     template: dict[int, tuple[np.ndarray, np.ndarray]],
 ):
     """Plain per-layer mean over contributors; zero where nobody trained."""
-    if len(client_deltas) == 0:
-        raise ValueError("fed_avg needs at least one client delta")
-    _check_client_deltas(client_deltas, template)
-    new_delta: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for j in sorted(template):
-        contributions = [deltas[j] for _, deltas, amap in client_deltas if amap.bits[j]]
-        if contributions:
-            new_delta[j] = _layer_mean(contributions)
-        else:
-            tn, tm = template[j]
-            new_delta[j] = (np.zeros_like(tn), np.zeros_like(tm))
-    return new_delta
+    return _blend(template, client_deltas, lambda j, alpha: (0.0, 1.0))[0]
 
 
 def apply_delta(

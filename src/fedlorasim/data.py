@@ -233,8 +233,9 @@ def partition(data: LabeledData, spec: PartitionSpec) -> tuple[list[LabeledData]
                 continue  # quantity skew went too far; redraw
         else:
             if min(sizes) < spec.min_samples_per_client:
+                cid = sizes.index(min(sizes))
                 raise PartitionError(
-                    f"client with only {min(sizes)} samples, below the floor "
+                    f"client {cid} has only {sizes[cid]} samples, below the floor "
                     f"{spec.min_samples_per_client} (scheme {spec.scheme} cannot resample)"
                 )
         return [data.subset(a) for a in assign], assign

@@ -34,14 +34,27 @@ GB = 10**9
 #: keyed by hardware capacity level (1 = smallest card).
 VIT_CONTEXT_MB_BY_LEVEL = {1: 380, 2: 2280, 3: 4170, 4: 5800}
 
-#: GPU capacity in GB for the four reference hardware levels.
-VIT_CAPACITY_GB_BY_LEVEL = {1: 24, 2: 32, 3: 40, 4: 48}
-
 NAIVE_KINDS = ("ms", "mh", "el", "full")
 
 
 class ProfileValidationError(ValueError):
     """A ModelProfile field is out of range or inconsistent."""
+
+
+_ACT_FIELDS = ("static_act_per_sample", "dynamic_act_per_sample")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_ints(name: str, v) -> None:
+    """Field ``name`` holds a plain int, or a list of them for activation fields."""
+    if name in _ACT_FIELDS:
+        if not isinstance(v, (list, tuple)) or not all(_is_int(x) for x in v):
+            raise ProfileValidationError(f"{name} must be a list of ints, got {v!r}")
+    elif not _is_int(v):
+        raise ProfileValidationError(f"{name} must be an int, got {v!r}")
 
 
 class MapMismatchError(ValueError):
@@ -146,17 +159,18 @@ class ModelProfile:
     context_bytes: int
 
     def __post_init__(self):
-        object.__setattr__(self, "static_act_per_sample", tuple(int(x) for x in self.static_act_per_sample))
-        object.__setattr__(self, "dynamic_act_per_sample", tuple(int(x) for x in self.dynamic_act_per_sample))
+        for name in _ACT_FIELDS:
+            _check_ints(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("num_blocks", "hidden_size", "seq_len", "lora_rank", "bytes_per_elem"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ProfileValidationError(f"{name} must be a positive int, got {v!r}")
         for name in ("optimizer_states", "frozen_param_bytes", "lora_param_count_per_block", "context_bytes"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise ProfileValidationError(f"{name} must be a nonnegative int, got {v!r}")
-        for name in ("static_act_per_sample", "dynamic_act_per_sample"):
+        for name in _ACT_FIELDS:
             seq = getattr(self, name)
             if len(seq) != self.num_blocks:
                 raise ProfileValidationError(
@@ -195,39 +209,6 @@ class ModelProfile:
                 f"map has {len(amap)} blocks, profile has {self.num_blocks}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "num_blocks": self.num_blocks,
-            "hidden_size": self.hidden_size,
-            "seq_len": self.seq_len,
-            "lora_rank": self.lora_rank,
-            "bytes_per_elem": self.bytes_per_elem,
-            "optimizer_states": self.optimizer_states,
-            "frozen_param_bytes": self.frozen_param_bytes,
-            "lora_param_count_per_block": self.lora_param_count_per_block,
-            "static_act_per_sample": list(self.static_act_per_sample),
-            "dynamic_act_per_sample": list(self.dynamic_act_per_sample),
-            "context_bytes": self.context_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelProfile":
-        required = {
-            "num_blocks", "hidden_size", "seq_len", "lora_rank", "bytes_per_elem",
-            "optimizer_states", "frozen_param_bytes", "lora_param_count_per_block",
-            "static_act_per_sample", "dynamic_act_per_sample", "context_bytes",
-        }
-        missing = required - d.keys()
-        if missing:
-            raise ProfileValidationError(f"profile dict missing fields: {sorted(missing)}")
-        extra = d.keys() - required
-        if extra:
-            raise ProfileValidationError(f"profile dict has unknown fields: {sorted(extra)}")
-        kwargs = dict(d)
-        kwargs["static_act_per_sample"] = tuple(int(x) for x in d["static_act_per_sample"])
-        kwargs["dynamic_act_per_sample"] = tuple(int(x) for x in d["dynamic_act_per_sample"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class MemoryBreakdown:
@@ -243,10 +224,6 @@ class MemoryBreakdown:
     @property
     def activation_bytes(self) -> int:
         return self.activation_dynamic_bytes + self.activation_static_bytes
-
-    @property
-    def total_mb(self) -> float:
-        return self.total_bytes / MB
 
     @property
     def total_gb(self) -> float:
@@ -372,8 +349,11 @@ def profile_from_config(d: dict) -> ModelProfile:
     Activation lists may be given per block or omitted, in which case they
     are generated from (seq_len, hidden_size, lora_rank) with the transformer
     formulas; same for the adapter parameter count. The frozen footprint
-    comes as bytes or as a parameter count times bytes_per_elem.
+    comes as bytes or as a parameter count times bytes_per_elem. Every value
+    must be a plain int (bools and floats are rejected); an explicit null
+    reads as absent.
     """
+    d = {k: v for k, v in d.items() if v is not None}
     known = {
         "num_blocks", "hidden_size", "seq_len", "lora_rank", "bytes_per_elem",
         "optimizer_states", "frozen_param_bytes", "frozen_param_count",
@@ -386,45 +366,37 @@ def profile_from_config(d: dict) -> ModelProfile:
     missing = {"num_blocks", "hidden_size", "seq_len", "lora_rank"} - d.keys()
     if missing:
         raise ProfileValidationError(f"profile config missing fields: {sorted(missing)}")
-    l = int(d["num_blocks"])
-    h = int(d["hidden_size"])
-    t = int(d["seq_len"])
-    r = int(d["lora_rank"])
-    eta = int(d.get("bytes_per_elem", 4))
+    for name, v in d.items():
+        _check_ints(name, v)
+    l, h, t, r = d["num_blocks"], d["hidden_size"], d["seq_len"], d["lora_rank"]
+    eta = d.get("bytes_per_elem", 4)
 
     if "frozen_param_bytes" in d and "frozen_param_count" in d:
         raise ProfileValidationError(
             "give frozen_param_bytes or frozen_param_count, not both"
         )
     if "frozen_param_bytes" in d:
-        frozen = int(d["frozen_param_bytes"])
+        frozen = d["frozen_param_bytes"]
     elif "frozen_param_count" in d:
-        frozen = int(d["frozen_param_count"]) * eta
+        frozen = d["frozen_param_count"] * eta
     else:
         raise ProfileValidationError(
             "profile config needs frozen_param_bytes or frozen_param_count"
         )
 
-    static = d.get("static_act_per_sample")
-    dynamic = d.get("dynamic_act_per_sample")
     return ModelProfile(
         num_blocks=l,
         hidden_size=h,
         seq_len=t,
         lora_rank=r,
         bytes_per_elem=eta,
-        optimizer_states=int(d.get("optimizer_states", 3)),
+        optimizer_states=d.get("optimizer_states", 3),
         frozen_param_bytes=frozen,
-        lora_param_count_per_block=int(
-            d.get("lora_param_count_per_block", 2 * 2 * h * r)
-        ),
-        static_act_per_sample=tuple(int(x) for x in static)
-        if static is not None
-        else (transformer_static_elems(t, h),) * l,
-        dynamic_act_per_sample=tuple(int(x) for x in dynamic)
-        if dynamic is not None
-        else (transformer_dynamic_elems(t, h, r),) * l,
-        context_bytes=int(d.get("context_bytes", 0)),
+        lora_param_count_per_block=d.get("lora_param_count_per_block", 2 * 2 * h * r),
+        static_act_per_sample=d.get("static_act_per_sample", (transformer_static_elems(t, h),) * l),
+        dynamic_act_per_sample=d.get("dynamic_act_per_sample",
+                                     (transformer_dynamic_elems(t, h, r),) * l),
+        context_bytes=d.get("context_bytes", 0),
     )
 
 

@@ -11,6 +11,7 @@ produce byte-identical metrics files.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
@@ -40,7 +41,7 @@ from fedlorasim.data import (
 )
 from fedlorasim.memory import AllocationMap, ModelProfile, naive_map, total_memory
 from fedlorasim.scoring import IGScoreRecord, ScoreHistory, local_ig_scores, update_history, value_function
-from fedlorasim.toymodel import ToyLoRANet, _b64, _unb64, local_train
+from fedlorasim.toymodel import ToyLoRANet, local_train
 
 # purpose tags for derived RNG streams
 _SAMPLING = 1
@@ -250,7 +251,8 @@ def build_clients(config: ExperimentConfig):
     )
     train, test = generate(task, config.seed)
     p = config.partition
-    floor = 0
+    # every client needs data to train on; skewed schemes redraw for two batches
+    floor = 1
     if p.scheme in ("dirichlet", "pathological_dirichlet"):
         floor = 2 * config.clients.batch_size
     spec = PartitionSpec(
@@ -370,12 +372,12 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
         ))
 
     if config.aggregation == "comagg":
-        new_delta, _ = com_agg(state.prev_delta, collected, state.contribution_history,
-                               carry_forward=config.comagg_carry_forward)
+        new_delta = com_agg(state.prev_delta, collected, state.contribution_history,
+                            carry_forward=config.comagg_carry_forward)
     elif config.aggregation == "comagg_fixed":
         new_delta = com_agg_fixed(state.prev_delta, collected)
     else:
-        new_delta = zero_delta_like(state.params) if not collected else fed_avg(collected, state.params)
+        new_delta = fed_avg(collected, state.params)
 
     state.params = apply_delta(state.params, new_delta)
     state.prev_delta = new_delta
@@ -410,6 +412,16 @@ def _round_zero_metrics(net: ToyLoRANet, test: LabeledData, num_blocks: int) -> 
         round=0, accuracy=acc, loss=loss, participants=0, mean_utilization=0.0,
         layer_counts=[0] * num_blocks, clients=[], wall_time_s=time.monotonic() - start,
     )
+
+
+def _b64(arr: np.ndarray) -> dict:
+    a = np.ascontiguousarray(arr, dtype=np.float64)
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unb64(d: dict) -> np.ndarray:
+    arr = np.frombuffer(base64.b64decode(d["data"]), dtype=np.float64).copy()
+    return arr.reshape(d["shape"])
 
 
 def state_to_jsonable(state: GlobalState) -> dict:

@@ -18,7 +18,6 @@ initial network is exactly the frozen base.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,16 +59,6 @@ class ForwardCache:
     @property
     def dynamic_count(self) -> int:
         return len(self.block_inputs)
-
-
-def _b64(arr: np.ndarray) -> dict:
-    a = np.ascontiguousarray(arr, dtype=np.float64)
-    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _unb64(d: dict) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(d["data"]), dtype=np.float64).copy()
-    return arr.reshape(d["shape"])
 
 
 class ToyLoRANet:
@@ -222,54 +211,6 @@ class ToyLoRANet:
         loss = self.loss(logits, np.asarray(y))
         acc = float((logits.argmax(axis=1) == np.asarray(y)).mean())
         return loss, acc
-
-    # ---- snapshots -----------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        return {
-            "num_blocks": self.num_blocks,
-            "hidden_size": self.hidden_size,
-            "lora_rank": self.lora_rank,
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "lora_alpha": self.lora_alpha,
-            "embed": _b64(self.embed),
-            "head": _b64(self.head),
-            "W0": [_b64(w) for w in self.W0],
-            "b": [_b64(v) for v in self.b],
-            "N": [_b64(n) for n in self.N],
-            "M": [_b64(m) for m in self.M],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "ToyLoRANet":
-        net = cls(
-            num_blocks=snap["num_blocks"],
-            hidden_size=snap["hidden_size"],
-            lora_rank=snap["lora_rank"],
-            input_dim=snap["input_dim"],
-            num_classes=snap["num_classes"],
-            lora_alpha=snap["lora_alpha"],
-            seed=0,
-        )
-        net.embed = _unb64(snap["embed"])
-        net.head = _unb64(snap["head"])
-        net.W0 = [_unb64(w) for w in snap["W0"]]
-        net.b = [_unb64(v) for v in snap["b"]]
-        net.N = [_unb64(n) for n in snap["N"]]
-        net.M = [_unb64(m) for m in snap["M"]]
-        for arr in (net.embed, net.head, *net.W0, *net.b):
-            arr.setflags(write=False)
-        net.version = 0
-        return net
-
-
-def forward(net: ToyLoRANet, X, allocation: AllocationMap):
-    return net.forward(X, allocation)
-
-
-def backward(net: ToyLoRANet, cache: ForwardCache, y, allocation: AllocationMap | None = None):
-    return net.backward(cache, y, allocation)
 
 
 def local_train(

@@ -305,7 +305,7 @@ def test_07_compensated_blend_properties():
 
     # (i) first round, empty history and zero previous delta: plain layer means
     cds = rand_clients(5)
-    new, _ = com_agg(zero_delta_like(template), cds, ContributionHistory(l, window=4))
+    new = com_agg(zero_delta_like(template), cds, ContributionHistory(l, window=4))
     ref = fed_avg(cds, zero_delta_like(template))
     for j in range(l):
         assert np.array_equal(new[j][0], ref[j][0])
@@ -319,19 +319,19 @@ def test_07_compensated_blend_properties():
     h = ContributionHistory(1, window=2)
     h.append([4])
     h.append([2])  # window mean beta = 3
-    new, h = com_agg(prev, [(0, mk(1.0), one)], h)  # alpha = 1: 3/4 prev + 1/4 mean
+    new = com_agg(prev, [(0, mk(1.0), one)], h)  # alpha = 1: 3/4 prev + 1/4 mean
     assert new[0][0][0, 0] == 3.25 and new[0][1][0, 0] == 6.5
 
     h = ContributionHistory(1, window=2)
     h.append([2])  # beta = 2
-    new, h = com_agg(prev, [(0, mk(1.0), one), (1, mk(3.0), one)], h)  # alpha = 2: half and half
+    new = com_agg(prev, [(0, mk(1.0), one), (1, mk(3.0), one)], h)  # alpha = 2: half and half
     assert new[0][0][0, 0] == 3.0 and new[0][1][0, 0] == 6.0
 
     # beta is read before this round's count lands in the window
     h = ContributionHistory(1, window=4)
-    new, h = com_agg(prev, [(0, mk(2.0), one), (1, mk(4.0), one)], h)  # beta 0: pure mean
+    new = com_agg(prev, [(0, mk(2.0), one), (1, mk(4.0), one)], h)  # beta 0: pure mean
     assert new[0][0][0, 0] == 3.0 and new[0][1][0, 0] == 6.0
-    new, h = com_agg(prev, [(0, mk(1.0), one)], h)  # now beta = 2: 2/3 prev + 1/3 mean
+    new = com_agg(prev, [(0, mk(1.0), one)], h)  # now beta = 2: 2/3 prev + 1/3 mean
     assert new[0][0][0, 0] == (2.0 / 3.0) * 4.0 + (1.0 / 3.0) * 1.0
 
     # (iii) every blended element stays inside the prev/mean envelope
@@ -344,7 +344,7 @@ def test_07_compensated_blend_properties():
         prev = {0: (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))}
         cds = [(cid, {0: (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))}, one)
                for cid in range(k)]
-        new, h = com_agg(prev, cds, h)
+        new = com_agg(prev, cds, h)
         for comp in (0, 1):
             mean_c = np.mean([d[0][comp] for _, d, _ in cds], axis=0)
             lo = np.minimum(prev[0][comp], mean_c) - 1e-12

@@ -29,7 +29,7 @@ def test_first_round_equals_fed_avg_on_contributed_layers():
     prev = zero_delta_like(make_delta(rng, range(4)))
     clients = [client(0, rng, [0, 2]), client(1, rng, [2, 3])]
     hist = ContributionHistory(num_blocks=4, window=5)
-    merged, _ = com_agg(prev, clients, hist)
+    merged = com_agg(prev, clients, hist)
     plain = fed_avg(clients, prev)
     for j in range(4):
         np.testing.assert_allclose(merged[j][0], plain[j][0], rtol=1e-12, atol=0)
@@ -47,7 +47,7 @@ def test_hand_derived_coefficients_one_of_three():
     hist.append([2] * 4)
     hist.append([2] * 4)
     cl = client(9, rng, [1])
-    merged, _ = com_agg(prev, [cl], hist)
+    merged = com_agg(prev, [cl], hist)
     expect_n = (2 / 3) * prev[1][0] + (1 / 3) * cl[1][1][0]
     expect_m = (2 / 3) * prev[1][1] + (1 / 3) * cl[1][1][1]
     np.testing.assert_allclose(merged[1][0], expect_n, rtol=1e-12)
@@ -60,7 +60,7 @@ def test_alpha_equals_beta_is_even_blend():
     hist = ContributionHistory(num_blocks=2, window=3)
     hist.append([2, 2])
     clients = [client(0, rng, [0, 1], num_blocks=2), client(1, rng, [0, 1], num_blocks=2)]
-    merged, _ = com_agg(prev, clients, hist)
+    merged = com_agg(prev, clients, hist)
     for j in range(2):
         mean_n = (clients[0][1][j][0] + clients[1][1][j][0]) / 2
         np.testing.assert_allclose(merged[j][0], 0.5 * prev[j][0] + 0.5 * mean_n, rtol=1e-12)
@@ -71,11 +71,11 @@ def test_beta_window_excludes_current_round():
     prev = make_delta(rng, range(2))
     hist = ContributionHistory(num_blocks=2, window=3)
     clients = [client(i, rng, [0, 1], num_blocks=2) for i in range(5)]
-    merged, hist = com_agg(prev, clients, hist)
+    merged = com_agg(prev, clients, hist)
     # beta was 0 during the call, so the result is the plain mean...
     mean_n = sum(c[1][0][0] for c in clients) / 5
     np.testing.assert_allclose(merged[0][0], mean_n, rtol=1e-12)
-    # ...and the call recorded alpha=5 for the next round
+    # ...and the call recorded alpha=5 in the caller's history for the next round
     assert hist.beta(0) == 5.0
 
 
@@ -84,14 +84,14 @@ def test_carry_forward_variants():
     prev = make_delta(rng, range(2))
     hist = ContributionHistory(num_blocks=2, window=3)
     hist.append([1, 0])
-    merged, _ = com_agg(prev, [], hist)
+    merged = com_agg(prev, [], hist)
     # layer 0 was trained before: carried; layer 1 never: zero
     np.testing.assert_array_equal(merged[0][0], prev[0][0])
     assert np.abs(merged[1][0]).max() == 0.0
 
     hist2 = ContributionHistory(num_blocks=2, window=3)
     hist2.append([1, 1])
-    frozen, _ = com_agg(prev, [], hist2, carry_forward=False)
+    frozen = com_agg(prev, [], hist2, carry_forward=False)
     assert np.abs(frozen[0][0]).max() == 0.0
     assert np.abs(frozen[1][0]).max() == 0.0
 
@@ -109,7 +109,7 @@ def test_convex_envelope_random_instances():
         for cid in range(n_cl):
             layers = [j for j in range(l) if rng.random() < 0.6]
             clients.append(client(cid, rng, layers, num_blocks=l))
-        merged, _ = com_agg(prev, clients, hist)
+        merged = com_agg(prev, clients, hist)
         for j in range(l):
             contribs = [d[j] for _, d, m in clients if m.bits[j]]
             if not contribs:
@@ -133,8 +133,8 @@ def test_linearity_in_inputs():
     scaled_clients = [
         (cid, {j: (c * dn, c * dm) for j, (dn, dm) in d.items()}, m) for cid, d, m in clients
     ]
-    a, _ = com_agg(prev, clients, hist1)
-    b, _ = com_agg(scaled_prev, scaled_clients, hist2)
+    a = com_agg(prev, clients, hist1)
+    b = com_agg(scaled_prev, scaled_clients, hist2)
     for j in range(3):
         np.testing.assert_allclose(b[j][0], c * a[j][0], rtol=1e-12)
         np.testing.assert_allclose(b[j][1], c * a[j][1], rtol=1e-12)
@@ -147,11 +147,11 @@ def test_full_participation_converges_to_half_half():
     prev = make_delta(rng, range(l))
     for _ in range(5):
         clients = [client(i, rng, list(range(l)), num_blocks=l) for i in range(v)]
-        merged, hist = com_agg(prev, clients, hist)
+        merged = com_agg(prev, clients, hist)
         prev = merged
     assert all(hist.beta(j) == v for j in range(l))
     clients = [client(i, rng, list(range(l)), num_blocks=l) for i in range(v)]
-    merged, hist = com_agg(prev, clients, hist)
+    merged = com_agg(prev, clients, hist)
     for j in range(l):
         mean_n = sum(c[1][j][0] for c in clients) / v
         np.testing.assert_allclose(merged[j][0], 0.5 * prev[j][0] + 0.5 * mean_n, rtol=1e-12)
@@ -212,8 +212,12 @@ def test_fed_avg_cases():
     merged = fed_avg(pair, template)
     np.testing.assert_allclose(merged[0][0], np.zeros_like(x), atol=1e-15)
 
-    with pytest.raises(ValueError):
-        fed_avg([], template)
+    # nobody trained: zero everywhere, same shapes as the template
+    empty = fed_avg([], template)
+    assert sorted(empty) == sorted(template)
+    for j in range(3):
+        for got, like in zip(empty[j], template[j]):
+            assert got.shape == like.shape and np.abs(got).max() == 0.0
 
 
 def test_apply_delta():

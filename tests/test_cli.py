@@ -75,6 +75,20 @@ def test_profile_from_config_rejects_bad_input():
     no_frozen = {k: v for k, v in VIT_PROFILE.items() if k != "frozen_param_count"}
     with pytest.raises(ProfileValidationError, match="frozen_param"):
         profile_from_config(no_frozen)
+    # values are never truncated or coerced: floats, bools and float lists fail
+    # naming the field
+    for field, value in [("num_blocks", 12.9), ("bytes_per_elem", True),
+                         ("static_act_per_sample", [2.7, 3.9]),
+                         ("dynamic_act_per_sample", 5), ("context_bytes", "0")]:
+        with pytest.raises(ProfileValidationError, match=field):
+            profile_from_config({**VIT_PROFILE, field: value})
+
+
+def test_memory_subcommand_rejects_float_profile_field(tmp_path, capsys):
+    profile = write_profile(tmp_path, {**VIT_PROFILE, "num_blocks": 12.9})
+    rc = main(["memory", "--profile", str(profile), "--map", "0" * 12, "--batch", "4"])
+    assert rc == 1
+    assert "num_blocks" in capsys.readouterr().err
 
 
 def test_memory_subcommand_prints_breakdown(tmp_path, capsys):

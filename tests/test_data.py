@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,12 @@ def test_dirichlet_min_floor_resampling():
                         min_samples_per_client=10**6)
     with pytest.raises(PartitionError):
         partition(tr, bad)
+    # a scheme that cannot redraw names the first client below the floor
+    sparse = PartitionSpec(scheme="iid", num_clients=len(tr) + 3, seed=12)
+    parts, _ = partition(tr, sparse)
+    first_empty = [len(p) for p in parts].index(0)
+    with pytest.raises(PartitionError, match=f"client {first_empty} has only 0 samples, below the floor 1"):
+        partition(tr, dataclasses.replace(sparse, min_samples_per_client=1))
 
 
 def test_pathological_dirichlet_composes():

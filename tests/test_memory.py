@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from fedlorasim.memory import (
     AllocationMap,
     MapMismatchError,
     MemoryBreakdown,
-    ModelProfile,
     ProfileValidationError,
     VIT_CONTEXT_MB_BY_LEVEL,
     marginal_weight,
     naive_map,
+    profile_from_config,
     reference_vit_profile,
     total_memory,
     transformer_dynamic_elems,
@@ -198,33 +200,33 @@ def test_allocation_map_basics():
 
 
 def test_profile_validation():
-    good = reference_vit_profile().to_dict()
-    assert ModelProfile.from_dict(good) == reference_vit_profile()
+    good = dataclasses.asdict(reference_vit_profile())
+    assert profile_from_config(good) == reference_vit_profile()
 
     bad = dict(good)
     bad["static_act_per_sample"] = [1, 2, 3]
     with pytest.raises(ProfileValidationError):
-        ModelProfile.from_dict(bad)
+        profile_from_config(bad)
 
     bad = dict(good)
     bad["num_blocks"] = 0
     with pytest.raises(ProfileValidationError):
-        ModelProfile.from_dict(bad)
+        profile_from_config(bad)
 
     bad = dict(good)
     bad["context_bytes"] = -1
     with pytest.raises(ProfileValidationError):
-        ModelProfile.from_dict(bad)
+        profile_from_config(bad)
 
     bad = dict(good)
     del bad["seq_len"]
     with pytest.raises(ProfileValidationError):
-        ModelProfile.from_dict(bad)
+        profile_from_config(bad)
 
     bad = dict(good)
     bad["surprise"] = 1
     with pytest.raises(ProfileValidationError):
-        ModelProfile.from_dict(bad)
+        profile_from_config(bad)
 
 
 def test_usage_errors():

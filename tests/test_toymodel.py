@@ -7,7 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from fedlorasim.aggregation import ContributionHistory, zero_delta_like
 from fedlorasim.memory import AllocationMap
+from fedlorasim.scoring import ScoreHistory
+from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
     NonFiniteLossError,
     StaleCacheError,
@@ -238,14 +241,25 @@ def test_non_finite_loss_aborts_with_diagnostics():
 
 
 def test_snapshot_roundtrip():
+    # frozen weights are a function of the seed, so a checkpoint holds only
+    # the adapters: rebuilding from the seed and loading them gives the same net
     rng = np.random.default_rng(31)
     net = small_net(seed=6)
     randomize_adapters(net, rng)
-    snap = json.loads(json.dumps(net.to_snapshot()))
-    back = ToyLoRANet.from_snapshot(snap)
+    l = net.num_blocks
+    state = GlobalState(
+        round=3,
+        params=net.get_lora_state(),
+        prev_delta=zero_delta_like(net.get_lora_state()),
+        score_history=ScoreHistory(l, 2),
+        contribution_history=ContributionHistory(l, 2),
+    )
+    ckpt = json.loads(json.dumps(state_to_jsonable(state)))
+    back = small_net(seed=6)
+    back.set_lora_state(state_from_jsonable(ckpt).params)
     X = rng.normal(size=(5, net.input_dim))
-    a, _ = net.forward(X, AllocationMap.full(net.num_blocks))
-    b, _ = back.forward(X, AllocationMap.full(net.num_blocks))
+    a, _ = net.forward(X, AllocationMap.full(l))
+    b, _ = back.forward(X, AllocationMap.full(l))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(net.head, back.head)
 
