@@ -4,9 +4,13 @@ Each client maximizes the summed value of trainable modules subject to its
 memory capacity. Item weights are not constants: the byte cost of adding a
 module depends on what is already selected (the first pick pays the fixed
 parameter and context bill, and selecting a shallow module extends the static
-activation range). The greedy therefore recomputes raw marginal weights every
-step, min-max normalizes them across the unselected set, and picks the
-feasible candidate with the best value-to-normalized-weight ratio.
+activation range). It depends on the map only through its earliest trainable
+block, so the greedy holds one cost vector (``memory.marginal_weights``) and
+rebuilds it only after the first pick and after a pick shallower than the
+current earliest block. Each step min-max normalizes the raw weights across
+the unselected set and picks the feasible candidate with the best
+value-to-normalized-weight ratio; the pick's raw weight is then checked
+against the ``marginal_weight`` oracle.
 
 Raw bytes decide feasibility; normalized weights only shape the ratio.
 """
@@ -22,6 +26,7 @@ from fedlorasim.memory import (
     MemoryBreakdown,
     ModelProfile,
     marginal_weight,
+    marginal_weights,
     total_memory,
 )
 
@@ -31,6 +36,10 @@ RATIO_EPS = 1e-9
 
 class InfeasibleClientError(ValueError):
     """Client capacity cannot even hold the frozen parameters plus context."""
+
+
+class CostVectorMismatch(RuntimeError):
+    """The greedy's cost vector disagrees with the marginal_weight oracle."""
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,15 @@ def _normalize(raw: dict[int, int]) -> dict[int, float]:
 
 def _greedy(instance: KnapsackInstance, forced_first: int | None = None):
     profile = instance.profile
+    batch = instance.batch
     amap = AllocationMap.empty(profile.num_blocks)
     residual = instance.capacity_bytes
     trace: list[SelectionStep] = []
+    weights = marginal_weights(profile, batch, None)
+    first = None
     for step in range(profile.num_blocks):
         candidates = [j for j in range(profile.num_blocks) if not amap.bits[j]]
-        raw = {j: marginal_weight(profile, amap, j, instance.batch) for j in candidates}
+        raw = {j: weights[j] for j in candidates}
         norm = _normalize(raw)
         feasible = [j for j in candidates if raw[j] <= residual]
         if not feasible:
@@ -122,6 +134,11 @@ def _greedy(instance: KnapsackInstance, forced_first: int | None = None):
             # max ratio; ties go to the deeper block, which never extends
             # the static range and so preserves future budget
             pick = max(feasible, key=lambda j: (instance.values[j] / norm[j], j))
+        oracle = marginal_weight(profile, amap, pick, batch)
+        if oracle != raw[pick]:
+            raise CostVectorMismatch(
+                f"block {pick}: cost vector gives {raw[pick]} B, marginal_weight gives {oracle} B"
+            )
         trace.append(
             SelectionStep(
                 step=step,
@@ -133,6 +150,9 @@ def _greedy(instance: KnapsackInstance, forced_first: int | None = None):
         )
         residual -= raw[pick]
         amap = amap.with_block(pick)
+        if first is None or pick < first:
+            first = pick
+            weights = marginal_weights(profile, batch, first)
     return amap, tuple(trace)
 
 
@@ -157,9 +177,9 @@ def optimize_allocation(instance: KnapsackInstance) -> AllocationResult:
     total_value = sum(instance.values[j] for j in amap.trainable_indices)
 
     best_j, best_v = None, 0.0
-    empty = AllocationMap.empty(profile.num_blocks)
+    singles = marginal_weights(profile, instance.batch, None)
     for j in range(profile.num_blocks):
-        w = marginal_weight(profile, empty, j, instance.batch)
+        w = singles[j]
         v = instance.values[j]
         if w <= instance.capacity_bytes and (best_j is None or (v, j) > (best_v, best_j)):
             best_j, best_v = j, v

@@ -33,8 +33,16 @@ def _parse_values(spec: str) -> list[float]:
             payload = json.load(fh)
         if not isinstance(payload, list):
             raise ValueError(f"{spec}: values file must hold a JSON list")
+        for i, v in enumerate(payload):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{spec}: values[{i}] must be a number, got {v!r}")
         return [float(v) for v in payload]
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--values {spec!r} is neither an existing file nor a comma-separated list of numbers"
+        ) from None
 
 
 def cmd_simulate(args) -> int:

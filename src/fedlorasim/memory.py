@@ -242,7 +242,7 @@ class MemoryBreakdown:
 
 
 def _check_batch(batch: int) -> None:
-    if not isinstance(batch, int) or batch < 1:
+    if not _is_int(batch) or batch < 1:
         raise ValueError(f"batch must be a positive int, got {batch!r}")
 
 
@@ -299,6 +299,33 @@ def marginal_weight(profile: ModelProfile, current: AllocationMap, j: int, batch
     if j < first:
         weight += batch * eta * (profile.static_tail_elems[j] - profile.static_tail_elems[first])
     return weight
+
+
+def marginal_weights(profile: ModelProfile, batch: int, first: int | None) -> list[int]:
+    """Every block's marginal weight at once, for maps whose earliest block is ``first``.
+
+    A block's price depends on the current map only through its earliest
+    trainable block, so one vector prices every candidate: entry j equals
+    ``marginal_weight(profile, m, j, batch)`` for every map m with
+    ``m.earliest == first`` and j not in m. ``first=None`` is the empty map,
+    where entry j is the full footprint of the singleton {j}. Entries for
+    blocks already in m carry no meaning.
+    """
+    _check_batch(batch)
+    l = profile.num_blocks
+    if first is not None and not (_is_int(first) and 0 <= first < l):
+        raise ValueError(f"first must be None or a block in [0, {l}), got {first!r}")
+    eta = profile.bytes_per_elem
+    scale = batch * eta
+    opt = profile.optimizer_states * eta * profile.lora_param_count_per_block
+    dyn = profile.dynamic_act_per_sample
+    tail = profile.static_tail_elems
+    if first is None:
+        fixed = profile.param_bytes + profile.context_bytes + opt
+        return [fixed + scale * (dyn[j] + tail[j]) for j in range(l)]
+    cut = tail[first]
+    return [opt + scale * (dyn[j] + tail[j] - cut) if j < first else opt + scale * dyn[j]
+            for j in range(l)]
 
 
 def naive_map(num_blocks: int, kind: str, u: int | None = None) -> AllocationMap:

@@ -50,6 +50,11 @@ _FEDRA = 3
 _IG_DRAW = 4
 
 
+#: Phases of a round timed into timings.jsonl; the round total also covers
+#: sampling, cloning and memory checks, which belong to none of them.
+PHASES = ("allocate", "score", "train", "aggregate", "evaluate")
+
+
 class InvariantViolation(RuntimeError):
     """A live protocol invariant failed (memory safety, shape drift)."""
 
@@ -113,6 +118,7 @@ class RoundMetrics:
     layer_counts: list[int]
     clients: list[ClientRoundInfo]
     wall_time_s: float
+    phase_s: dict[str, float]
 
     def as_jsonl_dict(self) -> dict:
         # wall time stays out: metrics files must be byte-reproducible
@@ -125,6 +131,11 @@ class RoundMetrics:
             "layer_counts": self.layer_counts,
             "clients": [c.as_dict() for c in self.clients],
         }
+
+    def timings_dict(self) -> dict:
+        """Wall-clock seconds of the round and of each phase; never in metrics.jsonl."""
+        return {"round": self.round, "total_s": self.wall_time_s,
+                **{f"{name}_s": self.phase_s[name] for name in PHASES}}
 
 
 def toy_profile(config: ExperimentConfig) -> ModelProfile:
@@ -333,7 +344,8 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
               warn=None) -> RoundMetrics:
     """Advance the federation by one round, mutating ``state``."""
     warn = warn or (lambda msg: print(msg, file=sys.stderr))
-    start = time.monotonic()
+    start = time.perf_counter()
+    phase = dict.fromkeys(PHASES, 0.0)
     t = state.round + 1
     v = len(clients)
     b = config.clients.batch_size
@@ -346,7 +358,9 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     records = []
     for cid in sampled:
         client = clients[cid]
+        t0 = time.perf_counter()
         amap = _choose_allocation(state, client, profile, config, t, warn)
+        phase["allocate"] += time.perf_counter() - t0
         if amap is None or amap.count == 0:
             infos.append(ClientRoundInfo(cid, client.level, False, None, None, 0.0))
             continue
@@ -358,19 +372,24 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
             )
         local_net = net.clone()
         local_net.set_lora_state(state.params)
+        t0 = time.perf_counter()
         scores = local_ig_scores(local_net, amap, client.ig_batches)
+        t1 = time.perf_counter()
+        phase["score"] += t1 - t0
         records.append(IGScoreRecord(round=t, client_id=cid, module_scores=scores))
         deltas = local_train(
             local_net, client.data.X, client.data.y, amap,
             epochs=config.epochs, batch_size=b, lr=config.lr,
             rng=derive_rng(config.seed, _TRAIN, t, cid),
         )
+        phase["train"] += time.perf_counter() - t1
         collected.append((cid, deltas, amap))
         infos.append(ClientRoundInfo(
             cid, client.level, True, amap.to_bitstring(), breakdown.total_bytes,
             breakdown.total_bytes / client.capacity_bytes,
         ))
 
+    t0 = time.perf_counter()
     if config.aggregation == "comagg":
         new_delta = com_agg(state.prev_delta, collected, state.contribution_history,
                             carry_forward=config.comagg_carry_forward)
@@ -387,9 +406,12 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     for cid, _, amap in collected:
         state.last_allocations[cid] = amap
     state.round = t
+    t1 = time.perf_counter()
+    phase["aggregate"] = t1 - t0
 
     net.set_lora_state(state.params)
     loss, acc = net.evaluate(test.X, test.y)
+    phase["evaluate"] = time.perf_counter() - t1
     layer_counts = [
         sum(1 for _, _, amap in collected if amap.bits[j]) for j in range(profile.num_blocks)
     ]
@@ -401,16 +423,19 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
         mean_utilization=(sum(i.utilization for i in infos) / len(infos)) if infos else 0.0,
         layer_counts=layer_counts,
         clients=infos,
-        wall_time_s=time.monotonic() - start,
+        wall_time_s=time.perf_counter() - start,
+        phase_s=phase,
     )
 
 
 def _round_zero_metrics(net: ToyLoRANet, test: LabeledData, num_blocks: int) -> RoundMetrics:
-    start = time.monotonic()
+    start = time.perf_counter()
     loss, acc = net.evaluate(test.X, test.y)
+    elapsed = time.perf_counter() - start
     return RoundMetrics(
         round=0, accuracy=acc, loss=loss, participants=0, mean_utilization=0.0,
-        layer_counts=[0] * num_blocks, clients=[], wall_time_s=time.monotonic() - start,
+        layer_counts=[0] * num_blocks, clients=[], wall_time_s=elapsed,
+        phase_s={**dict.fromkeys(PHASES, 0.0), "evaluate": elapsed},
     )
 
 
@@ -467,7 +492,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
     """Full run: T rounds, metrics JSONL, summary JSON, partition manifest.
 
     Returns the summary dict. Everything written under ``out_dir`` except
-    wall-time notes is a pure function of the config.
+    the per-phase wall times in ``timings.jsonl`` is a pure function of the
+    config.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -515,9 +541,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
                 with open(ckpt_dir / f"round_{state.round:04d}.json", "w") as cf:
                     json.dump(state_to_jsonable(state), cf)
 
-    with open(out / "timings.txt", "w") as fh:
+    with open(out / "timings.jsonl", "w") as fh:
         for rm in history:
-            fh.write(f"round {rm.round}: {rm.wall_time_s:.4f} s\n")
+            fh.write(json.dumps(rm.timings_dict()) + "\n")
 
     training = history[1:]
     summary = {

@@ -1,14 +1,22 @@
 """Shared helpers for the test suite.
 
-Random profile generation and a vectorized exhaustive cost enumerator used as
-an independent oracle by the allocator tests.
+Random profile generation, a vectorized exhaustive cost enumerator used as
+an independent oracle by the allocator tests, and a reference greedy that
+prices every candidate through ``marginal_weight``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fedlorasim.memory import AllocationMap, ModelProfile, total_memory
+from fedlorasim.allocator import (
+    AllocationResult,
+    InfeasibleClientError,
+    KnapsackInstance,
+    SelectionStep,
+    _normalize,
+)
+from fedlorasim.memory import AllocationMap, ModelProfile, marginal_weight, total_memory
 
 
 def make_random_profile(
@@ -76,3 +84,64 @@ def enumerate_costs(profile: ModelProfile, batch: int, maps: np.ndarray | None =
 def cost_of(profile: ModelProfile, bits, batch: int) -> int:
     """Scalar convenience wrapper over total_memory for tests."""
     return total_memory(profile, AllocationMap.from_bits(bits), batch).total_bytes
+
+
+def _reference_greedy(instance: KnapsackInstance, forced_first: int | None = None):
+    profile = instance.profile
+    amap = AllocationMap.empty(profile.num_blocks)
+    residual = instance.capacity_bytes
+    trace: list[SelectionStep] = []
+    for step in range(profile.num_blocks):
+        candidates = [j for j in range(profile.num_blocks) if not amap.bits[j]]
+        raw = {j: marginal_weight(profile, amap, j, instance.batch) for j in candidates}
+        norm = _normalize(raw)
+        feasible = [j for j in candidates if raw[j] <= residual]
+        if not feasible:
+            break
+        if step == 0 and forced_first is not None:
+            pick = forced_first
+        else:
+            pick = max(feasible, key=lambda j: (instance.values[j] / norm[j], j))
+        trace.append(
+            SelectionStep(
+                step=step,
+                block=pick,
+                raw_weight_bytes=raw[pick],
+                normalized_weight=norm[pick],
+                ratio=instance.values[pick] / norm[pick],
+            )
+        )
+        residual -= raw[pick]
+        amap = amap.with_block(pick)
+    return amap, tuple(trace)
+
+
+def reference_allocation(instance: KnapsackInstance) -> AllocationResult:
+    """The O(L^2) greedy that asks ``marginal_weight`` for every candidate at
+    every step, with the best-singleton guard pass over L oracle calls.
+
+    ``optimize_allocation`` must return exactly this result, trace included.
+    """
+    profile = instance.profile
+    base = total_memory(profile, AllocationMap.empty(profile.num_blocks), instance.batch)
+    if base.total_bytes > instance.capacity_bytes:
+        raise InfeasibleClientError(
+            f"fixed footprint {base.total_bytes} B exceeds capacity {instance.capacity_bytes} B"
+        )
+
+    amap, trace = _reference_greedy(instance)
+    total_value = sum(instance.values[j] for j in amap.trainable_indices)
+
+    best_j, best_v = None, 0.0
+    empty = AllocationMap.empty(profile.num_blocks)
+    for j in range(profile.num_blocks):
+        w = marginal_weight(profile, empty, j, instance.batch)
+        v = instance.values[j]
+        if w <= instance.capacity_bytes and (best_j is None or (v, j) > (best_v, best_j)):
+            best_j, best_v = j, v
+    if best_j is not None and best_v > total_value:
+        amap, trace = _reference_greedy(instance, forced_first=best_j)
+        total_value = sum(instance.values[j] for j in amap.trainable_indices)
+
+    memory = total_memory(profile, amap, instance.batch)
+    return AllocationResult(map=amap, total_value=total_value, memory=memory, selection_trace=trace)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fedlorasim.allocator
 from fedlorasim.allocator import (
     RATIO_EPS,
     AllocationResult,
+    CostVectorMismatch,
     InfeasibleClientError,
     KnapsackInstance,
     optimize_allocation,
@@ -21,7 +23,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 
-from conftest import all_maps, enumerate_costs, make_random_profile
+from conftest import all_maps, enumerate_costs, make_random_profile, reference_allocation
 
 
 def random_instance(rng, max_blocks=12) -> KnapsackInstance:
@@ -103,10 +105,10 @@ def test_determinism():
         assert optimize_allocation(inst) == optimize_allocation(inst)
 
 
-def test_never_worse_than_best_singleton_adversarial():
+def adversarial_profile() -> ModelProfile:
     # one expensive high-value shallow module vs a swarm of near-free
     # low-value deep ones whose epsilon weights dominate the ratio
-    p = ModelProfile(
+    return ModelProfile(
         num_blocks=6,
         hidden_size=1,
         seq_len=1,
@@ -119,8 +121,13 @@ def test_never_worse_than_best_singleton_adversarial():
         dynamic_act_per_sample=(0, 1, 1, 1, 1, 1),
         context_bytes=0,
     )
-    values = (10.0, 0.001, 0.001, 0.001, 0.001, 0.001)
-    res = optimize_allocation(KnapsackInstance(p, 1000, 1, values))
+
+
+ADVERSARIAL_VALUES = (10.0, 0.001, 0.001, 0.001, 0.001, 0.001)
+
+
+def test_never_worse_than_best_singleton_adversarial():
+    res = optimize_allocation(KnapsackInstance(adversarial_profile(), 1000, 1, ADVERSARIAL_VALUES))
     assert res.total_value >= 10.0
     assert res.map.bits[0]
     assert res.memory.total_bytes <= 1000
@@ -202,3 +209,52 @@ def test_result_serializes():
     assert d["map"] == "000000011111"
     assert d["memory"]["total_bytes"] == res.memory.total_bytes
     assert len(d["selection_trace"]) == 5
+
+
+def varied_instance(rng, min_blocks=1, max_blocks=16) -> KnapsackInstance:
+    """Random instance whose values mix continuous draws, ties and zeros, so
+    shallow picks (which move the earliest block) happen often."""
+    p = make_random_profile(rng, max_blocks=max_blocks, min_blocks=min_blocks)
+    batch = int(rng.choice([1, 8, 32]))
+    lo = total_memory(p, AllocationMap.empty(p.num_blocks), batch).total_bytes
+    hi = total_memory(p, AllocationMap.full(p.num_blocks), batch).total_bytes
+    capacity = int(rng.integers(lo, hi + 2))
+    kind = int(rng.integers(3))
+    if kind == 0:
+        values = rng.random(p.num_blocks)
+    elif kind == 1:
+        values = rng.integers(0, 3, size=p.num_blocks).astype(float)
+    else:
+        values = 10.0 * rng.random(p.num_blocks) ** 4
+    return KnapsackInstance(p, capacity, batch, tuple(values))
+
+
+def test_matches_reference_greedy_random():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        inst = varied_instance(rng)
+        assert optimize_allocation(inst).as_dict() == reference_allocation(inst).as_dict()
+
+
+def test_matches_reference_greedy_deep():
+    rng = np.random.default_rng(22)
+    for l in (32, 32, 32, 96, 96):
+        inst = varied_instance(rng, min_blocks=l, max_blocks=l)
+        assert optimize_allocation(inst).as_dict() == reference_allocation(inst).as_dict()
+
+
+def test_matches_reference_greedy_guard_pass():
+    p = adversarial_profile()
+    for capacity in (999, 1000, 1001, 1003, 1005, 2000):
+        for values in (ADVERSARIAL_VALUES, ADVERSARIAL_VALUES[::-1], (0.0,) * 6):
+            inst = KnapsackInstance(p, capacity, 1, values)
+            assert optimize_allocation(inst).as_dict() == reference_allocation(inst).as_dict()
+
+
+def test_cost_vector_checked_against_oracle(monkeypatch):
+    real = fedlorasim.allocator.marginal_weights
+    monkeypatch.setattr(fedlorasim.allocator, "marginal_weights",
+                        lambda p, b, first: [w + 1 for w in real(p, b, first)])
+    inst = KnapsackInstance(reference_vit_profile(), 24 * GB, 496, (1.0,) * 12)
+    with pytest.raises(CostVectorMismatch, match="block 11: .* marginal_weight gives"):
+        optimize_allocation(inst)

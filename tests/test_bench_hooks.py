@@ -67,3 +67,35 @@ def test_tracer_records_one_merge_per_round_and_restores(aggregation, tmp_path):
     assert spans("aggregation.merge") == rounds
     rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert tracer.counts["aggregation.contributions"] == sum(sum(r["layer_counts"]) for r in rows)
+
+
+def test_allocator_asks_the_oracle_once_per_pick(tmp_path):
+    # the cost vector prices every candidate; the oracle is asked once per
+    # pick, so a solve makes between 1 and 2L marginal_weight calls (two
+    # greedy passes when the guard fires). Pricing each candidate through
+    # the oracle makes at least 3L-1 calls in a solve that picks anything,
+    # and dropping the per-pick check makes none, which the benchmark's
+    # exact counters need to be positive.
+    blocks = 6
+    cfg = ExperimentConfig.from_dict({
+        "seed": 3, "rounds": 2, "strategy": "fedpilot", "aggregation": "comagg",
+        "ig_dataset_size": 16,
+        "model": {"num_blocks": blocks, "hidden_size": 8, "lora_rank": 2,
+                  "input_dim": 10, "num_classes": 5},
+        "data": {"samples_per_class": 40},
+        "clients": {"num_clients": 4, "batch_size": 16, "sampling_rate": 1.0},
+    })
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        run_experiment(cfg, tmp_path, quiet=True)
+    finally:
+        tracer.restore()
+
+    a = tracer.arrays()
+    solves = a["sid"][a["nid"] == tracer.names.index("allocator.solve")]
+    oracle_parents = a["parent"][a["nid"] == tracer.names.index("memory.marginal_weight")]
+    assert len(solves) == 2 * 4
+    per_solve = [int((oracle_parents == sid).sum()) for sid in solves]
+    assert all(1 <= n <= 2 * blocks for n in per_solve), per_solve
+    assert len(oracle_parents) == sum(per_solve)

@@ -125,6 +125,27 @@ def test_allocate_subcommand_with_values_file(tmp_path, capsys):
     assert out["map"] == "000000111111"
 
 
+@pytest.mark.parametrize("bad, shown", [(True, "values[0] must be a number, got True"),
+                                         ("2", "values[0] must be a number, got '2'")])
+def test_allocate_values_file_rejects_non_numbers(tmp_path, capsys, bad, shown):
+    profile = write_profile(tmp_path)
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps([bad] + [1.0] * 11))
+    rc = main(["allocate", "--profile", str(profile), "--capacity", str(24 * 10**9),
+               "--values", str(values), "--batch", "496"])
+    assert rc == 1
+    assert shown in capsys.readouterr().err
+
+
+def test_allocate_values_spec_neither_file_nor_list(tmp_path, capsys):
+    profile = write_profile(tmp_path)
+    rc = main(["allocate", "--profile", str(profile), "--capacity", str(24 * 10**9),
+               "--values", str(tmp_path / "nosuch.json"), "--batch", "496"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "nosuch.json" in err and "neither an existing file nor" in err
+
+
 def test_allocate_infeasible_capacity_is_an_error(tmp_path, capsys):
     profile = write_profile(tmp_path)
     rc = main(["allocate", "--profile", str(profile), "--capacity", "1000",

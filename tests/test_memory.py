@@ -16,6 +16,7 @@ from fedlorasim.memory import (
     ProfileValidationError,
     VIT_CONTEXT_MB_BY_LEVEL,
     marginal_weight,
+    marginal_weights,
     naive_map,
     profile_from_config,
     reference_vit_profile,
@@ -111,22 +112,28 @@ def test_ms_mh_gap_identity_random_profiles():
 
 
 def test_marginal_weight_matches_total_difference_exhaustive_small():
-    # non-empty maps only: the very first pick deliberately bills the fixed
-    # parameter and context costs on top of the difference
+    # the difference holds for non-empty maps only: the very first pick
+    # deliberately bills the fixed parameter and context costs on top of it.
+    # The cost vector for the map's earliest block matches the oracle on
+    # every map, the empty one included.
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = make_random_profile(rng, max_blocks=8)
         batch = int(rng.integers(1, 32))
         l = p.num_blocks
-        for code in range(1, 1 << l):
+        vectors = {first: marginal_weights(p, batch, first) for first in [None, *range(l)]}
+        for code in range(1 << l):
             bits = [(code >> j) & 1 for j in range(l)]
             amap = AllocationMap.from_bits(bits)
             base = total_memory(p, amap, batch).total_bytes
             for j in range(l):
                 if bits[j]:
                     continue
-                grown = total_memory(p, amap.with_block(j), batch).total_bytes
-                assert marginal_weight(p, amap, j, batch) == grown - base
+                weight = marginal_weight(p, amap, j, batch)
+                assert vectors[amap.earliest][j] == weight
+                if code:
+                    grown = total_memory(p, amap.with_block(j), batch).total_bytes
+                    assert weight == grown - base
 
 
 def test_first_pick_pays_params_and_context():
@@ -240,3 +247,9 @@ def test_usage_errors():
         marginal_weight(p, amap, 2, 1)
     with pytest.raises(ValueError):
         marginal_weight(p, amap, 12, 1)
+    for batch in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="batch"):
+            marginal_weights(p, batch, None)
+    for first in (-1, 12, 1.0, True):
+        with pytest.raises(ValueError, match="first"):
+            marginal_weights(p, 1, first)

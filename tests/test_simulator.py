@@ -227,10 +227,19 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
     assert (tmp_path / "a" / "partition.json").read_bytes() == (tmp_path / "b" / "partition.json").read_bytes()
     assert s1 == s2
-    # wall-clock numbers live outside the reproducible files
-    assert (tmp_path / "a" / "timings.txt").exists()
+    # wall-clock numbers live outside the reproducible files: one line per
+    # round, round 0 included, with the round total and five phase times
+    timings = [json.loads(s) for s in (tmp_path / "a" / "timings.jsonl").read_text().splitlines()]
+    assert [row["round"] for row in timings] == list(range(cfg.rounds + 1))
+    phases = ("allocate_s", "score_s", "train_s", "aggregate_s", "evaluate_s")
+    for row in timings:
+        assert set(row) == {"round", "total_s", *phases}
+        assert all(row[k] >= 0.0 for k in phases)
+        assert sum(row[k] for k in phases) <= row["total_s"]
+    assert not (tmp_path / "a" / "timings.txt").exists()
     payload = json.loads(m1.decode().splitlines()[1])
     assert "wall_time" not in json.dumps(payload)
+    assert not any(k.endswith("_s") for k in payload)
 
 
 def test_round_zero_line_is_pretraining_evaluation(tmp_path):
