@@ -9,6 +9,7 @@ synthetic heterogeneous clients.
 
 from fedlorasim.aggregation import (
     ContributionHistory,
+    InvariantViolation,
     apply_delta,
     com_agg,
     com_agg_fixed,
@@ -54,7 +55,6 @@ from fedlorasim.scoring import (
 )
 from fedlorasim.simulator import (
     GlobalState,
-    InvariantViolation,
     baseline_allocation,
     build_clients,
     run_experiment,

@@ -29,6 +29,11 @@ from fedlorasim.memory import AllocationMap
 ClientDelta = tuple[int, dict[int, tuple[np.ndarray, np.ndarray]], AllocationMap]
 
 
+class InvariantViolation(RuntimeError):
+    """A live protocol invariant failed (memory safety, shape drift, a
+    non-finite client update)."""
+
+
 class ContributionHistory:
     """Ring buffers of per-layer contributor counts over the last T rounds."""
 
@@ -86,6 +91,8 @@ def _check_client_deltas(client_deltas: Sequence[ClientDelta], template: dict) -
             tn, tm = template[j]
             if dn.shape != tn.shape or dm.shape != tm.shape:
                 raise ValueError(f"client {cid}: layer {j} delta shapes do not match the model")
+            if not (np.isfinite(dn).all() and np.isfinite(dm).all()):
+                raise InvariantViolation(f"client {cid}: layer {j} delta is not finite")
 
 
 def _layer_mean(contributions: list[tuple[np.ndarray, np.ndarray]]):

@@ -74,11 +74,11 @@ class AllocationMap:
     def __post_init__(self):
         if len(self.bits) == 0:
             raise ValueError("allocation map needs at least one block")
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(map(bool, self.bits)))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "AllocationMap":
-        return cls(tuple(bool(b) for b in bits))
+        return cls(tuple(bits))
 
     @classmethod
     def from_indices(cls, num_blocks: int, indices: Iterable[int]) -> "AllocationMap":

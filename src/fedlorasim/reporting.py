@@ -228,7 +228,7 @@ def write_report(summaries: list[RunSummary], out_dir: str | Path) -> None:
     tables.mkdir(parents=True, exist_ok=True)
 
     with open(out / "summary.json", "w") as fh:
-        json.dump([s.as_dict() for s in summaries], fh, indent=2)
+        json.dump([s.as_dict() for s in summaries], fh, indent=2, allow_nan=False)
 
     _write_csv(
         tables / "accuracy.csv",

@@ -23,6 +23,7 @@ import numpy as np
 
 from fedlorasim.aggregation import (
     ContributionHistory,
+    InvariantViolation,
     apply_delta,
     com_agg,
     com_agg_fixed,
@@ -53,10 +54,6 @@ _IG_DRAW = 4
 #: Phases of a round timed into timings.jsonl; the round total also covers
 #: sampling, cloning and memory checks, which belong to none of them.
 PHASES = ("allocate", "score", "train", "aggregate", "evaluate")
-
-
-class InvariantViolation(RuntimeError):
-    """A live protocol invariant failed (memory safety, shape drift)."""
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -141,8 +138,9 @@ class RoundMetrics:
 def toy_profile(config: ExperimentConfig) -> ModelProfile:
     """Memory profile of the toy net: one hidden vector per block per sample.
 
-    Pre-nonlinearity values are the static analog, block inputs the dynamic
-    analog, both hidden_size elements per sample at 8 bytes (float64).
+    Block outputs kept from the earliest trainable block on are the static
+    analog, block inputs the dynamic analog, both hidden_size elements per
+    sample at 8 bytes (float64).
     """
     m = config.model
     frozen_elems = (
@@ -523,7 +521,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
                 ],
                 "manifest": manifest,
             },
-            fh, indent=2,
+            fh, indent=2, allow_nan=False,
         )
 
     history: list[RoundMetrics] = []
@@ -531,19 +529,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
     with open(out / "metrics.jsonl", "w") as fh:
         rm = _round_zero_metrics(net, test, profile.num_blocks)
         history.append(rm)
-        fh.write(json.dumps(rm.as_jsonl_dict()) + "\n")
+        fh.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
         for _ in range(config.rounds):
             rm = run_round(state, clients, net, test, profile, config, warn=warn)
             history.append(rm)
-            fh.write(json.dumps(rm.as_jsonl_dict()) + "\n")
+            fh.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
             if config.checkpoint_every and state.round % config.checkpoint_every == 0:
                 ckpt_dir.mkdir(exist_ok=True)
                 with open(ckpt_dir / f"round_{state.round:04d}.json", "w") as cf:
-                    json.dump(state_to_jsonable(state), cf)
+                    json.dump(state_to_jsonable(state), cf, allow_nan=False)
 
     with open(out / "timings.jsonl", "w") as fh:
         for rm in history:
-            fh.write(json.dumps(rm.timings_dict()) + "\n")
+            fh.write(json.dumps(rm.timings_dict(), allow_nan=False) + "\n")
 
     training = history[1:]
     summary = {
@@ -560,7 +558,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
         if training else 0.0,
     }
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
     if not quiet:
         print(
             f"{config.strategy}/{config.aggregation} {summary['distribution']} "

@@ -8,9 +8,16 @@ and M (r x H) ever train, and only where the allocation map allows.
 Backward is analytic and float64. Gradients still flow *through* frozen
 blocks so an early trainable block learns even when everything above it is
 frozen; what freezing removes is the need to keep that block's input around.
-The forward cache mirrors the memory model's split: pre-nonlinearity values
-are kept from the earliest trainable block onward (the static analog), block
-inputs only for trainable blocks (the dynamic analog).
+The forward cache mirrors the memory model's split: block outputs
+``tanh(z_j)`` are kept from the earliest trainable block onward (the static
+analog), block inputs only for trainable blocks (the dynamic analog).
+Backward reads tanh' from those outputs and chains through the effective
+weights forward used, so it computes neither again.
+
+An effective weight ``W0 + scale * N @ M`` changes only when its block's
+adapters do. ``local_train`` and ``local_ig_scores`` build the list of all
+L once and hand it to ``forward``; training rebuilds only the entries of the
+blocks each SGD step updated.
 
 M starts at zero so the adapters contribute nothing until trained and the
 initial network is exactly the frozen base.
@@ -41,12 +48,14 @@ LoraState = dict[int, tuple[np.ndarray, np.ndarray]]
 class ForwardCache:
     """Activations retained by one forward pass for a later backward.
 
-    ``preacts`` holds pre-tanh values z_j for blocks from the earliest
-    trainable one onward; ``block_inputs`` holds a_{j-1} for trainable j.
+    ``acts`` holds block outputs a_j = tanh(z_j) and ``weights`` the
+    effective weight used, for blocks from the earliest trainable one
+    onward; ``block_inputs`` holds a_{j-1} for trainable j.
     """
 
     logits: np.ndarray
-    preacts: dict[int, np.ndarray]
+    acts: dict[int, np.ndarray]
+    weights: dict[int, np.ndarray]
     block_inputs: dict[int, np.ndarray]
     allocation: AllocationMap
     batch_size: int
@@ -54,7 +63,7 @@ class ForwardCache:
 
     @property
     def static_count(self) -> int:
-        return len(self.preacts)
+        return len(self.acts)
 
     @property
     def dynamic_count(self) -> int:
@@ -121,9 +130,24 @@ class ToyLoRANet:
     def effective_weight(self, j: int) -> np.ndarray:
         return self.W0[j] + self.scale * (self.N[j] @ self.M[j])
 
+    def effective_weights(self) -> list[np.ndarray]:
+        """All L effective weights at the current parameters."""
+        return [self.effective_weight(j) for j in range(self.num_blocks)]
+
     # ---- forward / loss / backward -----------------------------------------
 
-    def forward(self, X: np.ndarray, allocation: AllocationMap) -> tuple[np.ndarray, ForwardCache]:
+    def forward(
+        self,
+        X: np.ndarray,
+        allocation: AllocationMap,
+        weights: list[np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, ForwardCache]:
+        """Logits and the cache backward needs.
+
+        ``weights``, when given, must be the L effective weights at the
+        current parameters (``effective_weights()``, kept up to date by the
+        caller); otherwise they are built here from the parameters.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
@@ -131,22 +155,29 @@ class ToyLoRANet:
             raise ValueError(
                 f"allocation has {len(allocation)} blocks, net has {self.num_blocks}"
             )
+        if weights is not None and len(weights) != self.num_blocks:
+            raise ValueError(f"got {len(weights)} weights, net has {self.num_blocks} blocks")
         first = allocation.earliest
+        if weights is None and first is not None:
+            weights = self.effective_weights()
         trainable = set(allocation.trainable_indices)
-        preacts: dict[int, np.ndarray] = {}
+        acts: dict[int, np.ndarray] = {}
+        used: dict[int, np.ndarray] = {}
         block_inputs: dict[int, np.ndarray] = {}
         a = X @ self.embed
         for j in range(self.num_blocks):
             if j in trainable:
                 block_inputs[j] = a
-            z = a @ self.effective_weight(j) + self.b[j]
-            if first is not None and j >= first:
-                preacts[j] = z
+            z = a @ (self.effective_weight(j) if weights is None else weights[j]) + self.b[j]
             a = np.tanh(z)
+            if first is not None and j >= first:
+                acts[j] = a
+                used[j] = weights[j]
         logits = a @ self.head
         return logits, ForwardCache(
             logits=logits,
-            preacts=preacts,
+            acts=acts,
+            weights=used,
             block_inputs=block_inputs,
             allocation=allocation,
             batch_size=X.shape[0],
@@ -186,8 +217,7 @@ class ToyLoRANet:
         logits = cache.logits
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=1, keepdims=True)
-        dlogits = probs.copy()
+        dlogits = expd / expd.sum(axis=1, keepdims=True)
         dlogits[np.arange(len(y)), y] -= 1.0
         dlogits *= loss_scale / cache.batch_size
 
@@ -195,14 +225,13 @@ class ToyLoRANet:
         da = dlogits @ self.head.T
         trainable = set(allocation.trainable_indices)
         for j in range(self.num_blocks - 1, first - 1, -1):
-            z = cache.preacts[j]
-            dz = da * (1.0 - np.tanh(z) ** 2)
+            dz = da * (1.0 - cache.acts[j] ** 2)
             if j in trainable:
                 a_in = cache.block_inputs[j]
                 dW = a_in.T @ dz
                 grads[j] = (self.scale * (dW @ self.M[j].T), self.scale * (self.N[j].T @ dW))
             if j > first:
-                da = dz @ self.effective_weight(j).T
+                da = dz @ cache.weights[j].T
         return grads
 
     def evaluate(self, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -241,12 +270,13 @@ def local_train(
         raise ValueError("learning rate must be nonnegative")
 
     before = {j: (net.N[j].copy(), net.M[j].copy()) for j in allocation.trainable_indices}
+    weights = net.effective_weights()
     n = len(X)
     for epoch in range(epochs):
         order = rng.permutation(n) if rng is not None else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            logits, cache = net.forward(X[idx], allocation)
+            logits, cache = net.forward(X[idx], allocation, weights)
             loss = net.loss(logits, y[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
@@ -256,6 +286,7 @@ def local_train(
             for j, (gn, gm) in grads.items():
                 net.N[j] = net.N[j] - lr * gn
                 net.M[j] = net.M[j] - lr * gm
+                weights[j] = net.effective_weight(j)
             net.version += 1
     return {
         j: (net.N[j] - before[j][0], net.M[j] - before[j][1])

@@ -1,11 +1,15 @@
 """Shared helpers for the test suite.
 
 Random profile generation, a vectorized exhaustive cost enumerator used as
-an independent oracle by the allocator tests, and a reference greedy that
-prices every candidate through ``marginal_weight``.
+an independent oracle by the allocator tests, a reference greedy that
+prices every candidate through ``marginal_weight``, and a reference toy-model
+forward/backward/SGD loop that rebuilds every effective weight where it is
+used and recomputes tanh in backward.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,3 +149,103 @@ def reference_allocation(instance: KnapsackInstance) -> AllocationResult:
 
     memory = total_memory(profile, amap, instance.batch)
     return AllocationResult(map=amap, total_value=total_value, memory=memory, selection_trace=trace)
+
+
+@dataclass
+class ReferenceCache:
+    logits: np.ndarray
+    preacts: dict[int, np.ndarray]
+    block_inputs: dict[int, np.ndarray]
+    allocation: AllocationMap
+    batch_size: int
+    version: int
+
+
+def rebuilding_forward(net, X: np.ndarray, allocation: AllocationMap):
+    """``ToyLoRANet.forward`` as it was before weight reuse: every effective
+    weight is rebuilt per call and the pre-tanh values are cached."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ValueError(f"expected features of shape (n, {net.input_dim}), got {X.shape}")
+    if len(allocation) != net.num_blocks:
+        raise ValueError(
+            f"allocation has {len(allocation)} blocks, net has {net.num_blocks}"
+        )
+    first = allocation.earliest
+    trainable = set(allocation.trainable_indices)
+    preacts: dict[int, np.ndarray] = {}
+    block_inputs: dict[int, np.ndarray] = {}
+    a = X @ net.embed
+    for j in range(net.num_blocks):
+        if j in trainable:
+            block_inputs[j] = a
+        z = a @ net.effective_weight(j) + net.b[j]
+        if first is not None and j >= first:
+            preacts[j] = z
+        a = np.tanh(z)
+    logits = a @ net.head
+    return logits, ReferenceCache(
+        logits=logits,
+        preacts=preacts,
+        block_inputs=block_inputs,
+        allocation=allocation,
+        batch_size=X.shape[0],
+        version=net.version,
+    )
+
+
+def rebuilding_backward(net, cache: ReferenceCache, y: np.ndarray, loss_scale: float = 1.0):
+    """``ToyLoRANet.backward`` as it was before weight reuse: tanh' from the
+    cached pre-tanh values, and the effective weights rebuilt on the way down."""
+    assert cache.version == net.version
+    allocation = cache.allocation
+    first = allocation.earliest
+    if first is None:
+        return {}
+    y = np.asarray(y)
+    logits = cache.logits
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    probs = expd / expd.sum(axis=1, keepdims=True)
+    dlogits = probs.copy()
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits *= loss_scale / cache.batch_size
+
+    grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    da = dlogits @ net.head.T
+    trainable = set(allocation.trainable_indices)
+    for j in range(net.num_blocks - 1, first - 1, -1):
+        z = cache.preacts[j]
+        dz = da * (1.0 - np.tanh(z) ** 2)
+        if j in trainable:
+            a_in = cache.block_inputs[j]
+            dW = a_in.T @ dz
+            grads[j] = (net.scale * (dW @ net.M[j].T), net.scale * (net.N[j].T @ dW))
+        if j > first:
+            da = dz @ net.effective_weight(j).T
+    return grads
+
+
+def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch_size=32,
+                          lr=0.1, rng=None):
+    """``local_train``'s SGD loop over ``rebuilding_forward``/``rebuilding_backward``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    before = {j: (net.N[j].copy(), net.M[j].copy()) for j in allocation.trainable_indices}
+    n = len(X)
+    for epoch in range(epochs):
+        order = rng.permutation(n) if rng is not None else np.arange(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            logits, cache = rebuilding_forward(net, X[idx], allocation)
+            loss = net.loss(logits, y[idx])
+            assert np.isfinite(loss)
+            grads = rebuilding_backward(net, cache, y[idx])
+            for j, (gn, gm) in grads.items():
+                net.N[j] = net.N[j] - lr * gn
+                net.M[j] = net.M[j] - lr * gm
+            net.version += 1
+    return {
+        j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
+        for j in allocation.trainable_indices
+    }

@@ -7,6 +7,7 @@ import pytest
 
 from fedlorasim.aggregation import (
     ContributionHistory,
+    InvariantViolation,
     apply_delta,
     com_agg,
     com_agg_fixed,
@@ -260,6 +261,24 @@ def test_validation_rejects_inconsistent_deltas():
     bad = (0, make_delta(rng, [0], shape=(5, 5)), AllocationMap.from_indices(3, [0]))
     with pytest.raises(ValueError):
         fed_avg([bad], prev)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_non_finite_client_delta_is_rejected(bad_value):
+    rng = np.random.default_rng(13)
+    prev = make_delta(rng, range(3))
+    good = client(4, rng, [0, 2], num_blocks=3)
+    bad = client(7, rng, [1, 2], num_blocks=3)
+    bad[1][2][1][1, 0] = bad_value
+    rules = (
+        lambda cds: com_agg(prev, cds, ContributionHistory(num_blocks=3, window=2)),
+        lambda cds: com_agg_fixed(prev, cds),
+        lambda cds: fed_avg(cds, prev),
+    )
+    for rule in rules:
+        with pytest.raises(InvariantViolation, match="client 7: layer 2 "):
+            rule([good, bad])
+        rule([good])
 
 
 def test_contribution_history_roundtrip_and_validation():

@@ -4,13 +4,16 @@
 three aggregation rules, which it records as ``aggregation.merge`` spans.
 If ``run_round`` stopped looking the rules up as module globals at call
 time, or a patched name went away, traced benchmark runs would silently
-record no merges. This checks the hooks on a 2-round run per rule.
+record no merges. This checks the hooks on a 2-round run per rule, and the
+counts the benchmark's exact counters read: oracle calls per allocator
+solve and effective-weight builds per scoring, training and evaluation call.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -32,19 +35,33 @@ _spec.loader.exec_module(bench_tracer)
 OWNERS = (fedlorasim.simulator, fedlorasim.allocator, fedlorasim.memory,
           fedlorasim.reporting, ToyLoRANet, AllocationMap)
 RULES = {"comagg": "com_agg", "comagg_fixed": "com_agg_fixed", "fedavg": "fed_avg"}
+ROUNDS, BATCH = 2, 16
+
+
+def fedpilot_config(aggregation="comagg", blocks=4, epochs=1) -> ExperimentConfig:
+    return ExperimentConfig.from_dict({
+        "seed": 3, "rounds": ROUNDS, "strategy": "fedpilot", "aggregation": aggregation,
+        "ig_dataset_size": 16, "epochs": epochs,
+        "model": {"num_blocks": blocks, "hidden_size": 8, "lora_rank": 2,
+                  "input_dim": 10, "num_classes": 5},
+        "data": {"samples_per_class": 40},
+        "clients": {"num_clients": 4, "batch_size": BATCH, "sampling_rate": 1.0},
+    })
+
+
+def traced_run(cfg, out_dir):
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        run_experiment(cfg, out_dir, quiet=True)
+    finally:
+        tracer.restore()
+    return tracer
 
 
 @pytest.mark.parametrize("aggregation", list(RULES))
 def test_tracer_records_one_merge_per_round_and_restores(aggregation, tmp_path):
-    rounds = 2
-    cfg = ExperimentConfig.from_dict({
-        "seed": 3, "rounds": rounds, "strategy": "fedpilot", "aggregation": aggregation,
-        "ig_dataset_size": 16,
-        "model": {"num_blocks": 4, "hidden_size": 8, "lora_rank": 2,
-                  "input_dim": 10, "num_classes": 5},
-        "data": {"samples_per_class": 40},
-        "clients": {"num_clients": 4, "batch_size": 16, "sampling_rate": 1.0},
-    })
+    cfg = fedpilot_config(aggregation)
     before = [dict(vars(owner)) for owner in OWNERS]
     rule = getattr(fedlorasim.simulator, RULES[aggregation])
     tracer = bench_tracer.Tracer()
@@ -63,8 +80,8 @@ def test_tracer_records_one_merge_per_round_and_restores(aggregation, tmp_path):
 
     nid = tracer.arrays()["nid"]
     spans = lambda name: int((nid == tracer.names.index(name)).sum())
-    assert spans("simulator.run_round") == rounds
-    assert spans("aggregation.merge") == rounds
+    assert spans("simulator.run_round") == ROUNDS
+    assert spans("aggregation.merge") == ROUNDS
     rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert tracer.counts["aggregation.contributions"] == sum(sum(r["layer_counts"]) for r in rows)
 
@@ -77,25 +94,37 @@ def test_allocator_asks_the_oracle_once_per_pick(tmp_path):
     # and dropping the per-pick check makes none, which the benchmark's
     # exact counters need to be positive.
     blocks = 6
-    cfg = ExperimentConfig.from_dict({
-        "seed": 3, "rounds": 2, "strategy": "fedpilot", "aggregation": "comagg",
-        "ig_dataset_size": 16,
-        "model": {"num_blocks": blocks, "hidden_size": 8, "lora_rank": 2,
-                  "input_dim": 10, "num_classes": 5},
-        "data": {"samples_per_class": 40},
-        "clients": {"num_clients": 4, "batch_size": 16, "sampling_rate": 1.0},
-    })
-    tracer = bench_tracer.Tracer()
-    tracer.install()
-    try:
-        run_experiment(cfg, tmp_path, quiet=True)
-    finally:
-        tracer.restore()
+    tracer = traced_run(fedpilot_config(blocks=blocks), tmp_path)
 
     a = tracer.arrays()
     solves = a["sid"][a["nid"] == tracer.names.index("allocator.solve")]
     oracle_parents = a["parent"][a["nid"] == tracer.names.index("memory.marginal_weight")]
-    assert len(solves) == 2 * 4
+    assert len(solves) == ROUNDS * 4
     per_solve = [int((oracle_parents == sid).sum()) for sid in solves]
     assert all(1 <= n <= 2 * blocks for n in per_solve), per_solve
     assert len(oracle_parents) == sum(per_solve)
+
+
+def test_effective_weights_are_built_once_per_parameter_change(tmp_path):
+    # scoring builds the L weights once; training builds them once and then
+    # rebuilds only the blocks each SGD step updated; evaluation builds each
+    # as it goes. Rebuilding every weight in every forward and again in
+    # backward makes several times as many calls.
+    blocks, epochs = 6, 2
+    tracer = traced_run(fedpilot_config(blocks=blocks, epochs=epochs), tmp_path)
+
+    samples = {c["id"]: c["num_samples"]
+               for c in json.loads((tmp_path / "partition.json").read_text())["assignments"]}
+    rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    trained = [c for r in rows for c in r["clients"] if c["participated"]]
+    assert trained
+    steps = lambda cid: epochs * math.ceil(samples[cid] / BATCH)
+    expected = (
+        blocks * len(trained)  # local_ig_scores
+        + sum(blocks + steps(c["id"]) * c["allocation"].count("1") for c in trained)  # local_train
+        + blocks * len(rows)  # evaluate, round 0 included
+    )
+    nid = tracer.arrays()["nid"]
+    assert int((nid == tracer.names.index("scoring.local_ig_scores")).sum()) == len(trained)
+    assert int((nid == tracer.names.index("toymodel.evaluate")).sum()) == len(rows)
+    assert tracer.counts["toymodel.effective_weight"] == expected

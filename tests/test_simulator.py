@@ -242,6 +242,14 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     assert not any(k.endswith("_s") for k in payload)
 
 
+def test_non_finite_metrics_are_never_written(tmp_path, monkeypatch):
+    # JSON has no NaN; writing one must fail instead of emitting a bare NaN
+    monkeypatch.setattr(ToyLoRANet, "evaluate", lambda self, X, y: (float("nan"), 0.5))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        run_experiment(tiny_config(rounds=1), tmp_path, quiet=True)
+    assert "NaN" not in (tmp_path / "metrics.jsonl").read_text()
+
+
 def test_round_zero_line_is_pretraining_evaluation(tmp_path):
     cfg = tiny_config(rounds=0)
     run_experiment(cfg, tmp_path, quiet=True)

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import rebuilding_backward, rebuilding_forward, rebuilding_local_train
 from fedlorasim.aggregation import ContributionHistory, zero_delta_like
 from fedlorasim.memory import AllocationMap
-from fedlorasim.scoring import ScoreHistory
+from fedlorasim.scoring import ScoreHistory, local_ig_scores
 from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
     NonFiniteLossError,
@@ -140,7 +141,8 @@ def test_cache_economy_mirrors_memory_split():
             assert cache.static_count == 6 - min(indices)
             assert cache.dynamic_count == len(indices)
             assert sorted(cache.block_inputs) == sorted(indices)
-            assert sorted(cache.preacts) == list(range(min(indices), 6))
+            assert sorted(cache.acts) == list(range(min(indices), 6))
+            assert sorted(cache.weights) == list(range(min(indices), 6))
         else:
             assert cache.static_count == 0
             assert cache.dynamic_count == 0
@@ -230,6 +232,90 @@ def test_local_train_is_deterministic_and_decreases_loss():
     local_train(n3, X, y, AllocationMap.from_indices(4, [0]), epochs=3, batch_size=16, lr=0.5)
     partial_loss, _ = n3.evaluate(X, y)
     assert partial_loss < before_loss
+
+
+EQUIVALENCE_MAPS = {
+    "empty": [],
+    "full": list(range(7)),
+    "single": [3],
+    "gapped": [1, 3, 5],
+    "deepest": [6],
+}
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sequential", "shuffled"])
+@pytest.mark.parametrize("kind", list(EQUIVALENCE_MAPS))
+def test_local_train_matches_reference_bytes(kind, shuffle):
+    # reused weights must give the bytes of rebuilding every weight where it
+    # is used; a list not refreshed after an SGD step moves them
+    rng = np.random.default_rng(31)
+    amap = AllocationMap.from_indices(7, EQUIVALENCE_MAPS[kind])
+    for trial in range(3):
+        net = small_net(seed=trial, num_blocks=7)
+        randomize_adapters(net, rng)
+        X = rng.normal(size=(37, net.input_dim))
+        y = rng.integers(0, net.num_classes, size=37)
+        ref, new = net.clone(), net.clone()
+        kw = dict(epochs=2, batch_size=8, lr=0.3)
+        d_ref = rebuilding_local_train(
+            ref, X, y, amap, rng=np.random.default_rng(trial) if shuffle else None, **kw)
+        d_new = local_train(
+            new, X, y, amap, rng=np.random.default_rng(trial) if shuffle else None, **kw)
+        assert list(d_new) == list(d_ref) == list(amap.trainable_indices)
+        for j in d_ref:
+            assert d_new[j][0].tobytes() == d_ref[j][0].tobytes()
+            assert d_new[j][1].tobytes() == d_ref[j][1].tobytes()
+        for j in range(7):
+            assert new.N[j].tobytes() == ref.N[j].tobytes()
+            assert new.M[j].tobytes() == ref.M[j].tobytes()
+
+
+def test_local_ig_scores_match_reference():
+    rng = np.random.default_rng(37)
+    net = small_net(seed=3, num_blocks=7)
+    randomize_adapters(net, rng)
+    batches = [
+        (rng.normal(size=(n, net.input_dim)), rng.integers(0, net.num_classes, size=n))
+        for n in (5, 8, 3)
+    ]
+    for indices in EQUIVALENCE_MAPS.values():
+        amap = AllocationMap.from_indices(7, indices)
+        expected = {j: 0.0 for j in indices}
+        for X, y in batches:
+            _, cache = rebuilding_forward(net, X, amap)
+            for j, (gn, gm) in rebuilding_backward(net, cache, y, loss_scale=2.5).items():
+                expected[j] += float((gn * gn).sum() + (gm * gm).sum())
+        assert local_ig_scores(net, amap, batches, loss_scale=2.5) == expected
+
+
+def test_forward_with_weights_is_bitwise_equal():
+    rng = np.random.default_rng(41)
+    net = small_net(seed=6, num_blocks=7)
+    randomize_adapters(net, rng)
+    X = rng.normal(size=(9, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=9)
+    weights = net.effective_weights()
+    for indices in EQUIVALENCE_MAPS.values():
+        amap = AllocationMap.from_indices(7, indices)
+        ref_logits, ref_cache = rebuilding_forward(net, X, amap)
+        logits, cache = net.forward(X, amap)
+        logits_w, cache_w = net.forward(X, amap, weights)
+        assert logits.tobytes() == logits_w.tobytes() == ref_logits.tobytes()
+        for c in (cache, cache_w):
+            assert list(c.acts) == list(c.weights) == list(ref_cache.preacts)
+            assert list(c.block_inputs) == list(ref_cache.block_inputs)
+            for j, z in ref_cache.preacts.items():
+                assert c.acts[j].tobytes() == np.tanh(z).tobytes()
+                assert c.weights[j].tobytes() == weights[j].tobytes()
+        ref_grads = rebuilding_backward(net, ref_cache, y)
+        for grads in (net.backward(cache, y), net.backward(cache_w, y)):
+            assert list(grads) == list(ref_grads)
+            for j, (gn, gm) in ref_grads.items():
+                assert grads[j][0].tobytes() == gn.tobytes()
+                assert grads[j][1].tobytes() == gm.tobytes()
+    for bad in (weights[:-1], weights + weights[:1], []):
+        with pytest.raises(ValueError, match="weights"):
+            net.forward(X, AllocationMap.full(7), bad)
 
 
 def test_non_finite_loss_aborts_with_diagnostics():
