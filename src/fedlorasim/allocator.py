@@ -18,7 +18,7 @@ Raw bytes decide feasibility; normalized weights only shape the ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from fedlorasim.memory import (
@@ -74,15 +74,6 @@ class SelectionStep:
     normalized_weight: float
     ratio: float
 
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "block": self.block,
-            "raw_weight_bytes": self.raw_weight_bytes,
-            "normalized_weight": self.normalized_weight,
-            "ratio": self.ratio,
-        }
-
 
 @dataclass(frozen=True)
 class AllocationResult:
@@ -96,7 +87,7 @@ class AllocationResult:
             "map": self.map.to_bitstring(),
             "total_value": self.total_value,
             "memory": self.memory.as_dict(),
-            "selection_trace": [s.as_dict() for s in self.selection_trace],
+            "selection_trace": [asdict(s) for s in self.selection_trace],
         }
 
 

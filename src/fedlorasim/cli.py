@@ -15,14 +15,24 @@ from pathlib import Path
 
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation
 from fedlorasim.config import ConfigError, load_config
-from fedlorasim.memory import AllocationMap, ModelProfile, profile_from_config, total_memory
+from fedlorasim.memory import (
+    AllocationMap,
+    ModelProfile,
+    ProfileValidationError,
+    profile_from_config,
+    total_memory,
+)
 from fedlorasim.reporting import ReportError, generate_report
 from fedlorasim.simulator import InvariantViolation, run_experiment
 
 
 def load_profile(path: str) -> ModelProfile:
     with open(path) as fh:
-        return profile_from_config(json.load(fh))
+        payload = json.load(fh)
+    try:
+        return profile_from_config(payload)
+    except ProfileValidationError as exc:
+        raise ProfileValidationError(f"{path}: {exc}") from None
 
 
 def _parse_values(spec: str) -> list[float]:

@@ -2,14 +2,16 @@
 
 One JSON file drives a whole run: model dimensions, data generation,
 partition scheme, client fleet, strategy, aggregation rule, and schedule.
-Validation errors name the offending field as a dotted path so a config
-typo in a long file is findable.
+Each field declares its default and its bound once, on the dataclass; one
+reader (``_read``) walks the fields of every section. Validation errors name
+the offending field as a dotted path so a config typo in a long file is
+findable.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from fedlorasim.data import SCHEMES
@@ -22,95 +24,106 @@ class ConfigError(ValueError):
     """A config field is missing, unknown, or out of range."""
 
 
-def _pick(d: dict, path: str, key: str, default, kind, check=None, required=False):
-    full = f"{path}.{key}" if path else key
-    if key not in d:
-        if required:
-            raise ConfigError(f"{full}: required field is missing")
-        return default
-    v = d[key]
-    if v is None:
-        return default  # explicit null reads as absent
+def _setting(default, check=None):
+    """A field's default and its bound: ``check(value)`` returns an error or None."""
+    return field(default=default, metadata={"check": check})
+
+
+def _at_least(lo):
+    return lambda v: None if v >= lo else f"must be >= {lo}"
+
+
+def _above(lo):
+    return lambda v: None if v > lo else f"must be > {lo}"
+
+
+def _one_of(options):
+    return lambda v: None if v in options else f"must be one of {options}"
+
+
+def _positive_entries(v):
+    return None if v and min(v) > 0 else "must be a nonempty list of positive ints"
+
+
+def _scalar(kind: type, v, where: str):
+    """``v`` as ``kind``: an int passes for a float, a bool never for a number."""
     if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    if kind is not None and (not isinstance(v, kind) or isinstance(v, bool) and kind is not bool):
-        raise ConfigError(f"{full}: expected {getattr(kind, '__name__', kind)}, got {type(v).__name__}")
-    if check is not None:
-        err = check(v)
-        if err:
-            raise ConfigError(f"{full}: {err}")
+        return float(v)
+    if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(v).__name__}")
     return v
 
 
-def _no_extras(d: dict, path: str, known: set[str]):
-    extra = set(d) - known
+def _value(hint, v, where: str):
+    """Convert one non-null JSON value to the field type ``hint``."""
+    if isinstance(hint, types.UnionType):  # ``X | None``; null never gets here
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if is_dataclass(hint):
+        return _read(hint, v, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"{where}: expected list, got {type(v).__name__}")
+        kind = typing.get_args(hint)[0]
+        return tuple(_scalar(kind, x, f"{where}[{i}]") for i, x in enumerate(v))
+    return _scalar(hint, v, where)
+
+
+def _read(cls, d, path: str):
+    """Build section ``cls`` from dict ``d`` found at dotted ``path``.
+
+    Absent fields and explicit nulls take the field default; unknown fields,
+    wrong types and out-of-bound values fail naming the field. Types come
+    from the evaluated annotations (``f.type``), so this module does not use
+    postponed annotations.
+    """
+    where = path or "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: must be a JSON object, got {type(d).__name__}")
+    extra = d.keys() - {f.name for f in fields(cls)}
     if extra:
-        where = path or "config"
         raise ConfigError(f"{where}: unknown fields {sorted(extra)}")
+    values = {}
+    for f in fields(cls):
+        if d.get(f.name) is None:
+            continue
+        full = f"{path}.{f.name}" if path else f.name
+        v = _value(f.type, d[f.name], full)
+        check = f.metadata.get("check")
+        err = check(v) if check else None
+        if err:
+            raise ConfigError(f"{full}: {err}")
+        values[f.name] = v
+    return cls(**values)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    num_blocks: int = 12
-    hidden_size: int = 16
-    lora_rank: int = 2
-    input_dim: int = 32
-    num_classes: int = 10
-    lora_alpha: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "model") -> "ModelConfig":
-        _no_extras(d, path, {f for f in cls.__dataclass_fields__})
-        pos = lambda v: None if v >= 1 else "must be >= 1"
-        alpha = _pick(d, path, "lora_alpha", None, float, lambda v: None if v > 0 else "must be > 0")
-        return cls(
-            num_blocks=_pick(d, path, "num_blocks", 12, int, pos),
-            hidden_size=_pick(d, path, "hidden_size", 16, int, pos),
-            lora_rank=_pick(d, path, "lora_rank", 2, int, pos),
-            input_dim=_pick(d, path, "input_dim", 32, int, pos),
-            num_classes=_pick(d, path, "num_classes", 10, int, lambda v: None if v >= 2 else "must be >= 2"),
-            lora_alpha=alpha,
-        )
+    num_blocks: int = _setting(12, _at_least(1))
+    hidden_size: int = _setting(16, _at_least(1))
+    lora_rank: int = _setting(2, _at_least(1))
+    input_dim: int = _setting(32, _at_least(1))
+    num_classes: int = _setting(10, _at_least(2))
+    lora_alpha: float | None = _setting(None, _above(0))
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    samples_per_class: int = 250
-    noise_scale: float = 1.0
-    center_scale: float = 1.0
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "data") -> "DataConfig":
-        _no_extras(d, path, {f for f in cls.__dataclass_fields__})
-        return cls(
-            samples_per_class=_pick(d, path, "samples_per_class", 250, int,
-                                    lambda v: None if v >= 1 else "must be >= 1"),
-            noise_scale=_pick(d, path, "noise_scale", 1.0, float,
-                              lambda v: None if v >= 0 else "must be >= 0"),
-            center_scale=_pick(d, path, "center_scale", 1.0, float,
-                               lambda v: None if v > 0 else "must be > 0"),
-        )
+    samples_per_class: int = _setting(250, _at_least(1))
+    noise_scale: float = _setting(1.0, _at_least(0))
+    center_scale: float = _setting(1.0, _above(0))
 
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    scheme: str = "iid"
-    classes_per_client: int | None = None
-    alpha: float | None = None
+    scheme: str = _setting("iid", _one_of(SCHEMES))
+    classes_per_client: int | None = _setting(None, _at_least(1))
+    alpha: float | None = _setting(None, _above(0))
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "partition") -> "PartitionConfig":
-        _no_extras(d, path, {f for f in cls.__dataclass_fields__})
-        scheme = _pick(d, path, "scheme", "iid", str,
-                       lambda v: None if v in SCHEMES else f"must be one of {SCHEMES}")
-        k = _pick(d, path, "classes_per_client", None, int,
-                  lambda v: None if v >= 1 else "must be >= 1")
-        alpha = _pick(d, path, "alpha", None, float, lambda v: None if v > 0 else "must be > 0")
-        if scheme in ("pathological", "pathological_dirichlet") and k is None:
-            raise ConfigError(f"{path}.classes_per_client: required for scheme {scheme!r}")
-        if scheme in ("dirichlet", "pathological_dirichlet") and alpha is None:
-            raise ConfigError(f"{path}.alpha: required for scheme {scheme!r}")
-        return cls(scheme=scheme, classes_per_client=k, alpha=alpha)
+    def __post_init__(self):
+        if self.scheme in ("pathological", "pathological_dirichlet") and self.classes_per_client is None:
+            raise ConfigError(f"partition.classes_per_client: required for scheme {self.scheme!r}")
+        if self.scheme in ("dirichlet", "pathological_dirichlet") and self.alpha is None:
+            raise ConfigError(f"partition.alpha: required for scheme {self.scheme!r}")
 
     def label(self) -> str:
         if self.scheme == "iid":
@@ -124,55 +137,34 @@ class PartitionConfig:
 
 @dataclass(frozen=True)
 class ClientConfig:
-    num_clients: int = 20
-    batch_size: int = 32
-    sampling_rate: float = 0.5
-    capacity_ratio: tuple[int, ...] = (4, 3, 2, 1)
-    capacity_margin: float = 1.05
-    capacity_levels: tuple[int, ...] | None = None
-    context_bytes: int = 4096
+    num_clients: int = _setting(20, _at_least(1))
+    batch_size: int = _setting(32, _at_least(1))
+    sampling_rate: float = _setting(0.5, lambda v: None if 0 < v <= 1 else "must be in (0, 1]")
+    capacity_ratio: tuple[int, ...] = _setting((4, 3, 2, 1), _positive_entries)
+    capacity_margin: float = _setting(1.05, _at_least(1.0))
+    capacity_levels: tuple[int, ...] | None = _setting(None, _positive_entries)
+    context_bytes: int = _setting(4096, _at_least(0))
 
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "clients") -> "ClientConfig":
-        _no_extras(d, path, {f for f in cls.__dataclass_fields__})
-        ratio = _pick(d, path, "capacity_ratio", [4, 3, 2, 1], list,
-                      lambda v: None if v and all(isinstance(x, int) and x > 0 for x in v)
-                      else "must be a nonempty list of positive ints")
-        levels = _pick(d, path, "capacity_levels", None, list,
-                       lambda v: None if v and all(isinstance(x, int) and x > 0 for x in v)
-                       else "must be a nonempty list of positive byte counts")
+    def __post_init__(self):
+        levels, ratio = self.capacity_levels, self.capacity_ratio
         if levels is not None and len(levels) != len(ratio):
-            raise ConfigError(f"{path}.capacity_levels: needs one entry per ratio level "
+            raise ConfigError(f"clients.capacity_levels: needs one entry per ratio level "
                               f"({len(ratio)}), got {len(levels)}")
-        return cls(
-            num_clients=_pick(d, path, "num_clients", 20, int,
-                              lambda v: None if v >= 1 else "must be >= 1"),
-            batch_size=_pick(d, path, "batch_size", 32, int,
-                             lambda v: None if v >= 1 else "must be >= 1"),
-            sampling_rate=_pick(d, path, "sampling_rate", 0.5, float,
-                                lambda v: None if 0 < v <= 1 else "must be in (0, 1]"),
-            capacity_ratio=tuple(ratio),
-            capacity_margin=_pick(d, path, "capacity_margin", 1.05, float,
-                                  lambda v: None if v >= 1.0 else "must be >= 1.0"),
-            capacity_levels=None if levels is None else tuple(levels),
-            context_bytes=_pick(d, path, "context_bytes", 4096, int,
-                                lambda v: None if v >= 0 else "must be >= 0"),
-        )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 0
-    rounds: int = 60
-    strategy: str = "fedpilot"
-    aggregation: str = "comagg"
-    lr: float = 0.5
-    epochs: int = 1
-    t_ig: int = 10
-    t_agg: int = 10
-    ig_dataset_size: int = 50
-    allocation_every: int = 1
-    checkpoint_every: int = 0
+    seed: int = _setting(0, _at_least(0))
+    rounds: int = _setting(60, _at_least(0))
+    strategy: str = _setting("fedpilot", _one_of(STRATEGIES))
+    aggregation: str = _setting("comagg", _one_of(AGGREGATIONS))
+    lr: float = _setting(0.5, _at_least(0))
+    epochs: int = _setting(1, _at_least(1))
+    t_ig: int = _setting(10, _at_least(1))
+    t_agg: int = _setting(10, _at_least(1))
+    ig_dataset_size: int = _setting(50, _at_least(1))
+    allocation_every: int = _setting(1, _at_least(1))
+    checkpoint_every: int = _setting(0, _at_least(0))
     comagg_carry_forward: bool = True
     label: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -182,30 +174,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _no_extras(d, "", {f for f in cls.__dataclass_fields__})
-        pos = lambda v: None if v >= 1 else "must be >= 1"
-        return cls(
-            seed=_pick(d, "", "seed", 0, int, lambda v: None if v >= 0 else "must be >= 0"),
-            rounds=_pick(d, "", "rounds", 60, int, lambda v: None if v >= 0 else "must be >= 0"),
-            strategy=_pick(d, "", "strategy", "fedpilot", str,
-                           lambda v: None if v in STRATEGIES else f"must be one of {STRATEGIES}"),
-            aggregation=_pick(d, "", "aggregation", "comagg", str,
-                              lambda v: None if v in AGGREGATIONS else f"must be one of {AGGREGATIONS}"),
-            lr=_pick(d, "", "lr", 0.5, float, lambda v: None if v >= 0 else "must be >= 0"),
-            epochs=_pick(d, "", "epochs", 1, int, pos),
-            t_ig=_pick(d, "", "t_ig", 10, int, pos),
-            t_agg=_pick(d, "", "t_agg", 10, int, pos),
-            ig_dataset_size=_pick(d, "", "ig_dataset_size", 50, int, pos),
-            allocation_every=_pick(d, "", "allocation_every", 1, int, pos),
-            checkpoint_every=_pick(d, "", "checkpoint_every", 0, int,
-                                   lambda v: None if v >= 0 else "must be >= 0"),
-            comagg_carry_forward=_pick(d, "", "comagg_carry_forward", True, bool),
-            label=_pick(d, "", "label", None, str),
-            model=ModelConfig.from_dict(d.get("model", {})),
-            data=DataConfig.from_dict(d.get("data", {})),
-            partition=PartitionConfig.from_dict(d.get("partition", {})),
-            clients=ClientConfig.from_dict(d.get("clients", {})),
-        )
+        return _read(cls, d, "")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -380,6 +380,8 @@ def profile_from_config(d: dict) -> ModelProfile:
     must be a plain int (bools and floats are rejected); an explicit null
     reads as absent.
     """
+    if not isinstance(d, dict):
+        raise ProfileValidationError(f"profile config must be a JSON object, got {type(d).__name__}")
     d = {k: v for k, v in d.items() if v is not None}
     known = {
         "num_blocks", "hidden_size", "seq_len", "lora_rank", "bytes_per_elem",
@@ -435,21 +437,9 @@ def reference_vit_profile(context_bytes: int | None = None) -> ModelProfile:
     trainable elements per block), fp32 everywhere. Default context is the
     largest observed runtime context.
     """
-    l, h, t, r = 12, 768, 197, 16
     if context_bytes is None:
         context_bytes = VIT_CONTEXT_MB_BY_LEVEL[4] * MB
-    static = transformer_static_elems(t, h)
-    dynamic = transformer_dynamic_elems(t, h, r)
-    return ModelProfile(
-        num_blocks=l,
-        hidden_size=h,
-        seq_len=t,
-        lora_rank=r,
-        bytes_per_elem=4,
-        optimizer_states=3,
-        frozen_param_bytes=86_389_248 * 4,
-        lora_param_count_per_block=2 * 2 * h * r,
-        static_act_per_sample=(static,) * l,
-        dynamic_act_per_sample=(dynamic,) * l,
-        context_bytes=context_bytes,
-    )
+    return profile_from_config({
+        "num_blocks": 12, "hidden_size": 768, "seq_len": 197, "lora_rank": 16,
+        "frozen_param_count": 86_389_248, "context_bytes": context_bytes,
+    })

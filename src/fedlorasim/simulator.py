@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +94,6 @@ class ClientRoundInfo:
     memory_bytes: int | None
     utilization: float
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "level": self.level,
-            "participated": self.participated,
-            "allocation": self.allocation,
-            "memory_bytes": self.memory_bytes,
-            "utilization": self.utilization,
-        }
-
 
 @dataclass
 class RoundMetrics:
@@ -126,7 +116,7 @@ class RoundMetrics:
             "participants": self.participants,
             "mean_utilization": self.mean_utilization,
             "layer_counts": self.layer_counts,
-            "clients": [c.as_dict() for c in self.clients],
+            "clients": [asdict(c) for c in self.clients],
         }
 
     def timings_dict(self) -> dict:
@@ -163,8 +153,8 @@ def toy_profile(config: ExperimentConfig) -> ModelProfile:
     )
 
 
-def toy_capacity_levels(profile: ModelProfile, batch: int, margin: float = 1.05,
-                        num_levels: int = 4) -> dict[int, int]:
+def toy_capacity_levels(profile: ModelProfile, batch: int, margin: float,
+                        num_levels: int) -> dict[int, int]:
     """Map capacity levels to byte budgets scaled to this profile.
 
     Level 1 affords training the last third of the blocks (plus margin),
@@ -182,7 +172,7 @@ def toy_capacity_levels(profile: ModelProfile, batch: int, margin: float = 1.05,
 
 
 def assign_capacities(num_clients: int, levels: dict[int, int],
-                      ratio: tuple[int, ...] = (4, 3, 2, 1)) -> list[tuple[int, int]]:
+                      ratio: tuple[int, ...]) -> list[tuple[int, int]]:
     """(level, capacity) per client: floor quotas by ratio, leftovers to level 1.
 
     Lower levels come first in client-id order, so client 0 is always among
@@ -369,7 +359,6 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
                 f"{breakdown.total_bytes} B > capacity {client.capacity_bytes} B"
             )
         local_net = net.clone()
-        local_net.set_lora_state(state.params)
         t0 = time.perf_counter()
         scores = local_ig_scores(local_net, amap, client.ig_batches)
         t1 = time.perf_counter()

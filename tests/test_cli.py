@@ -91,6 +91,15 @@ def test_memory_subcommand_rejects_float_profile_field(tmp_path, capsys):
     assert "num_blocks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "vit", 12])
+def test_memory_subcommand_rejects_non_object_profile(tmp_path, capsys, payload):
+    profile = write_profile(tmp_path, payload)
+    rc = main(["memory", "--profile", str(profile), "--map", "0" * 12, "--batch", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {profile}: profile config must be a JSON object")
+
+
 def test_memory_subcommand_prints_breakdown(tmp_path, capsys):
     profile = write_profile(tmp_path)
     rc = main(["memory", "--profile", str(profile), "--map", "000000111111",

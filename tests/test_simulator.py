@@ -86,7 +86,8 @@ def test_toy_capacity_levels_interpolate_between_thirds_and_full():
     cfg = tiny_config()
     p = toy_profile(cfg)
     b = cfg.clients.batch_size
-    levels = toy_capacity_levels(p, b, margin=1.05)
+    defaults = ClientConfig()
+    levels = toy_capacity_levels(p, b, defaults.capacity_margin, len(defaults.capacity_ratio))
     assert sorted(levels) == [1, 2, 3, 4]
     assert levels[1] < levels[2] < levels[3] < levels[4]
     low = total_memory(p, naive_map(4, "ms", 1), b).total_bytes
@@ -99,14 +100,15 @@ def test_toy_capacity_levels_interpolate_between_thirds_and_full():
 
 def test_assign_capacities_quotas_and_ordering():
     levels = {1: 100, 2: 200, 3: 300, 4: 400}
+    ratio = ClientConfig().capacity_ratio
     for v, expect in [(10, [4, 3, 2, 1]), (20, [8, 6, 4, 2]), (100, [40, 30, 20, 10])]:
-        placed = assign_capacities(v, levels)
+        placed = assign_capacities(v, levels, ratio)
         got = [sum(1 for lvl, _ in placed if lvl == k) for k in (1, 2, 3, 4)]
         assert got == expect
     # leftovers from floor division land on the most constrained level
-    placed = assign_capacities(1, levels)
+    placed = assign_capacities(1, levels, ratio)
     assert placed == [(1, 100)]
-    placed = assign_capacities(7, levels)
+    placed = assign_capacities(7, levels, ratio)
     assert [lvl for lvl, _ in placed] == [1, 1, 1, 1, 2, 2, 3]
     with pytest.raises(ValueError):
         assign_capacities(5, levels, ratio=(1, 1))
