@@ -35,7 +35,7 @@ maps = {
 }
 for name, amap in maps.items():
     net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
-                     input_dim=16, num_classes=5, seed=0)
+                     input_dim=16, num_classes=5, lora_alpha=None, seed=0)
     before_loss, before_acc = net.evaluate(test.X, test.y)
     deltas = local_train(net, train.X, train.y, amap, epochs=3,
                          batch_size=32, lr=0.2,
@@ -52,7 +52,7 @@ print()
 # block, the raw material for the allocation value function. Scored on the
 # trained net so the numbers reflect what is still left to learn.
 net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
-                 input_dim=16, num_classes=5, seed=0)
+                 input_dim=16, num_classes=5, lora_alpha=None, seed=0)
 local_train(net, train.X, train.y, naive_map(l, "full"), epochs=1,
             batch_size=32, lr=0.2, rng=np.random.default_rng(1))
 probe = split_batches(train.X[:64], train.y[:64], 32)

@@ -26,9 +26,17 @@ from fedlorasim.reporting import ReportError, generate_report
 from fedlorasim.simulator import InvariantViolation, run_experiment
 
 
-def load_profile(path: str) -> ModelProfile:
+def _read_json(path) -> object:
+    """The JSON document in ``path``; invalid JSON fails naming the file."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_profile(path: str) -> ModelProfile:
+    payload = _read_json(path)
     try:
         return profile_from_config(payload)
     except ProfileValidationError as exc:
@@ -39,8 +47,7 @@ def _parse_values(spec: str) -> list[float]:
     """Module values from a JSON file path or an inline comma list."""
     p = Path(spec)
     if p.exists():
-        with open(p) as fh:
-            payload = json.load(fh)
+        payload = _read_json(spec)
         if not isinstance(payload, list):
             raise ValueError(f"{spec}: values file must hold a JSON list")
         for i, v in enumerate(payload):

@@ -83,12 +83,12 @@ class SyntheticTask:
     @classmethod
     def make(
         cls,
-        num_classes: int = 10,
-        feature_dim: int = 32,
-        samples_per_class: int = 250,
-        noise_scale: float = 1.0,
-        center_scale: float = 1.0,
-        seed: int = 0,
+        num_classes: int,
+        feature_dim: int,
+        samples_per_class: int,
+        noise_scale: float,
+        center_scale: float,
+        seed: int,
     ) -> "SyntheticTask":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 90001]))
         centers = rng.normal(0.0, center_scale, size=(num_classes, feature_dim))

@@ -80,6 +80,8 @@ def load_run(run_dir: str | Path) -> RunRecord:
             summary = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ReportError(f"{summary_path}: not valid JSON ({exc.msg})") from exc
+    if not isinstance(summary, dict):
+        raise ReportError(f"{summary_path}: must hold a JSON object")
     rows = load_metrics(run_dir / "metrics.jsonl")
     try:
         return RunRecord(
@@ -96,6 +98,8 @@ def load_run(run_dir: str | Path) -> RunRecord:
         )
     except KeyError as exc:
         raise ReportError(f"{summary_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ReportError(f"{summary_path}: bad value ({exc})") from exc
 
 
 def discover_runs(root: str | Path) -> list[Path]:

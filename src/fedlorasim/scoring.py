@@ -54,11 +54,10 @@ def local_ig_scores(
     if len(batches) == 0:
         raise ValueError("scoring dataset is empty")
     scores = {j: 0.0 for j in allocation.trainable_indices}
-    weights = net.effective_weights()
     for bi, (X, y) in enumerate(batches):
         if len(X) == 0:
             raise ValueError(f"scoring batch {bi} is empty")
-        logits, cache = net.forward(X, allocation, weights)
+        logits, cache = net.forward(X, allocation)
         grads = net.backward(cache, y, loss_scale=loss_scale)
         for j, (gn, gm) in grads.items():
             s = float((gn * gn).sum() + (gm * gm).sum())

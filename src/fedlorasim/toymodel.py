@@ -14,10 +14,12 @@ analog), block inputs only for trainable blocks (the dynamic analog).
 Backward reads tanh' from those outputs and chains through the effective
 weights forward used, so it computes neither again.
 
-An effective weight ``W0 + scale * N @ M`` changes only when its block's
-adapters do. ``local_train`` and ``local_ig_scores`` build the list of all
-L once and hand it to ``forward``; training rebuilds only the entries of the
-blocks each SGD step updated.
+The adapters are read-only arrays held in tuples, and ``set_lora_state`` is
+their only writer. An effective weight ``W0 + scale * N @ M`` changes only
+when its block's adapters do, so the net keeps one per block: a write drops
+the built weights of the blocks it touches, and the next ``forward`` builds
+those again. A clone shares every array and built weight with its source
+until its own writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
 initial network is exactly the frozen base.
@@ -25,7 +27,7 @@ initial network is exactly the frozen base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +50,13 @@ LoraState = dict[int, tuple[np.ndarray, np.ndarray]]
 class ForwardCache:
     """Activations retained by one forward pass for a later backward.
 
-    ``acts`` holds block outputs a_j = tanh(z_j) and ``weights`` the
-    effective weight used, for blocks from the earliest trainable one
-    onward; ``block_inputs`` holds a_{j-1} for trainable j.
+    ``acts`` holds block outputs a_j = tanh(z_j) for blocks from the
+    earliest trainable one onward; ``block_inputs`` holds a_{j-1} for
+    trainable j.
     """
 
     logits: np.ndarray
     acts: dict[int, np.ndarray]
-    weights: dict[int, np.ndarray]
     block_inputs: dict[int, np.ndarray]
     allocation: AllocationMap
     batch_size: int
@@ -75,13 +76,13 @@ class ToyLoRANet:
 
     def __init__(
         self,
-        num_blocks: int = 12,
-        hidden_size: int = 16,
-        lora_rank: int = 2,
-        input_dim: int = 32,
-        num_classes: int = 10,
-        lora_alpha: float | None = None,
-        seed: int = 0,
+        num_blocks: int,
+        hidden_size: int,
+        lora_rank: int,
+        input_dim: int,
+        num_classes: int,
+        lora_alpha: float | None,
+        seed: int,
     ):
         if min(num_blocks, hidden_size, lora_rank, input_dim, num_classes) < 1:
             raise ValueError("all dimensions must be positive")
@@ -100,54 +101,49 @@ class ToyLoRANet:
         self.W0 = [rng.normal(0.0, 1.0 / np.sqrt(h), (h, h)) for _ in range(num_blocks)]
         self.b = [np.zeros(h) for _ in range(num_blocks)]
         self.head = rng.normal(0.0, 1.0 / np.sqrt(h), (h, num_classes))
-        self.N = [rng.normal(0.0, 1.0 / np.sqrt(h), (h, lora_rank)) for _ in range(num_blocks)]
-        self.M = [np.zeros((lora_rank, h)) for _ in range(num_blocks)]
-        for arr in (self.embed, self.head, *self.W0, *self.b):
+        self.N = tuple(rng.normal(0.0, 1.0 / np.sqrt(h), (h, lora_rank))
+                       for _ in range(num_blocks))
+        self.M = tuple(np.zeros((lora_rank, h)) for _ in range(num_blocks))
+        for arr in (self.embed, self.head, *self.W0, *self.b, *self.N, *self.M):
             arr.setflags(write=False)
+        #: effective weight of each block, None until forward builds it
+        self._weights: list[np.ndarray | None] = [None] * num_blocks
 
     # ---- parameter plumbing -------------------------------------------------
 
     def get_lora_state(self) -> LoraState:
-        return {j: (self.N[j].copy(), self.M[j].copy()) for j in range(self.num_blocks)}
+        return {j: (self.N[j], self.M[j]) for j in range(self.num_blocks)}
 
     def set_lora_state(self, state: LoraState) -> None:
+        """The one writer of the adapters: stores read-only copies of the
+        given blocks' factors and drops those blocks' built weights."""
+        N, M = list(self.N), list(self.M)
         for j, (n, m) in state.items():
-            if n.shape != self.N[j].shape or m.shape != self.M[j].shape:
+            if n.shape != N[j].shape or m.shape != M[j].shape:
                 raise ValueError(f"block {j}: adapter shapes {n.shape}/{m.shape} do not fit")
-            self.N[j] = np.array(n, dtype=np.float64)
-            self.M[j] = np.array(m, dtype=np.float64)
+            N[j], M[j] = np.array(n, dtype=np.float64), np.array(m, dtype=np.float64)
+            N[j].setflags(write=False)
+            M[j].setflags(write=False)
+        self.N, self.M = tuple(N), tuple(M)
+        for j in state:
+            self._weights[j] = None
         self.version += 1
 
     def clone(self) -> "ToyLoRANet":
-        """Independent trainable copy sharing the immutable frozen arrays."""
+        """Independent copy sharing every (read-only) array and built weight."""
         other = object.__new__(ToyLoRANet)
         other.__dict__.update(self.__dict__)
-        other.N = [n.copy() for n in self.N]
-        other.M = [m.copy() for m in self.M]
+        other._weights = list(self._weights)
         other.version = 0
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
         return self.W0[j] + self.scale * (self.N[j] @ self.M[j])
 
-    def effective_weights(self) -> list[np.ndarray]:
-        """All L effective weights at the current parameters."""
-        return [self.effective_weight(j) for j in range(self.num_blocks)]
-
     # ---- forward / loss / backward -----------------------------------------
 
-    def forward(
-        self,
-        X: np.ndarray,
-        allocation: AllocationMap,
-        weights: list[np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, ForwardCache]:
-        """Logits and the cache backward needs.
-
-        ``weights``, when given, must be the L effective weights at the
-        current parameters (``effective_weights()``, kept up to date by the
-        caller); otherwise they are built here from the parameters.
-        """
+    def forward(self, X: np.ndarray, allocation: AllocationMap) -> tuple[np.ndarray, ForwardCache]:
+        """Logits and the cache backward needs; builds the missing weights."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
@@ -155,29 +151,24 @@ class ToyLoRANet:
             raise ValueError(
                 f"allocation has {len(allocation)} blocks, net has {self.num_blocks}"
             )
-        if weights is not None and len(weights) != self.num_blocks:
-            raise ValueError(f"got {len(weights)} weights, net has {self.num_blocks} blocks")
         first = allocation.earliest
-        if weights is None and first is not None:
-            weights = self.effective_weights()
         trainable = set(allocation.trainable_indices)
+        weights = self._weights
         acts: dict[int, np.ndarray] = {}
-        used: dict[int, np.ndarray] = {}
         block_inputs: dict[int, np.ndarray] = {}
         a = X @ self.embed
         for j in range(self.num_blocks):
             if j in trainable:
                 block_inputs[j] = a
-            z = a @ (self.effective_weight(j) if weights is None else weights[j]) + self.b[j]
-            a = np.tanh(z)
+            if weights[j] is None:
+                weights[j] = self.effective_weight(j)
+            a = np.tanh(a @ weights[j] + self.b[j])
             if first is not None and j >= first:
                 acts[j] = a
-                used[j] = weights[j]
         logits = a @ self.head
         return logits, ForwardCache(
             logits=logits,
             acts=acts,
-            weights=used,
             block_inputs=block_inputs,
             allocation=allocation,
             batch_size=X.shape[0],
@@ -201,7 +192,8 @@ class ToyLoRANet:
         """Adapter gradients of the mean cross-entropy for trainable blocks.
 
         The signal is chained down through frozen blocks and stops at the
-        earliest trainable one; blocks below it never matter.
+        earliest trainable one; blocks below it never matter. The version
+        check makes the net's built weights the ones forward used.
         """
         if allocation is not None and allocation != cache.allocation:
             raise ValueError("allocation does not match the one used in forward")
@@ -231,7 +223,7 @@ class ToyLoRANet:
                 dW = a_in.T @ dz
                 grads[j] = (self.scale * (dW @ self.M[j].T), self.scale * (self.N[j].T @ dW))
             if j > first:
-                da = dz @ cache.weights[j].T
+                da = dz @ self._weights[j].T
         return grads
 
     def evaluate(self, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -247,15 +239,16 @@ def local_train(
     X: np.ndarray,
     y: np.ndarray,
     allocation: AllocationMap,
-    epochs: int = 1,
-    batch_size: int = 32,
-    lr: float = 0.1,
+    epochs: int,
+    batch_size: int,
+    lr: float,
     rng: np.random.Generator | None = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Plain SGD over the local data; returns adapter deltas per trained block.
 
-    Mutates ``net`` in place. Deltas are theta_after - theta_before and exist
-    exactly for the allocation's trainable blocks (all-zero when lr is 0).
+    Updates ``net`` through ``set_lora_state``. Deltas are theta_after -
+    theta_before and exist exactly for the allocation's trainable blocks
+    (all-zero when lr is 0).
     Batches are sequential unless an rng is given to shuffle each epoch.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -269,26 +262,20 @@ def local_train(
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
 
-    before = {j: (net.N[j].copy(), net.M[j].copy()) for j in allocation.trainable_indices}
-    weights = net.effective_weights()
+    N0, M0 = net.N, net.M
     n = len(X)
     for epoch in range(epochs):
         order = rng.permutation(n) if rng is not None else np.arange(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            logits, cache = net.forward(X[idx], allocation, weights)
+            logits, cache = net.forward(X[idx], allocation)
             loss = net.loss(logits, y[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at epoch {epoch}, batch start {start}, lr {lr}"
                 )
             grads = net.backward(cache, y[idx])
-            for j, (gn, gm) in grads.items():
-                net.N[j] = net.N[j] - lr * gn
-                net.M[j] = net.M[j] - lr * gm
-                weights[j] = net.effective_weight(j)
-            net.version += 1
-    return {
-        j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
-        for j in allocation.trainable_indices
-    }
+            net.set_lora_state({
+                j: (net.N[j] - lr * gn, net.M[j] - lr * gm) for j, (gn, gm) in grads.items()
+            })
+    return {j: (net.N[j] - N0[j], net.M[j] - M0[j]) for j in allocation.trainable_indices}

@@ -2,9 +2,10 @@
 
 Random profile generation, a vectorized exhaustive cost enumerator used as
 an independent oracle by the allocator tests, a reference greedy that
-prices every candidate through ``marginal_weight``, and a reference toy-model
+prices every candidate through ``marginal_weight``, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
-used and recomputes tanh in backward.
+used and recomputes tanh in backward, and a central difference that perturbs
+one adapter entry through ``set_lora_state``.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
     """``local_train``'s SGD loop over ``rebuilding_forward``/``rebuilding_backward``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    before = {j: (net.N[j].copy(), net.M[j].copy()) for j in allocation.trainable_indices}
+    before = {j: (net.N[j], net.M[j]) for j in allocation.trainable_indices}
     n = len(X)
     for epoch in range(epochs):
         order = rng.permutation(n) if rng is not None else np.arange(n)
@@ -241,11 +242,25 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
             loss = net.loss(logits, y[idx])
             assert np.isfinite(loss)
             grads = rebuilding_backward(net, cache, y[idx])
-            for j, (gn, gm) in grads.items():
-                net.N[j] = net.N[j] - lr * gn
-                net.M[j] = net.M[j] - lr * gm
-            net.version += 1
+            net.set_lora_state({
+                j: (net.N[j] - lr * gn, net.M[j] - lr * gm) for j, (gn, gm) in grads.items()
+            })
     return {
         j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
         for j in allocation.trainable_indices
     }
+
+
+def central_difference(net, X, y, allocation: AllocationMap, j: int, k: int, idx, h: float):
+    """d loss / d entry ``idx`` of block j's factor k (0: N, 1: M), by
+    central differences written through ``set_lora_state``; the original
+    factors are restored afterwards."""
+    orig = (net.N[j], net.M[j])
+    losses = []
+    for step in (h, -h):
+        factors = [orig[0].copy(), orig[1].copy()]
+        factors[k][idx] += step
+        net.set_lora_state({j: tuple(factors)})
+        losses.append(net.loss(net.forward(X, allocation)[0], y))
+    net.set_lora_state({j: orig})
+    return (losses[0] - losses[1]) / (2 * h)

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import all_maps, enumerate_costs, make_random_profile
+from conftest import all_maps, central_difference, enumerate_costs, make_random_profile
 from fedlorasim.aggregation import ContributionHistory, com_agg, fed_avg, zero_delta_like
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation
 from fedlorasim.config import ExperimentConfig
@@ -78,10 +78,10 @@ def _trend_config(strategy: str, aggregation: str, seed: int) -> ExperimentConfi
 
 def _randomize_adapters(net: ToyLoRANet, rng: np.random.Generator) -> None:
     """Replace the zero-initialized factors so gradients flow through both."""
-    for j in range(net.num_blocks):
-        net.N[j] = rng.normal(0.0, 0.3, size=net.N[j].shape)
-        net.M[j] = rng.normal(0.0, 0.3, size=net.M[j].shape)
-    net.version += 1
+    net.set_lora_state({
+        j: (rng.normal(0.0, 0.3, size=net.N[j].shape), rng.normal(0.0, 0.3, size=net.M[j].shape))
+        for j in range(net.num_blocks)
+    })
 
 
 def test_01_reference_profile_totals():
@@ -208,7 +208,7 @@ def test_05_backward_matches_finite_differences():
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
         net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
-                         input_dim=d_in, num_classes=classes, seed=seed)
+                         input_dim=d_in, num_classes=classes, lora_alpha=None, seed=seed)
         _randomize_adapters(net, rng)
         X = rng.normal(size=(n, d_in))
         y = rng.integers(0, classes, size=n)
@@ -222,17 +222,11 @@ def test_05_backward_matches_finite_differences():
             grads = net.backward(cache, y)
             assert set(grads) == set(amap.trainable_indices)
             for j, (g_n, g_m) in grads.items():
-                for arr, grad in ((net.N[j], g_n), (net.M[j], g_m)):
+                for k, grad in enumerate((g_n, g_m)):
                     it = np.nditer(grad, flags=["multi_index"])
                     for _ in it:
                         idx = it.multi_index
-                        orig = arr[idx]
-                        arr[idx] = orig + eps
-                        up = net.loss(net.forward(X, amap)[0], y)
-                        arr[idx] = orig - eps
-                        down = net.loss(net.forward(X, amap)[0], y)
-                        arr[idx] = orig
-                        fd = (up - down) / (2 * eps)
+                        fd = central_difference(net, X, y, amap, j, k, idx, eps)
                         ana = float(grad[idx])
                         rel = abs(ana - fd) / max(abs(ana), abs(fd), 1e-8)
                         worst = max(worst, rel)
@@ -246,7 +240,7 @@ def test_06_gradient_score_properties():
     rng = np.random.default_rng(60)
     l, h, r, d_in, classes = 4, 6, 2, 5, 3
     net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
-                     input_dim=d_in, num_classes=classes, seed=6)
+                     input_dim=d_in, num_classes=classes, lora_alpha=None, seed=6)
     _randomize_adapters(net, rng)
     X = rng.normal(size=(20, d_in))
     y = rng.integers(0, classes, size=20)

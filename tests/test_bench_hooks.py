@@ -106,10 +106,13 @@ def test_allocator_asks_the_oracle_once_per_pick(tmp_path):
 
 
 def test_effective_weights_are_built_once_per_parameter_change(tmp_path):
-    # scoring builds the L weights once; training builds them once and then
-    # rebuilds only the blocks each SGD step updated; evaluation builds each
-    # as it goes. Rebuilding every weight in every forward and again in
-    # backward makes several times as many calls.
+    # the net owns its weights and rebuilds a block only in the first forward
+    # after a write to it. Evaluation after each round's write of the global
+    # adapters builds all L; the round's clients clone the global net, so
+    # scoring and the first SGD step build none, and each later step
+    # rebuilds only the blocks the step before it updated. A rebuild per
+    # scoring or training call adds L, and one after the last SGD step adds
+    # |allocation|, per client update.
     blocks, epochs = 6, 2
     tracer = traced_run(fedpilot_config(blocks=blocks, epochs=epochs), tmp_path)
 
@@ -120,8 +123,7 @@ def test_effective_weights_are_built_once_per_parameter_change(tmp_path):
     assert trained
     steps = lambda cid: epochs * math.ceil(samples[cid] / BATCH)
     expected = (
-        blocks * len(trained)  # local_ig_scores
-        + sum(blocks + steps(c["id"]) * c["allocation"].count("1") for c in trained)  # local_train
+        sum((steps(c["id"]) - 1) * c["allocation"].count("1") for c in trained)  # local_train
         + blocks * len(rows)  # evaluate, round 0 included
     )
     nid = tracer.arrays()["nid"]

@@ -100,6 +100,14 @@ def test_memory_subcommand_rejects_non_object_profile(tmp_path, capsys, payload)
     assert err.startswith(f"error: {profile}: profile config must be a JSON object")
 
 
+def test_memory_subcommand_names_profile_with_invalid_json(tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text("{bad json")
+    rc = main(["memory", "--profile", str(profile), "--map", "0" * 12, "--batch", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {profile}: not valid JSON")
+
+
 def test_memory_subcommand_prints_breakdown(tmp_path, capsys):
     profile = write_profile(tmp_path)
     rc = main(["memory", "--profile", str(profile), "--map", "000000111111",
@@ -144,6 +152,16 @@ def test_allocate_values_file_rejects_non_numbers(tmp_path, capsys, bad, shown):
                "--values", str(values), "--batch", "496"])
     assert rc == 1
     assert shown in capsys.readouterr().err
+
+
+def test_allocate_values_file_with_invalid_json(tmp_path, capsys):
+    profile = write_profile(tmp_path)
+    values = tmp_path / "values.json"
+    values.write_text("[1.0, ")
+    rc = main(["allocate", "--profile", str(profile), "--capacity", str(24 * 10**9),
+               "--values", str(values), "--batch", "496"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {values}: not valid JSON")
 
 
 def test_allocate_values_spec_neither_file_nor_list(tmp_path, capsys):

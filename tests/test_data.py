@@ -23,6 +23,7 @@ def small_task(**kw):
     kw.setdefault("feature_dim", 8)
     kw.setdefault("samples_per_class", 50)
     kw.setdefault("noise_scale", 0.5)
+    kw.setdefault("center_scale", 1.0)
     kw.setdefault("seed", 0)
     return SyntheticTask.make(**kw)
 
@@ -56,9 +57,9 @@ def test_zero_noise_collapses_classes_to_centers():
 
 def test_task_validation():
     with pytest.raises(ValueError):
-        SyntheticTask.make(num_classes=1)
+        small_task(num_classes=1)
     with pytest.raises(ValueError):
-        SyntheticTask.make(noise_scale=-0.1)
+        small_task(noise_scale=-0.1)
     centers = np.zeros((3, 4))
     with pytest.raises(ValueError, match="coincide"):
         SyntheticTask(3, 4, 5, 1.0, centers)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from fedlorasim.cli import main
 from fedlorasim.config import ExperimentConfig
 from fedlorasim.reporting import (
     ReportError,
@@ -99,6 +100,20 @@ def test_load_run_requires_summary(tmp_path):
     (run / "summary.json").unlink()
     with pytest.raises(ReportError, match="no summary.json"):
         load_run(run)
+
+
+@pytest.mark.parametrize("payload", [["not", "an", "object"], "seed-null"])
+def test_malformed_summary_is_a_report_error(tmp_path, capsys, payload):
+    run = fake_run(tmp_path / "runs" / "r")
+    summary = run / "summary.json"
+    if payload == "seed-null":
+        payload = {**json.loads(summary.read_text()), "seed": None}
+    summary.write_text(json.dumps(payload))
+    with pytest.raises(ReportError, match=str(summary)):
+        load_run(run)
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {summary}: ")
 
 
 def test_single_run_summary_echoes_final_metrics(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import central_difference
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import (
     IGScoreRecord,
@@ -18,7 +19,7 @@ from fedlorasim.toymodel import NonFiniteLossError, ToyLoRANet
 
 def scoring_net(seed=0, num_blocks=2):
     net = ToyLoRANet(num_blocks=num_blocks, hidden_size=5, lora_rank=2,
-                     input_dim=4, num_classes=3, seed=seed)
+                     input_dim=4, num_classes=3, lora_alpha=None, seed=seed)
     rng = np.random.default_rng(seed + 100)
     net.set_lora_state({
         j: (rng.normal(0, 0.3, net.N[j].shape), rng.normal(0, 0.3, net.M[j].shape))
@@ -65,18 +66,11 @@ def test_score_matches_finite_difference_gradient_norm():
     X, y = batch(rng, net, n=5)
     amap = AllocationMap.full(2)
     scores = local_ig_scores(net, amap, [(X, y)])
-    h = 1e-6
     for j in range(2):
         total = 0.0
-        for arr in (net.N[j], net.M[j]):
+        for k, arr in enumerate((net.N[j], net.M[j])):
             for idx in np.ndindex(*arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + h
-                lp = net.loss(net.forward(X, amap)[0], y)
-                arr[idx] = orig - h
-                lm = net.loss(net.forward(X, amap)[0], y)
-                arr[idx] = orig
-                total += ((lp - lm) / (2 * h)) ** 2
+                total += central_difference(net, X, y, amap, j, k, idx, 1e-6) ** 2
         assert abs(scores[j] - total) / max(1e-12, abs(total)) < 1e-4
 
 

@@ -76,7 +76,7 @@ def test_toy_profile_counts_every_frozen_parameter():
     # profile element counts must match the live network exactly
     net = ToyLoRANet(num_blocks=m.num_blocks, hidden_size=m.hidden_size,
                      lora_rank=m.lora_rank, input_dim=m.input_dim,
-                     num_classes=m.num_classes, seed=0)
+                     num_classes=m.num_classes, lora_alpha=None, seed=0)
     live = net.embed.size + sum(w.size for w in net.W0) + sum(b.size for b in net.b) + net.head.size
     assert elems == live
     assert p.lora_param_count_per_block == net.N[0].size + net.M[0].size
@@ -182,7 +182,7 @@ def test_run_round_metrics_are_consistent():
     cfg = tiny_config()
     clients, test, profile, _, _ = build_clients(cfg)
     net = ToyLoRANet(num_blocks=4, hidden_size=8, lora_rank=2, input_dim=10,
-                     num_classes=5, seed=cfg.seed)
+                     num_classes=5, lora_alpha=None, seed=cfg.seed)
     state = init_state(cfg, net)
     rm = run_round(state, clients, net, test, profile, cfg)
     assert rm.round == 1 and state.round == 1
@@ -209,7 +209,7 @@ def test_memory_safety_invariant_trips_on_oversized_map(monkeypatch):
     cfg = tiny_config(strategy="ms")
     clients, test, profile, _, _ = build_clients(cfg)
     net = ToyLoRANet(num_blocks=4, hidden_size=8, lora_rank=2, input_dim=10,
-                     num_classes=5, seed=cfg.seed)
+                     num_classes=5, lora_alpha=None, seed=cfg.seed)
     state = init_state(cfg, net)
     monkeypatch.setattr(sim, "_choose_allocation",
                         lambda *a, **k: naive_map(4, "full"))
@@ -264,7 +264,7 @@ def test_round_zero_line_is_pretraining_evaluation(tmp_path):
     # equals the frozen network evaluated directly
     clients, test, _, _, _ = build_clients(cfg)
     net = ToyLoRANet(num_blocks=4, hidden_size=8, lora_rank=2, input_dim=10,
-                     num_classes=5, seed=cfg.seed)
+                     num_classes=5, lora_alpha=None, seed=cfg.seed)
     loss, acc = net.evaluate(test.X, test.y)
     assert row["accuracy"] == acc and row["loss"] == loss
 

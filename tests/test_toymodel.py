@@ -7,7 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rebuilding_backward, rebuilding_forward, rebuilding_local_train
+from conftest import (
+    central_difference,
+    rebuilding_backward,
+    rebuilding_forward,
+    rebuilding_local_train,
+)
 from fedlorasim.aggregation import ContributionHistory, zero_delta_like
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import ScoreHistory, local_ig_scores
@@ -26,6 +31,7 @@ def small_net(seed=0, **kw):
     kw.setdefault("lora_rank", 2)
     kw.setdefault("input_dim", 5)
     kw.setdefault("num_classes", 3)
+    kw.setdefault("lora_alpha", None)
     return ToyLoRANet(seed=seed, **kw)
 
 
@@ -52,16 +58,6 @@ def reference_forward(net, X):
             a = np.tanh(a @ w + net.b[j])
         outs.append(a @ net.head)
     return np.array(outs)
-
-
-def numeric_grad(net, X, y, allocation, arr, idx, h=1e-6):
-    orig = arr[idx]
-    arr[idx] = orig + h
-    lp = net.loss(net.forward(X, allocation)[0], y)
-    arr[idx] = orig - h
-    lm = net.loss(net.forward(X, allocation)[0], y)
-    arr[idx] = orig
-    return (lp - lm) / (2 * h)
 
 
 def test_fresh_net_equals_frozen_base():
@@ -100,10 +96,10 @@ def test_gradients_match_finite_differences():
             grads = net.backward(cache, y)
             assert set(grads) == set(amap.trainable_indices)
             for j, (gn, gm) in grads.items():
-                for arr, g in ((net.N[j], gn), (net.M[j], gm)):
-                    flat = [tuple(ix) for ix in np.ndindex(*arr.shape)]
+                for k, g in enumerate((gn, gm)):
+                    flat = [tuple(ix) for ix in np.ndindex(*g.shape)]
                     for idx in [flat[0], flat[len(flat) // 2], flat[-1]]:
-                        num = numeric_grad(net, X, y, amap, arr, idx)
+                        num = central_difference(net, X, y, amap, j, k, idx, 1e-6)
                         ana = g[idx]
                         rel = abs(ana - num) / max(1e-8, abs(ana) + abs(num))
                         assert rel < 1e-4, (j, idx, ana, num)
@@ -142,7 +138,6 @@ def test_cache_economy_mirrors_memory_split():
             assert cache.dynamic_count == len(indices)
             assert sorted(cache.block_inputs) == sorted(indices)
             assert sorted(cache.acts) == list(range(min(indices), 6))
-            assert sorted(cache.weights) == list(range(min(indices), 6))
         else:
             assert cache.static_count == 0
             assert cache.dynamic_count == 0
@@ -185,7 +180,7 @@ def test_local_train_zero_lr_gives_zero_deltas():
     net = small_net()
     X = rng.normal(size=(10, net.input_dim))
     y = rng.integers(0, net.num_classes, size=10)
-    deltas = local_train(net, X, y, AllocationMap.full(net.num_blocks), lr=0.0)
+    deltas = local_train(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.0)
     assert set(deltas) == set(range(net.num_blocks))
     for dn, dm in deltas.values():
         assert np.abs(dn).max() == 0.0
@@ -294,28 +289,22 @@ def test_forward_with_weights_is_bitwise_equal():
     randomize_adapters(net, rng)
     X = rng.normal(size=(9, net.input_dim))
     y = rng.integers(0, net.num_classes, size=9)
-    weights = net.effective_weights()
+    # the first map builds the net's weights, the others reuse them
     for indices in EQUIVALENCE_MAPS.values():
         amap = AllocationMap.from_indices(7, indices)
         ref_logits, ref_cache = rebuilding_forward(net, X, amap)
         logits, cache = net.forward(X, amap)
-        logits_w, cache_w = net.forward(X, amap, weights)
-        assert logits.tobytes() == logits_w.tobytes() == ref_logits.tobytes()
-        for c in (cache, cache_w):
-            assert list(c.acts) == list(c.weights) == list(ref_cache.preacts)
-            assert list(c.block_inputs) == list(ref_cache.block_inputs)
-            for j, z in ref_cache.preacts.items():
-                assert c.acts[j].tobytes() == np.tanh(z).tobytes()
-                assert c.weights[j].tobytes() == weights[j].tobytes()
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert list(cache.acts) == list(ref_cache.preacts)
+        assert list(cache.block_inputs) == list(ref_cache.block_inputs)
+        for j, z in ref_cache.preacts.items():
+            assert cache.acts[j].tobytes() == np.tanh(z).tobytes()
         ref_grads = rebuilding_backward(net, ref_cache, y)
-        for grads in (net.backward(cache, y), net.backward(cache_w, y)):
-            assert list(grads) == list(ref_grads)
-            for j, (gn, gm) in ref_grads.items():
-                assert grads[j][0].tobytes() == gn.tobytes()
-                assert grads[j][1].tobytes() == gm.tobytes()
-    for bad in (weights[:-1], weights + weights[:1], []):
-        with pytest.raises(ValueError, match="weights"):
-            net.forward(X, AllocationMap.full(7), bad)
+        grads = net.backward(cache, y)
+        assert list(grads) == list(ref_grads)
+        for j, (gn, gm) in ref_grads.items():
+            assert grads[j][0].tobytes() == gn.tobytes()
+            assert grads[j][1].tobytes() == gm.tobytes()
 
 
 def test_non_finite_loss_aborts_with_diagnostics():
@@ -323,7 +312,8 @@ def test_non_finite_loss_aborts_with_diagnostics():
     X = np.full((4, net.input_dim), np.nan)
     y = np.zeros(4, dtype=int)
     with pytest.raises(NonFiniteLossError, match="epoch 0"):
-        local_train(net, X, y, AllocationMap.full(net.num_blocks), lr=0.1)
+        local_train(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32,
+                    lr=0.1)
 
 
 def test_snapshot_roundtrip():
@@ -352,9 +342,28 @@ def test_snapshot_roundtrip():
 
 def test_clone_is_independent():
     net = small_net()
+    X = np.random.default_rng(43).normal(size=(3, net.input_dim))
+    full = AllocationMap.full(net.num_blocks)
+    before, _ = net.forward(X, full)
     twin = net.clone()
-    twin.N[0][:] += 1.0
+    twin.set_lora_state({0: (twin.N[0] + 1.0, twin.M[0] + 1.0)})
     assert np.abs(net.N[0] - twin.N[0]).max() > 0
+    # the twin's rebuilt weight never reaches the source's built weights
+    moved, _ = twin.forward(X, full)
+    after, _ = net.forward(X, full)
+    assert np.abs(moved - before).max() > 0
+    assert after.tobytes() == before.tobytes()
+    # adapters are written only through set_lora_state, which keeps no
+    # reference to its inputs
+    with pytest.raises(TypeError):
+        twin.N[0] = np.zeros_like(twin.N[0])
+    for arr in (twin.N[0], twin.M[1], net.get_lora_state()[2][0]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    n = np.ones_like(net.N[3])
+    net.set_lora_state({3: (n, net.M[3])})
+    n[0, 0] = 5.0
+    assert (net.N[3] == 1.0).all()
     # frozen arrays are shared and locked
     assert net.W0[0] is twin.W0[0]
     with pytest.raises(ValueError):
@@ -369,4 +378,4 @@ def test_input_validation():
         net.forward(np.zeros((2, net.input_dim)), AllocationMap.full(net.num_blocks + 1))
     with pytest.raises(ValueError):
         local_train(net, np.zeros((0, net.input_dim)), np.zeros(0, dtype=int),
-                    AllocationMap.full(net.num_blocks))
+                    AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.1)
