@@ -8,13 +8,12 @@ JSON; diagnostics go to stderr. Exit codes: 0 success, 1 bad input or config,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation
-from fedlorasim.config import ConfigError, load_config
+from fedlorasim.config import ConfigError, ExperimentConfig, load_config
 from fedlorasim.memory import (
     AllocationMap,
     ModelProfile,
@@ -65,7 +64,8 @@ def _parse_values(spec: str) -> list[float]:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        # through the config reader, so the override meets the seed's bound
+        config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed})
     if args.out is not None:
         out = Path(args.out)
     else:

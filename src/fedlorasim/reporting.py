@@ -40,6 +40,10 @@ def load_metrics(path: str | Path) -> list[dict]:
             missing = [k for k in REQUIRED_ROW_KEYS if k not in row]
             if missing:
                 raise ReportError(f"{path}:{lineno}: missing keys {missing}")
+            counts = row["layer_counts"]
+            if not isinstance(counts, list) or (rows and len(counts) != len(rows[0]["layer_counts"])):
+                raise ReportError(f"{path}:{lineno}: layer_counts must be a list as long as "
+                                  f"the first row's")
             rows.append(row)
     if not rows:
         raise ReportError(f"{path}: no metrics rows")
@@ -82,9 +86,10 @@ def load_run(run_dir: str | Path) -> RunRecord:
             raise ReportError(f"{summary_path}: not valid JSON ({exc.msg})") from exc
     if not isinstance(summary, dict):
         raise ReportError(f"{summary_path}: must hold a JSON object")
-    rows = load_metrics(run_dir / "metrics.jsonl")
+    metrics_path = run_dir / "metrics.jsonl"
+    rows = load_metrics(metrics_path)
     try:
-        return RunRecord(
+        run = RunRecord(
             path=str(run_dir),
             strategy=summary["strategy"],
             aggregation=summary["aggregation"],
@@ -100,6 +105,10 @@ def load_run(run_dir: str | Path) -> RunRecord:
         raise ReportError(f"{summary_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ReportError(f"{summary_path}: bad value ({exc})") from exc
+    if len(rows) != run.rounds + 1:
+        raise ReportError(f"{metrics_path}: {len(rows)} rows, but summary.json says "
+                          f"{run.rounds} rounds, which need {run.rounds + 1}")
+    return run
 
 
 def discover_runs(root: str | Path) -> list[Path]:

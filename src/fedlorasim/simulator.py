@@ -289,6 +289,55 @@ def build_clients(config: ExperimentConfig):
     return clients, test, profile, levels, manifest
 
 
+class PrefixCache:
+    """Frozen-prefix activations of the inputs that stay fixed over a run.
+
+    For each input set (a client's IG batches or local data, the test set)
+    one entry holds a boundary k and the activations entering block k,
+    computed from the global net by ``ToyLoRANet.prefix``. An entry serves
+    while k is at most the net's ``frozen_below`` and the allocation's
+    earliest block; otherwise it is recomputed at the lower of the two.
+    Each IG batch and the test set go through the prefix whole, as a
+    forward from the features takes them. A client's training batches are
+    rows of one prefix over all its data, so that prefix is kept only when
+    it is no larger than the features (hidden_size <= input_dim) and no
+    batch has a single row: numpy multiplies a one-row batch as a vector,
+    which can round differently from that row of a matrix product.
+    Derived state: never checkpointed and never written to a run's files.
+    """
+
+    def __init__(self):
+        self._entries: dict[object, tuple[int, list[np.ndarray]]] = {}
+
+    def get(self, key, net: ToyLoRANet, earliest: int | None,
+            inputs: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
+        """(k, activations entering block k for each of ``inputs``)."""
+        bound = net.frozen_below if earliest is None else min(net.frozen_below, earliest)
+        entry = self._entries.get(key)
+        if entry is None or entry[0] > bound:
+            entry = self._entries[key] = (bound, [net.prefix(X, bound) for X in inputs])
+        return entry
+
+    def ig_batches(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap):
+        """(start, the client's IG batches as activations entering block start)."""
+        start, acts = self.get(("ig", client.id), net, amap.earliest,
+                               [X for X, _ in client.ig_batches])
+        return start, [(a, y) for a, (_, y) in zip(acts, client.ig_batches)]
+
+    def train_data(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap,
+                   batch_size: int):
+        """(start, the client's training inputs); start is None for raw features."""
+        one_row_batch = batch_size == 1 or len(client.data) % batch_size == 1
+        if net.hidden_size > net.input_dim or one_row_batch:
+            return None, client.data.X
+        start, (acts,) = self.get(("train", client.id), net, amap.earliest, [client.data.X])
+        return start, acts
+
+    def test_set(self, test: LabeledData, net: ToyLoRANet):
+        start, (acts,) = self.get("test", net, None, [test.X])
+        return start, acts
+
+
 def init_state(config: ExperimentConfig, net: ToyLoRANet) -> GlobalState:
     params = net.get_lora_state()
     return GlobalState(
@@ -329,9 +378,14 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
 
 def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
               test: LabeledData, profile: ModelProfile, config: ExperimentConfig,
-              warn=None) -> RoundMetrics:
-    """Advance the federation by one round, mutating ``state``."""
+              warn=None, prefixes: PrefixCache | None = None) -> RoundMetrics:
+    """Advance the federation by one round, mutating ``state``.
+
+    Forwards start from the frozen-prefix activations in ``prefixes``; a run
+    passes the same cache to every round so that its entries carry over.
+    """
     warn = warn or (lambda msg: print(msg, file=sys.stderr))
+    prefixes = PrefixCache() if prefixes is None else prefixes
     start = time.perf_counter()
     phase = dict.fromkeys(PHASES, 0.0)
     t = state.round + 1
@@ -360,14 +414,16 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
             )
         local_net = net.clone()
         t0 = time.perf_counter()
-        scores = local_ig_scores(local_net, amap, client.ig_batches)
+        k, ig_batches = prefixes.ig_batches(client, net, amap)
+        scores = local_ig_scores(local_net, amap, ig_batches, start=k)
         t1 = time.perf_counter()
         phase["score"] += t1 - t0
         records.append(IGScoreRecord(round=t, client_id=cid, module_scores=scores))
+        k, train_X = prefixes.train_data(client, net, amap, b)
         deltas = local_train(
-            local_net, client.data.X, client.data.y, amap,
+            local_net, train_X, client.data.y, amap,
             epochs=config.epochs, batch_size=b, lr=config.lr,
-            rng=derive_rng(config.seed, _TRAIN, t, cid),
+            rng=derive_rng(config.seed, _TRAIN, t, cid), start=k,
         )
         phase["train"] += time.perf_counter() - t1
         collected.append((cid, deltas, amap))
@@ -397,7 +453,8 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     phase["aggregate"] = t1 - t0
 
     net.set_lora_state(state.params)
-    loss, acc = net.evaluate(test.X, test.y)
+    k, test_X = prefixes.test_set(test, net)
+    loss, acc = net.evaluate(test_X, test.y, k)
     phase["evaluate"] = time.perf_counter() - t1
     layer_counts = [
         sum(1 for _, _, amap in collected if amap.bits[j]) for j in range(profile.num_blocks)
@@ -519,8 +576,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
         rm = _round_zero_metrics(net, test, profile.num_blocks)
         history.append(rm)
         fh.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
+        prefixes = PrefixCache()
         for _ in range(config.rounds):
-            rm = run_round(state, clients, net, test, profile, config, warn=warn)
+            rm = run_round(state, clients, net, test, profile, config, warn=warn,
+                           prefixes=prefixes)
             history.append(rm)
             fh.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
             if config.checkpoint_every and state.round % config.checkpoint_every == 0:

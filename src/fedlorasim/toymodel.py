@@ -16,13 +16,22 @@ weights forward used, so it computes neither again.
 
 The adapters are read-only arrays held in tuples, and ``set_lora_state`` is
 their only writer. An effective weight ``W0 + scale * N @ M`` changes only
-when its block's adapters do, so the net keeps one per block: a write drops
-the built weights of the blocks it touches, and the next ``forward`` builds
-those again. A clone shares every array and built weight with its source
-until its own writes replace them.
+when its block's adapters do, so the net keeps one per block: a write that
+leaves a block's factors byte-equal keeps that block's arrays and built
+weight, a write that changes them drops the built weight, and the next
+``forward`` builds it again. A clone shares every array and built weight
+with its source until its own writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
-initial network is exactly the frozen base.
+initial network is exactly the frozen base. ``frozen_below`` is the lowest
+block whose adapters a write has ever changed (L while none has; it never
+rises, and a clone inherits it). The blocks below it still hold their
+initial adapters, so for fixed inputs the activation entering any block
+k <= ``frozen_below`` is fixed too: ``prefix`` computes it with forward's
+arithmetic, and ``forward``, ``evaluate``, ``local_train`` and
+``local_ig_scores`` take it in place of the features (``start=k``) and run
+only blocks k and up. Backward never goes below the earliest trainable
+block, so k may not exceed that block either.
 """
 
 from __future__ import annotations
@@ -94,6 +103,8 @@ class ToyLoRANet:
         self.lora_alpha = float(lora_rank if lora_alpha is None else lora_alpha)
         self.scale = self.lora_alpha / lora_rank
         self.version = 0
+        #: lowest block whose adapters a write has changed; L while none has
+        self.frozen_below = num_blocks
 
         rng = np.random.default_rng(seed)
         h = hidden_size
@@ -115,18 +126,28 @@ class ToyLoRANet:
         return {j: (self.N[j], self.M[j]) for j in range(self.num_blocks)}
 
     def set_lora_state(self, state: LoraState) -> None:
-        """The one writer of the adapters: stores read-only copies of the
-        given blocks' factors and drops those blocks' built weights."""
-        N, M = list(self.N), list(self.M)
+        """The one writer of the adapters. A block whose given factors equal
+        the held ones byte for byte keeps its arrays and built weight; a
+        changed block stores read-only copies, drops its built weight and
+        lowers ``frozen_below``. ``version`` moves on every call."""
+        changed = {}
         for j, (n, m) in state.items():
-            if n.shape != N[j].shape or m.shape != M[j].shape:
+            if not 0 <= j < self.num_blocks:
+                raise ValueError(f"block {j} is out of range for {self.num_blocks} blocks")
+            if n.shape != self.N[j].shape or m.shape != self.M[j].shape:
                 raise ValueError(f"block {j}: adapter shapes {n.shape}/{m.shape} do not fit")
-            N[j], M[j] = np.array(n, dtype=np.float64), np.array(m, dtype=np.float64)
-            N[j].setflags(write=False)
-            M[j].setflags(write=False)
-        self.N, self.M = tuple(N), tuple(M)
-        for j in state:
-            self._weights[j] = None
+            n, m = np.array(n, dtype=np.float64), np.array(m, dtype=np.float64)
+            if n.tobytes() != self.N[j].tobytes() or m.tobytes() != self.M[j].tobytes():
+                n.setflags(write=False)
+                m.setflags(write=False)
+                changed[j] = (n, m)
+        if changed:
+            N, M = list(self.N), list(self.M)
+            for j, (n, m) in changed.items():
+                N[j], M[j] = n, m
+                self._weights[j] = None
+            self.N, self.M = tuple(N), tuple(M)
+            self.frozen_below = min(self.frozen_below, *changed)
         self.version += 1
 
     def clone(self) -> "ToyLoRANet":
@@ -142,22 +163,53 @@ class ToyLoRANet:
 
     # ---- forward / loss / backward -----------------------------------------
 
-    def forward(self, X: np.ndarray, allocation: AllocationMap) -> tuple[np.ndarray, ForwardCache]:
-        """Logits and the cache backward needs; builds the missing weights."""
+    def prefix(self, X: np.ndarray, k: int) -> np.ndarray:
+        """The activation entering block k for features X, with forward's
+        arithmetic; k may not exceed ``frozen_below``, so the result stays
+        valid for this net and its clones until a write changes a block
+        below k, which lowers ``frozen_below`` under it."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
+        if not 0 <= k <= self.frozen_below:
+            raise ValueError(f"prefix boundary {k} is outside 0..{self.frozen_below} (frozen_below)")
+        weights = self._weights
+        a = X @ self.embed
+        for j in range(k):
+            if weights[j] is None:
+                weights[j] = self.effective_weight(j)
+            a = np.tanh(a @ weights[j] + self.b[j])
+        return a
+
+    def forward(self, X: np.ndarray, allocation: AllocationMap,
+                start: int | None = None) -> tuple[np.ndarray, ForwardCache]:
+        """Logits and the cache backward needs; builds the missing weights.
+
+        X holds features, or with ``start=k`` the activations entering block
+        k (``prefix(features, k)``), when k is at most ``frozen_below`` and
+        the allocation's earliest block.
+        """
         if len(allocation) != self.num_blocks:
             raise ValueError(
                 f"allocation has {len(allocation)} blocks, net has {self.num_blocks}"
             )
         first = allocation.earliest
+        if start is None:
+            a, start = self.prefix(X, 0), 0
+        else:
+            a = np.asarray(X, dtype=np.float64)
+            if a.ndim != 2 or a.shape[1] != self.hidden_size:
+                raise ValueError(
+                    f"expected activations of shape (n, {self.hidden_size}), got {a.shape}")
+            top = self.frozen_below if first is None else min(self.frozen_below, first)
+            if not 0 <= start <= top:
+                raise ValueError(f"start block {start} is outside 0..{top} "
+                                 f"(frozen_below {self.frozen_below}, earliest {first})")
         trainable = set(allocation.trainable_indices)
         weights = self._weights
         acts: dict[int, np.ndarray] = {}
         block_inputs: dict[int, np.ndarray] = {}
-        a = X @ self.embed
-        for j in range(self.num_blocks):
+        for j in range(start, self.num_blocks):
             if j in trainable:
                 block_inputs[j] = a
             if weights[j] is None:
@@ -171,7 +223,7 @@ class ToyLoRANet:
             acts=acts,
             block_inputs=block_inputs,
             allocation=allocation,
-            batch_size=X.shape[0],
+            batch_size=a.shape[0],
             version=self.version,
         )
 
@@ -226,9 +278,11 @@ class ToyLoRANet:
                 da = dz @ self._weights[j].T
         return grads
 
-    def evaluate(self, X: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        """(mean cross-entropy, accuracy) with nothing trainable, no caching."""
-        logits, _ = self.forward(X, AllocationMap.empty(self.num_blocks))
+    def evaluate(self, X: np.ndarray, y: np.ndarray,
+                 start: int | None = None) -> tuple[float, float]:
+        """(mean cross-entropy, accuracy) with nothing trainable; X and
+        ``start`` as in ``forward``."""
+        logits, _ = self.forward(X, AllocationMap.empty(self.num_blocks), start)
         loss = self.loss(logits, np.asarray(y))
         acc = float((logits.argmax(axis=1) == np.asarray(y)).mean())
         return loss, acc
@@ -243,6 +297,7 @@ def local_train(
     batch_size: int,
     lr: float,
     rng: np.random.Generator | None = None,
+    start: int | None = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Plain SGD over the local data; returns adapter deltas per trained block.
 
@@ -250,6 +305,8 @@ def local_train(
     theta_before and exist exactly for the allocation's trainable blocks
     (all-zero when lr is 0).
     Batches are sequential unless an rng is given to shuffle each epoch.
+    X holds features, or with ``start`` the activations entering that block
+    (see ``ToyLoRANet.forward``); a batch takes its rows of either.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -266,13 +323,13 @@ def local_train(
     n = len(X)
     for epoch in range(epochs):
         order = rng.permutation(n) if rng is not None else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            logits, cache = net.forward(X[idx], allocation)
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
+            logits, cache = net.forward(X[idx], allocation, start)
             loss = net.loss(logits, y[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch start {start}, lr {lr}"
+                    f"non-finite loss {loss} at epoch {epoch}, batch start {lo}, lr {lr}"
                 )
             grads = net.backward(cache, y[idx])
             net.set_lora_state({

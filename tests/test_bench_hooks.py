@@ -24,7 +24,7 @@ import fedlorasim.reporting
 import fedlorasim.simulator
 from fedlorasim.config import ExperimentConfig
 from fedlorasim.memory import AllocationMap
-from fedlorasim.simulator import run_experiment
+from fedlorasim.simulator import run_experiment, state_from_jsonable
 from fedlorasim.toymodel import ToyLoRANet
 
 _spec = importlib.util.spec_from_file_location(
@@ -38,10 +38,10 @@ RULES = {"comagg": "com_agg", "comagg_fixed": "com_agg_fixed", "fedavg": "fed_av
 ROUNDS, BATCH = 2, 16
 
 
-def fedpilot_config(aggregation="comagg", blocks=4, epochs=1) -> ExperimentConfig:
+def fedpilot_config(aggregation="comagg", blocks=4, epochs=1, checkpoint_every=0) -> ExperimentConfig:
     return ExperimentConfig.from_dict({
         "seed": 3, "rounds": ROUNDS, "strategy": "fedpilot", "aggregation": aggregation,
-        "ig_dataset_size": 16, "epochs": epochs,
+        "ig_dataset_size": 16, "epochs": epochs, "checkpoint_every": checkpoint_every,
         "model": {"num_blocks": blocks, "hidden_size": 8, "lora_rank": 2,
                   "input_dim": 10, "num_classes": 5},
         "data": {"samples_per_class": 40},
@@ -105,26 +105,49 @@ def test_allocator_asks_the_oracle_once_per_pick(tmp_path):
     assert len(oracle_parents) == sum(per_solve)
 
 
+def changed_blocks_per_round(cfg, out_dir) -> list[int]:
+    """How many blocks each round's write of the global adapters changed,
+    byte for byte, read from the per-round checkpoints."""
+    m = cfg.model
+    params = [ToyLoRANet(num_blocks=m.num_blocks, hidden_size=m.hidden_size,
+                         lora_rank=m.lora_rank, input_dim=m.input_dim,
+                         num_classes=m.num_classes, lora_alpha=m.lora_alpha,
+                         seed=cfg.seed).get_lora_state()]
+    for t in range(1, cfg.rounds + 1):
+        ckpt = json.loads((out_dir / "checkpoints" / f"round_{t:04d}.json").read_text())
+        params.append(state_from_jsonable(ckpt).params)
+    return [
+        sum(1 for j in old if any(a.tobytes() != b.tobytes() for a, b in zip(old[j], new[j])))
+        for old, new in zip(params, params[1:])
+    ]
+
+
 def test_effective_weights_are_built_once_per_parameter_change(tmp_path):
     # the net owns its weights and rebuilds a block only in the first forward
-    # after a write to it. Evaluation after each round's write of the global
-    # adapters builds all L; the round's clients clone the global net, so
-    # scoring and the first SGD step build none, and each later step
-    # rebuilds only the blocks the step before it updated. A rebuild per
-    # scoring or training call adds L, and one after the last SGD step adds
-    # |allocation|, per client update.
+    # after a write that changed its bytes. Evaluation at round 0 builds all
+    # L; after each round's write of the global adapters it rebuilds only the
+    # blocks the write changed. The round's clients clone the global net, so
+    # scoring and the first SGD step build none, and each later step rebuilds
+    # only the blocks the step before it updated. Rebuilding every block
+    # after each round's write adds L per round minus the changed blocks, a
+    # rebuild per scoring or training call adds L, and one after the last SGD
+    # step adds |allocation|, per client update.
     blocks, epochs = 6, 2
-    tracer = traced_run(fedpilot_config(blocks=blocks, epochs=epochs), tmp_path)
+    cfg = fedpilot_config(blocks=blocks, epochs=epochs, checkpoint_every=1)
+    tracer = traced_run(cfg, tmp_path)
 
     samples = {c["id"]: c["num_samples"]
                for c in json.loads((tmp_path / "partition.json").read_text())["assignments"]}
     rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     trained = [c for r in rows for c in r["clients"] if c["participated"]]
     assert trained
+    changed = changed_blocks_per_round(cfg, tmp_path)
+    assert len(changed) == ROUNDS and 0 < min(changed) and max(changed) < blocks
     steps = lambda cid: epochs * math.ceil(samples[cid] / BATCH)
     expected = (
         sum((steps(c["id"]) - 1) * c["allocation"].count("1") for c in trained)  # local_train
-        + blocks * len(rows)  # evaluate, round 0 included
+        + blocks  # round-0 evaluation
+        + sum(changed)  # evaluation after each round's write
     )
     nid = tracer.arrays()["nid"]
     assert int((nid == tracer.names.index("scoring.local_ig_scores")).sum()) == len(trained)

@@ -207,6 +207,16 @@ def test_simulate_seed_override(tmp_path, capsys):
     assert summary["seed"] == 9 and summary["config"]["seed"] == 9
 
 
+def test_simulate_negative_seed_override_names_the_field(tmp_path, capsys):
+    # the override meets the config's bound before the run directory exists
+    cfg = small_config(tmp_path)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "error: seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bad_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"strategy": "warp_drive"}))

@@ -5,6 +5,11 @@ kept the old behaviour. These digests of ``metrics.jsonl`` and
 ``summary.json`` were recorded before the three aggregation rules were
 merged into one blend loop, for ``configs/quick.json`` at 12 rounds. A
 change that moves a byte of them must say why and re-record the digests.
+``configs/quick.json`` has H = 16 and L = 8, so two more configs built from it
+pin a wide net (H = 128, ``ms`` + ``fedavg``) and a deep one (L = 48,
+``fedpilot`` + ``comagg`` under binding capacity tiers, so its lowest trained
+block is far from block 0); both were recorded before the toy net started
+forwards from cached frozen-prefix activations.
 
 The digests come from numpy 2.4.6 linked against scipy-openblas 0.3.31
 (DYNAMIC_ARCH, Haswell kernels) under CPython 3.11.7 on x86-64. Another
@@ -21,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from fedlorasim.config import ExperimentConfig
-from fedlorasim.simulator import run_experiment
+from fedlorasim.memory import naive_map, total_memory
+from fedlorasim.simulator import run_experiment, toy_profile
 
 QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
@@ -68,3 +74,46 @@ def test_quick_config_outputs_match_pinned_digests(case, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("metrics.jsonl", "summary.json"))
     assert got == PINNED[case]
+
+
+def _wide_config(d: dict) -> dict:
+    d.update(rounds=6, strategy="ms", aggregation="fedavg")
+    d["model"]["hidden_size"] = 128
+    return d
+
+
+def _deep_config(d: dict) -> dict:
+    # tier u affords the last-u naive map plus 2%: no client trains the
+    # whole stack, and the lowest trained block moves between rounds
+    d.update(rounds=12)
+    d["model"]["num_blocks"] = 48
+    probe = ExperimentConfig.from_dict(d)
+    profile, b = toy_profile(probe), probe.clients.batch_size
+    d["clients"]["capacity_levels"] = [
+        int(1.02 * total_memory(profile, naive_map(48, "ms", u), b).total_bytes)
+        for u in (6, 12, 18, 24)
+    ]
+    return d
+
+
+# name: (config builder over quick.json, (metrics.jsonl sha256, summary.json sha256))
+PINNED_SHAPES = {
+    "wide-h128-ms-fedavg": (_wide_config, (
+        "c7dff95684f67eca5095ca9907f66a87ad703f2662160b8722c0ccbfdba95683",
+        "e9ea54926359c964ff184ce9ee17ecd6ed559b323ad2fd83a7e595ac6135af37",
+    )),
+    "deep-l48-fedpilot-comagg": (_deep_config, (
+        "24a2fbb50bb55708a6a6ab44af7fb60a310d4a00c6fa32e0b6dee4aafcae0f17",
+        "bf5e46541013311636b53339e87b1bb1ae0703788e736b496610599560026916",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SHAPES))
+def test_wide_and_deep_outputs_match_pinned_digests(name, tmp_path):
+    build, digests = PINNED_SHAPES[name]
+    cfg = ExperimentConfig.from_dict(build(json.loads(QUICK.read_text())))
+    run_experiment(cfg, tmp_path, quiet=True, warn=lambda msg: None)
+    got = tuple(hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+                for fname in ("metrics.jsonl", "summary.json"))
+    assert got == digests

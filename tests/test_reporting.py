@@ -116,6 +116,30 @@ def test_malformed_summary_is_a_report_error(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith(f"error: {summary}: ")
 
 
+def test_metrics_rows_short_of_the_summary_rounds_are_a_report_error(tmp_path, capsys):
+    run = fake_run(tmp_path / "runs" / "r", rounds=3)
+    metrics = run / "metrics.jsonl"
+    metrics.write_text("".join(metrics.read_text().splitlines(keepends=True)[:3]))
+    with pytest.raises(ReportError, match=f"{metrics}: 3 rows, but summary.json says 3 rounds"):
+        load_run(run)
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {metrics}: ")
+
+
+def test_short_layer_counts_row_is_a_report_error(tmp_path, capsys):
+    run = fake_run(tmp_path / "runs" / "r", rounds=3, layers=4)
+    metrics = run / "metrics.jsonl"
+    rows = [json.loads(s) for s in metrics.read_text().splitlines()]
+    rows[2]["layer_counts"] = rows[2]["layer_counts"][:3]
+    metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ReportError, match=f"{metrics}:3: layer_counts"):
+        load_run(run)
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
+
+
 def test_single_run_summary_echoes_final_metrics(tmp_path):
     fake_run(tmp_path / "runs" / "a", seed=3, rounds=5)
     summaries = generate_report(tmp_path / "runs", tmp_path / "report")

@@ -1,6 +1,7 @@
 """Federation loop: capacities, baselines, determinism, round mechanics."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from fedlorasim.config import ClientConfig, ExperimentConfig, ModelConfig, PartitionConfig
 from fedlorasim.memory import AllocationMap, naive_map, total_memory
 from fedlorasim.simulator import (
+    ClientSpec,
     InvariantViolation,
+    PrefixCache,
     assign_capacities,
     baseline_allocation,
     build_clients,
@@ -221,7 +224,9 @@ def test_memory_safety_invariant_trips_on_oversized_map(monkeypatch):
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = tiny_config(rounds=2)
+    t0 = time.perf_counter()
     s1 = run_experiment(cfg, tmp_path / "a", quiet=True)
+    elapsed = time.perf_counter() - t0
     s2 = run_experiment(cfg, tmp_path / "b", quiet=True)
     m1 = (tmp_path / "a" / "metrics.jsonl").read_bytes()
     m2 = (tmp_path / "b" / "metrics.jsonl").read_bytes()
@@ -238,6 +243,7 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
         assert set(row) == {"round", "total_s", *phases}
         assert all(row[k] >= 0.0 for k in phases)
         assert sum(row[k] for k in phases) <= row["total_s"]
+    assert sum(row["total_s"] for row in timings) <= elapsed
     assert not (tmp_path / "a" / "timings.txt").exists()
     payload = json.loads(m1.decode().splitlines()[1])
     assert "wall_time" not in json.dumps(payload)
@@ -364,3 +370,114 @@ def test_sampling_respects_rate(tmp_path):
         assert len(r["clients"]) == 2  # ceil(0.5 * 4)
         ids = [c["id"] for c in r["clients"]]
         assert ids == sorted(ids)
+
+
+# ---- frozen-prefix cache -------------------------------------------------------
+
+def deep_config(**overrides) -> ExperimentConfig:
+    """12 blocks under capacity tiers that afford the last 2..5 blocks, so the
+    lowest block any client trains stays well above block 0."""
+    base = {"rounds": 6, "strategy": "fedpilot",
+            "model": {"num_blocks": 12, "hidden_size": 8, "input_dim": 10},
+            "clients": {"num_clients": 6, "batch_size": 16, "sampling_rate": 0.5}}
+    probe = tiny_config(**base)
+    profile = toy_profile(probe)
+    base["clients"]["capacity_levels"] = [
+        int(1.02 * total_memory(profile, naive_map(12, "ms", u), 16).total_bytes)
+        for u in (2, 3, 4, 5)]
+    base.update(overrides)
+    return tiny_config(**base)
+
+
+def deep_net(cfg) -> ToyLoRANet:
+    m = cfg.model
+    return ToyLoRANet(num_blocks=m.num_blocks, hidden_size=m.hidden_size,
+                      lora_rank=m.lora_rank, input_dim=m.input_dim,
+                      num_classes=m.num_classes, lora_alpha=m.lora_alpha, seed=cfg.seed)
+
+
+def test_prefix_cache_is_reused_until_its_boundary_is_too_high():
+    cfg = deep_config()
+    net = deep_net(cfg)
+    X = np.random.default_rng(3).normal(size=(20, cfg.model.input_dim))
+    cache = PrefixCache()
+    k, (a,) = cache.get("x", net, 9, [X])
+    assert k == 9 and a.tobytes() == net.prefix(X, 9).tobytes()
+    assert cache.get("x", net, 10, [X])[1][0] is a  # a lower boundary still serves
+    assert cache.get("x", net, None, [X])[1][0] is a
+    k, (b,) = cache.get("x", net, 7, [X])  # an earliest block below it does not
+    assert k == 7 and b.tobytes() == net.prefix(X, 7).tobytes()
+    # a write above the boundary keeps it; one below lowers frozen_below
+    net.set_lora_state({8: (net.N[8], net.M[8] + 0.1)})
+    assert cache.get("x", net, 10, [X])[1][0] is b
+    net.set_lora_state({5: (net.N[5], net.M[5] + 0.1)})
+    k, (c,) = cache.get("x", net, 10, [X])
+    assert k == 5 and c.tobytes() == net.prefix(X, 5).tobytes()
+    assert cache.get("y", net, None, [X])[0] == 5  # each input set has its own entry
+
+
+def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch():
+    cfg = deep_config()
+    clients, _, _, _, _ = build_clients(cfg)
+    amap = naive_map(12, "ms", 3)
+    n = len(clients[0].data)
+    for hidden, batch, cached in ((8, 16, n % 16 != 1), (10, 16, n % 16 != 1),
+                                  (12, 16, False), (8, 1, False), (8, n, True),
+                                  (8, n - 1, False)):
+        net = ToyLoRANet(num_blocks=12, hidden_size=hidden, lora_rank=2, input_dim=10,
+                         num_classes=5, lora_alpha=None, seed=0)
+        start, X = PrefixCache().train_data(clients[0], net, amap, batch)
+        if cached:
+            assert start == 9 and X.shape == (n, hidden)
+        else:
+            assert start is None and X is clients[0].data.X
+    # IG batches keep their labels and go through the blocks whole
+    net = deep_net(cfg)
+    start, batches = PrefixCache().ig_batches(clients[0], net, amap)
+    assert start == 9
+    for (a, y), (X, y0) in zip(batches, clients[0].ig_batches, strict=True):
+        assert y is y0 and a.tobytes() == net.prefix(X, 9).tobytes()
+
+
+class _FromFeatures(PrefixCache):
+    """Every forward from the features: the run without the cache."""
+
+    def ig_batches(self, client, net, amap):
+        return None, client.ig_batches
+
+    def train_data(self, client, net, amap, batch_size):
+        return None, client.data.X
+
+    def test_set(self, test, net):
+        return None, test.X
+
+
+@pytest.mark.parametrize("aggregation", ["comagg", "fedavg"])
+def test_run_from_prefixes_matches_run_from_features(aggregation, tmp_path, monkeypatch):
+    import fedlorasim.simulator as sim
+
+    cfg = deep_config(aggregation=aggregation, checkpoint_every=6)
+    starts = []
+    prefix = ToyLoRANet.prefix
+    monkeypatch.setattr(ToyLoRANet, "prefix",
+                        lambda net, X, k: starts.append(k) or prefix(net, X, k))
+    run_experiment(cfg, tmp_path / "cached", quiet=True)
+    assert max(starts) >= 6  # the cache did start mid-chain
+    monkeypatch.setattr(sim, "PrefixCache", _FromFeatures)
+    run_experiment(cfg, tmp_path / "plain", quiet=True)
+    for name in ("metrics.jsonl", "summary.json", "checkpoints/round_0006.json"):
+        assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_prefixes_are_built_in_rounds_and_never_checkpointed(tmp_path, monkeypatch):
+    calls = []
+    prefix = ToyLoRANet.prefix
+    monkeypatch.setattr(ToyLoRANet, "prefix",
+                        lambda net, X, k: calls.append(k) or prefix(net, X, k))
+    run_experiment(deep_config(rounds=0), tmp_path / "setup", quiet=True)
+    assert [k for k in calls if k > 0] == []  # set-up forwards from the features
+    run_experiment(deep_config(rounds=2, checkpoint_every=1), tmp_path / "run", quiet=True)
+    assert any(k > 0 for k in calls)
+    snap = json.loads((tmp_path / "run" / "checkpoints" / "round_0002.json").read_text())
+    assert set(snap) == {"round", "params", "prev_delta", "score_history",
+                         "contribution_history", "last_records", "last_allocations"}

@@ -35,13 +35,13 @@ def small_net(seed=0, **kw):
     return ToyLoRANet(seed=seed, **kw)
 
 
-def randomize_adapters(net, rng, scale=0.3):
+def randomize_adapters(net, rng, scale=0.3, blocks=None):
     state = {
         j: (
             rng.normal(0, scale, net.N[j].shape),
             rng.normal(0, scale, net.M[j].shape),
         )
-        for j in range(net.num_blocks)
+        for j in (range(net.num_blocks) if blocks is None else blocks)
     }
     net.set_lora_state(state)
 
@@ -379,3 +379,193 @@ def test_input_validation():
     with pytest.raises(ValueError):
         local_train(net, np.zeros((0, net.input_dim)), np.zeros(0, dtype=int),
                     AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.1)
+
+
+# ---- frozen-prefix starts ----------------------------------------------------
+
+def prefix_net(seed=0, lowest=3, num_blocks=7):
+    """A net whose writes have changed blocks ``lowest`` and up only."""
+    net = small_net(seed=seed, num_blocks=num_blocks)
+    randomize_adapters(net, np.random.default_rng(seed + 100), blocks=range(lowest, num_blocks))
+    assert net.frozen_below == lowest
+    return net
+
+
+def boundaries(net, amap):
+    """Block 0, a block mid-way, and the highest start the map allows."""
+    top = min(net.frozen_below, amap.earliest if amap.earliest is not None else net.num_blocks)
+    return sorted({0, top // 2, top})
+
+
+PREFIX_MAPS = {"earliest-at-frozen": [3, 5], "earliest-above": [4, 6], "deepest": [6],
+               "empty": []}
+
+
+@pytest.mark.parametrize("kind", list(PREFIX_MAPS))
+def test_forward_from_prefix_is_bitwise_equal(kind):
+    rng = np.random.default_rng(47)
+    net = prefix_net(seed=1)
+    amap = AllocationMap.from_indices(7, PREFIX_MAPS[kind])
+    X = rng.normal(size=(9, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=9)
+    logits, cache = net.forward(X, amap)
+    grads = net.backward(cache, y)
+    for k in boundaries(net, amap):
+        p_logits, p_cache = net.forward(net.prefix(X, k), amap, start=k)
+        assert p_logits.tobytes() == logits.tobytes()
+        assert list(p_cache.acts) == list(cache.acts)
+        assert all(p_cache.acts[j].tobytes() == a.tobytes() for j, a in cache.acts.items())
+        assert list(p_cache.block_inputs) == list(cache.block_inputs)
+        assert all(p_cache.block_inputs[j].tobytes() == a.tobytes()
+                   for j, a in cache.block_inputs.items())
+        p_grads = net.backward(p_cache, y)
+        assert list(p_grads) == list(grads)
+        for j, (gn, gm) in grads.items():
+            assert p_grads[j][0].tobytes() == gn.tobytes()
+            assert p_grads[j][1].tobytes() == gm.tobytes()
+        assert net.evaluate(net.prefix(X, k), y, start=k) == net.evaluate(X, y)
+
+
+def test_prefix_zero_is_the_embedding_and_prefix_l_feeds_the_head():
+    net = small_net(num_blocks=4)
+    X = np.random.default_rng(53).normal(size=(5, net.input_dim))
+    assert net.prefix(X, 0).tobytes() == (X @ net.embed).tobytes()
+    logits, _ = net.forward(X, AllocationMap.empty(4))
+    assert (net.prefix(X, 4) @ net.head).tobytes() == logits.tobytes()
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sequential", "shuffled"])
+@pytest.mark.parametrize("kind", ["earliest-at-frozen", "earliest-above", "deepest"])
+def test_local_train_from_prefix_is_bitwise_equal(kind, shuffle):
+    # 37 rows in batches of 8: each epoch ends on a short batch of 5; the
+    # batches take their rows of the prefix computed over all 37 (batches of
+    # one row are never sliced from a prefix, see the row-subset test below)
+    rng = np.random.default_rng(59)
+    amap = AllocationMap.from_indices(7, PREFIX_MAPS[kind])
+    for trial in range(2):
+        net = prefix_net(seed=trial)
+        X = rng.normal(size=(37, net.input_dim))
+        y = rng.integers(0, net.num_classes, size=37)
+        order = lambda: np.random.default_rng(trial) if shuffle else None
+        kw = dict(epochs=2, batch_size=8, lr=0.3)
+        ref = net.clone()
+        d_ref = local_train(ref, X, y, amap, rng=order(), **kw)
+        for k in boundaries(net, amap):
+            new = net.clone()
+            d_new = local_train(new, net.prefix(X, k), y, amap, rng=order(), start=k, **kw)
+            assert list(d_new) == list(d_ref)
+            for j in d_ref:
+                assert d_new[j][0].tobytes() == d_ref[j][0].tobytes()
+                assert d_new[j][1].tobytes() == d_ref[j][1].tobytes()
+            assert new.frozen_below == ref.frozen_below == min(3, amap.earliest)
+
+
+def test_local_ig_scores_from_prefix_match():
+    rng = np.random.default_rng(61)
+    net = prefix_net(seed=2)
+    batches = [
+        (rng.normal(size=(n, net.input_dim)), rng.integers(0, net.num_classes, size=n))
+        for n in (8, 8, 3)
+    ]
+    for kind in ("earliest-at-frozen", "earliest-above", "deepest"):
+        amap = AllocationMap.from_indices(7, PREFIX_MAPS[kind])
+        expected = local_ig_scores(net, amap, batches, loss_scale=1.5)
+        for k in boundaries(net, amap):
+            started = [(net.prefix(X, k), y) for X, y in batches]
+            assert local_ig_scores(net, amap, started, loss_scale=1.5, start=k) == expected
+
+
+def test_start_above_frozen_below_or_earliest_is_rejected():
+    net = prefix_net(seed=3)  # frozen_below 3
+    rng = np.random.default_rng(67)
+    X = rng.normal(size=(4, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=4)
+    high = AllocationMap.from_indices(7, [5, 6])
+    low = AllocationMap.from_indices(7, [2, 6])
+    with pytest.raises(ValueError, match="frozen_below"):
+        net.prefix(X, 4)
+    a4 = small_net(seed=3, num_blocks=7).prefix(X, 4)  # a fresh twin may go higher
+    a2 = net.prefix(X, 2)
+    with pytest.raises(ValueError, match="frozen_below 3"):
+        net.forward(a4, high, start=4)  # above frozen_below
+    with pytest.raises(ValueError, match="earliest 2"):
+        net.forward(net.prefix(X, 3), low, start=3)  # above the earliest block
+    with pytest.raises(ValueError):
+        net.evaluate(a4, y, start=4)
+    with pytest.raises(ValueError):
+        local_ig_scores(net, high, [(a4, y)], start=4)
+    with pytest.raises(ValueError):
+        local_train(net.clone(), a4, y, high, epochs=1, batch_size=2, lr=0.1, start=4)
+    with pytest.raises(ValueError):
+        local_train(net.clone(), a2, y, AllocationMap.from_indices(7, [1]), epochs=1,
+                    batch_size=2, lr=0.1, start=2)
+    with pytest.raises(ValueError, match="activations"):
+        net.forward(X, high, start=0)  # features where activations belong
+    with pytest.raises(ValueError):
+        net.forward(a2, high, start=-1)
+    # a write below a kept prefix's boundary makes that start invalid
+    net.forward(a2, high, start=2)
+    net.set_lora_state({1: (net.N[1] + 0.1, net.M[1])})
+    with pytest.raises(ValueError, match="frozen_below 1"):
+        net.forward(a2, high, start=2)
+
+
+def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
+    net = small_net(num_blocks=6)
+    X = np.random.default_rng(71).normal(size=(3, net.input_dim))
+    full = AllocationMap.full(6)
+    assert net.frozen_below == 6
+    net.forward(X, full)  # builds every weight
+    built = list(net._weights)
+    arrays = (net.N, net.M)
+    version = net.version
+    # byte-equal factors, passed as fresh arrays: nothing moves but the version
+    net.set_lora_state({j: (net.N[j].copy(), net.M[j].copy()) for j in range(6)})
+    assert net.version == version + 1
+    assert net.frozen_below == 6
+    assert all(w is b for w, b in zip(net._weights, built))
+    assert all(a is b for a, b in zip(net.N + net.M, arrays[0] + arrays[1]))
+    # a change lowers frozen_below to the lowest changed block and drops only
+    # the changed blocks' weights
+    net.set_lora_state({4: (net.N[4], net.M[4] + 0.5), 5: (net.N[5], net.M[5])})
+    assert net.frozen_below == 4
+    assert net._weights[4] is None
+    assert all(net._weights[j] is built[j] for j in (0, 1, 2, 3, 5))
+    assert net.N[5] is arrays[0][5] and net.M[5] is arrays[1][5]
+    net.set_lora_state({5: (net.N[5] + 1.0, net.M[5])})
+    assert net.frozen_below == 4  # a higher change never raises it
+    net.set_lora_state({2: (net.N[2], net.M[2] - 0.25)})
+    assert net.frozen_below == 2
+    # a clone inherits it and lowers its own
+    twin = net.clone()
+    assert twin.frozen_below == 2
+    twin.set_lora_state({0: (twin.N[0], twin.M[0] + 0.1)})
+    assert (twin.frozen_below, net.frozen_below) == (0, 2)
+    # an SGD step at lr 0 writes byte-equal factors
+    before = net.frozen_below
+    local_train(net, X, np.zeros(3, dtype=int), AllocationMap.from_indices(6, [1]),
+                epochs=1, batch_size=2, lr=0.0)
+    assert net.frozen_below == before
+    with pytest.raises(ValueError, match="out of range"):
+        net.set_lora_state({-1: (net.N[5], net.M[5])})
+
+
+@pytest.mark.parametrize("hidden", [16, 32, 128])
+def test_row_subset_products_are_bitwise_equal(hidden):
+    # a cached training prefix over all of a client's rows is sliced into
+    # shuffled batches of two rows or more, so ``(A @ W)[idx]`` must equal
+    # ``A[idx] @ W`` byte for byte, through the tanh that follows too. This
+    # holds on the numpy/BLAS build the pinned digests were recorded with.
+    # A one-row batch is multiplied as a vector and may round differently,
+    # which is why the simulator never slices one from a prefix.
+    rng = np.random.default_rng(hidden)
+    embed = rng.normal(0, 1 / np.sqrt(32), (32, hidden))
+    W = rng.normal(0, 1 / np.sqrt(hidden), (hidden, hidden))
+    b = rng.normal(0, 0.1, hidden)
+    for n in [64 + r for r in range(2, 33)] + [250, 1000]:  # last batch of 2..32 rows
+        X = rng.normal(size=(n, 32))
+        A = np.tanh(X @ embed)
+        full_embed, full_act = X @ embed, np.tanh(A @ W + b)
+        for idx in np.array_split(rng.permutation(n), range(32, n, 32)):
+            assert (X[idx] @ embed).tobytes() == full_embed[idx].tobytes()
+            assert np.tanh(A[idx] @ W + b).tobytes() == full_act[idx].tobytes()
