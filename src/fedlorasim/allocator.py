@@ -5,26 +5,36 @@ memory capacity. Item weights are not constants: the byte cost of adding a
 module depends on what is already selected (the first pick pays the fixed
 parameter and context bill, and selecting a shallow module extends the static
 activation range). It depends on the map only through its earliest trainable
-block, so the greedy holds one cost vector (``memory.marginal_weights``) and
-rebuilds it only after the first pick and after a pick shallower than the
-current earliest block. Each step min-max normalizes the raw weights across
-the unselected set and picks the feasible candidate with the best
-value-to-normalized-weight ratio; the pick's raw weight is then checked
-against the ``marginal_weight`` oracle.
+block, so the greedy holds one int64 cost vector (``memory.marginal_weights``)
+and rebuilds it only after the first pick and after a pick shallower than the
+current earliest block. A bool mask marks the candidates, so each step's min
+and max are masked reductions over that vector. Each step min-max normalizes
+the raw weights across the candidates and picks the feasible one with the
+best value-to-normalized-weight ratio, ties going to the deeper block; the
+pick's raw weight is then checked against the ``marginal_weight`` oracle.
 
-Raw bytes decide feasibility; normalized weights only shape the ratio.
+Raw bytes decide feasibility; normalized weights only shape the ratio. Every
+cost stays below 2**53 (``KnapsackInstance`` checks the all-trainable map,
+the dearest), so a cost's distance from the cheapest converts to a float
+exactly and numpy's normalization gives the floats a per-candidate Python
+loop would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+
+import numpy as np
 
 from fedlorasim.memory import (
+    EXACT_COST_LIMIT,
     AllocationMap,
     MemoryBreakdown,
     ModelProfile,
+    check_batch,
+    check_exact_costs,
+    is_int,
     marginal_weight,
     marginal_weights,
     total_memory,
@@ -52,9 +62,10 @@ class KnapsackInstance:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        if not is_int(self.capacity_bytes) or self.capacity_bytes <= 0:
+            raise ValueError(f"capacity_bytes must be a positive int, got {self.capacity_bytes!r}")
+        check_batch(self.batch)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.capacity_bytes <= 0:
-            raise ValueError(f"capacity_bytes must be positive, got {self.capacity_bytes}")
         if len(self.values) != self.profile.num_blocks:
             raise ValueError(
                 f"values has {len(self.values)} entries, profile has {self.profile.num_blocks} blocks"
@@ -62,6 +73,7 @@ class KnapsackInstance:
         for j, v in enumerate(self.values):
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"values[{j}] must be finite and >= 0, got {v}")
+        check_exact_costs(self.profile, self.batch)
 
 
 @dataclass(frozen=True)
@@ -91,59 +103,56 @@ class AllocationResult:
         }
 
 
-def _normalize(raw: dict[int, int]) -> dict[int, float]:
-    """Min-max scale raw weights into [RATIO_EPS, 1] across the candidate set.
-
-    Equal weights all map to 1 so selection degrades to ranking by value.
-    """
-    lo = min(raw.values())
-    hi = max(raw.values())
-    if hi == lo:
-        return {j: 1.0 for j in raw}
-    span = hi - lo
-    return {j: RATIO_EPS + (1.0 - RATIO_EPS) * (w - lo) / span for j, w in raw.items()}
-
-
-def _greedy(instance: KnapsackInstance, forced_first: int | None = None):
+def _greedy(instance: KnapsackInstance, values: np.ndarray, singles: np.ndarray,
+            forced_first: int | None = None):
     profile = instance.profile
     batch = instance.batch
     amap = AllocationMap.empty(profile.num_blocks)
     residual = instance.capacity_bytes
     trace: list[SelectionStep] = []
-    weights = marginal_weights(profile, batch, None)
+    price = singles
+    candidate = np.ones(profile.num_blocks, dtype=bool)
     first = None
     for step in range(profile.num_blocks):
-        candidates = [j for j in range(profile.num_blocks) if not amap.bits[j]]
-        raw = {j: weights[j] for j in candidates}
-        norm = _normalize(raw)
-        feasible = [j for j in candidates if raw[j] <= residual]
-        if not feasible:
+        lo = int(price.min(where=candidate, initial=EXACT_COST_LIMIT))
+        if lo > residual:
             break
+        # min-max scale into [RATIO_EPS, 1]; equal weights all map to 1 so
+        # selection degrades to ranking by value
+        hi = int(price.max(where=candidate, initial=0))
+        if hi == lo:
+            norm = np.ones(len(price))
+        else:
+            norm = RATIO_EPS + (1.0 - RATIO_EPS) * (price - lo) / (hi - lo)
+        ratio = values / norm
         if step == 0 and forced_first is not None:
             pick = forced_first
         else:
-            # max ratio; ties go to the deeper block, which never extends
-            # the static range and so preserves future budget
-            pick = max(feasible, key=lambda j: (instance.values[j] / norm[j], j))
+            # max ratio among the feasible; ties go to the deeper block, which
+            # never extends the static range and so preserves future budget
+            feasible = np.where(candidate & (price <= residual), ratio, -np.inf)
+            pick = len(feasible) - 1 - int(feasible[::-1].argmax())
+        cost = int(price[pick])
         oracle = marginal_weight(profile, amap, pick, batch)
-        if oracle != raw[pick]:
+        if oracle != cost:
             raise CostVectorMismatch(
-                f"block {pick}: cost vector gives {raw[pick]} B, marginal_weight gives {oracle} B"
+                f"block {pick}: cost vector gives {cost} B, marginal_weight gives {oracle} B"
             )
         trace.append(
             SelectionStep(
                 step=step,
                 block=pick,
-                raw_weight_bytes=raw[pick],
-                normalized_weight=norm[pick],
-                ratio=instance.values[pick] / norm[pick],
+                raw_weight_bytes=cost,
+                normalized_weight=float(norm[pick]),
+                ratio=float(ratio[pick]),
             )
         )
-        residual -= raw[pick]
+        residual -= cost
         amap = amap.with_block(pick)
+        candidate[pick] = False
         if first is None or pick < first:
             first = pick
-            weights = marginal_weights(profile, batch, first)
+            price = np.asarray(marginal_weights(profile, batch, first), dtype=np.int64)
     return amap, tuple(trace)
 
 
@@ -164,18 +173,17 @@ def optimize_allocation(instance: KnapsackInstance) -> AllocationResult:
             f"fixed footprint {base.total_bytes} B exceeds capacity {instance.capacity_bytes} B"
         )
 
-    amap, trace = _greedy(instance)
+    values = np.array(instance.values)
+    singles = np.asarray(marginal_weights(profile, instance.batch, None), dtype=np.int64)
+    amap, trace = _greedy(instance, values, singles)
     total_value = sum(instance.values[j] for j in amap.trainable_indices)
 
-    best_j, best_v = None, 0.0
-    singles = marginal_weights(profile, instance.batch, None)
-    for j in range(profile.num_blocks):
-        w = singles[j]
-        v = instance.values[j]
-        if w <= instance.capacity_bytes and (best_j is None or (v, j) > (best_v, best_j)):
-            best_j, best_v = j, v
-    if best_j is not None and best_v > total_value:
-        amap, trace = _greedy(instance, forced_first=best_j)
+    # the best single feasible module (values are >= 0, so -1 marks one
+    # that does not fit); ties go to the deeper block
+    fitting = np.where(singles <= instance.capacity_bytes, values, -1.0)
+    best_j = len(fitting) - 1 - int(fitting[::-1].argmax())
+    if fitting[best_j] > total_value:
+        amap, trace = _greedy(instance, values, singles, forced_first=best_j)
         total_value = sum(instance.values[j] for j in amap.trainable_indices)
 
     memory = total_memory(profile, amap, instance.batch)

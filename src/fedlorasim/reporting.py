@@ -14,13 +14,22 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from fedlorasim.memory import is_int
+
 REQUIRED_ROW_KEYS = (
     "round", "accuracy", "loss", "participants", "mean_utilization", "layer_counts", "clients",
 )
 
+#: Row keys whose values the tables average.
+NUMBER_ROW_KEYS = ("accuracy", "loss", "mean_utilization")
+
 
 class ReportError(ValueError):
     """Input files are missing, malformed, or mutually inconsistent."""
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_metrics(path: str | Path) -> list[dict]:
@@ -40,10 +49,20 @@ def load_metrics(path: str | Path) -> list[dict]:
             missing = [k for k in REQUIRED_ROW_KEYS if k not in row]
             if missing:
                 raise ReportError(f"{path}:{lineno}: missing keys {missing}")
+            for key in NUMBER_ROW_KEYS:
+                if not _is_number(row[key]):
+                    raise ReportError(f"{path}:{lineno}: {key} must be a number, got {row[key]!r}")
+            if not is_int(row["participants"]):
+                raise ReportError(f"{path}:{lineno}: participants must be an int, "
+                                  f"got {row['participants']!r}")
             counts = row["layer_counts"]
             if not isinstance(counts, list) or (rows and len(counts) != len(rows[0]["layer_counts"])):
                 raise ReportError(f"{path}:{lineno}: layer_counts must be a list as long as "
                                   f"the first row's")
+            bad = [j for j, c in enumerate(counts) if not is_int(c)]
+            if bad:
+                raise ReportError(f"{path}:{lineno}: layer_counts[{bad[0]}] must be an int, "
+                                  f"got {counts[bad[0]]!r}")
             rows.append(row)
     if not rows:
         raise ReportError(f"{path}: no metrics rows")

@@ -74,7 +74,9 @@ class ScoreHistory:
 
     Each buffer holds (round, mean) pairs for the last ``window`` rounds in
     which at least one client trained the module; older entries are evicted
-    as updates arrive.
+    as updates arrive. Each buffer's mean is computed once per change, by
+    ``update_history`` or ``from_jsonable``, and read by every client's
+    ``value_function``.
     """
 
     def __init__(self, num_blocks: int, window: int):
@@ -83,15 +85,16 @@ class ScoreHistory:
         self.num_blocks = num_blocks
         self.window = window
         self._buffers: list[deque[tuple[int, float]]] = [deque() for _ in range(num_blocks)]
+        self._means = [0.0] * num_blocks
+
+    def _refresh(self) -> None:
+        self._means = [sum(m for _, m in buf) / len(buf) if buf else 0.0 for buf in self._buffers]
 
     def is_empty(self) -> bool:
         return all(len(b) == 0 for b in self._buffers)
 
     def temporal_mean(self, j: int) -> float:
-        buf = self._buffers[j]
-        if not buf:
-            return 0.0
-        return sum(m for _, m in buf) / len(buf)
+        return self._means[j]
 
     def to_jsonable(self) -> dict:
         return {
@@ -105,6 +108,7 @@ class ScoreHistory:
         h = cls(d["num_blocks"], d["window"])
         for j, buf in enumerate(d["buffers"]):
             h._buffers[j] = deque((int(r), float(m)) for r, m in buf)
+        h._refresh()
         return h
 
 
@@ -124,6 +128,7 @@ def update_history(history: ScoreHistory, records: Sequence[IGScoreRecord], roun
     for buf in history._buffers:
         while buf and buf[0][0] <= cutoff:
             buf.popleft()
+    history._refresh()
     return history
 
 
@@ -142,13 +147,7 @@ def value_function(
     l = history.num_blocks
     if history.is_empty() and client_record is None:
         return [1.0] * l
-    values = []
-    for j in range(l):
-        local = 0.0
-        if client_record is not None:
-            local = client_record.module_scores.get(j, 0.0)
-        m_prev = 0
-        if prev_allocation is not None and prev_allocation.bits[j]:
-            m_prev = 1
-        values.append((local + history.temporal_mean(j)) / (m_prev + 1))
-    return values
+    scores = client_record.module_scores if client_record is not None else {}
+    held = prev_allocation.bits if prev_allocation is not None else (False,) * l
+    return [(scores.get(j, 0.0) + mean) / (2 if held[j] else 1)
+            for j, mean in enumerate(history._means)]

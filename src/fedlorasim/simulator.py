@@ -38,9 +38,8 @@ from fedlorasim.data import (
     SyntheticTask,
     generate,
     partition,
-    split_batches,
 )
-from fedlorasim.memory import AllocationMap, ModelProfile, naive_map, total_memory
+from fedlorasim.memory import AllocationMap, ModelProfile, naive_costs, naive_map, total_memory
 from fedlorasim.scoring import IGScoreRecord, ScoreHistory, local_ig_scores, update_history, value_function
 from fedlorasim.toymodel import ToyLoRANet, local_train
 
@@ -63,15 +62,32 @@ def derive_rng(seed: int, *keys: int) -> np.random.Generator:
 
 @dataclass
 class ClientSpec:
+    """One client: its budget, its local data, and the rows of that data
+    its IG scoring batches take, one index array per batch."""
+
     id: int
     level: int
     capacity_bytes: int
     data: LabeledData
-    ig_batches: list
+    ig_rows: list[np.ndarray]
 
     def __post_init__(self):
         if self.capacity_bytes <= 0:
             raise ValueError(f"client {self.id}: capacity must be positive")
+
+    @property
+    def ig_batches(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The IG scoring batches as (features, labels)."""
+        return [(self.data.X[rows], self.data.y[rows]) for rows in self.ig_rows]
+
+    def has_one_row_training_batch(self, batch_size: int) -> bool:
+        """Whether a training batch has a single row (see ``PrefixCache``)."""
+        return batch_size == 1 or len(self.data) % batch_size == 1
+
+    @property
+    def has_one_row_ig_batch(self) -> bool:
+        """Whether an IG batch has a single row (see ``PrefixCache``)."""
+        return any(len(rows) == 1 for rows in self.ig_rows)
 
 
 @dataclass
@@ -192,17 +208,10 @@ def assign_capacities(num_clients: int, levels: dict[int, int],
 
 def max_feasible_naive_u(profile: ModelProfile, kind: str, batch: int, capacity: int) -> int | None:
     """Largest u whose naive map fits, or None when even u=0 does not."""
-    if total_memory(profile, naive_map(profile.num_blocks, kind, 0), batch).total_bytes > capacity:
-        return None
-    lo, hi = 0, profile.num_blocks
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        cost = total_memory(profile, naive_map(profile.num_blocks, kind, mid), batch).total_bytes
-        if cost <= capacity:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    costs = naive_costs(profile, kind, batch)
+    # costs rise with u; a capacity past the last one fits every u
+    u = int(np.searchsorted(costs, min(capacity, int(costs[-1])), side="right")) - 1
+    return None if u < 0 else u
 
 
 def baseline_allocation(strategy: str, capacity_bytes: int, profile: ModelProfile,
@@ -274,35 +283,44 @@ def build_clients(config: ExperimentConfig):
     placements = assign_capacities(config.clients.num_clients, levels, config.clients.capacity_ratio)
 
     clients = []
+    b = config.clients.batch_size
     for cid, ((lvl, cap), local) in enumerate(zip(placements, parts)):
         rng = derive_rng(config.seed, _IG_DRAW, cid)
         n_ig = min(config.ig_dataset_size, len(local))
         idx = rng.choice(len(local), size=n_ig, replace=False)
-        ig = local.subset(idx)
         clients.append(ClientSpec(
             id=cid,
             level=lvl,
             capacity_bytes=cap,
             data=local,
-            ig_batches=split_batches(ig.X, ig.y, config.clients.batch_size),
+            ig_rows=[idx[lo : lo + b] for lo in range(0, n_ig, b)],
         ))
     return clients, test, profile, levels, manifest
 
 
 class PrefixCache:
-    """Frozen-prefix activations of the inputs that stay fixed over a run.
+    """Frozen-prefix activations of the inputs that stay fixed over a run,
+    and the inputs of each client update.
 
-    For each input set (a client's IG batches or local data, the test set)
-    one entry holds a boundary k and the activations entering block k,
-    computed from the global net by ``ToyLoRANet.prefix``. An entry serves
-    while k is at most the net's ``frozen_below`` and the allocation's
-    earliest block; otherwise it is recomputed at the lower of the two.
-    Each IG batch and the test set go through the prefix whole, as a
-    forward from the features takes them. A client's training batches are
-    rows of one prefix over all its data, so that prefix is kept only when
-    it is no larger than the features (hidden_size <= input_dim) and no
-    batch has a single row: numpy multiplies a one-row batch as a vector,
-    which can round differently from that row of a matrix product.
+    For a client's local data and for the test set, one entry holds a
+    boundary k and the activations entering block k, computed from the
+    global net by ``ToyLoRANet.prefix``. An entry serves while k is at most
+    the net's ``frozen_below`` and the allocation's earliest block;
+    otherwise it is recomputed at the lower of the two. The test set goes
+    through the prefix whole, as a forward from the features takes it.
+    A client's training prefix is kept only when it is no larger than the
+    features (hidden_size <= input_dim); otherwise its updates start from
+    the features.
+
+    A client update starts at the client's own earliest trainable block e,
+    which may lie above ``frozen_below``: its clone of the global net
+    computes, once, the activations entering e for all the client's rows,
+    from the training prefix or the features. Its training batches and its
+    IG batches are rows of that array. Numpy multiplies a one-row batch as a
+    vector, which can round differently from that row of a matrix product:
+    a client with a one-row training batch runs its whole update from the
+    features, and one with a one-row IG batch scores from the features but
+    still trains from e.
     Derived state: never checkpointed and never written to a run's files.
     """
 
@@ -318,20 +336,22 @@ class PrefixCache:
             entry = self._entries[key] = (bound, [net.prefix(X, bound) for X in inputs])
         return entry
 
-    def ig_batches(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap):
-        """(start, the client's IG batches as activations entering block start)."""
-        start, acts = self.get(("ig", client.id), net, amap.earliest,
-                               [X for X, _ in client.ig_batches])
-        return start, [(a, y) for a, (_, y) in zip(acts, client.ig_batches)]
-
-    def train_data(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap,
-                   batch_size: int):
-        """(start, the client's training inputs); start is None for raw features."""
-        one_row_batch = batch_size == 1 or len(client.data) % batch_size == 1
-        if net.hidden_size > net.input_dim or one_row_batch:
-            return None, client.data.X
-        start, (acts,) = self.get(("train", client.id), net, amap.earliest, [client.data.X])
-        return start, acts
+    def update_inputs(self, client: ClientSpec, net: ToyLoRANet, local: ToyLoRANet,
+                      amap: AllocationMap, batch_size: int):
+        """(training start, training inputs, IG start, IG batches) of one
+        client update, where ``local`` is a clone of ``net`` not yet
+        written; a start is None for raw features."""
+        if client.has_one_row_training_batch(batch_size):
+            return None, client.data.X, None, client.ig_batches
+        e = amap.earliest
+        if net.hidden_size > net.input_dim:
+            acts = local.lift_boundary(client.data.X, e)
+        else:
+            k, (A,) = self.get(("train", client.id), net, e, [client.data.X])
+            acts = local.lift_boundary(A, e, start=k)
+        if client.has_one_row_ig_batch:
+            return e, acts, None, client.ig_batches
+        return e, acts, e, [(acts[rows], client.data.y[rows]) for rows in client.ig_rows]
 
     def test_set(self, test: LabeledData, net: ToyLoRANet):
         start, (acts,) = self.get("test", net, None, [test.X])
@@ -414,12 +434,11 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
             )
         local_net = net.clone()
         t0 = time.perf_counter()
-        k, ig_batches = prefixes.ig_batches(client, net, amap)
-        scores = local_ig_scores(local_net, amap, ig_batches, start=k)
+        k, train_X, ig_k, ig_batches = prefixes.update_inputs(client, net, local_net, amap, b)
+        scores = local_ig_scores(local_net, amap, ig_batches, start=ig_k)
         t1 = time.perf_counter()
         phase["score"] += t1 - t0
         records.append(IGScoreRecord(round=t, client_id=cid, module_scores=scores))
-        k, train_X = prefixes.train_data(client, net, amap, b)
         deltas = local_train(
             local_net, train_X, client.data.y, amap,
             epochs=config.epochs, batch_size=b, lr=config.lr,

@@ -32,6 +32,23 @@ arithmetic, and ``forward``, ``evaluate``, ``local_train`` and
 ``local_ig_scores`` take it in place of the features (``start=k``) and run
 only blocks k and up. Backward never goes below the earliest trainable
 block, so k may not exceed that block either.
+
+A clone may start higher than ``frozen_below``. ``stable_below`` is the
+highest start a net accepts. It equals ``frozen_below`` in a net built by
+``__init__`` and in a fresh clone, and falls with it on every write that
+changes a lower block. A net not yet written since it was built or cloned
+may ``lift_boundary`` to any block k: it computes the activation entering k
+and raises ``stable_below`` to k. A client's clone does this once at its own
+earliest trainable block, then scores and trains from there, since its
+writes land on that block and above.
+
+The start check vouches for the blocks, not for the array: at a start up to
+``frozen_below`` it holds for an activation computed by any net built on the
+same base, since every block below still holds its initial adapters. Above
+``frozen_below`` it holds only for the activation that net's own
+``lift_boundary`` returned, and rows of it; the net cannot tell where an
+array came from, so an activation computed elsewhere (by the global net in
+an earlier round, say) is the caller's to keep out.
 """
 
 from __future__ import annotations
@@ -105,6 +122,8 @@ class ToyLoRANet:
         self.version = 0
         #: lowest block whose adapters a write has changed; L while none has
         self.frozen_below = num_blocks
+        #: highest start this net accepts; see the module docstring
+        self.stable_below = num_blocks
 
         rng = np.random.default_rng(seed)
         h = hidden_size
@@ -129,7 +148,8 @@ class ToyLoRANet:
         """The one writer of the adapters. A block whose given factors equal
         the held ones byte for byte keeps its arrays and built weight; a
         changed block stores read-only copies, drops its built weight and
-        lowers ``frozen_below``. ``version`` moves on every call."""
+        lowers ``frozen_below`` and ``stable_below``. ``version`` moves on
+        every call."""
         changed = {}
         for j, (n, m) in state.items():
             if not 0 <= j < self.num_blocks:
@@ -148,14 +168,19 @@ class ToyLoRANet:
                 self._weights[j] = None
             self.N, self.M = tuple(N), tuple(M)
             self.frozen_below = min(self.frozen_below, *changed)
+            self.stable_below = min(self.stable_below, *changed)
         self.version += 1
 
     def clone(self) -> "ToyLoRANet":
-        """Independent copy sharing every (read-only) array and built weight."""
+        """Independent copy sharing every (read-only) array and built weight.
+
+        The clone accepts starts up to its ``frozen_below`` only: the
+        activations its source computed above that may be stale."""
         other = object.__new__(ToyLoRANet)
         other.__dict__.update(self.__dict__)
         other._weights = list(self._weights)
         other.version = 0
+        other.stable_below = self.frozen_below
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
@@ -163,30 +188,70 @@ class ToyLoRANet:
 
     # ---- forward / loss / backward -----------------------------------------
 
-    def prefix(self, X: np.ndarray, k: int) -> np.ndarray:
-        """The activation entering block k for features X, with forward's
-        arithmetic; k may not exceed ``frozen_below``, so the result stays
-        valid for this net and its clones until a write changes a block
-        below k, which lowers ``frozen_below`` under it."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
-        if not 0 <= k <= self.frozen_below:
-            raise ValueError(f"prefix boundary {k} is outside 0..{self.frozen_below} (frozen_below)")
+    def prefix(self, X: np.ndarray, k: int, start: int | None = None) -> np.ndarray:
+        """The activation entering block k, with forward's arithmetic.
+
+        X holds features, or with ``start`` the activations entering that
+        block (a start ``forward`` accepts, at most k). k may not exceed
+        ``stable_below``, so the result stays valid for this net, and for
+        its clones when k is at most ``frozen_below``, until a write changes
+        a block below k.
+        """
+        return self._run_prefix(X, k, start, self.stable_below)
+
+    def lift_boundary(self, X: np.ndarray, k: int, start: int | None = None) -> np.ndarray:
+        """``prefix(X, k, start)`` for any block k, on a net not written since
+        it was built or cloned; k then becomes the highest start it accepts,
+        for the returned activation and rows of it (see the module
+        docstring), until a write changes a block below k."""
+        if self.version != 0:
+            raise ValueError("only a net not written since it was built or cloned "
+                             "may lift its boundary")
+        a = self._run_prefix(X, k, start, self.num_blocks)
+        self.stable_below = max(self.stable_below, k)
+        return a
+
+    def _run_prefix(self, X: np.ndarray, k: int, start: int | None, top: int) -> np.ndarray:
+        """The activation entering block k, for k at most ``top``."""
+        if start is None:
+            X = np.asarray(X, dtype=np.float64)
+            if X.ndim != 2 or X.shape[1] != self.input_dim:
+                raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
+            a, start = X @ self.embed, 0
+        else:
+            a = self._start_activations(X, start)
+        if not start <= k <= top:
+            raise ValueError(f"prefix boundary {k} is outside {start}..{top} "
+                             f"(frozen_below {self.frozen_below}, "
+                             f"stable_below {self.stable_below})")
         weights = self._weights
-        a = X @ self.embed
-        for j in range(k):
+        for j in range(start, k):
             if weights[j] is None:
                 weights[j] = self.effective_weight(j)
             a = np.tanh(a @ weights[j] + self.b[j])
         return a
+
+    def _start_activations(self, A: np.ndarray, start: int,
+                           earliest: int | None = None) -> np.ndarray:
+        """``A`` as float64 activations entering block ``start``, which may
+        exceed neither ``stable_below`` nor ``earliest``."""
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2 or A.shape[1] != self.hidden_size:
+            raise ValueError(
+                f"expected activations of shape (n, {self.hidden_size}), got {A.shape}")
+        top = self.stable_below if earliest is None else min(self.stable_below, earliest)
+        if not 0 <= start <= top:
+            raise ValueError(f"start block {start} is outside 0..{top} "
+                             f"(frozen_below {self.frozen_below}, "
+                             f"stable_below {self.stable_below}, earliest {earliest})")
+        return A
 
     def forward(self, X: np.ndarray, allocation: AllocationMap,
                 start: int | None = None) -> tuple[np.ndarray, ForwardCache]:
         """Logits and the cache backward needs; builds the missing weights.
 
         X holds features, or with ``start=k`` the activations entering block
-        k (``prefix(features, k)``), when k is at most ``frozen_below`` and
+        k (``prefix(features, k)``), when k is at most ``stable_below`` and
         the allocation's earliest block.
         """
         if len(allocation) != self.num_blocks:
@@ -197,14 +262,7 @@ class ToyLoRANet:
         if start is None:
             a, start = self.prefix(X, 0), 0
         else:
-            a = np.asarray(X, dtype=np.float64)
-            if a.ndim != 2 or a.shape[1] != self.hidden_size:
-                raise ValueError(
-                    f"expected activations of shape (n, {self.hidden_size}), got {a.shape}")
-            top = self.frozen_below if first is None else min(self.frozen_below, first)
-            if not 0 <= start <= top:
-                raise ValueError(f"start block {start} is outside 0..{top} "
-                                 f"(frozen_below {self.frozen_below}, earliest {first})")
+            a = self._start_activations(X, start, first)
         trainable = set(allocation.trainable_indices)
         weights = self._weights
         acts: dict[int, np.ndarray] = {}

@@ -2,7 +2,8 @@
 
 Random profile generation, a vectorized exhaustive cost enumerator used as
 an independent oracle by the allocator tests, a reference greedy that
-prices every candidate through ``marginal_weight``, a reference toy-model
+prices every candidate through ``marginal_weight`` and normalizes one Python
+float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
 used and recomputes tanh in backward, and a central difference that perturbs
 one adapter entry through ``set_lora_state``.
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedlorasim.allocator import (
+    RATIO_EPS,
     AllocationResult,
     InfeasibleClientError,
     KnapsackInstance,
     SelectionStep,
-    _normalize,
 )
 from fedlorasim.memory import AllocationMap, ModelProfile, marginal_weight, total_memory
 
@@ -89,6 +90,17 @@ def enumerate_costs(profile: ModelProfile, batch: int, maps: np.ndarray | None =
 def cost_of(profile: ModelProfile, bits, batch: int) -> int:
     """Scalar convenience wrapper over total_memory for tests."""
     return total_memory(profile, AllocationMap.from_bits(bits), batch).total_bytes
+
+
+def _normalize(raw: dict[int, int]) -> dict[int, float]:
+    """Min-max scale raw weights into [RATIO_EPS, 1] across the candidate set,
+    one Python float per candidate; equal weights all map to 1."""
+    lo = min(raw.values())
+    hi = max(raw.values())
+    if hi == lo:
+        return {j: 1.0 for j in raw}
+    span = hi - lo
+    return {j: RATIO_EPS + (1.0 - RATIO_EPS) * (w - lo) / span for j, w in raw.items()}
 
 
 def _reference_greedy(instance: KnapsackInstance, forced_first: int | None = None):

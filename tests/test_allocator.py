@@ -202,6 +202,43 @@ def test_instance_validation():
         KnapsackInstance(p, 10**9, 1, (float("nan"),) + (1.0,) * 11)
 
 
+def test_instance_rejects_non_int_capacity_and_batch_when_built():
+    p = reference_vit_profile()
+    values = (1.0,) * 12
+    for capacity in (True, 24e9, 24.0 * GB, "24000000000", None, -5):
+        with pytest.raises(ValueError, match="capacity_bytes must be a positive int"):
+            KnapsackInstance(p, capacity, 496, values)
+    for batch in (True, 496.0, "496", 0, np.int64(496)):
+        with pytest.raises(ValueError, match="batch must be a positive int"):
+            KnapsackInstance(p, 24 * GB, batch, values)
+
+
+def test_instance_rejects_costs_from_2_to_the_53():
+    # below 2**53 every cost converts to a float exactly, which is what makes
+    # the array normalization equal the per-candidate one
+    def profile(frozen):
+        return ModelProfile(num_blocks=3, hidden_size=1, seq_len=1, lora_rank=1,
+                            bytes_per_elem=1, optimizer_states=1, frozen_param_bytes=frozen,
+                            lora_param_count_per_block=1, static_act_per_sample=(1, 1, 1),
+                            dynamic_act_per_sample=(1, 1, 1), context_bytes=0)
+
+    rest = total_memory(profile(0), AllocationMap.full(3), 1).total_bytes
+    top = profile(2**53 - 1 - rest)
+    assert total_memory(top, AllocationMap.full(3), 1).total_bytes == 2**53 - 1
+    res = optimize_allocation(KnapsackInstance(top, 2**53 - 1, 1, (1.0, 2.0, 3.0)))
+    assert res.as_dict() == reference_allocation(KnapsackInstance(top, 2**53 - 1, 1,
+                                                                  (1.0, 2.0, 3.0))).as_dict()
+    assert res.map.count == 3
+    with pytest.raises(ValueError, match="below 2\\*\\*53"):
+        KnapsackInstance(profile(2**53 - rest), 2**60, 1, (1.0, 2.0, 3.0))
+
+
+def test_capacity_beyond_every_cost_fits_everything():
+    p = reference_vit_profile()
+    res = optimize_allocation(KnapsackInstance(p, 2**80, 496, (1.0,) * 12))
+    assert res.map == AllocationMap.full(12)
+
+
 def test_result_serializes():
     p = reference_vit_profile()
     res = optimize_allocation(KnapsackInstance(p, 24 * GB, 496, (1.0,) * 12))

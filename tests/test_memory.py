@@ -17,6 +17,8 @@ from fedlorasim.memory import (
     VIT_CONTEXT_MB_BY_LEVEL,
     marginal_weight,
     marginal_weights,
+    max_cost,
+    naive_costs,
     naive_map,
     profile_from_config,
     reference_vit_profile,
@@ -204,6 +206,76 @@ def test_allocation_map_basics():
         AllocationMap.from_bitstring("10a1")
     with pytest.raises(ValueError):
         AllocationMap.from_bitstring("")
+
+
+def test_allocation_map_accepts_only_0_1_bits_and_names_the_first_other():
+    for bad, j in (([2, 0, -1], 0), ([1, 0, 3], 2), (np.array([0.5, 0]), 0),
+                   ((1, 1.0), 1), ((True, "1"), 1), ((0, None), 1), ((np.float64(1.0),), 0)):
+        with pytest.raises(ValueError, match=f"allocation bit {j} must be 0 or 1"):
+            AllocationMap.from_bits(bad)
+        with pytest.raises(ValueError, match=f"allocation bit {j} must be 0 or 1"):
+            AllocationMap(tuple(bad))
+    # bools and Python or numpy ints of 0/1 are bits, e.g. fedra_random's int64 draws
+    draws = np.random.default_rng(0).integers(0, 2, size=12)
+    assert AllocationMap.from_bits(draws).bits == tuple(bool(b) for b in draws)
+    for bits in ((1, 0, 1), (True, False, True), np.array([1, 0, 1], dtype=np.uint8),
+                 np.array([True, False, True])):
+        m = AllocationMap.from_bits(bits)
+        assert m.bits == (True, False, True) and m.trainable_indices == (0, 2)
+    with pytest.raises(ValueError, match="at least one block"):
+        AllocationMap.from_bits([])
+
+
+def test_from_indices_rejects_indices_that_are_not_ints():
+    for bad in (1.5, True, np.bool_(True), "1", 2.0):
+        with pytest.raises(ValueError, match="block indices must be ints"):
+            AllocationMap.from_indices(4, [0, bad])
+    assert AllocationMap.from_indices(4, [np.int64(1), 3]).to_bitstring() == "0101"
+
+
+def test_allocation_map_indices_agree_on_every_construction_path():
+    for l in range(1, 7):
+        for code in range(1 << l):
+            bits = tuple(bool((code >> j) & 1) for j in range(l))
+            idx = tuple(j for j in range(l) if bits[j])
+            maps = [AllocationMap(bits), AllocationMap.from_bits(list(bits)),
+                    AllocationMap.from_indices(l, idx),
+                    AllocationMap.from_bitstring("".join("1" if b else "0" for b in bits))]
+            if idx:
+                base = AllocationMap.from_indices(l, idx[1:])
+                maps.append(base.with_block(idx[0]))
+            for m in maps:
+                assert m == maps[0] and hash(m) == hash(maps[0])
+                assert m.bits == bits and m.trainable_indices == idx
+                assert m.earliest == (idx[0] if idx else None) and m.count == len(idx)
+    assert AllocationMap.full(3).trainable_indices == (0, 1, 2)
+    assert AllocationMap.empty(3).trainable_indices == ()
+
+
+def test_closed_forms_match_total_memory():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        p = make_random_profile(rng)
+        batch = int(rng.integers(1, 64))
+        l = p.num_blocks
+        assert max_cost(p, batch) == total_memory(p, AllocationMap.full(l), batch).total_bytes
+        for kind in ("ms", "mh"):
+            costs = naive_costs(p, kind, batch)
+            assert costs.dtype == np.int64
+            assert costs.tolist() == [total_memory(p, naive_map(l, kind, u), batch).total_bytes
+                                      for u in range(l + 1)]
+        for first in (None, *range(l)):
+            w = marginal_weights(p, batch, first)
+            assert w.dtype == np.int64 and w.shape == (l,)
+    with pytest.raises(ValueError, match="'ms' or 'mh'"):
+        naive_costs(reference_vit_profile(), "full", 1)
+
+
+def test_cost_vectors_refuse_costs_from_2_to_the_53():
+    p = dataclasses.replace(reference_vit_profile(), frozen_param_bytes=2**53)
+    for price in (lambda: marginal_weights(p, 1, None), lambda: naive_costs(p, "ms", 1)):
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            price()
 
 
 def test_profile_validation():

@@ -1,0 +1,126 @@
+"""Property tests: the array allocator against its oracles, and client
+updates from the per-client boundary against updates from the features.
+
+Hypothesis draws the cases; runs are derandomized so every run of the suite
+checks the same examples.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
+
+from conftest import all_maps, enumerate_costs, reference_allocation  # noqa: E402
+from fedlorasim.allocator import KnapsackInstance, optimize_allocation  # noqa: E402
+from fedlorasim.data import LabeledData  # noqa: E402
+from fedlorasim.memory import AllocationMap, ModelProfile, marginal_weight, total_memory  # noqa: E402
+from fedlorasim.scoring import local_ig_scores  # noqa: E402
+from fedlorasim.simulator import ClientSpec, PrefixCache  # noqa: E402
+from fedlorasim.toymodel import ToyLoRANet, local_train  # noqa: E402
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def instances(draw) -> KnapsackInstance:
+    l = draw(st.integers(1, 12))
+    per_block = lambda: st.lists(st.integers(0, 5000), min_size=l, max_size=l)
+    dynamic = draw(st.one_of(per_block(), st.integers(0, 5000).map(lambda d: [d] * l)))
+    profile = ModelProfile(
+        num_blocks=l,
+        hidden_size=draw(st.integers(1, 64)),
+        seq_len=draw(st.integers(1, 64)),
+        lora_rank=draw(st.integers(1, 8)),
+        bytes_per_elem=draw(st.sampled_from([1, 2, 4, 8])),
+        optimizer_states=draw(st.integers(0, 3)),
+        frozen_param_bytes=draw(st.integers(0, 10**7)),
+        lora_param_count_per_block=draw(st.integers(0, 10**4)),
+        static_act_per_sample=tuple(draw(per_block())),
+        dynamic_act_per_sample=tuple(dynamic),
+        context_bytes=draw(st.integers(0, 10**7)),
+    )
+    batch = draw(st.integers(1, 64))
+    lo = total_memory(profile, AllocationMap.empty(l), batch).total_bytes
+    hi = total_memory(profile, AllocationMap.full(l), batch).total_bytes
+    capacity = draw(st.integers(max(lo, 1), hi + 1))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                      st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(value, min_size=l, max_size=l))
+    return KnapsackInstance(profile, capacity, batch, tuple(values))
+
+
+@PROPERTY
+@given(instances())
+def test_allocation_matches_reference_and_is_feasible_maximal_and_bounded(inst):
+    res = optimize_allocation(inst)
+    assert res.as_dict() == reference_allocation(inst).as_dict()
+
+    p, l = inst.profile, inst.profile.num_blocks
+    used = total_memory(p, res.map, inst.batch).total_bytes
+    assert used == res.memory.total_bytes <= inst.capacity_bytes
+    residual = inst.capacity_bytes - used
+    for j in range(l):
+        if not res.map.bits[j]:
+            assert marginal_weight(p, res.map, j, inst.batch) > residual
+
+    maps = all_maps(l)
+    fits = enumerate_costs(p, inst.batch, maps) <= inst.capacity_bytes
+    best = (maps[fits] @ np.asarray(inst.values)).max()
+    assert res.total_value <= best + 1e-9
+
+
+@st.composite
+def client_updates(draw):
+    l = draw(st.integers(1, 7))
+    hidden = draw(st.sampled_from([3, 8, 16]))
+    input_dim = draw(st.sampled_from([4, 8]))  # both sides of the training-prefix rule
+    batch = draw(st.integers(2, 12))
+    n = draw(st.integers(2, 50).filter(lambda n: n % batch != 1))
+    n_ig = draw(st.integers(1, n))  # a one-row IG batch scores from the features
+    bits = draw(st.lists(st.booleans(), min_size=l, max_size=l).filter(any))
+    changed = draw(st.sets(st.integers(0, l - 1), max_size=3))
+    return l, hidden, input_dim, batch, n, n_ig, bits, sorted(changed), draw(st.integers(0, 2**16))
+
+
+@PROPERTY
+@given(client_updates())
+# 37 rows in batches of 8 end each epoch on 5; 21 IG rows end on 5 too
+@example((5, 8, 8, 8, 37, 21, [False, False, True, False, True], [1], 3))
+@example((5, 8, 8, 8, 37, 17, [False, False, True, False, True], [1], 3))  # IG ends on 1
+def test_update_from_the_client_boundary_equals_update_from_features(case):
+    l, hidden, input_dim, batch, n, n_ig, bits, changed, seed = case
+    rng = np.random.default_rng(seed)
+    net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=2, input_dim=input_dim,
+                     num_classes=3, lora_alpha=None, seed=seed)
+    # earlier rounds changed some blocks, which sets frozen_below
+    net.set_lora_state({j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in changed})
+    data = LabeledData(rng.normal(size=(n, input_dim)), rng.integers(0, 3, size=n))
+    ig = rng.choice(n, size=n_ig, replace=False)
+    client = ClientSpec(id=0, level=1, capacity_bytes=1, data=data,
+                        ig_rows=[ig[lo : lo + batch] for lo in range(0, n_ig, batch)])
+    assert not client.has_one_row_training_batch(batch)
+    amap = AllocationMap.from_bits(bits)
+    kw = dict(epochs=2, batch_size=batch, lr=0.3)
+
+    ref = net.clone()
+    ref_scores = local_ig_scores(ref, amap, client.ig_batches)
+    ref_deltas = local_train(ref, data.X, data.y, amap, rng=np.random.default_rng(seed), **kw)
+
+    cache = PrefixCache()
+    for _ in range(2):  # a cold cache, then the entry the first update left
+        local = net.clone()
+        start, X, ig_start, ig_batches = cache.update_inputs(client, net, local, amap, batch)
+        assert start == amap.earliest
+        assert ig_start == (None if client.has_one_row_ig_batch else start)
+        scores = local_ig_scores(local, amap, ig_batches, start=ig_start)
+        deltas = local_train(local, X, data.y, amap, rng=np.random.default_rng(seed),
+                             start=start, **kw)
+        assert scores == ref_scores
+        assert list(deltas) == list(ref_deltas)
+        for j, (dn, dm) in ref_deltas.items():
+            assert deltas[j][0].tobytes() == dn.tobytes()
+            assert deltas[j][1].tobytes() == dm.tobytes()

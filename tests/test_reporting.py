@@ -140,6 +140,29 @@ def test_short_layer_counts_row_is_a_report_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("accuracy", "high", "accuracy"),
+    ("accuracy", True, "accuracy"),
+    ("loss", None, "loss"),
+    ("mean_utilization", [0.5], "mean_utilization"),
+    ("participants", 2.0, "participants"),
+    ("participants", False, "participants"),
+    ("layer_counts", [2, 2, "2", 2], r"layer_counts\[2\]"),
+    ("layer_counts", [2, 2.5, 2, 2], r"layer_counts\[1\]"),
+])
+def test_wrongly_typed_row_value_is_a_report_error(tmp_path, capsys, key, value, named):
+    run = fake_run(tmp_path / "runs" / "r", rounds=3, layers=4)
+    metrics = run / "metrics.jsonl"
+    rows = [json.loads(s) for s in metrics.read_text().splitlines()]
+    rows[2][key] = value
+    metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ReportError, match=f"{metrics}:3: {named} must be"):
+        load_run(run)
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
+
+
 def test_single_run_summary_echoes_final_metrics(tmp_path):
     fake_run(tmp_path / "runs" / "a", seed=3, rounds=5)
     summaries = generate_report(tmp_path / "runs", tmp_path / "report")

@@ -217,7 +217,7 @@ def test_memory_safety_invariant_trips_on_oversized_map(monkeypatch):
     monkeypatch.setattr(sim, "_choose_allocation",
                         lambda *a, **k: naive_map(4, "full"))
     clients[0] = sim.ClientSpec(id=0, level=1, capacity_bytes=100,
-                                data=clients[0].data, ig_batches=clients[0].ig_batches)
+                                data=clients[0].data, ig_rows=clients[0].ig_rows)
     with pytest.raises(InvariantViolation):
         run_round(state, clients, net, test, profile, cfg)
 
@@ -419,34 +419,53 @@ def test_prefix_cache_is_reused_until_its_boundary_is_too_high():
 def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch():
     cfg = deep_config()
     clients, _, _, _, _ = build_clients(cfg)
+    client = clients[0]
     amap = naive_map(12, "ms", 3)
-    n = len(clients[0].data)
-    for hidden, batch, cached in ((8, 16, n % 16 != 1), (10, 16, n % 16 != 1),
-                                  (12, 16, False), (8, 1, False), (8, n, True),
-                                  (8, n - 1, False)):
+    n = len(client.data)
+    assert all(len(rows) >= 2 for rows in client.ig_rows)
+    # (hidden, batch, whether the update starts at block 9); input_dim is 10
+    for hidden, batch, boundary in ((8, 16, n % 16 != 1), (10, 16, n % 16 != 1),
+                                    (12, 16, n % 16 != 1), (8, 1, False), (8, n, True),
+                                    (8, n - 1, False)):
         net = ToyLoRANet(num_blocks=12, hidden_size=hidden, lora_rank=2, input_dim=10,
                          num_classes=5, lora_alpha=None, seed=0)
-        start, X = PrefixCache().train_data(clients[0], net, amap, batch)
-        if cached:
-            assert start == 9 and X.shape == (n, hidden)
+        net.set_lora_state({6: (net.N[6], net.M[6] + 0.1)})  # frozen_below 6
+        cache = PrefixCache()
+        local = net.clone()
+        start, X, ig_start, ig = cache.update_inputs(client, net, local, amap, batch)
+        assert ig_start == start
+        if boundary:
+            # the clone runs from its own earliest block, above frozen_below
+            assert start == 9 and local.stable_below == 9 and X.shape == (n, hidden)
+            assert X.tobytes() == net.clone().lift_boundary(client.data.X, 9).tobytes()
+            # the training prefix is kept only when no larger than the features
+            assert [k for k, _ in cache._entries.values()] == ([6] if hidden <= 10 else [])
+            for (a, y), rows in zip(ig, client.ig_rows, strict=True):
+                assert a.tobytes() == X[rows].tobytes()
+                assert y.tobytes() == client.data.y[rows].tobytes()
         else:
-            assert start is None and X is clients[0].data.X
-    # IG batches keep their labels and go through the blocks whole
+            assert start is None and X is client.data.X and not cache._entries
+            assert all(a.tobytes() == b.tobytes() and y.tobytes() == y0.tobytes()
+                       for (a, y), (b, y0) in zip(ig, client.ig_batches, strict=True))
+    # a one-row IG batch sends only the scoring back to the features
+    one_row = ClientSpec(id=0, level=1, capacity_bytes=1, data=client.data,
+                         ig_rows=[client.ig_rows[0], client.ig_rows[0][:1]])
+    assert one_row.has_one_row_ig_batch and not client.has_one_row_ig_batch
+    assert not one_row.has_one_row_training_batch(n) and one_row.has_one_row_training_batch(1)
     net = deep_net(cfg)
-    start, batches = PrefixCache().ig_batches(clients[0], net, amap)
-    assert start == 9
-    for (a, y), (X, y0) in zip(batches, clients[0].ig_batches, strict=True):
-        assert y is y0 and a.tobytes() == net.prefix(X, 9).tobytes()
+    local = net.clone()
+    start, X, ig_start, ig = PrefixCache().update_inputs(one_row, net, local, amap, n)
+    assert start == 9 and X.tobytes() == net.clone().lift_boundary(one_row.data.X, 9).tobytes()
+    assert ig_start is None
+    assert all(a.tobytes() == b.tobytes() and y.tobytes() == y0.tobytes()
+               for (a, y), (b, y0) in zip(ig, one_row.ig_batches, strict=True))
 
 
 class _FromFeatures(PrefixCache):
     """Every forward from the features: the run without the cache."""
 
-    def ig_batches(self, client, net, amap):
-        return None, client.ig_batches
-
-    def train_data(self, client, net, amap, batch_size):
-        return None, client.data.X
+    def update_inputs(self, client, net, local, amap, batch_size):
+        return None, client.data.X, None, client.ig_batches
 
     def test_set(self, test, net):
         return None, test.X
@@ -460,7 +479,7 @@ def test_run_from_prefixes_matches_run_from_features(aggregation, tmp_path, monk
     starts = []
     prefix = ToyLoRANet.prefix
     monkeypatch.setattr(ToyLoRANet, "prefix",
-                        lambda net, X, k: starts.append(k) or prefix(net, X, k))
+                        lambda net, X, k, start=None: starts.append(k) or prefix(net, X, k, start))
     run_experiment(cfg, tmp_path / "cached", quiet=True)
     assert max(starts) >= 6  # the cache did start mid-chain
     monkeypatch.setattr(sim, "PrefixCache", _FromFeatures)
@@ -473,7 +492,7 @@ def test_prefixes_are_built_in_rounds_and_never_checkpointed(tmp_path, monkeypat
     calls = []
     prefix = ToyLoRANet.prefix
     monkeypatch.setattr(ToyLoRANet, "prefix",
-                        lambda net, X, k: calls.append(k) or prefix(net, X, k))
+                        lambda net, X, k, start=None: calls.append(k) or prefix(net, X, k, start))
     run_experiment(deep_config(rounds=0), tmp_path / "setup", quiet=True)
     assert [k for k in calls if k > 0] == []  # set-up forwards from the features
     run_experiment(deep_config(rounds=2, checkpoint_every=1), tmp_path / "run", quiet=True)

@@ -510,6 +510,77 @@ def test_start_above_frozen_below_or_earliest_is_rejected():
         net.forward(a2, high, start=2)
 
 
+def test_unwritten_clone_starts_at_its_own_boundary_until_a_write_below_it():
+    net = prefix_net(seed=4)  # frozen_below 3
+    rng = np.random.default_rng(73)
+    X = rng.normal(size=(6, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=6)
+    amap = AllocationMap.from_indices(7, [5, 6])
+    assert net.stable_below == 3
+    with pytest.raises(ValueError, match="stable_below 3"):
+        net.prefix(X, 5)  # a written net vouches for nothing above frozen_below
+    with pytest.raises(ValueError, match="not written"):
+        net.lift_boundary(X, 5)
+    local = net.clone()
+    assert local.stable_below == 3
+    with pytest.raises(ValueError, match="stable_below 3"):
+        local.prefix(X, 5)  # prefix only computes; it never lifts the boundary
+    assert local.stable_below == 3
+    a5 = local.lift_boundary(net.prefix(X, 3), 5, start=3)  # continues from a kept prefix
+    assert local.stable_below == 5
+    assert a5.tobytes() == net.clone().lift_boundary(X, 5).tobytes()
+    assert local.prefix(X, 5).tobytes() == a5.tobytes()
+    logits, cache = net.forward(X, amap)
+    p_logits, p_cache = local.forward(a5, amap, start=5)
+    assert p_logits.tobytes() == logits.tobytes()
+    grads, p_grads = net.backward(cache, y), local.backward(p_cache, y)
+    assert all(p_grads[j][i].tobytes() == g[i].tobytes() for j, g in grads.items() for i in (0, 1))
+    # the clone's own training writes blocks 5 and up and keeps the start
+    local_train(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2, start=5)
+    assert local.stable_below == 5 and local.frozen_below == 3
+    with pytest.raises(ValueError, match="earliest 4"):
+        local.forward(a5, AllocationMap.from_indices(7, [4]), start=5)
+    with pytest.raises(ValueError, match="stable_below 5"):
+        local.prefix(X, 6)
+    with pytest.raises(ValueError, match="not written"):
+        local.lift_boundary(X, 6)  # written since it was cloned: no higher
+    # a clone of the clone vouches only for frozen_below
+    twin = local.clone()
+    assert twin.stable_below == 3
+    with pytest.raises(ValueError, match="stable_below 3"):
+        twin.forward(a5, amap, start=5)
+    # a write below the start makes it invalid
+    local.set_lora_state({4: (local.N[4], local.M[4] + 0.1)})
+    assert (local.stable_below, local.frozen_below) == (4, 3)
+    with pytest.raises(ValueError, match="stable_below 4"):
+        local.forward(a5, amap, start=5)
+    with pytest.raises(ValueError):
+        net.clone().prefix(X, 2, start=3)  # a prefix never runs backwards
+    with pytest.raises(ValueError):
+        net.clone().lift_boundary(net.prefix(X, 3), 2, start=3)
+
+
+def test_lifted_boundary_vouches_for_the_blocks_not_for_where_an_array_came_from():
+    net = small_net(seed=5, num_blocks=7)
+    rng = np.random.default_rng(79)
+    X = rng.normal(size=(4, net.input_dim))
+    amap = AllocationMap.from_indices(7, [5, 6])
+    stale = net.prefix(X, 4)  # the global net's, before a write below block 4
+    net.set_lora_state({2: (net.N[2], net.M[2] + 0.1)})  # frozen_below 2
+    local = net.clone()
+    with pytest.raises(ValueError, match="stable_below 2"):
+        local.forward(stale, amap, start=4)
+    own = local.lift_boundary(X, 5)
+    logits, _ = local.forward(X, amap)
+    assert local.forward(own, amap, start=5)[0].tobytes() == logits.tobytes()
+    # past frozen_below the check says only that the clone's blocks below the
+    # start are unchanged: it takes the stale array too, and gets other logits.
+    # Keeping foreign activations out is the caller's job (see the module
+    # docstring); PrefixCache passes only the clone's own.
+    stale_logits, _ = local.forward(stale, amap, start=4)
+    assert not np.array_equal(stale_logits, logits)
+
+
 def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
     net = small_net(num_blocks=6)
     X = np.random.default_rng(71).normal(size=(3, net.input_dim))
