@@ -431,6 +431,39 @@ def naive_costs(profile: ModelProfile, kind: str, batch: int) -> np.ndarray:
     return profile._fixed_bytes + profile._opt_bytes * u + batch * profile.bytes_per_elem * elems
 
 
+def map_costs(profile: ModelProfile, bits, batch: int) -> np.ndarray:
+    """``total_memory(...).total_bytes`` of every row of a (k, l) 0/1 matrix, as int64.
+
+    Row i is the map whose block j trains when ``bits[i, j]`` is 1. It is
+    priced in the closed form of ``marginal_weights`` and ``naive_costs``:
+    fixed bytes, optimizer bytes per trainable block, and per sample the
+    dynamic elements of the trainable blocks plus the static ones from the
+    earliest of them to the top. An all-zero row has earliest block l, where
+    ``static_tail_elems[l] = 0``, so it costs parameters plus context. One
+    call prices a whole batch of random draws without building a map or a
+    breakdown per row; ``total_memory`` stays the scalar reference.
+    """
+    check_exact_costs(profile, batch)
+    bits = np.asarray(bits)
+    l = profile.num_blocks
+    if bits.ndim != 2:
+        raise ValueError(f"bits must be a 2-D (maps, blocks) matrix, got shape {bits.shape}")
+    if bits.shape[1] != l:
+        raise MapMismatchError(f"bits has {bits.shape[1]} blocks per map, profile has {l}")
+    if bits.dtype != np.bool_:
+        if not np.issubdtype(bits.dtype, np.integer):
+            raise ValueError(f"bits must hold bools or ints, got dtype {bits.dtype}")
+        if bits.size and (bits.min() < 0 or bits.max() > 1):
+            i, j = np.argwhere((bits != 0) & (bits != 1))[0]
+            raise ValueError(f"bits[{i}, {j}] must be 0 or 1, got {bits[i, j]}")
+        # as bools, every int dtype prices in int64 (uint64 with int64 gives float64)
+        bits = bits.astype(np.bool_)
+    earliest = np.where(bits.any(axis=1), bits.argmax(axis=1), l)
+    elems = bits @ profile._dyn_array + profile._tail_array[earliest]
+    count = bits.sum(axis=1, dtype=np.int64)
+    return profile._fixed_bytes + profile._opt_bytes * count + batch * profile.bytes_per_elem * elems
+
+
 def naive_map(num_blocks: int, kind: str, u: int | None = None) -> AllocationMap:
     """Fixed allocation heuristics used as baselines.
 

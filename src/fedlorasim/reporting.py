@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,9 @@ REQUIRED_ROW_KEYS = (
 
 #: Row keys whose values the tables average.
 NUMBER_ROW_KEYS = ("accuracy", "loss", "mean_utilization")
+
+#: summary.json keys whose values the tables report.
+NUMBER_SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_utilization")
 
 
 class ReportError(ValueError):
@@ -50,8 +54,10 @@ def load_metrics(path: str | Path) -> list[dict]:
             if missing:
                 raise ReportError(f"{path}:{lineno}: missing keys {missing}")
             for key in NUMBER_ROW_KEYS:
-                if not _is_number(row[key]):
-                    raise ReportError(f"{path}:{lineno}: {key} must be a number, got {row[key]!r}")
+                # json reads NaN and Infinity, which no table may show
+                if not (_is_number(row[key]) and math.isfinite(row[key])):
+                    raise ReportError(f"{path}:{lineno}: {key} must be a finite number, "
+                                      f"got {row[key]!r}")
             if not is_int(row["participants"]):
                 raise ReportError(f"{path}:{lineno}: participants must be an int, "
                                   f"got {row['participants']!r}")
@@ -122,8 +128,11 @@ def load_run(run_dir: str | Path) -> RunRecord:
         )
     except KeyError as exc:
         raise ReportError(f"{summary_path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ReportError(f"{summary_path}: bad value ({exc})") from exc
+    for key in NUMBER_SUMMARY_KEYS:
+        if not math.isfinite(getattr(run, key)):
+            raise ReportError(f"{summary_path}: {key} must be finite, got {summary[key]!r}")
     if len(rows) != run.rounds + 1:
         raise ReportError(f"{metrics_path}: {len(rows)} rows, but summary.json says "
                           f"{run.rounds} rounds, which need {run.rounds + 1}")

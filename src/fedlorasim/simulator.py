@@ -39,7 +39,14 @@ from fedlorasim.data import (
     generate,
     partition,
 )
-from fedlorasim.memory import AllocationMap, ModelProfile, naive_costs, naive_map, total_memory
+from fedlorasim.memory import (
+    AllocationMap,
+    ModelProfile,
+    map_costs,
+    naive_costs,
+    naive_map,
+    total_memory,
+)
 from fedlorasim.scoring import IGScoreRecord, ScoreHistory, local_ig_scores, update_history, value_function
 from fedlorasim.toymodel import ToyLoRANet, local_train
 
@@ -216,7 +223,16 @@ def max_feasible_naive_u(profile: ModelProfile, kind: str, batch: int, capacity:
 
 def baseline_allocation(strategy: str, capacity_bytes: int, profile: ModelProfile,
                         batch: int, rng: np.random.Generator | None = None) -> AllocationMap | None:
-    """Non-knapsack allocation rules; None means the client sits out."""
+    """Non-knapsack allocation rules; None means the client sits out.
+
+    ``fedra_random`` keeps the first of up to 100 uniformly random maps that
+    fits, and falls back to the deepest ``ms`` map that fits when none does.
+    The 100 maps come from one (100, l) draw, priced at once by
+    ``map_costs``; only the map kept is built. The rows of that draw are the
+    maps 100 draws of l bits would give, in order. Drawing all 100 rows
+    changes no later draw, because ``rng`` is a stream of its own per
+    (seed, round, client) that nothing else reads.
+    """
     l = profile.num_blocks
     if strategy == "full":
         return naive_map(l, "full")
@@ -233,11 +249,10 @@ def baseline_allocation(strategy: str, capacity_bytes: int, profile: ModelProfil
     if strategy == "fedra_random":
         if rng is None:
             raise ValueError("fedra_random needs an rng")
-        for _ in range(100):
-            bits = rng.integers(0, 2, size=l)
-            amap = AllocationMap.from_bits(bits)
-            if total_memory(profile, amap, batch).total_bytes <= capacity_bytes:
-                return amap
+        draws = rng.integers(0, 2, size=(100, l))
+        fits = np.flatnonzero(map_costs(profile, draws, batch) <= capacity_bytes)
+        if fits.size:
+            return AllocationMap.from_bits(draws[fits[0]])
         u = max_feasible_naive_u(profile, "ms", batch, capacity_bytes)
         return None if u is None else naive_map(l, "ms", u)
     raise ValueError(f"unknown baseline strategy {strategy!r}")

@@ -5,8 +5,9 @@ an independent oracle by the allocator tests, a reference greedy that
 prices every candidate through ``marginal_weight`` and normalizes one Python
 float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
-used and recomputes tanh in backward, and a central difference that perturbs
-one adapter entry through ``set_lora_state``.
+used and recomputes tanh in backward, a central difference that perturbs
+one adapter entry through ``set_lora_state``, and the sequential
+``fedra_random`` sampler that prices one random map at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from fedlorasim.allocator import (
     KnapsackInstance,
     SelectionStep,
 )
-from fedlorasim.memory import AllocationMap, ModelProfile, marginal_weight, total_memory
+from fedlorasim.memory import (
+    AllocationMap,
+    ModelProfile,
+    marginal_weight,
+    naive_map,
+    total_memory,
+)
 
 
 def make_random_profile(
@@ -162,6 +169,27 @@ def reference_allocation(instance: KnapsackInstance) -> AllocationResult:
 
     memory = total_memory(profile, amap, instance.batch)
     return AllocationResult(map=amap, total_value=total_value, memory=memory, selection_trace=trace)
+
+
+def reference_fedra_random(capacity_bytes: int, profile: ModelProfile, batch: int,
+                            rng: np.random.Generator) -> tuple[AllocationMap | None, str]:
+    """Up to 100 draws of one random map each, priced one at a time through
+    ``total_memory``; the first that fits wins, else the deepest ``ms`` map
+    that fits, else None.
+
+    Returns the map and how it was reached: ``"first"`` (draw 1 fits),
+    ``"late"`` (a later draw fits), ``"fallback"`` or ``"none"``.
+    """
+    l = profile.num_blocks
+    for i in range(100):
+        amap = AllocationMap.from_bits(rng.integers(0, 2, size=l))
+        if total_memory(profile, amap, batch).total_bytes <= capacity_bytes:
+            return amap, "first" if i == 0 else "late"
+    for u in range(l, -1, -1):
+        amap = naive_map(l, "ms", u)
+        if total_memory(profile, amap, batch).total_bytes <= capacity_bytes:
+            return amap, "fallback"
+    return None, "none"
 
 
 @dataclass

@@ -15,6 +15,7 @@ from fedlorasim.memory import (
     MemoryBreakdown,
     ProfileValidationError,
     VIT_CONTEXT_MB_BY_LEVEL,
+    map_costs,
     marginal_weight,
     marginal_weights,
     max_cost,
@@ -273,9 +274,23 @@ def test_closed_forms_match_total_memory():
 
 def test_cost_vectors_refuse_costs_from_2_to_the_53():
     p = dataclasses.replace(reference_vit_profile(), frozen_param_bytes=2**53)
-    for price in (lambda: marginal_weights(p, 1, None), lambda: naive_costs(p, "ms", 1)):
+    for price in (lambda: marginal_weights(p, 1, None), lambda: naive_costs(p, "ms", 1),
+                  lambda: map_costs(p, np.zeros((1, 12), dtype=bool), 1)):
         with pytest.raises(ValueError, match="below 2\\*\\*53"):
             price()
+
+
+@pytest.mark.parametrize("bits, named", [
+    (np.zeros(12, dtype=np.int64), r"2-D .* shape \(12,\)"),
+    (np.zeros((2, 3, 12), dtype=np.int64), r"2-D .* shape \(2, 3, 12\)"),
+    (np.zeros((2, 11), dtype=np.int64), "11 blocks per map, profile has 12"),
+    (np.zeros((2, 12)), "bools or ints, got dtype float64"),
+    (np.array([[0] * 12, [1] * 11 + [2]]), r"bits\[1, 11\] must be 0 or 1, got 2"),
+    (np.array([[0, -1] + [0] * 10]), r"bits\[0, 1\] must be 0 or 1, got -1"),
+])
+def test_map_costs_name_what_is_wrong_with_the_matrix(bits, named):
+    with pytest.raises(ValueError, match=named):
+        map_costs(reference_vit_profile(), bits, 8)
 
 
 def test_profile_validation():

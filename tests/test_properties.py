@@ -1,5 +1,6 @@
-"""Property tests: the array allocator against its oracles, and client
-updates from the per-client boundary against updates from the features.
+"""Property tests: the array allocator against its oracles, batched map
+prices against ``total_memory``, and client updates from the per-client
+boundary against updates from the features.
 
 Hypothesis draws the cases; runs are derandomized so every run of the suite
 checks the same examples.
@@ -16,7 +17,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st  
 from conftest import all_maps, enumerate_costs, reference_allocation  # noqa: E402
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation  # noqa: E402
 from fedlorasim.data import LabeledData  # noqa: E402
-from fedlorasim.memory import AllocationMap, ModelProfile, marginal_weight, total_memory  # noqa: E402
+from fedlorasim.memory import (  # noqa: E402
+    AllocationMap,
+    ModelProfile,
+    map_costs,
+    marginal_weight,
+    total_memory,
+)
 from fedlorasim.scoring import local_ig_scores  # noqa: E402
 from fedlorasim.simulator import ClientSpec, PrefixCache  # noqa: E402
 from fedlorasim.toymodel import ToyLoRANet, local_train  # noqa: E402
@@ -26,11 +33,11 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 @st.composite
-def instances(draw) -> KnapsackInstance:
+def profiles(draw) -> ModelProfile:
     l = draw(st.integers(1, 12))
     per_block = lambda: st.lists(st.integers(0, 5000), min_size=l, max_size=l)
     dynamic = draw(st.one_of(per_block(), st.integers(0, 5000).map(lambda d: [d] * l)))
-    profile = ModelProfile(
+    return ModelProfile(
         num_blocks=l,
         hidden_size=draw(st.integers(1, 64)),
         seq_len=draw(st.integers(1, 64)),
@@ -43,6 +50,12 @@ def instances(draw) -> KnapsackInstance:
         dynamic_act_per_sample=tuple(dynamic),
         context_bytes=draw(st.integers(0, 10**7)),
     )
+
+
+@st.composite
+def instances(draw) -> KnapsackInstance:
+    profile = draw(profiles())
+    l = profile.num_blocks
     batch = draw(st.integers(1, 64))
     lo = total_memory(profile, AllocationMap.empty(l), batch).total_bytes
     hi = total_memory(profile, AllocationMap.full(l), batch).total_bytes
@@ -71,6 +84,20 @@ def test_allocation_matches_reference_and_is_feasible_maximal_and_bounded(inst):
     fits = enumerate_costs(p, inst.batch, maps) <= inst.capacity_bytes
     best = (maps[fits] @ np.asarray(inst.values)).max()
     assert res.total_value <= best + 1e-9
+
+
+@PROPERTY
+@given(profiles(), st.integers(1, 64), st.data())
+def test_map_costs_price_every_row_as_total_memory_does(profile, batch, data):
+    l = profile.num_blocks
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), max_size=8))
+    rows.insert(data.draw(st.integers(0, len(rows))), [False] * l)
+    want = [total_memory(profile, AllocationMap.from_bits(r), batch).total_bytes for r in rows]
+    for dtype in (bool, np.int64, np.uint8, np.uint64):
+        bits = np.array(rows, dtype=dtype)
+        costs = map_costs(profile, bits, batch)
+        assert costs.dtype == np.int64
+        assert costs.tolist() == want
 
 
 @st.composite

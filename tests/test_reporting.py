@@ -163,6 +163,48 @@ def test_wrongly_typed_row_value_is_a_report_error(tmp_path, capsys, key, value,
     assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
 
 
+@pytest.mark.parametrize("key", ["accuracy", "loss", "mean_utilization"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_row_value_is_a_report_error_before_anything_is_written(
+        tmp_path, capsys, key, value):
+    run = fake_run(tmp_path / "runs" / "r", rounds=3, layers=4)
+    metrics = run / "metrics.jsonl"
+    rows = [json.loads(s) for s in metrics.read_text().splitlines()]
+    rows[2][key] = value
+    metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))  # NaN/Infinity tokens
+    with pytest.raises(ReportError, match=f"{metrics}:3: {key} must be a finite number"):
+        load_metrics(metrics)
+    out = tmp_path / "rep"
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {metrics}:3: {key} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["final_accuracy", "best_accuracy", "mean_utilization"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_summary_value_is_a_report_error_before_anything_is_written(
+        tmp_path, capsys, key, value):
+    run = fake_run(tmp_path / "runs" / "r")
+    summary = run / "summary.json"
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), key: value}))
+    with pytest.raises(ReportError, match=f"{summary}: {key} must be finite"):
+        load_run(run)
+    out = tmp_path / "rep"
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {summary}: {key} ")
+    assert not out.exists()
+
+
+def test_infinite_seed_in_summary_is_a_report_error(tmp_path):
+    run = fake_run(tmp_path / "r")
+    summary = run / "summary.json"
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), "seed": float("inf")}))
+    with pytest.raises(ReportError, match=f"{summary}: bad value"):
+        load_run(run)
+
+
 def test_single_run_summary_echoes_final_metrics(tmp_path):
     fake_run(tmp_path / "runs" / "a", seed=3, rounds=5)
     summaries = generate_report(tmp_path / "runs", tmp_path / "report")

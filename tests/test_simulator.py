@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import make_random_profile, reference_fedra_random
 from fedlorasim.config import ClientConfig, ExperimentConfig, ModelConfig, PartitionConfig
 from fedlorasim.memory import AllocationMap, naive_map, total_memory
 from fedlorasim.simulator import (
@@ -161,6 +162,30 @@ def test_fedra_fallback_when_random_maps_never_fit():
     empty_cost = total_memory(p, AllocationMap.empty(4), b).total_bytes
     amap = baseline_allocation("fedra_random", empty_cost, p, b, derive_rng(0, 3, 1, 0))
     assert amap is not None and amap.count == 0
+
+
+def test_fedra_random_keeps_the_map_the_sequential_sampler_keeps():
+    # the batched draw rests on numpy giving one (100, l) draw the same rows
+    # as 100 draws of l; the reference makes the 100 draws one by one
+    rng = np.random.default_rng(9)
+    outcomes = set()
+    zero_kept = False
+    for l in (1, 4, 12, 96):
+        for _ in range(3):
+            p = make_random_profile(rng, min_blocks=l, max_blocks=l)
+            b = int(rng.integers(1, 16))
+            lo = total_memory(p, AllocationMap.empty(l), b).total_bytes
+            hi = total_memory(p, AllocationMap.full(l), b).total_bytes
+            caps = {lo - 1, lo, hi, *(int(c) for c in rng.integers(lo, hi + 1, size=6))}
+            for cap in sorted(caps):
+                for t in range(4):
+                    ref, how = reference_fedra_random(cap, p, b, derive_rng(5, 3, t, l))
+                    got = baseline_allocation("fedra_random", cap, p, b, derive_rng(5, 3, t, l))
+                    assert got == ref, (l, cap, t, how)
+                    outcomes.add(how)
+                    zero_kept |= how in ("first", "late") and ref.count == 0
+    assert outcomes == {"first", "late", "fallback", "none"}
+    assert zero_kept
 
 
 def test_build_clients_disjoint_data_and_bounded_ig_sets():
