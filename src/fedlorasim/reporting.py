@@ -27,6 +27,10 @@ NUMBER_ROW_KEYS = ("accuracy", "loss", "mean_utilization")
 #: summary.json keys whose values the tables report.
 NUMBER_SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_utilization")
 
+#: summary.json keys that name a run, by the type they hold.
+STRING_SUMMARY_KEYS = ("strategy", "aggregation", "distribution")
+INT_SUMMARY_KEYS = ("seed", "rounds")
+
 
 class ReportError(ValueError):
     """Input files are missing, malformed, or mutually inconsistent."""
@@ -58,9 +62,9 @@ def load_metrics(path: str | Path) -> list[dict]:
                 if not (_is_number(row[key]) and math.isfinite(row[key])):
                     raise ReportError(f"{path}:{lineno}: {key} must be a finite number, "
                                       f"got {row[key]!r}")
-            if not is_int(row["participants"]):
-                raise ReportError(f"{path}:{lineno}: participants must be an int, "
-                                  f"got {row['participants']!r}")
+            for key in ("round", "participants"):
+                if not is_int(row[key]):
+                    raise ReportError(f"{path}:{lineno}: {key} must be an int, got {row[key]!r}")
             counts = row["layer_counts"]
             if not isinstance(counts, list) or (rows and len(counts) != len(rows[0]["layer_counts"])):
                 raise ReportError(f"{path}:{lineno}: layer_counts must be a list as long as "
@@ -113,26 +117,30 @@ def load_run(run_dir: str | Path) -> RunRecord:
         raise ReportError(f"{summary_path}: must hold a JSON object")
     metrics_path = run_dir / "metrics.jsonl"
     rows = load_metrics(metrics_path)
-    try:
-        run = RunRecord(
-            path=str(run_dir),
-            strategy=summary["strategy"],
-            aggregation=summary["aggregation"],
-            distribution=summary["distribution"],
-            seed=int(summary["seed"]),
-            rounds=int(summary["rounds"]),
-            final_accuracy=float(summary["final_accuracy"]),
-            best_accuracy=float(summary["best_accuracy"]),
-            mean_utilization=float(summary["mean_utilization"]),
-            rows=tuple(rows),
-        )
-    except KeyError as exc:
-        raise ReportError(f"{summary_path}: missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ReportError(f"{summary_path}: bad value ({exc})") from exc
+    for keys, ok, kind in ((STRING_SUMMARY_KEYS, lambda v: isinstance(v, str), "a string"),
+                           (INT_SUMMARY_KEYS, is_int, "an int"),
+                           (NUMBER_SUMMARY_KEYS, _is_number, "a number")):
+        for key in keys:
+            if key not in summary:
+                raise ReportError(f"{summary_path}: missing key {key!r}")
+            if not ok(summary[key]):
+                raise ReportError(f"{summary_path}: bad value: {key} must be {kind}, "
+                                  f"got {summary[key]!r}")
     for key in NUMBER_SUMMARY_KEYS:
-        if not math.isfinite(getattr(run, key)):
+        if not math.isfinite(summary[key]):
             raise ReportError(f"{summary_path}: {key} must be finite, got {summary[key]!r}")
+    run = RunRecord(
+        path=str(run_dir),
+        strategy=summary["strategy"],
+        aggregation=summary["aggregation"],
+        distribution=summary["distribution"],
+        seed=summary["seed"],
+        rounds=summary["rounds"],
+        final_accuracy=float(summary["final_accuracy"]),
+        best_accuracy=float(summary["best_accuracy"]),
+        mean_utilization=float(summary["mean_utilization"]),
+        rows=tuple(rows),
+    )
     if len(rows) != run.rounds + 1:
         raise ReportError(f"{metrics_path}: {len(rows)} rows, but summary.json says "
                           f"{run.rounds} rounds, which need {run.rounds + 1}")

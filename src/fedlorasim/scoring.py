@@ -45,13 +45,12 @@ def local_ig_scores(
     allocation: AllocationMap,
     batches: Sequence[tuple[np.ndarray, np.ndarray]],
     loss_scale: float = 1.0,
-    start: int | None = None,
 ) -> dict[int, float]:
     """Per-module squared gradient norms summed over the scoring batches.
 
     Returns {block: score} for trainable blocks only; an all-frozen
-    allocation yields an empty dict. A batch holds features, or with
-    ``start`` the activations entering that block (see ``ToyLoRANet.forward``).
+    allocation yields an empty dict. A batch holds features or
+    ``Activations`` (see ``ToyLoRANet.forward``).
     """
     if len(batches) == 0:
         raise ValueError("scoring dataset is empty")
@@ -59,7 +58,7 @@ def local_ig_scores(
     for bi, (X, y) in enumerate(batches):
         if len(X) == 0:
             raise ValueError(f"scoring batch {bi} is empty")
-        logits, cache = net.forward(X, allocation, start)
+        logits, cache = net.forward(X, allocation)
         grads = net.backward(cache, y, loss_scale=loss_scale)
         for j, (gn, gm) in grads.items():
             s = float((gn * gn).sum() + (gm * gm).sum())

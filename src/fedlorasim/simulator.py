@@ -48,7 +48,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import IGScoreRecord, ScoreHistory, local_ig_scores, update_history, value_function
-from fedlorasim.toymodel import ToyLoRANet, local_train
+from fedlorasim.toymodel import Activations, ToyLoRANet, local_train
 
 # purpose tags for derived RNG streams
 _SAMPLING = 1
@@ -317,60 +317,58 @@ class PrefixCache:
     """Frozen-prefix activations of the inputs that stay fixed over a run,
     and the inputs of each client update.
 
-    For a client's local data and for the test set, one entry holds a
-    boundary k and the activations entering block k, computed from the
-    global net by ``ToyLoRANet.prefix``. An entry serves while k is at most
-    the net's ``frozen_below`` and the allocation's earliest block;
-    otherwise it is recomputed at the lower of the two. The test set goes
-    through the prefix whole, as a forward from the features takes it.
-    A client's training prefix is kept only when it is no larger than the
-    features (hidden_size <= input_dim); otherwise its updates start from
-    the features.
+    For a client's local data and for the test set, one entry holds the
+    ``Activations`` the global net's ``prefix`` computed. An entry serves
+    while the net accepts it and it enters no block above the allocation's
+    earliest one; otherwise it is computed again at the lower of
+    ``frozen_below`` and that block, so that it outlives the round. The
+    test set goes through the prefix whole, as a forward from the features
+    takes it. A client's training prefix is kept only when it is no larger
+    than the features (hidden_size <= input_dim); otherwise its updates
+    start from the features.
 
     A client update starts at the client's own earliest trainable block e,
-    which may lie above ``frozen_below``: its clone of the global net
-    computes, once, the activations entering e for all the client's rows,
-    from the training prefix or the features. Its training batches and its
-    IG batches are rows of that array. Numpy multiplies a one-row batch as a
-    vector, which can round differently from that row of a matrix product:
-    a client with a one-row training batch runs its whole update from the
-    features, and one with a one-row IG batch scores from the features but
-    still trains from e.
+    which may lie above ``frozen_below``: the global net computes, once, the
+    activations entering e for all the client's rows, from the training
+    prefix or the features, and the client's clone accepts them because its
+    writes land on e and above. Its training batches and its IG batches are
+    rows of that array. Numpy multiplies a one-row batch as a vector, which
+    can round differently from that row of a matrix product: a client with
+    a one-row training batch runs its whole update from the features, and
+    one with a one-row IG batch scores from the features but still trains
+    from e.
     Derived state: never checkpointed and never written to a run's files.
     """
 
     def __init__(self):
-        self._entries: dict[object, tuple[int, list[np.ndarray]]] = {}
+        self._entries: dict[object, Activations] = {}
 
-    def get(self, key, net: ToyLoRANet, earliest: int | None,
-            inputs: list[np.ndarray]) -> tuple[int, list[np.ndarray]]:
-        """(k, activations entering block k for each of ``inputs``)."""
-        bound = net.frozen_below if earliest is None else min(net.frozen_below, earliest)
+    def get(self, key, net: ToyLoRANet, earliest: int | None, X: np.ndarray) -> Activations:
+        """Activations of ``X`` that ``net`` accepts, entering a block up to
+        ``earliest``."""
+        top = net.num_blocks if earliest is None else earliest
         entry = self._entries.get(key)
-        if entry is None or entry[0] > bound:
-            entry = self._entries[key] = (bound, [net.prefix(X, bound) for X in inputs])
+        if entry is None or entry.block > top or not net.accepts(entry):
+            entry = self._entries[key] = net.prefix(X, min(net.frozen_below, top))
         return entry
 
-    def update_inputs(self, client: ClientSpec, net: ToyLoRANet, local: ToyLoRANet,
-                      amap: AllocationMap, batch_size: int):
-        """(training start, training inputs, IG start, IG batches) of one
-        client update, where ``local`` is a clone of ``net`` not yet
-        written; a start is None for raw features."""
+    def update_inputs(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap,
+                      batch_size: int):
+        """(training inputs, IG batches) of one client update from the global
+        ``net``: features or ``Activations`` that clones of ``net`` accept."""
         if client.has_one_row_training_batch(batch_size):
-            return None, client.data.X, None, client.ig_batches
+            return client.data.X, client.ig_batches
         e = amap.earliest
-        if net.hidden_size > net.input_dim:
-            acts = local.lift_boundary(client.data.X, e)
-        else:
-            k, (A,) = self.get(("train", client.id), net, e, [client.data.X])
-            acts = local.lift_boundary(A, e, start=k)
+        X = client.data.X
+        if net.hidden_size <= net.input_dim:
+            X = self.get(("train", client.id), net, e, X)
+        acts = net.prefix(X, e)
         if client.has_one_row_ig_batch:
-            return e, acts, None, client.ig_batches
-        return e, acts, e, [(acts[rows], client.data.y[rows]) for rows in client.ig_rows]
+            return acts, client.ig_batches
+        return acts, [(acts[rows], client.data.y[rows]) for rows in client.ig_rows]
 
-    def test_set(self, test: LabeledData, net: ToyLoRANet):
-        start, (acts,) = self.get("test", net, None, [test.X])
-        return start, acts
+    def test_set(self, test: LabeledData, net: ToyLoRANet) -> Activations:
+        return self.get("test", net, None, test.X)
 
 
 def init_state(config: ExperimentConfig, net: ToyLoRANet) -> GlobalState:
@@ -449,15 +447,15 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
             )
         local_net = net.clone()
         t0 = time.perf_counter()
-        k, train_X, ig_k, ig_batches = prefixes.update_inputs(client, net, local_net, amap, b)
-        scores = local_ig_scores(local_net, amap, ig_batches, start=ig_k)
+        train_X, ig_batches = prefixes.update_inputs(client, net, amap, b)
+        scores = local_ig_scores(local_net, amap, ig_batches)
         t1 = time.perf_counter()
         phase["score"] += t1 - t0
         records.append(IGScoreRecord(round=t, client_id=cid, module_scores=scores))
         deltas = local_train(
             local_net, train_X, client.data.y, amap,
             epochs=config.epochs, batch_size=b, lr=config.lr,
-            rng=derive_rng(config.seed, _TRAIN, t, cid), start=k,
+            rng=derive_rng(config.seed, _TRAIN, t, cid),
         )
         phase["train"] += time.perf_counter() - t1
         collected.append((cid, deltas, amap))
@@ -487,8 +485,7 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     phase["aggregate"] = t1 - t0
 
     net.set_lora_state(state.params)
-    k, test_X = prefixes.test_set(test, net)
-    loss, acc = net.evaluate(test_X, test.y, k)
+    loss, acc = net.evaluate(prefixes.test_set(test, net), test.y)
     phase["evaluate"] = time.perf_counter() - t1
     layer_counts = [
         sum(1 for _, _, amap in collected if amap.bits[j]) for j in range(profile.num_blocks)

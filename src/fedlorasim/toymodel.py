@@ -23,36 +23,24 @@ weight, a write that changes them drops the built weight, and the next
 with its source until its own writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
-initial network is exactly the frozen base. ``frozen_below`` is the lowest
-block whose adapters a write has ever changed (L while none has; it never
-rises, and a clone inherits it). The blocks below it still hold their
-initial adapters, so for fixed inputs the activation entering any block
-k <= ``frozen_below`` is fixed too: ``prefix`` computes it with forward's
-arithmetic, and ``forward``, ``evaluate``, ``local_train`` and
-``local_ig_scores`` take it in place of the features (``start=k``) and run
-only blocks k and up. Backward never goes below the earliest trainable
-block, so k may not exceed that block either.
-
-A clone may start higher than ``frozen_below``. ``stable_below`` is the
-highest start a net accepts. It equals ``frozen_below`` in a net built by
-``__init__`` and in a fresh clone, and falls with it on every write that
-changes a lower block. A net not yet written since it was built or cloned
-may ``lift_boundary`` to any block k: it computes the activation entering k
-and raises ``stable_below`` to k. A client's clone does this once at its own
-earliest trainable block, then scores and trains from there, since its
-writes land on that block and above.
-
-The start check vouches for the blocks, not for the array: at a start up to
-``frozen_below`` it holds for an activation computed by any net built on the
-same base, since every block below still holds its initial adapters. Above
-``frozen_below`` it holds only for the activation that net's own
-``lift_boundary`` returned, and rows of it; the net cannot tell where an
-array came from, so an activation computed elsewhere (by the global net in
-an earlier round, say) is the caller's to keep out.
+initial network is exactly the frozen base. Each write that changes a block
+gives it a fresh tick of one process-wide clock, and a clone inherits the
+ticks. ``prefix(X, k)`` returns the activations entering block k as
+``Activations`` stamped with the ticks of blocks 0..k-1 and the identity of
+the frozen base, and a net ``accepts`` them while its own ticks below k are
+the stamp: while its blocks below k hold exactly the writes they were
+computed through. ``forward``, ``evaluate``, ``local_train`` and
+``local_ig_scores`` take features, or accepted ``Activations`` entering a
+block up to the earliest trainable one (backward never goes below it), and
+run only the blocks from there up. Activations entering a block up to
+``frozen_below``, the lowest block a write has ever changed, outlive a
+round; a client's clone accepts its source's activations at its own
+earliest trainable block, since its writes land on that block and above.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +58,31 @@ class NonFiniteLossError(ArithmeticError):
 
 #: LoRA parameter state: block index -> (N, M) float64 arrays.
 LoraState = dict[int, tuple[np.ndarray, np.ndarray]]
+
+#: Ticks for adapter writes; unique across every net in the process, so
+#: equal ticks mean one write, inherited by clones.
+_write_clock = itertools.count(1)
+
+
+@dataclass(frozen=True, eq=False)
+class Activations:
+    """Read-only activations entering ``block``, made by ``ToyLoRANet.prefix``:
+    ``base`` identifies the frozen weights of the net that computed them and
+    its clones, ``stamp`` that net's write ticks of blocks 0..block-1 then.
+    ``acts[rows]`` keeps all three."""
+
+    block: int
+    data: np.ndarray
+    base: object
+    stamp: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, rows) -> "Activations":
+        data = self.data[rows]
+        data.setflags(write=False)
+        return Activations(self.block, data, self.base, self.stamp)
 
 
 @dataclass
@@ -120,10 +133,10 @@ class ToyLoRANet:
         self.lora_alpha = float(lora_rank if lora_alpha is None else lora_alpha)
         self.scale = self.lora_alpha / lora_rank
         self.version = 0
-        #: lowest block whose adapters a write has changed; L while none has
-        self.frozen_below = num_blocks
-        #: highest start this net accepts; see the module docstring
-        self.stable_below = num_blocks
+        #: write tick of each block's adapters, 0 while unchanged; see ``accepts``
+        self._changed_at = (0,) * num_blocks
+        #: identity of the frozen weights, shared with every clone
+        self._base = object()
 
         rng = np.random.default_rng(seed)
         h = hidden_size
@@ -148,8 +161,7 @@ class ToyLoRANet:
         """The one writer of the adapters. A block whose given factors equal
         the held ones byte for byte keeps its arrays and built weight; a
         changed block stores read-only copies, drops its built weight and
-        lowers ``frozen_below`` and ``stable_below``. ``version`` moves on
-        every call."""
+        takes a new write tick. ``version`` moves on every call."""
         changed = {}
         for j, (n, m) in state.items():
             if not 0 <= j < self.num_blocks:
@@ -162,25 +174,32 @@ class ToyLoRANet:
                 m.setflags(write=False)
                 changed[j] = (n, m)
         if changed:
-            N, M = list(self.N), list(self.M)
+            N, M, ticks = list(self.N), list(self.M), list(self._changed_at)
+            tick = next(_write_clock)
             for j, (n, m) in changed.items():
-                N[j], M[j] = n, m
+                N[j], M[j], ticks[j] = n, m, tick
                 self._weights[j] = None
-            self.N, self.M = tuple(N), tuple(M)
-            self.frozen_below = min(self.frozen_below, *changed)
-            self.stable_below = min(self.stable_below, *changed)
+            self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
         self.version += 1
 
-    def clone(self) -> "ToyLoRANet":
-        """Independent copy sharing every (read-only) array and built weight.
+    @property
+    def frozen_below(self) -> int:
+        """Lowest block whose adapters a write has changed; L while none has."""
+        return next((j for j, t in enumerate(self._changed_at) if t), self.num_blocks)
 
-        The clone accepts starts up to its ``frozen_below`` only: the
-        activations its source computed above that may be stale."""
+    def accepts(self, acts: Activations) -> bool:
+        """Whether ``acts`` were computed on these base weights through
+        exactly the adapter writes this net's blocks below ``acts.block``
+        hold now."""
+        return acts.base is self._base and self._changed_at[:acts.block] == acts.stamp
+
+    def clone(self) -> "ToyLoRANet":
+        """Independent copy sharing every (read-only) array, built weight and
+        write tick; writes on either side after the copy are its own."""
         other = object.__new__(ToyLoRANet)
         other.__dict__.update(self.__dict__)
         other._weights = list(self._weights)
         other.version = 0
-        other.stable_below = self.frozen_below
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
@@ -188,81 +207,52 @@ class ToyLoRANet:
 
     # ---- forward / loss / backward -----------------------------------------
 
-    def prefix(self, X: np.ndarray, k: int, start: int | None = None) -> np.ndarray:
-        """The activation entering block k, with forward's arithmetic.
+    def prefix(self, X: np.ndarray | Activations, k: int) -> Activations:
+        """The activations entering block k, with forward's arithmetic.
 
-        X holds features, or with ``start`` the activations entering that
-        block (a start ``forward`` accepts, at most k). k may not exceed
-        ``stable_below``, so the result stays valid for this net, and for
-        its clones when k is at most ``frozen_below``, until a write changes
-        a block below k.
+        X holds features, or ``Activations`` this net accepts that enter a
+        block up to k, from which the chain continues.
         """
-        return self._run_prefix(X, k, start, self.stable_below)
-
-    def lift_boundary(self, X: np.ndarray, k: int, start: int | None = None) -> np.ndarray:
-        """``prefix(X, k, start)`` for any block k, on a net not written since
-        it was built or cloned; k then becomes the highest start it accepts,
-        for the returned activation and rows of it (see the module
-        docstring), until a write changes a block below k."""
-        if self.version != 0:
-            raise ValueError("only a net not written since it was built or cloned "
-                             "may lift its boundary")
-        a = self._run_prefix(X, k, start, self.num_blocks)
-        self.stable_below = max(self.stable_below, k)
-        return a
-
-    def _run_prefix(self, X: np.ndarray, k: int, start: int | None, top: int) -> np.ndarray:
-        """The activation entering block k, for k at most ``top``."""
-        if start is None:
-            X = np.asarray(X, dtype=np.float64)
-            if X.ndim != 2 or X.shape[1] != self.input_dim:
-                raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
-            a, start = X @ self.embed, 0
-        else:
-            a = self._start_activations(X, start)
-        if not start <= k <= top:
-            raise ValueError(f"prefix boundary {k} is outside {start}..{top} "
-                             f"(frozen_below {self.frozen_below}, "
-                             f"stable_below {self.stable_below})")
+        if not 0 <= k <= self.num_blocks:
+            raise ValueError(f"prefix boundary {k} is outside 0..{self.num_blocks}")
+        a, start = self._inputs(X, k)
         weights = self._weights
         for j in range(start, k):
             if weights[j] is None:
                 weights[j] = self.effective_weight(j)
             a = np.tanh(a @ weights[j] + self.b[j])
-        return a
+        a.setflags(write=False)
+        return Activations(k, a, self._base, self._changed_at[:k])
 
-    def _start_activations(self, A: np.ndarray, start: int,
-                           earliest: int | None = None) -> np.ndarray:
-        """``A`` as float64 activations entering block ``start``, which may
-        exceed neither ``stable_below`` nor ``earliest``."""
-        A = np.asarray(A, dtype=np.float64)
-        if A.ndim != 2 or A.shape[1] != self.hidden_size:
-            raise ValueError(
-                f"expected activations of shape (n, {self.hidden_size}), got {A.shape}")
-        top = self.stable_below if earliest is None else min(self.stable_below, earliest)
-        if not 0 <= start <= top:
-            raise ValueError(f"start block {start} is outside 0..{top} "
-                             f"(frozen_below {self.frozen_below}, "
-                             f"stable_below {self.stable_below}, earliest {earliest})")
-        return A
+    def _inputs(self, X: np.ndarray | Activations, top: int) -> tuple[np.ndarray, int]:
+        """(array, the block it enters) of features, or of ``Activations``
+        this net accepts that enter a block up to ``top``."""
+        if isinstance(X, Activations):
+            if not self.accepts(X):
+                raise ValueError(f"activations entering block {X.block} were not computed "
+                                 f"through this net's current blocks below it")
+            if X.block > top:
+                raise ValueError(f"activations entering block {X.block} cannot start a pass "
+                                 f"that must begin at block {top} or below")
+            return X.data, X.block
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
+        return X @ self.embed, 0
 
-    def forward(self, X: np.ndarray, allocation: AllocationMap,
-                start: int | None = None) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, X: np.ndarray | Activations,
+                allocation: AllocationMap) -> tuple[np.ndarray, ForwardCache]:
         """Logits and the cache backward needs; builds the missing weights.
 
-        X holds features, or with ``start=k`` the activations entering block
-        k (``prefix(features, k)``), when k is at most ``stable_below`` and
-        the allocation's earliest block.
+        X holds features, or ``Activations`` this net accepts that enter a
+        block up to the allocation's earliest trainable one.
         """
         if len(allocation) != self.num_blocks:
             raise ValueError(
                 f"allocation has {len(allocation)} blocks, net has {self.num_blocks}"
             )
         first = allocation.earliest
-        if start is None:
-            a, start = self.prefix(X, 0), 0
-        else:
-            a = self._start_activations(X, start, first)
+        a, start = self._inputs(X, self.num_blocks if first is None else first)
         trainable = set(allocation.trainable_indices)
         weights = self._weights
         acts: dict[int, np.ndarray] = {}
@@ -336,11 +326,10 @@ class ToyLoRANet:
                 da = dz @ self._weights[j].T
         return grads
 
-    def evaluate(self, X: np.ndarray, y: np.ndarray,
-                 start: int | None = None) -> tuple[float, float]:
-        """(mean cross-entropy, accuracy) with nothing trainable; X and
-        ``start`` as in ``forward``."""
-        logits, _ = self.forward(X, AllocationMap.empty(self.num_blocks), start)
+    def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
+        """(mean cross-entropy, accuracy) with nothing trainable; X as in
+        ``forward``."""
+        logits, _ = self.forward(X, AllocationMap.empty(self.num_blocks))
         loss = self.loss(logits, np.asarray(y))
         acc = float((logits.argmax(axis=1) == np.asarray(y)).mean())
         return loss, acc
@@ -348,14 +337,13 @@ class ToyLoRANet:
 
 def local_train(
     net: ToyLoRANet,
-    X: np.ndarray,
+    X: np.ndarray | Activations,
     y: np.ndarray,
     allocation: AllocationMap,
     epochs: int,
     batch_size: int,
     lr: float,
     rng: np.random.Generator | None = None,
-    start: int | None = None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Plain SGD over the local data; returns adapter deltas per trained block.
 
@@ -363,10 +351,11 @@ def local_train(
     theta_before and exist exactly for the allocation's trainable blocks
     (all-zero when lr is 0).
     Batches are sequential unless an rng is given to shuffle each epoch.
-    X holds features, or with ``start`` the activations entering that block
-    (see ``ToyLoRANet.forward``); a batch takes its rows of either.
+    X holds features or ``Activations`` (see ``ToyLoRANet.forward``); a
+    batch takes its rows of either.
     """
-    X = np.asarray(X, dtype=np.float64)
+    if not isinstance(X, Activations):
+        X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if len(X) == 0:
         raise ValueError("local dataset is empty")
@@ -383,7 +372,7 @@ def local_train(
         order = rng.permutation(n) if rng is not None else np.arange(n)
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            logits, cache = net.forward(X[idx], allocation, start)
+            logits, cache = net.forward(X[idx], allocation)
             loss = net.loss(logits, y[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLossError(

@@ -1,6 +1,7 @@
 """Property tests: the array allocator against its oracles, batched map
-prices against ``total_memory``, and client updates from the per-client
-boundary against updates from the features.
+prices against ``total_memory``, client updates from the per-client
+boundary against updates from the features, and the activation stamp
+check against an explicit write log.
 
 Hypothesis draws the cases; runs are derandomized so every run of the suite
 checks the same examples.
@@ -26,7 +27,7 @@ from fedlorasim.memory import (  # noqa: E402
 )
 from fedlorasim.scoring import local_ig_scores  # noqa: E402
 from fedlorasim.simulator import ClientSpec, PrefixCache  # noqa: E402
-from fedlorasim.toymodel import ToyLoRANet, local_train  # noqa: E402
+from fedlorasim.toymodel import Activations, ToyLoRANet, local_train  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -140,14 +141,58 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
     cache = PrefixCache()
     for _ in range(2):  # a cold cache, then the entry the first update left
         local = net.clone()
-        start, X, ig_start, ig_batches = cache.update_inputs(client, net, local, amap, batch)
-        assert start == amap.earliest
-        assert ig_start == (None if client.has_one_row_ig_batch else start)
-        scores = local_ig_scores(local, amap, ig_batches, start=ig_start)
-        deltas = local_train(local, X, data.y, amap, rng=np.random.default_rng(seed),
-                             start=start, **kw)
+        X, ig_batches = cache.update_inputs(client, net, amap, batch)
+        assert isinstance(X, Activations) and X.block == amap.earliest
+        from_acts = [isinstance(a, Activations) for a, _ in ig_batches]
+        assert from_acts == [not client.has_one_row_ig_batch] * len(ig_batches)
+        scores = local_ig_scores(local, amap, ig_batches)
+        deltas = local_train(local, X, data.y, amap, rng=np.random.default_rng(seed), **kw)
+        assert local.accepts(X)  # its writes landed on the earliest block and up
         assert scores == ref_scores
         assert list(deltas) == list(ref_deltas)
         for j, (dn, dm) in ref_deltas.items():
             assert deltas[j][0].tobytes() == dn.tobytes()
             assert deltas[j][1].tobytes() == dm.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.data())
+def test_activations_are_accepted_exactly_while_no_block_below_them_changed(l, data):
+    """Random writes, byte-equal rewrites, clones and prefixes on two nets
+    built on one seed. The log gives each net, per block, the write its
+    adapters hold (None before any write; a clone inherits its source's);
+    activations are accepted exactly when the net is of their family and
+    holds, below their block, the writes they were computed through, and
+    then they are the bytes the net computes now."""
+    rng = np.random.default_rng(l)
+    X = rng.normal(size=(3, 4))
+    make = lambda: ToyLoRANet(num_blocks=l, hidden_size=3, lora_rank=2, input_dim=4,
+                              num_classes=2, lora_alpha=None, seed=0)
+    nets, family, held = [make(), make()], [0, 1], [[None] * l, [None] * l]
+    made = []  # (activations, family, writes held below their block)
+    for write in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.integers(0, len(nets) - 1))
+        op = data.draw(st.sampled_from(["write", "rewrite", "clone", "prefix", "prefix"]))
+        net = nets[i]
+        if op == "write":
+            blocks = data.draw(st.sets(st.integers(0, l - 1), min_size=1, max_size=l))
+            net.set_lora_state({j: (net.N[j], net.M[j] + 0.1 * (write + 1)) for j in blocks})
+            for j in blocks:
+                held[i][j] = write
+        elif op == "rewrite":  # byte-equal factors change nothing
+            net.set_lora_state({j: (net.N[j].copy(), net.M[j].copy()) for j in range(l)})
+        elif op == "clone":
+            nets.append(net.clone())
+            family.append(family[i])
+            held.append(list(held[i]))
+        else:
+            k = data.draw(st.integers(0, l))
+            rows = data.draw(st.sampled_from([slice(None), [2, 0]]))
+            made.append((net.prefix(X, k)[rows], rows, family[i], held[i][:k]))
+        for acts, rows, fam, below in made:
+            for b, other in enumerate(nets):
+                want = family[b] == fam and held[b][:acts.block] == below
+                assert other.accepts(acts) == want
+                if want:
+                    fresh = other.prefix(X, acts.block).data[rows]
+                    assert fresh.tobytes() == acts.data.tobytes()

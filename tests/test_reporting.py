@@ -205,6 +205,36 @@ def test_infinite_seed_in_summary_is_a_report_error(tmp_path):
         load_run(run)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("seed", True), ("seed", "3"), ("rounds", 3.9), ("rounds", 3.0),
+    ("distribution", 3), ("strategy", ["x"]), ("aggregation", None),
+    ("final_accuracy", "0.5"), ("best_accuracy", True),
+])
+def test_wrongly_typed_summary_value_is_a_report_error_before_anything_is_written(
+        tmp_path, capsys, key, value):
+    run = fake_run(tmp_path / "runs" / "r", rounds=3)
+    summary = run / "summary.json"
+    summary.write_text(json.dumps({**json.loads(summary.read_text()), key: value}))
+    with pytest.raises(ReportError, match=f"{summary}: bad value: {key} must be"):
+        load_run(run)
+    out = tmp_path / "rep"
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {summary}: bad value: {key} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_round_that_is_not_an_int_is_a_report_error(tmp_path, value):
+    run = fake_run(tmp_path / "r", rounds=3)
+    metrics = run / "metrics.jsonl"
+    rows = [json.loads(s) for s in metrics.read_text().splitlines()]
+    rows[1]["round"] = value  # equal to 1, so the sequence check alone lets it pass
+    metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ReportError, match=f"{metrics}:2: round must be an int"):
+        load_metrics(metrics)
+
+
 def test_single_run_summary_echoes_final_metrics(tmp_path):
     fake_run(tmp_path / "runs" / "a", seed=3, rounds=5)
     summaries = generate_report(tmp_path / "runs", tmp_path / "report")

@@ -426,19 +426,19 @@ def test_prefix_cache_is_reused_until_its_boundary_is_too_high():
     net = deep_net(cfg)
     X = np.random.default_rng(3).normal(size=(20, cfg.model.input_dim))
     cache = PrefixCache()
-    k, (a,) = cache.get("x", net, 9, [X])
-    assert k == 9 and a.tobytes() == net.prefix(X, 9).tobytes()
-    assert cache.get("x", net, 10, [X])[1][0] is a  # a lower boundary still serves
-    assert cache.get("x", net, None, [X])[1][0] is a
-    k, (b,) = cache.get("x", net, 7, [X])  # an earliest block below it does not
-    assert k == 7 and b.tobytes() == net.prefix(X, 7).tobytes()
+    a = cache.get("x", net, 9, X)
+    assert a.block == 9 and a.data.tobytes() == net.prefix(X, 9).data.tobytes()
+    assert cache.get("x", net, 10, X) is a  # a lower boundary still serves
+    assert cache.get("x", net, None, X) is a
+    b = cache.get("x", net, 7, X)  # an earliest block below it does not
+    assert b.block == 7 and b.data.tobytes() == net.prefix(X, 7).data.tobytes()
     # a write above the boundary keeps it; one below lowers frozen_below
     net.set_lora_state({8: (net.N[8], net.M[8] + 0.1)})
-    assert cache.get("x", net, 10, [X])[1][0] is b
+    assert cache.get("x", net, 10, X) is b
     net.set_lora_state({5: (net.N[5], net.M[5] + 0.1)})
-    k, (c,) = cache.get("x", net, 10, [X])
-    assert k == 5 and c.tobytes() == net.prefix(X, 5).tobytes()
-    assert cache.get("y", net, None, [X])[0] == 5  # each input set has its own entry
+    c = cache.get("x", net, 10, X)
+    assert c.block == 5 and c.data.tobytes() == net.prefix(X, 5).data.tobytes()
+    assert cache.get("y", net, None, X).block == 5  # each input set has its own entry
 
 
 def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch():
@@ -456,20 +456,19 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
                          num_classes=5, lora_alpha=None, seed=0)
         net.set_lora_state({6: (net.N[6], net.M[6] + 0.1)})  # frozen_below 6
         cache = PrefixCache()
-        local = net.clone()
-        start, X, ig_start, ig = cache.update_inputs(client, net, local, amap, batch)
-        assert ig_start == start
+        X, ig = cache.update_inputs(client, net, amap, batch)
         if boundary:
-            # the clone runs from its own earliest block, above frozen_below
-            assert start == 9 and local.stable_below == 9 and X.shape == (n, hidden)
-            assert X.tobytes() == net.clone().lift_boundary(client.data.X, 9).tobytes()
+            # the update runs from the client's earliest block, above frozen_below
+            assert X.block == 9 and X.data.shape == (n, hidden)
+            assert net.clone().accepts(X)
+            assert X.data.tobytes() == net.prefix(client.data.X, 9).data.tobytes()
             # the training prefix is kept only when no larger than the features
-            assert [k for k, _ in cache._entries.values()] == ([6] if hidden <= 10 else [])
+            assert [e.block for e in cache._entries.values()] == ([6] if hidden <= 10 else [])
             for (a, y), rows in zip(ig, client.ig_rows, strict=True):
-                assert a.tobytes() == X[rows].tobytes()
+                assert a.block == 9 and a.data.tobytes() == X.data[rows].tobytes()
                 assert y.tobytes() == client.data.y[rows].tobytes()
         else:
-            assert start is None and X is client.data.X and not cache._entries
+            assert X is client.data.X and not cache._entries
             assert all(a.tobytes() == b.tobytes() and y.tobytes() == y0.tobytes()
                        for (a, y), (b, y0) in zip(ig, client.ig_batches, strict=True))
     # a one-row IG batch sends only the scoring back to the features
@@ -478,10 +477,8 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
     assert one_row.has_one_row_ig_batch and not client.has_one_row_ig_batch
     assert not one_row.has_one_row_training_batch(n) and one_row.has_one_row_training_batch(1)
     net = deep_net(cfg)
-    local = net.clone()
-    start, X, ig_start, ig = PrefixCache().update_inputs(one_row, net, local, amap, n)
-    assert start == 9 and X.tobytes() == net.clone().lift_boundary(one_row.data.X, 9).tobytes()
-    assert ig_start is None
+    X, ig = PrefixCache().update_inputs(one_row, net, amap, n)
+    assert X.block == 9 and X.data.tobytes() == net.prefix(one_row.data.X, 9).data.tobytes()
     assert all(a.tobytes() == b.tobytes() and y.tobytes() == y0.tobytes()
                for (a, y), (b, y0) in zip(ig, one_row.ig_batches, strict=True))
 
@@ -489,11 +486,11 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
 class _FromFeatures(PrefixCache):
     """Every forward from the features: the run without the cache."""
 
-    def update_inputs(self, client, net, local, amap, batch_size):
-        return None, client.data.X, None, client.ig_batches
+    def update_inputs(self, client, net, amap, batch_size):
+        return client.data.X, client.ig_batches
 
     def test_set(self, test, net):
-        return None, test.X
+        return test.X
 
 
 @pytest.mark.parametrize("aggregation", ["comagg", "fedavg"])
@@ -504,7 +501,7 @@ def test_run_from_prefixes_matches_run_from_features(aggregation, tmp_path, monk
     starts = []
     prefix = ToyLoRANet.prefix
     monkeypatch.setattr(ToyLoRANet, "prefix",
-                        lambda net, X, k, start=None: starts.append(k) or prefix(net, X, k, start))
+                        lambda net, X, k: starts.append(k) or prefix(net, X, k))
     run_experiment(cfg, tmp_path / "cached", quiet=True)
     assert max(starts) >= 6  # the cache did start mid-chain
     monkeypatch.setattr(sim, "PrefixCache", _FromFeatures)
@@ -517,7 +514,7 @@ def test_prefixes_are_built_in_rounds_and_never_checkpointed(tmp_path, monkeypat
     calls = []
     prefix = ToyLoRANet.prefix
     monkeypatch.setattr(ToyLoRANet, "prefix",
-                        lambda net, X, k, start=None: calls.append(k) or prefix(net, X, k, start))
+                        lambda net, X, k: calls.append(k) or prefix(net, X, k))
     run_experiment(deep_config(rounds=0), tmp_path / "setup", quiet=True)
     assert [k for k in calls if k > 0] == []  # set-up forwards from the features
     run_experiment(deep_config(rounds=2, checkpoint_every=1), tmp_path / "run", quiet=True)

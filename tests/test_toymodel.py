@@ -18,6 +18,7 @@ from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import ScoreHistory, local_ig_scores
 from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
+    Activations,
     NonFiniteLossError,
     StaleCacheError,
     ToyLoRANet,
@@ -392,9 +393,10 @@ def prefix_net(seed=0, lowest=3, num_blocks=7):
 
 
 def boundaries(net, amap):
-    """Block 0, a block mid-way, and the highest start the map allows."""
-    top = min(net.frozen_below, amap.earliest if amap.earliest is not None else net.num_blocks)
-    return sorted({0, top // 2, top})
+    """Block 0, a block mid-way, ``frozen_below`` if the map allows it, and
+    the highest start the map allows."""
+    top = amap.earliest if amap.earliest is not None else net.num_blocks
+    return sorted({0, top // 2, min(net.frozen_below, top), top})
 
 
 PREFIX_MAPS = {"earliest-at-frozen": [3, 5], "earliest-above": [4, 6], "deepest": [6],
@@ -411,7 +413,9 @@ def test_forward_from_prefix_is_bitwise_equal(kind):
     logits, cache = net.forward(X, amap)
     grads = net.backward(cache, y)
     for k in boundaries(net, amap):
-        p_logits, p_cache = net.forward(net.prefix(X, k), amap, start=k)
+        acts = net.prefix(X, k)
+        assert acts.block == k
+        p_logits, p_cache = net.forward(acts, amap)
         assert p_logits.tobytes() == logits.tobytes()
         assert list(p_cache.acts) == list(cache.acts)
         assert all(p_cache.acts[j].tobytes() == a.tobytes() for j, a in cache.acts.items())
@@ -423,15 +427,22 @@ def test_forward_from_prefix_is_bitwise_equal(kind):
         for j, (gn, gm) in grads.items():
             assert p_grads[j][0].tobytes() == gn.tobytes()
             assert p_grads[j][1].tobytes() == gm.tobytes()
-        assert net.evaluate(net.prefix(X, k), y, start=k) == net.evaluate(X, y)
+        assert net.evaluate(acts, y) == net.evaluate(X, y)
 
 
 def test_prefix_zero_is_the_embedding_and_prefix_l_feeds_the_head():
     net = small_net(num_blocks=4)
     X = np.random.default_rng(53).normal(size=(5, net.input_dim))
-    assert net.prefix(X, 0).tobytes() == (X @ net.embed).tobytes()
+    assert net.prefix(X, 0).data.tobytes() == (X @ net.embed).tobytes()
     logits, _ = net.forward(X, AllocationMap.empty(4))
-    assert (net.prefix(X, 4) @ net.head).tobytes() == logits.tobytes()
+    assert (net.prefix(X, 4).data @ net.head).tobytes() == logits.tobytes()
+    # a prefix continued from a lower one is the prefix from the features
+    assert net.prefix(net.prefix(X, 1), 3).data.tobytes() == net.prefix(X, 3).data.tobytes()
+    acts = net.prefix(X, 2)
+    assert isinstance(acts, Activations) and len(acts) == 5 and not acts.data.flags.writeable
+    rows = acts[[4, 0]]
+    assert (rows.block, rows.base, rows.stamp) == (acts.block, acts.base, acts.stamp)
+    assert rows.data.tobytes() == acts.data[[4, 0]].tobytes() and not rows.data.flags.writeable
 
 
 @pytest.mark.parametrize("shuffle", [False, True], ids=["sequential", "shuffled"])
@@ -452,7 +463,7 @@ def test_local_train_from_prefix_is_bitwise_equal(kind, shuffle):
         d_ref = local_train(ref, X, y, amap, rng=order(), **kw)
         for k in boundaries(net, amap):
             new = net.clone()
-            d_new = local_train(new, net.prefix(X, k), y, amap, rng=order(), start=k, **kw)
+            d_new = local_train(new, net.prefix(X, k), y, amap, rng=order(), **kw)
             assert list(d_new) == list(d_ref)
             for j in d_ref:
                 assert d_new[j][0].tobytes() == d_ref[j][0].tobytes()
@@ -472,113 +483,119 @@ def test_local_ig_scores_from_prefix_match():
         expected = local_ig_scores(net, amap, batches, loss_scale=1.5)
         for k in boundaries(net, amap):
             started = [(net.prefix(X, k), y) for X, y in batches]
-            assert local_ig_scores(net, amap, started, loss_scale=1.5, start=k) == expected
+            assert local_ig_scores(net, amap, started, loss_scale=1.5) == expected
 
 
-def test_start_above_frozen_below_or_earliest_is_rejected():
+def test_activations_above_the_earliest_block_are_rejected():
     net = prefix_net(seed=3)  # frozen_below 3
     rng = np.random.default_rng(67)
     X = rng.normal(size=(4, net.input_dim))
     y = rng.integers(0, net.num_classes, size=4)
     high = AllocationMap.from_indices(7, [5, 6])
     low = AllocationMap.from_indices(7, [2, 6])
-    with pytest.raises(ValueError, match="frozen_below"):
-        net.prefix(X, 4)
-    a4 = small_net(seed=3, num_blocks=7).prefix(X, 4)  # a fresh twin may go higher
-    a2 = net.prefix(X, 2)
-    with pytest.raises(ValueError, match="frozen_below 3"):
-        net.forward(a4, high, start=4)  # above frozen_below
-    with pytest.raises(ValueError, match="earliest 2"):
-        net.forward(net.prefix(X, 3), low, start=3)  # above the earliest block
-    with pytest.raises(ValueError):
-        net.evaluate(a4, y, start=4)
-    with pytest.raises(ValueError):
-        local_ig_scores(net, high, [(a4, y)], start=4)
-    with pytest.raises(ValueError):
-        local_train(net.clone(), a4, y, high, epochs=1, batch_size=2, lr=0.1, start=4)
-    with pytest.raises(ValueError):
-        local_train(net.clone(), a2, y, AllocationMap.from_indices(7, [1]), epochs=1,
-                    batch_size=2, lr=0.1, start=2)
-    with pytest.raises(ValueError, match="activations"):
-        net.forward(X, high, start=0)  # features where activations belong
-    with pytest.raises(ValueError):
-        net.forward(a2, high, start=-1)
-    # a write below a kept prefix's boundary makes that start invalid
-    net.forward(a2, high, start=2)
-    net.set_lora_state({1: (net.N[1] + 0.1, net.M[1])})
-    with pytest.raises(ValueError, match="frozen_below 1"):
-        net.forward(a2, high, start=2)
+    a3, a4 = net.prefix(X, 3), net.prefix(X, 4)
+    net.forward(a4, high)  # above frozen_below is fine for the net that computed it
+    assert net.evaluate(net.prefix(X, 7), y) == net.evaluate(X, y)  # nothing trains
+    with pytest.raises(ValueError, match="block 3 cannot start a pass .* block 2"):
+        net.forward(a3, low)
+    with pytest.raises(ValueError, match="block 3"):
+        local_ig_scores(net, low, [(a3, y)])
+    version = net.version
+    with pytest.raises(ValueError, match="block 3"):
+        local_train(net, a3, y, low, epochs=1, batch_size=2, lr=0.1)
+    assert net.version == version  # rejected before any write
+    with pytest.raises(ValueError, match="block 4"):
+        net.prefix(a4, 3)  # a prefix never runs backwards
+    for k in (-1, 8):
+        with pytest.raises(ValueError, match="outside 0..7"):
+            net.prefix(X, k)
+    with pytest.raises(ValueError, match="features"):
+        net.forward(a4.data, high)  # a bare array is read as features
 
 
-def test_unwritten_clone_starts_at_its_own_boundary_until_a_write_below_it():
+def assert_rejected_everywhere(net, acts, y, amap):
+    """Every entry point refuses ``acts`` and leaves ``net`` unwritten."""
+    version = net.version
+    y = y[:len(acts)]
+    calls = (
+        lambda: net.forward(acts, amap),
+        lambda: net.evaluate(acts, y),
+        lambda: net.prefix(acts, amap.earliest),
+        lambda: local_ig_scores(net, amap, [(acts, y)]),
+        lambda: local_train(net, acts, y, amap, epochs=1, batch_size=2, lr=0.1),
+    )
+    assert not net.accepts(acts)
+    for call in calls:
+        with pytest.raises(ValueError, match="not computed through"):
+            call()
+    assert net.version == version
+
+
+def test_stale_or_foreign_activations_are_rejected_at_every_entry_point():
+    net = small_net(seed=5, num_blocks=7)
+    rng = np.random.default_rng(79)
+    X = rng.normal(size=(4, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=4)
+    amap = AllocationMap.from_indices(7, [5, 6])
+    # computed before a write below their block: stale for the net and every
+    # later clone, rows included, while activations below the write still serve
+    stale, below = net.prefix(X, 4), net.prefix(X, 2)
+    net.set_lora_state({2: (net.N[2], net.M[2] + 0.1)})
+    assert_rejected_everywhere(net, stale, y, amap)
+    assert_rejected_everywhere(net.clone(), stale, y, amap)
+    assert_rejected_everywhere(net, stale[[0, 1]], y, amap)
+    logits, _ = net.forward(X, amap)
+    assert net.forward(below, amap)[0].tobytes() == logits.tobytes()
+    # from a net built separately on the same seed: the same bytes, another base
+    twin = small_net(seed=5, num_blocks=7)
+    foreign = twin.prefix(X, 2)
+    assert foreign.data.tobytes() == below.data.tobytes()
+    assert_rejected_everywhere(net, foreign, y, amap)
+    # a clone and its source part ways at their first write below a block
+    local = net.clone()
+    local.set_lora_state({1: (local.N[1], local.M[1] + 0.1)})
+    assert_rejected_everywhere(net, local.prefix(X, 4), y, amap)
+    ahead = net.prefix(X, 4)
+    assert local.accepts(local.prefix(X, 4)) and net.accepts(ahead)
+    assert_rejected_everywhere(local, ahead, y, amap)
+
+
+def test_clone_accepts_its_source_activations_until_a_write_below_them():
     net = prefix_net(seed=4)  # frozen_below 3
     rng = np.random.default_rng(73)
     X = rng.normal(size=(6, net.input_dim))
     y = rng.integers(0, net.num_classes, size=6)
     amap = AllocationMap.from_indices(7, [5, 6])
-    assert net.stable_below == 3
-    with pytest.raises(ValueError, match="stable_below 3"):
-        net.prefix(X, 5)  # a written net vouches for nothing above frozen_below
-    with pytest.raises(ValueError, match="not written"):
-        net.lift_boundary(X, 5)
+    a5 = net.prefix(net.prefix(X, 3), 5)  # continues from a kept prefix
+    assert a5.data.tobytes() == net.prefix(X, 5).data.tobytes()
     local = net.clone()
-    assert local.stable_below == 3
-    with pytest.raises(ValueError, match="stable_below 3"):
-        local.prefix(X, 5)  # prefix only computes; it never lifts the boundary
-    assert local.stable_below == 3
-    a5 = local.lift_boundary(net.prefix(X, 3), 5, start=3)  # continues from a kept prefix
-    assert local.stable_below == 5
-    assert a5.tobytes() == net.clone().lift_boundary(X, 5).tobytes()
-    assert local.prefix(X, 5).tobytes() == a5.tobytes()
     logits, cache = net.forward(X, amap)
-    p_logits, p_cache = local.forward(a5, amap, start=5)
+    p_logits, p_cache = local.forward(a5, amap)
     assert p_logits.tobytes() == logits.tobytes()
     grads, p_grads = net.backward(cache, y), local.backward(p_cache, y)
     assert all(p_grads[j][i].tobytes() == g[i].tobytes() for j, g in grads.items() for i in (0, 1))
-    # the clone's own training writes blocks 5 and up and keeps the start
-    local_train(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2, start=5)
-    assert local.stable_below == 5 and local.frozen_below == 3
-    with pytest.raises(ValueError, match="earliest 4"):
-        local.forward(a5, AllocationMap.from_indices(7, [4]), start=5)
-    with pytest.raises(ValueError, match="stable_below 5"):
-        local.prefix(X, 6)
-    with pytest.raises(ValueError, match="not written"):
-        local.lift_boundary(X, 6)  # written since it was cloned: no higher
-    # a clone of the clone vouches only for frozen_below
+    # the clone's own training writes blocks 5 and up and keeps accepting them
+    deltas = local_train(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2)
+    ref = net.clone()
+    ref_deltas = local_train(ref, X, y, amap, epochs=2, batch_size=3, lr=0.2)
+    assert all(deltas[j][i].tobytes() == d[i].tobytes() for j, d in ref_deltas.items()
+               for i in (0, 1))
+    assert local.frozen_below == 3 and local.accepts(a5)
+    trained, _ = local.forward(X, amap)
+    assert local.forward(a5, amap)[0].tobytes() == trained.tobytes()
+    with pytest.raises(ValueError, match="block 5 cannot start"):
+        local.forward(a5, AllocationMap.from_indices(7, [4]))
+    # a clone of the clone shares every write below block 5
     twin = local.clone()
-    assert twin.stable_below == 3
-    with pytest.raises(ValueError, match="stable_below 3"):
-        twin.forward(a5, amap, start=5)
-    # a write below the start makes it invalid
+    assert twin.accepts(a5)
+    # a write below block 5 on the source leaves the clones' blocks as they were
+    net.set_lora_state({4: (net.N[4], net.M[4] + 0.1)})
+    assert not net.accepts(a5) and local.accepts(a5)
+    # and one on the clone makes them stale for it, not for its own clone
     local.set_lora_state({4: (local.N[4], local.M[4] + 0.1)})
-    assert (local.stable_below, local.frozen_below) == (4, 3)
-    with pytest.raises(ValueError, match="stable_below 4"):
-        local.forward(a5, amap, start=5)
-    with pytest.raises(ValueError):
-        net.clone().prefix(X, 2, start=3)  # a prefix never runs backwards
-    with pytest.raises(ValueError):
-        net.clone().lift_boundary(net.prefix(X, 3), 2, start=3)
-
-
-def test_lifted_boundary_vouches_for_the_blocks_not_for_where_an_array_came_from():
-    net = small_net(seed=5, num_blocks=7)
-    rng = np.random.default_rng(79)
-    X = rng.normal(size=(4, net.input_dim))
-    amap = AllocationMap.from_indices(7, [5, 6])
-    stale = net.prefix(X, 4)  # the global net's, before a write below block 4
-    net.set_lora_state({2: (net.N[2], net.M[2] + 0.1)})  # frozen_below 2
-    local = net.clone()
-    with pytest.raises(ValueError, match="stable_below 2"):
-        local.forward(stale, amap, start=4)
-    own = local.lift_boundary(X, 5)
-    logits, _ = local.forward(X, amap)
-    assert local.forward(own, amap, start=5)[0].tobytes() == logits.tobytes()
-    # past frozen_below the check says only that the clone's blocks below the
-    # start are unchanged: it takes the stale array too, and gets other logits.
-    # Keeping foreign activations out is the caller's job (see the module
-    # docstring); PrefixCache passes only the clone's own.
-    stale_logits, _ = local.forward(stale, amap, start=4)
-    assert not np.array_equal(stale_logits, logits)
+    assert (local.frozen_below, twin.frozen_below) == (3, 3)
+    assert_rejected_everywhere(local, a5, y, amap)
+    assert twin.accepts(a5)
 
 
 def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
