@@ -5,13 +5,15 @@ memory capacity. Item weights are not constants: the byte cost of adding a
 module depends on what is already selected (the first pick pays the fixed
 parameter and context bill, and selecting a shallow module extends the static
 activation range). It depends on the map only through its earliest trainable
-block, so the greedy holds one int64 cost vector (``memory.marginal_weights``)
-and rebuilds it only after the first pick and after a pick shallower than the
-current earliest block. A bool mask marks the candidates, so each step's min
-and max are masked reductions over that vector. Each step min-max normalizes
-the raw weights across the candidates and picks the feasible one with the
-best value-to-normalized-weight ratio, ties going to the deeper block; the
-pick's raw weight is then checked against the ``marginal_weight`` oracle.
+block, so one (l+1, l) int64 table (``memory.marginal_weights``), built once
+per solve and read by both greedy passes, prices every block for every
+earliest block; each step prices the candidates with the row of the current
+map's earliest block (row l while the map is empty). A bool mask marks the
+candidates, so each step's min and max are masked reductions over that row.
+Each step min-max normalizes the raw weights across the candidates and picks
+the feasible one with the best value-to-normalized-weight ratio, ties going
+to the deeper block; the pick's raw weight is then checked against the
+``marginal_weight`` oracle.
 
 Raw bytes decide feasibility; normalized weights only shape the ratio. Every
 cost stays below 2**53 (``KnapsackInstance`` checks the all-trainable map,
@@ -49,7 +51,7 @@ class InfeasibleClientError(ValueError):
 
 
 class CostVectorMismatch(RuntimeError):
-    """The greedy's cost vector disagrees with the marginal_weight oracle."""
+    """The greedy's cost table disagrees with the marginal_weight oracle."""
 
 
 @dataclass(frozen=True)
@@ -103,17 +105,17 @@ class AllocationResult:
         }
 
 
-def _greedy(instance: KnapsackInstance, values: np.ndarray, singles: np.ndarray,
+def _greedy(instance: KnapsackInstance, values: np.ndarray, table: np.ndarray,
             forced_first: int | None = None):
     profile = instance.profile
     batch = instance.batch
-    amap = AllocationMap.empty(profile.num_blocks)
+    l = profile.num_blocks
+    amap = AllocationMap.empty(l)
     residual = instance.capacity_bytes
     trace: list[SelectionStep] = []
-    price = singles
-    candidate = np.ones(profile.num_blocks, dtype=bool)
-    first = None
-    for step in range(profile.num_blocks):
+    candidate = np.ones(l, dtype=bool)
+    for step in range(l):
+        price = table[l if amap.earliest is None else amap.earliest]
         lo = int(price.min(where=candidate, initial=EXACT_COST_LIMIT))
         if lo > residual:
             break
@@ -136,7 +138,7 @@ def _greedy(instance: KnapsackInstance, values: np.ndarray, singles: np.ndarray,
         oracle = marginal_weight(profile, amap, pick, batch)
         if oracle != cost:
             raise CostVectorMismatch(
-                f"block {pick}: cost vector gives {cost} B, marginal_weight gives {oracle} B"
+                f"block {pick}: cost table gives {cost} B, marginal_weight gives {oracle} B"
             )
         trace.append(
             SelectionStep(
@@ -150,9 +152,6 @@ def _greedy(instance: KnapsackInstance, values: np.ndarray, singles: np.ndarray,
         residual -= cost
         amap = amap.with_block(pick)
         candidate[pick] = False
-        if first is None or pick < first:
-            first = pick
-            price = np.asarray(marginal_weights(profile, batch, first), dtype=np.int64)
     return amap, tuple(trace)
 
 
@@ -174,8 +173,9 @@ def optimize_allocation(instance: KnapsackInstance) -> AllocationResult:
         )
 
     values = np.array(instance.values)
-    singles = np.asarray(marginal_weights(profile, instance.batch, None), dtype=np.int64)
-    amap, trace = _greedy(instance, values, singles)
+    table = marginal_weights(profile, instance.batch)
+    singles = table[profile.num_blocks]
+    amap, trace = _greedy(instance, values, table)
     total_value = sum(instance.values[j] for j in amap.trainable_indices)
 
     # the best single feasible module (values are >= 0, so -1 marks one
@@ -183,7 +183,7 @@ def optimize_allocation(instance: KnapsackInstance) -> AllocationResult:
     fitting = np.where(singles <= instance.capacity_bytes, values, -1.0)
     best_j = len(fitting) - 1 - int(fitting[::-1].argmax())
     if fitting[best_j] > total_value:
-        amap, trace = _greedy(instance, values, singles, forced_first=best_j)
+        amap, trace = _greedy(instance, values, table, forced_first=best_j)
         total_value = sum(instance.values[j] for j in amap.trainable_indices)
 
     memory = total_memory(profile, amap, instance.batch)

@@ -16,13 +16,22 @@ Activations split into two kinds per block:
 This asymmetry is why training the last u blocks is much cheaper than
 training the first u, and it is what the allocator downstream exploits.
 
-All byte quantities are exact Python ints. Unit helpers use decimal
+Each question has one scalar reference and one array form over int64:
+``total_memory`` prices one map and ``map_costs`` a (k, l) matrix of maps;
+``marginal_weight`` prices adding one block to one map and
+``marginal_weights`` every block for every earliest block, as one
+(l+1, l) table. Row l of that table, like an all-zero row of ``map_costs``,
+is the empty map. Array costs stay below ``EXACT_COST_LIMIT``.
+
+The scalar references work in exact Python ints. Unit helpers use decimal
 conventions (MB = 1e6 bytes, GB = 1e9 bytes), which is how GPU vendors and
 the reference measurements report sizes.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -152,13 +161,24 @@ class AllocationMap:
         return len(self.trainable_indices)
 
     def with_block(self, j: int) -> "AllocationMap":
+        """This map with block j trainable too. Its other bits were checked
+        when it was made, so only j is, and j goes into the indices in
+        place; the greedy grows a map this way once per pick."""
+        j = operator.index(j)
         if not 0 <= j < len(self.bits):
             raise ValueError(f"block {j} out of range [0, {len(self.bits)})")
         if self.bits[j]:
             return self
         bits = list(self.bits)
         bits[j] = True
-        return AllocationMap(tuple(bits))
+        indices = self.trainable_indices
+        k = bisect_left(indices, j)
+        indices = indices[:k] + (j,) + indices[k:]
+        grown = object.__new__(AllocationMap)
+        object.__setattr__(grown, "bits", tuple(bits))
+        object.__setattr__(grown, "trainable_indices", indices)
+        object.__setattr__(grown, "earliest", indices[0])
+        return grown
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -228,11 +248,6 @@ class ModelProfile:
         return np.array(self.dynamic_act_per_sample, dtype=np.int64)
 
     @cached_property
-    def _dyn_tail(self) -> np.ndarray:
-        """Per block, its dynamic elements plus the static ones from it to the top."""
-        return self._dyn_array + self._tail_array[:-1]
-
-    @cached_property
     def _fixed_bytes(self) -> int:
         """Parameters plus context: what every map pays."""
         return self.param_bytes + self.context_bytes
@@ -241,21 +256,6 @@ class ModelProfile:
     def _opt_bytes(self) -> int:
         """Optimizer bytes of one trainable block."""
         return self.optimizer_states * self.bytes_per_elem * self.lora_param_count_per_block
-
-    @cached_property
-    def _full_fixed_bytes(self) -> int:
-        """Bytes of the all-trainable map that do not scale with the batch."""
-        return self._fixed_bytes + self.num_blocks * self._opt_bytes
-
-    @cached_property
-    def _full_sample_bytes(self) -> int:
-        """Activation bytes per sample of the all-trainable map."""
-        return self.bytes_per_elem * (sum(self.dynamic_act_per_sample) + self.static_tail_elems[0])
-
-    @cached_property
-    def _dyn_prefix(self) -> np.ndarray:
-        """int64 prefix sums of the dynamic elements: entry u covers blocks 0..u-1."""
-        return np.concatenate(([0], np.cumsum(self._dyn_array)))
 
     @property
     def lora_param_bytes_per_block(self) -> int:
@@ -368,80 +368,49 @@ def marginal_weight(profile: ModelProfile, current: AllocationMap, j: int, batch
     return weight
 
 
-def max_cost(profile: ModelProfile, batch: int) -> int:
-    """Bytes of the all-trainable map, the most any map of ``profile`` costs."""
-    check_batch(batch)
-    return profile._full_fixed_bytes + batch * profile._full_sample_bytes
-
-
 def check_exact_costs(profile: ModelProfile, batch: int) -> None:
     """Raise unless every cost of ``profile`` at ``batch`` is below
-    ``EXACT_COST_LIMIT``; the all-trainable map, the dearest, bounds them all."""
-    top = max_cost(profile, batch)
+    ``EXACT_COST_LIMIT``; the all-trainable map, the dearest, bounds them all,
+    and is priced here in exact Python ints."""
+    check_batch(batch)
+    top = profile._fixed_bytes + profile.num_blocks * profile._opt_bytes
+    top += batch * profile.bytes_per_elem * (sum(profile.dynamic_act_per_sample)
+                                             + profile.static_tail_elems[0])
     if top >= EXACT_COST_LIMIT:
         raise ValueError(f"the all-trainable map costs {top} B; costs must stay below 2**53 B")
 
 
-def marginal_weights(profile: ModelProfile, batch: int, first: int | None) -> np.ndarray:
-    """Every block's marginal weight at once, for maps whose earliest block is ``first``.
+def marginal_weights(profile: ModelProfile, batch: int) -> np.ndarray:
+    """Every block's marginal weight for every earliest block, as one (l+1, l) int64 table.
 
     A block's price depends on the current map only through its earliest
-    trainable block, so one int64 vector prices every candidate: entry j
-    equals ``marginal_weight(profile, m, j, batch)`` for every map m with
-    ``m.earliest == first`` and j not in m. ``first=None`` is the empty map,
-    where entry j is the full footprint of the singleton {j}. Entries for
-    blocks already in m carry no meaning.
+    trainable block, so row f prices every candidate: entry [f, j] equals
+    ``marginal_weight(profile, m, j, batch)`` for every map m with
+    ``m.earliest == f`` and j not in m. Row l is the empty map, as in
+    ``map_costs``: entry j is the full footprint of the singleton {j}.
+    Entries for blocks already in m carry no meaning.
     """
     check_exact_costs(profile, batch)
-    l = profile.num_blocks
-    if first is not None and not (is_int(first) and 0 <= first < l):
-        raise ValueError(f"first must be None or a block in [0, {l}), got {first!r}")
-    # elements per sample: a block's dynamic ones, plus the static ones
-    # from it up to ``first`` (to the top for the empty map)
-    if first is None:
-        elems = profile._dyn_tail.copy()
-        fixed = profile._fixed_bytes + profile._opt_bytes
-    else:
-        elems = profile._dyn_array.copy()
-        elems[:first] = profile._dyn_tail[:first] - profile._tail_array[first]
-        fixed = profile._opt_bytes
-    elems *= batch * profile.bytes_per_elem
-    elems += fixed
-    return elems
-
-
-def naive_costs(profile: ModelProfile, kind: str, batch: int) -> np.ndarray:
-    """``total_memory`` of ``naive_map(l, kind, u)`` for u = 0..l, as int64.
-
-    Nondecreasing in u. ``ms`` trains blocks l-u..l-1, so its static bill
-    runs from block l-u (``static_tail_elems[l] = 0`` covers u = 0); ``mh``
-    trains blocks 0..u-1 and pays the whole static bill once u >= 1.
-    """
-    if kind not in ("ms", "mh"):
-        raise ValueError(f"kind must be 'ms' or 'mh', got {kind!r}")
-    check_exact_costs(profile, batch)
-    l = profile.num_blocks
-    u = np.arange(l + 1, dtype=np.int64)
-    dyn = profile._dyn_prefix
     tail = profile._tail_array
-    if kind == "ms":
-        elems = (dyn[l] - dyn[::-1]) + tail[::-1]
-    else:
-        elems = dyn + np.where(u > 0, tail[0], 0)
-    return profile._fixed_bytes + profile._opt_bytes * u + batch * profile.bytes_per_elem * elems
+    # elements per sample: a block's dynamic ones, plus the static ones from
+    # it up to the earliest block (none from a block at or above it)
+    elems = profile._dyn_array + np.maximum(0, tail[:-1] - tail[:, None])
+    table = profile._opt_bytes + batch * profile.bytes_per_elem * elems
+    table[-1] += profile._fixed_bytes
+    return table
 
 
 def map_costs(profile: ModelProfile, bits, batch: int) -> np.ndarray:
     """``total_memory(...).total_bytes`` of every row of a (k, l) 0/1 matrix, as int64.
 
     Row i is the map whose block j trains when ``bits[i, j]`` is 1. It is
-    priced in the closed form of ``marginal_weights`` and ``naive_costs``:
-    fixed bytes, optimizer bytes per trainable block, and per sample the
-    dynamic elements of the trainable blocks plus the static ones from the
-    earliest of them to the top. An all-zero row has earliest block l, where
-    ``static_tail_elems[l] = 0``, so it costs parameters plus context. One
-    call prices a whole batch of random draws without building a map or a
-    breakdown per row; ``total_memory`` stays the scalar reference.
+    priced in closed form: fixed bytes, optimizer bytes per trainable block,
+    and per sample the dynamic elements of the trainable blocks plus the
+    static ones from the earliest of them to the top. An all-zero row has
+    earliest block l, where ``static_tail_elems[l] = 0``, so it costs
+    parameters plus context. One call prices a whole batch of maps without
+    building a map or a breakdown per row; ``total_memory`` stays the scalar
+    reference.
     """
     check_exact_costs(profile, batch)
     bits = np.asarray(bits)

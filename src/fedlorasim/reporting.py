@@ -65,6 +65,9 @@ def load_metrics(path: str | Path) -> list[dict]:
             for key in ("round", "participants"):
                 if not is_int(row[key]):
                     raise ReportError(f"{path}:{lineno}: {key} must be an int, got {row[key]!r}")
+            participants = row["participants"]
+            if participants < 0:
+                raise ReportError(f"{path}:{lineno}: participants must be >= 0, got {participants}")
             counts = row["layer_counts"]
             if not isinstance(counts, list) or (rows and len(counts) != len(rows[0]["layer_counts"])):
                 raise ReportError(f"{path}:{lineno}: layer_counts must be a list as long as "
@@ -73,6 +76,11 @@ def load_metrics(path: str | Path) -> list[dict]:
             if bad:
                 raise ReportError(f"{path}:{lineno}: layer_counts[{bad[0]}] must be an int, "
                                   f"got {counts[bad[0]]!r}")
+            # no layer is trained by more clients than the round has
+            bad = [j for j, c in enumerate(counts) if not 0 <= c <= participants]
+            if bad:
+                raise ReportError(f"{path}:{lineno}: layer_counts[{bad[0]}] must be in "
+                                  f"[0, participants = {participants}], got {counts[bad[0]]}")
             rows.append(row)
     if not rows:
         raise ReportError(f"{path}: no metrics rows")

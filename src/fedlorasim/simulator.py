@@ -43,7 +43,6 @@ from fedlorasim.memory import (
     AllocationMap,
     ModelProfile,
     map_costs,
-    naive_costs,
     naive_map,
     total_memory,
 )
@@ -214,8 +213,17 @@ def assign_capacities(num_clients: int, levels: dict[int, int],
 
 
 def max_feasible_naive_u(profile: ModelProfile, kind: str, batch: int, capacity: int) -> int | None:
-    """Largest u whose naive map fits, or None when even u=0 does not."""
-    costs = naive_costs(profile, kind, batch)
+    """Largest u whose naive map fits, or None when even u=0 does not.
+
+    Row u of the (l+1, l) naive matrix is ``naive_map(l, kind, u)``: ``mh``
+    trains blocks 0..u-1 and ``ms`` the last u, its columns reversed.
+    ``map_costs`` prices all l+1 rows at once.
+    """
+    if kind not in ("ms", "mh"):
+        raise ValueError(f"kind must be 'ms' or 'mh', got {kind!r}")
+    l = profile.num_blocks
+    bits = np.tri(l + 1, l, -1, dtype=bool)
+    costs = map_costs(profile, bits if kind == "mh" else bits[:, ::-1], batch)
     # costs rise with u; a capacity past the last one fits every u
     u = int(np.searchsorted(costs, min(capacity, int(costs[-1])), side="right")) - 1
     return None if u < 0 else u

@@ -49,7 +49,8 @@ from fedlorasim.memory import AllocationMap
 
 
 class StaleCacheError(ValueError):
-    """Backward got a cache produced before the net's parameters changed."""
+    """Backward got a cache made by a net with other frozen weights, or
+    before a write changed this net's adapters."""
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -91,7 +92,9 @@ class ForwardCache:
 
     ``acts`` holds block outputs a_j = tanh(z_j) for blocks from the
     earliest trainable one onward; ``block_inputs`` holds a_{j-1} for
-    trainable j.
+    trainable j. ``base`` and ``stamp`` are the identity of the frozen
+    weights and the write ticks of every block of the net that made it, as
+    in ``Activations``.
     """
 
     logits: np.ndarray
@@ -99,7 +102,8 @@ class ForwardCache:
     block_inputs: dict[int, np.ndarray]
     allocation: AllocationMap
     batch_size: int
-    version: int
+    base: object
+    stamp: tuple[int, ...]
 
     @property
     def static_count(self) -> int:
@@ -132,7 +136,6 @@ class ToyLoRANet:
         self.num_classes = num_classes
         self.lora_alpha = float(lora_rank if lora_alpha is None else lora_alpha)
         self.scale = self.lora_alpha / lora_rank
-        self.version = 0
         #: write tick of each block's adapters, 0 while unchanged; see ``accepts``
         self._changed_at = (0,) * num_blocks
         #: identity of the frozen weights, shared with every clone
@@ -161,7 +164,7 @@ class ToyLoRANet:
         """The one writer of the adapters. A block whose given factors equal
         the held ones byte for byte keeps its arrays and built weight; a
         changed block stores read-only copies, drops its built weight and
-        takes a new write tick. ``version`` moves on every call."""
+        takes a new write tick."""
         changed = {}
         for j, (n, m) in state.items():
             if not 0 <= j < self.num_blocks:
@@ -180,7 +183,6 @@ class ToyLoRANet:
                 N[j], M[j], ticks[j] = n, m, tick
                 self._weights[j] = None
             self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
-        self.version += 1
 
     @property
     def frozen_below(self) -> int:
@@ -199,7 +201,6 @@ class ToyLoRANet:
         other = object.__new__(ToyLoRANet)
         other.__dict__.update(self.__dict__)
         other._weights = list(self._weights)
-        other.version = 0
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
@@ -272,7 +273,8 @@ class ToyLoRANet:
             block_inputs=block_inputs,
             allocation=allocation,
             batch_size=a.shape[0],
-            version=self.version,
+            base=self._base,
+            stamp=self._changed_at,
         )
 
     def loss(self, logits: np.ndarray, y: np.ndarray, loss_scale: float = 1.0) -> float:
@@ -292,13 +294,15 @@ class ToyLoRANet:
         """Adapter gradients of the mean cross-entropy for trainable blocks.
 
         The signal is chained down through frozen blocks and stops at the
-        earliest trainable one; blocks below it never matter. The version
-        check makes the net's built weights the ones forward used.
+        earliest trainable one; blocks below it never matter. The cache
+        must come from these frozen weights through exactly the writes this
+        net holds now, so the weights it builds or keeps are the ones
+        forward used.
         """
         if allocation is not None and allocation != cache.allocation:
             raise ValueError("allocation does not match the one used in forward")
-        if cache.version != self.version:
-            raise StaleCacheError("net parameters changed since this cache was made")
+        if cache.base is not self._base or cache.stamp != self._changed_at:
+            raise StaleCacheError("this cache was not made through this net's current weights")
         allocation = cache.allocation
         first = allocation.earliest
         if first is None:
@@ -323,6 +327,8 @@ class ToyLoRANet:
                 dW = a_in.T @ dz
                 grads[j] = (self.scale * (dW @ self.M[j].T), self.scale * (self.N[j].T @ dW))
             if j > first:
+                if self._weights[j] is None:
+                    self._weights[j] = self.effective_weight(j)
                 da = dz @ self._weights[j].T
         return grads
 

@@ -199,7 +199,7 @@ class ReferenceCache:
     block_inputs: dict[int, np.ndarray]
     allocation: AllocationMap
     batch_size: int
-    version: int
+    stamp: tuple[int, ...]
 
 
 def rebuilding_forward(net, X: np.ndarray, allocation: AllocationMap):
@@ -231,14 +231,14 @@ def rebuilding_forward(net, X: np.ndarray, allocation: AllocationMap):
         block_inputs=block_inputs,
         allocation=allocation,
         batch_size=X.shape[0],
-        version=net.version,
+        stamp=net._changed_at,
     )
 
 
 def rebuilding_backward(net, cache: ReferenceCache, y: np.ndarray, loss_scale: float = 1.0):
     """``ToyLoRANet.backward`` as it was before weight reuse: tanh' from the
     cached pre-tanh values, and the effective weights rebuilt on the way down."""
-    assert cache.version == net.version
+    assert cache.stamp == net._changed_at
     allocation = cache.allocation
     first = allocation.earliest
     if first is None:

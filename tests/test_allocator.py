@@ -290,8 +290,7 @@ def test_matches_reference_greedy_guard_pass():
 
 def test_cost_vector_checked_against_oracle(monkeypatch):
     real = fedlorasim.allocator.marginal_weights
-    monkeypatch.setattr(fedlorasim.allocator, "marginal_weights",
-                        lambda p, b, first: [w + 1 for w in real(p, b, first)])
+    monkeypatch.setattr(fedlorasim.allocator, "marginal_weights", lambda p, b: real(p, b) + 1)
     inst = KnapsackInstance(reference_vit_profile(), 24 * GB, 496, (1.0,) * 12)
     with pytest.raises(CostVectorMismatch, match="block 11: .* marginal_weight gives"):
         optimize_allocation(inst)

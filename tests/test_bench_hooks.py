@@ -87,7 +87,7 @@ def test_tracer_records_one_merge_per_round_and_restores(aggregation, tmp_path):
 
 
 def test_allocator_asks_the_oracle_once_per_pick(tmp_path):
-    # the cost vector prices every candidate; the oracle is asked once per
+    # the cost table prices every candidate; the oracle is asked once per
     # pick, so a solve makes between 1 and 2L marginal_weight calls (two
     # greedy passes when the guard fires). Pricing each candidate through
     # the oracle makes at least 3L-1 calls in a solve that picks anything,

@@ -18,8 +18,6 @@ from fedlorasim.memory import (
     map_costs,
     marginal_weight,
     marginal_weights,
-    max_cost,
-    naive_costs,
     naive_map,
     profile_from_config,
     reference_vit_profile,
@@ -27,6 +25,8 @@ from fedlorasim.memory import (
     transformer_dynamic_elems,
     transformer_static_elems,
 )
+
+from fedlorasim.simulator import max_feasible_naive_u
 
 from conftest import make_random_profile
 
@@ -117,14 +117,14 @@ def test_ms_mh_gap_identity_random_profiles():
 def test_marginal_weight_matches_total_difference_exhaustive_small():
     # the difference holds for non-empty maps only: the very first pick
     # deliberately bills the fixed parameter and context costs on top of it.
-    # The cost vector for the map's earliest block matches the oracle on
-    # every map, the empty one included.
+    # The cost table's row for the map's earliest block matches the oracle on
+    # every map, the empty one (row l) included.
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = make_random_profile(rng, max_blocks=8)
         batch = int(rng.integers(1, 32))
         l = p.num_blocks
-        vectors = {first: marginal_weights(p, batch, first) for first in [None, *range(l)]}
+        table = marginal_weights(p, batch)
         for code in range(1 << l):
             bits = [(code >> j) & 1 for j in range(l)]
             amap = AllocationMap.from_bits(bits)
@@ -133,7 +133,7 @@ def test_marginal_weight_matches_total_difference_exhaustive_small():
                 if bits[j]:
                     continue
                 weight = marginal_weight(p, amap, j, batch)
-                assert vectors[amap.earliest][j] == weight
+                assert table[l if amap.earliest is None else amap.earliest, j] == weight
                 if code:
                     grown = total_memory(p, amap.with_block(j), batch).total_bytes
                     assert weight == grown - base
@@ -242,39 +242,45 @@ def test_allocation_map_indices_agree_on_every_construction_path():
             maps = [AllocationMap(bits), AllocationMap.from_bits(list(bits)),
                     AllocationMap.from_indices(l, idx),
                     AllocationMap.from_bitstring("".join("1" if b else "0" for b in bits))]
-            if idx:
-                base = AllocationMap.from_indices(l, idx[1:])
-                maps.append(base.with_block(idx[0]))
+            # growing by any one of its blocks: the earliest, one between, the last
+            for k, j in enumerate(idx):
+                base = AllocationMap.from_indices(l, idx[:k] + idx[k + 1:])
+                maps.append(base.with_block(j))
+                maps.append(base.with_block(np.int64(j)))
             for m in maps:
                 assert m == maps[0] and hash(m) == hash(maps[0])
                 assert m.bits == bits and m.trainable_indices == idx
+                assert all(type(j) is int for j in m.trainable_indices)
                 assert m.earliest == (idx[0] if idx else None) and m.count == len(idx)
     assert AllocationMap.full(3).trainable_indices == (0, 1, 2)
     assert AllocationMap.empty(3).trainable_indices == ()
 
 
 def test_closed_forms_match_total_memory():
+    # max_feasible_naive_u prices every u through map_costs; the capacity at
+    # each u's exact cost, and one byte below it, finds the same u the
+    # scalar oracle does
     rng = np.random.default_rng(13)
     for _ in range(200):
         p = make_random_profile(rng)
         batch = int(rng.integers(1, 64))
         l = p.num_blocks
-        assert max_cost(p, batch) == total_memory(p, AllocationMap.full(l), batch).total_bytes
         for kind in ("ms", "mh"):
-            costs = naive_costs(p, kind, batch)
-            assert costs.dtype == np.int64
-            assert costs.tolist() == [total_memory(p, naive_map(l, kind, u), batch).total_bytes
-                                      for u in range(l + 1)]
-        for first in (None, *range(l)):
-            w = marginal_weights(p, batch, first)
-            assert w.dtype == np.int64 and w.shape == (l,)
-    with pytest.raises(ValueError, match="'ms' or 'mh'"):
-        naive_costs(reference_vit_profile(), "full", 1)
+            costs = [total_memory(p, naive_map(l, kind, u), batch).total_bytes
+                     for u in range(l + 1)]
+            for capacity in {c + d for c in costs for d in (-1, 0)} | {costs[-1] + 1}:
+                fits = [u for u in range(l + 1) if costs[u] <= capacity]
+                assert max_feasible_naive_u(p, kind, batch, capacity) == (max(fits) if fits else None)
+        table = marginal_weights(p, batch)
+        assert table.dtype == np.int64 and table.shape == (l + 1, l)
+    for kind in ("full", "el", "MS"):
+        with pytest.raises(ValueError, match=f"'ms' or 'mh', got '{kind}'"):
+            max_feasible_naive_u(reference_vit_profile(), kind, 1, 10**12)
 
 
 def test_cost_vectors_refuse_costs_from_2_to_the_53():
     p = dataclasses.replace(reference_vit_profile(), frozen_param_bytes=2**53)
-    for price in (lambda: marginal_weights(p, 1, None), lambda: naive_costs(p, "ms", 1),
+    for price in (lambda: marginal_weights(p, 1), lambda: max_feasible_naive_u(p, "ms", 1, 2**60),
                   lambda: map_costs(p, np.zeros((1, 12), dtype=bool), 1)):
         with pytest.raises(ValueError, match="below 2\\*\\*53"):
             price()
@@ -336,7 +342,4 @@ def test_usage_errors():
         marginal_weight(p, amap, 12, 1)
     for batch in (0, -1, 2.0, True):
         with pytest.raises(ValueError, match="batch"):
-            marginal_weights(p, batch, None)
-    for first in (-1, 12, 1.0, True):
-        with pytest.raises(ValueError, match="first"):
-            marginal_weights(p, 1, first)
+            marginal_weights(p, batch)

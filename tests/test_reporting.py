@@ -163,6 +163,24 @@ def test_wrongly_typed_row_value_is_a_report_error(tmp_path, capsys, key, value,
     assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
 
 
+@pytest.mark.parametrize("participants, counts, named", [
+    (2, [5, 0, 0, 0], r"layer_counts\[0\] must be in \[0, participants = 2\], got 5"),
+    (2, [0, 0, -1, 0], r"layer_counts\[2\] must be in \[0, participants = 2\], got -1"),
+    (-2, [-1, 0, 0, 0], "participants must be >= 0, got -2"),
+])
+def test_impossible_counts_are_a_report_error(tmp_path, capsys, participants, counts, named):
+    # a selection frequency above 1 or below 0 has no meaning
+    run = fake_run(tmp_path / "runs" / "r", layers=4, participants=participants,
+                   layer_counts=counts)
+    metrics = run / "metrics.jsonl"
+    with pytest.raises(ReportError, match=f"{metrics}:2: {named}"):
+        load_run(run)
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {metrics}:2: ")
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("key", ["accuracy", "loss", "mean_utilization"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_row_value_is_a_report_error_before_anything_is_written(

@@ -162,10 +162,41 @@ def test_loss_scale_scales_gradients_linearly():
 def test_stale_cache_rejected():
     net = small_net()
     X = np.zeros((2, net.input_dim))
+    y = np.zeros(2, dtype=int)
     _, cache = net.forward(X, AllocationMap.full(net.num_blocks))
-    net.set_lora_state(net.get_lora_state())
+    net.set_lora_state(net.get_lora_state())  # byte-equal: the cache still holds
+    assert net.backward(cache, y).keys() == set(range(net.num_blocks))
+    net.set_lora_state({1: (net.N[1], net.M[1] + 0.1)})
     with pytest.raises(StaleCacheError):
-        net.backward(cache, np.zeros(2, dtype=int))
+        net.backward(cache, y)
+
+
+def test_foreign_cache_rejected():
+    X = np.random.default_rng(3).normal(size=(4, 5))
+    y = np.array([0, 1, 2, 0])
+    full = AllocationMap.full(3)
+    # two nets with equal (zero) write ticks but different frozen weights
+    nets = [small_net(seed=s, num_blocks=3) for s in (0, 1)]
+    caches = [net.forward(X, full)[1] for net in nets]
+    for net, cache in zip(nets, caches[::-1]):
+        with pytest.raises(StaleCacheError):
+            net.backward(cache, y)
+    # a clone made before its source's forward holds the same weights, so it
+    # accepts the source's cache and builds the weights it has not built yet
+    source = small_net(seed=2, num_blocks=3)
+    clone = source.clone()
+    _, cache = source.forward(X, full)
+    assert clone._weights == [None] * 3
+    want = source.backward(cache, y)
+    got = clone.backward(cache, y)
+    assert all(got[j][k].tobytes() == want[j][k].tobytes() for j in want for k in (0, 1))
+    # once the clone changes block 2, neither takes the other's cache
+    clone.set_lora_state({2: (clone.N[2], clone.M[2] + 0.1)})
+    with pytest.raises(StaleCacheError):
+        clone.backward(cache, y)
+    _, clone_cache = clone.forward(X, full)
+    with pytest.raises(StaleCacheError):
+        source.backward(clone_cache, y)
 
 
 def test_allocation_mismatch_rejected():
@@ -500,10 +531,10 @@ def test_activations_above_the_earliest_block_are_rejected():
         net.forward(a3, low)
     with pytest.raises(ValueError, match="block 3"):
         local_ig_scores(net, low, [(a3, y)])
-    version = net.version
+    ticks = net._changed_at
     with pytest.raises(ValueError, match="block 3"):
         local_train(net, a3, y, low, epochs=1, batch_size=2, lr=0.1)
-    assert net.version == version  # rejected before any write
+    assert net._changed_at == ticks  # rejected before any write
     with pytest.raises(ValueError, match="block 4"):
         net.prefix(a4, 3)  # a prefix never runs backwards
     for k in (-1, 8):
@@ -515,7 +546,7 @@ def test_activations_above_the_earliest_block_are_rejected():
 
 def assert_rejected_everywhere(net, acts, y, amap):
     """Every entry point refuses ``acts`` and leaves ``net`` unwritten."""
-    version = net.version
+    ticks = net._changed_at
     y = y[:len(acts)]
     calls = (
         lambda: net.forward(acts, amap),
@@ -528,7 +559,7 @@ def assert_rejected_everywhere(net, acts, y, amap):
     for call in calls:
         with pytest.raises(ValueError, match="not computed through"):
             call()
-    assert net.version == version
+    assert net._changed_at == ticks
 
 
 def test_stale_or_foreign_activations_are_rejected_at_every_entry_point():
@@ -606,10 +637,10 @@ def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
     net.forward(X, full)  # builds every weight
     built = list(net._weights)
     arrays = (net.N, net.M)
-    version = net.version
-    # byte-equal factors, passed as fresh arrays: nothing moves but the version
+    ticks = net._changed_at
+    # byte-equal factors, passed as fresh arrays: nothing moves
     net.set_lora_state({j: (net.N[j].copy(), net.M[j].copy()) for j in range(6)})
-    assert net.version == version + 1
+    assert net._changed_at == ticks
     assert net.frozen_below == 6
     assert all(w is b for w, b in zip(net._weights, built))
     assert all(a is b for a, b in zip(net.N + net.M, arrays[0] + arrays[1]))
