@@ -30,8 +30,6 @@ the reference measurements report sizes.
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -161,24 +159,13 @@ class AllocationMap:
         return len(self.trainable_indices)
 
     def with_block(self, j: int) -> "AllocationMap":
-        """This map with block j trainable too. Its other bits were checked
-        when it was made, so only j is, and j goes into the indices in
-        place; the greedy grows a map this way once per pick."""
-        j = operator.index(j)
         if not 0 <= j < len(self.bits):
             raise ValueError(f"block {j} out of range [0, {len(self.bits)})")
         if self.bits[j]:
             return self
         bits = list(self.bits)
         bits[j] = True
-        indices = self.trainable_indices
-        k = bisect_left(indices, j)
-        indices = indices[:k] + (j,) + indices[k:]
-        grown = object.__new__(AllocationMap)
-        object.__setattr__(grown, "bits", tuple(bits))
-        object.__setattr__(grown, "trainable_indices", indices)
-        object.__setattr__(grown, "earliest", indices[0])
-        return grown
+        return AllocationMap(tuple(bits))
 
     def __len__(self) -> int:
         return len(self.bits)

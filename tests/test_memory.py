@@ -15,6 +15,7 @@ from fedlorasim.memory import (
     MemoryBreakdown,
     ProfileValidationError,
     VIT_CONTEXT_MB_BY_LEVEL,
+    check_exact_costs,
     map_costs,
     marginal_weight,
     marginal_weights,
@@ -273,6 +274,16 @@ def test_closed_forms_match_total_memory():
                 assert max_feasible_naive_u(p, kind, batch, capacity) == (max(fits) if fits else None)
         table = marginal_weights(p, batch)
         assert table.dtype == np.int64 and table.shape == (l + 1, l)
+        # check_exact_costs prices the all-trainable map itself: a copy whose
+        # frozen bytes put that map at exactly 2**53 - 1 passes, one byte more
+        # does not
+        full = total_memory(p, AllocationMap.full(l), batch).total_bytes
+        edge = dataclasses.replace(p, frozen_param_bytes=p.frozen_param_bytes + 2**53 - 1 - full)
+        assert total_memory(edge, AllocationMap.full(l), batch).total_bytes == 2**53 - 1
+        check_exact_costs(edge, batch)
+        over = dataclasses.replace(edge, frozen_param_bytes=edge.frozen_param_bytes + 1)
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            check_exact_costs(over, batch)
     for kind in ("full", "el", "MS"):
         with pytest.raises(ValueError, match=f"'ms' or 'mh', got '{kind}'"):
             max_feasible_naive_u(reference_vit_profile(), kind, 1, 10**12)
