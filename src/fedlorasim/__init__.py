@@ -8,8 +8,8 @@ synthetic heterogeneous clients.
 """
 
 from fedlorasim.aggregation import (
-    ContributionHistory,
     InvariantViolation,
+    RoundWindow,
     apply_delta,
     com_agg,
     com_agg_fixed,
@@ -48,7 +48,6 @@ from fedlorasim.memory import (
 from fedlorasim.reporting import RunSummary, generate_report, load_metrics, summarize
 from fedlorasim.scoring import (
     IGScoreRecord,
-    ScoreHistory,
     local_ig_scores,
     update_history,
     value_function,
@@ -72,7 +71,6 @@ __all__ = [
     "VIT_CONTEXT_MB_BY_LEVEL",
     "AllocationMap",
     "AllocationResult",
-    "ContributionHistory",
     "ExperimentConfig",
     "GlobalState",
     "IGScoreRecord",
@@ -83,8 +81,8 @@ __all__ = [
     "MemoryBreakdown",
     "ModelProfile",
     "PartitionSpec",
+    "RoundWindow",
     "RunSummary",
-    "ScoreHistory",
     "SelectionStep",
     "SyntheticTask",
     "ToyLoRANet",

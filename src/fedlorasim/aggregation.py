@@ -13,13 +13,18 @@ rules are this one blend and differ only in the weights: the fixed variant
 pins both coefficients to 1 (half and half), and plain per-layer averaging
 puts weight 0 on the previous delta, so it ignores history entirely.
 
+Beta is a mean kept by ``RoundWindow``: per-layer values from the last T
+rounds, evicted by round and averaged once per push. The scoring side keeps
+its windowed cross-client score means in the same type.
+
 Deltas are dicts {block: (dN, dM)} of float64 arrays.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,43 +39,79 @@ class InvariantViolation(RuntimeError):
     non-finite client update)."""
 
 
-class ContributionHistory:
-    """Ring buffers of per-layer contributor counts over the last T rounds."""
+class RoundWindow:
+    """Per-layer values from the last ``window`` rounds and their means.
+
+    ``push(round, {layer: value})`` appends each named layer's value, drops
+    the entries of rounds <= round - window, and computes every layer's
+    mean once (0.0 for a layer with no entry). Rounds must increase; a
+    value must be finite and >= 0. The contributor counts behind beta push
+    every layer each round, so their window is the last ``window`` rounds;
+    the IG score means push only the layers some client reported.
+    """
 
     def __init__(self, num_blocks: int, window: int):
         if num_blocks < 1 or window < 1:
             raise ValueError("num_blocks and window must be positive")
         self.num_blocks = num_blocks
         self.window = window
-        self._counts: list[deque[int]] = [deque(maxlen=window) for _ in range(num_blocks)]
+        self.round = 0
+        self._entries: list[deque[tuple[int, float]]] = [deque() for _ in range(num_blocks)]
+        self.means: tuple[float, ...] = (0.0,) * num_blocks
 
-    def beta(self, j: int) -> float:
-        buf = self._counts[j]
-        if not buf:
-            return 0.0
-        return sum(buf) / len(buf)
+    def is_empty(self) -> bool:
+        return not any(self._entries)
 
-    def append(self, counts: Sequence[int]) -> None:
-        if len(counts) != self.num_blocks:
-            raise ValueError(f"expected {self.num_blocks} counts, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ValueError("contributor counts must be >= 0")
-        for j, c in enumerate(counts):
-            self._counts[j].append(int(c))
+    def push(self, round: int, values: Mapping[int, float]) -> None:
+        if round <= self.round:
+            raise ValueError(f"round {round} does not follow round {self.round}")
+        for j, v in values.items():
+            if not 0 <= j < self.num_blocks:
+                raise ValueError(f"layer {j} out of range for {self.num_blocks} layers")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"layer {j}: value must be finite and >= 0, got {v!r}")
+        for j, v in values.items():
+            self._entries[j].append((round, v))
+        cutoff = round - self.window
+        for buf in self._entries:
+            while buf and buf[0][0] <= cutoff:
+                buf.popleft()
+        self.round = round
+        self.means = tuple(sum(v for _, v in buf) / len(buf) if buf else 0.0
+                           for buf in self._entries)
 
     def to_jsonable(self) -> dict:
         return {
             "num_blocks": self.num_blocks,
             "window": self.window,
-            "counts": [list(buf) for buf in self._counts],
+            "round": self.round,
+            "entries": [[[r, v] for r, v in buf] for buf in self._entries],
         }
 
     @classmethod
-    def from_jsonable(cls, d: dict) -> "ContributionHistory":
-        h = cls(d["num_blocks"], d["window"])
-        for j, buf in enumerate(d["counts"]):
-            h._counts[j].extend(int(c) for c in buf)
-        return h
+    def from_jsonable(cls, d: dict, key: str = "window") -> "RoundWindow":
+        """Rebuild a window by pushing its entries round by round. A value a
+        push refuses, or entries the pushes do not keep as ``d`` has them,
+        fail naming ``key``."""
+        try:
+            w = cls(d["num_blocks"], d["window"])
+            by_round: dict[int, dict[int, float]] = {}
+            for j, buf in enumerate(d["entries"]):
+                for r, v in buf:
+                    by_round.setdefault(r, {})[j] = v
+            for r in sorted(by_round):
+                w.push(r, by_round[r])
+            if w.round != d["round"]:
+                w.push(d["round"], {})
+        except KeyError as e:
+            raise ValueError(f"{key}: missing field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{key}: {e}") from e
+        if w.to_jsonable() != d:
+            raise ValueError(f"{key}: entries differ from the window pushing them builds (one list "
+                             f"per layer; one entry per round, rounds increasing, within the "
+                             f"{w.window} rounds to round {w.round})")
+        return w
 
 
 def zero_delta_like(template: dict[int, tuple[np.ndarray, np.ndarray]]) -> dict:
@@ -135,25 +176,25 @@ def _blend(prev_delta, client_deltas: Sequence[ClientDelta], weights):
 def com_agg(
     prev_delta: dict[int, tuple[np.ndarray, np.ndarray]],
     client_deltas: Sequence[ClientDelta],
-    history: ContributionHistory,
+    history: RoundWindow,
     carry_forward: bool = True,
 ):
     """Compensated layer-wise aggregation; returns the new delta.
 
-    Betas are computed from the window *before* this round's counts are
-    appended to ``history`` (in place), so the blend always compares now
-    against the recent past. Layers with no contributor carry the previous
-    delta forward (or zero out when ``carry_forward`` is off or the layer
-    has never been trained).
+    Betas are the window means *before* this round's counts are pushed to
+    ``history`` (in place, as the round after its last), so the blend
+    always compares now against the recent past. Layers with no contributor
+    carry the previous delta forward (or zero out when ``carry_forward`` is
+    off or the layer has never been trained).
     """
     def weights(j, alpha):
-        beta = history.beta(j)
+        beta = history.means[j]
         if alpha == 0:
             return (1.0 if carry_forward and beta > 0 else 0.0), 0.0
         return beta / (alpha + beta), alpha / (alpha + beta)
 
     new_delta, counts = _blend(prev_delta, client_deltas, weights)
-    history.append(counts)
+    history.push(history.round + 1, dict(enumerate(counts)))
     return new_delta
 
 

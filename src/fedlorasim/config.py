@@ -9,6 +9,8 @@ findable.
 """
 
 import json
+import math
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -46,11 +48,16 @@ def _positive_entries(v):
 
 
 def _scalar(kind: type, v, where: str):
-    """``v`` as ``kind``: an int passes for a float, a bool never for a number."""
+    """``v`` as ``kind``: an int passes for a float, a bool never for a
+    number, and a float must be finite."""
     if kind is float and isinstance(v, int) and not isinstance(v, bool):
+        if abs(v) > sys.float_info.max:
+            raise ConfigError(f"{where}: must be finite, got an int too large for a float")
         return float(v)
     if not isinstance(v, kind) or isinstance(v, bool) and kind is not bool:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {type(v).__name__}")
+    if kind is float and not math.isfinite(v):
+        raise ConfigError(f"{where}: must be finite, got {v}")
     return v
 
 

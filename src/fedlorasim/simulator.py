@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from fedlorasim.aggregation import (
-    ContributionHistory,
     InvariantViolation,
+    RoundWindow,
     apply_delta,
     com_agg,
     com_agg_fixed,
@@ -46,7 +46,7 @@ from fedlorasim.memory import (
     naive_map,
     total_memory,
 )
-from fedlorasim.scoring import IGScoreRecord, ScoreHistory, local_ig_scores, update_history, value_function
+from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history, value_function
 from fedlorasim.toymodel import Activations, ToyLoRANet, local_train
 
 # purpose tags for derived RNG streams
@@ -101,8 +101,8 @@ class GlobalState:
     round: int
     params: dict
     prev_delta: dict
-    score_history: ScoreHistory
-    contribution_history: ContributionHistory
+    score_history: RoundWindow
+    contribution_history: RoundWindow
     last_records: dict[int, IGScoreRecord] = field(default_factory=dict)
     last_allocations: dict[int, AllocationMap] = field(default_factory=dict)
 
@@ -385,8 +385,8 @@ def init_state(config: ExperimentConfig, net: ToyLoRANet) -> GlobalState:
         round=0,
         params=params,
         prev_delta=zero_delta_like(params),
-        score_history=ScoreHistory(config.model.num_blocks, config.t_ig),
-        contribution_history=ContributionHistory(config.model.num_blocks, config.t_agg),
+        score_history=RoundWindow(config.model.num_blocks, config.t_ig),
+        contribution_history=RoundWindow(config.model.num_blocks, config.t_agg),
     )
 
 
@@ -555,8 +555,9 @@ def state_from_jsonable(d: dict) -> GlobalState:
         round=d["round"],
         params=unpack(d["params"]),
         prev_delta=unpack(d["prev_delta"]),
-        score_history=ScoreHistory.from_jsonable(d["score_history"]),
-        contribution_history=ContributionHistory.from_jsonable(d["contribution_history"]),
+        score_history=RoundWindow.from_jsonable(d["score_history"], "score_history"),
+        contribution_history=RoundWindow.from_jsonable(d["contribution_history"],
+                                                       "contribution_history"),
         last_records={
             int(cid): IGScoreRecord(
                 round=r["round"], client_id=r["client_id"],

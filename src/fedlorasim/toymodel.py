@@ -288,10 +288,10 @@ class ToyLoRANet:
         self,
         cache: ForwardCache,
         y: np.ndarray,
-        allocation: AllocationMap | None = None,
         loss_scale: float = 1.0,
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Adapter gradients of the mean cross-entropy for trainable blocks.
+        """Adapter gradients of the mean cross-entropy for the blocks the
+        cache's allocation trains.
 
         The signal is chained down through frozen blocks and stops at the
         earliest trainable one; blocks below it never matter. The cache
@@ -299,8 +299,6 @@ class ToyLoRANet:
         net holds now, so the weights it builds or keeps are the ones
         forward used.
         """
-        if allocation is not None and allocation != cache.allocation:
-            raise ValueError("allocation does not match the one used in forward")
         if cache.base is not self._base or cache.stamp != self._changed_at:
             raise StaleCacheError("this cache was not made through this net's current weights")
         allocation = cache.allocation

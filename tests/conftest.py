@@ -6,12 +6,15 @@ prices every candidate through ``marginal_weight`` and normalizes one Python
 float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
 used and recomputes tanh in backward, a central difference that perturbs
-one adapter entry through ``set_lora_state``, and the sequential
-``fedra_random`` sampler that prices one random map at a time.
+one adapter entry through ``set_lora_state``, the sequential
+``fedra_random`` sampler that prices one random map at a time, and the two
+windows ``RoundWindow`` replaced: the IG score buffers evicted by round
+cutoff and the ``maxlen`` deques of contributor counts.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,6 +292,49 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
         j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
         for j in allocation.trainable_indices
     }
+
+
+class ReferenceScoreHistory:
+    """The IG score window as it was kept before ``RoundWindow``: per-module
+    (round, cross-client mean) buffers, evicted by a round cutoff after
+    every update and averaged left to right."""
+
+    def __init__(self, num_blocks: int, window: int):
+        self.window = window
+        self.buffers = [deque() for _ in range(num_blocks)]
+
+    def update(self, records, round: int) -> None:
+        for j, buf in enumerate(self.buffers):
+            reported = [rec.module_scores[j] for rec in records if j in rec.module_scores]
+            if reported:
+                buf.append((round, sum(reported) / len(reported)))
+        for buf in self.buffers:
+            while buf and buf[0][0] <= round - self.window:
+                buf.popleft()
+
+    def means(self) -> tuple[float, ...]:
+        return tuple(sum(m for _, m in buf) / len(buf) if buf else 0.0 for buf in self.buffers)
+
+
+class ReferenceContributionHistory:
+    """Contributor counts as they were kept before ``RoundWindow``: one
+    ``maxlen`` deque per layer, beta re-summed on every read."""
+
+    def __init__(self, num_blocks: int, window: int):
+        self.counts = [deque(maxlen=window) for _ in range(num_blocks)]
+
+    def append(self, counts) -> None:
+        for buf, c in zip(self.counts, counts):
+            buf.append(int(c))
+
+    def beta(self, j: int) -> float:
+        buf = self.counts[j]
+        return sum(buf) / len(buf) if buf else 0.0
+
+
+def push_counts(window, counts) -> None:
+    """Push one round of per-layer contributor counts, as ``com_agg`` does."""
+    window.push(window.round + 1, dict(enumerate(counts)))
 
 
 def central_difference(net, X, y, allocation: AllocationMap, j: int, k: int, idx, h: float):

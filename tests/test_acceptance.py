@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from conftest import all_maps, central_difference, enumerate_costs, make_random_profile
-from fedlorasim.aggregation import ContributionHistory, com_agg, fed_avg, zero_delta_like
+from conftest import all_maps, central_difference, enumerate_costs, make_random_profile, push_counts
+from fedlorasim.aggregation import RoundWindow, com_agg, fed_avg, zero_delta_like
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation
 from fedlorasim.config import ExperimentConfig
 from fedlorasim.data import split_batches
@@ -30,7 +30,6 @@ from fedlorasim.memory import (
 )
 from fedlorasim.scoring import (
     IGScoreRecord,
-    ScoreHistory,
     local_ig_scores,
     update_history,
     value_function,
@@ -258,7 +257,7 @@ def test_06_gradient_score_properties():
     assert worst < 1e-10, f"scaling error {worst:.3e}"
 
     # cold start: no evidence at all puts every module on equal footing
-    hist = ScoreHistory(num_blocks=l, window=3)
+    hist = RoundWindow(num_blocks=l, window=3)
     assert value_function(hist) == [1.0] * l
 
     # a fresh record against an empty history collapses to the local score
@@ -269,7 +268,7 @@ def test_06_gradient_score_properties():
     # with history but no local record the value is the temporal mean
     hist = update_history(hist, [rec], round=1)
     vals = value_function(hist)
-    assert vals == [0.0, hist.temporal_mean(1), 0.0, hist.temporal_mean(3)]
+    assert vals == [0.0, hist.means[1], 0.0, hist.means[3]]
     assert vals[1] == scores[1] and vals[3] == scores[3]
 
     # single client, trained last round: (s + s) / 2 gives s back exactly
@@ -299,7 +298,7 @@ def test_07_compensated_blend_properties():
 
     # (i) first round, empty history and zero previous delta: plain layer means
     cds = rand_clients(5)
-    new = com_agg(zero_delta_like(template), cds, ContributionHistory(l, window=4))
+    new = com_agg(zero_delta_like(template), cds, RoundWindow(l, window=4))
     ref = fed_avg(cds, zero_delta_like(template))
     for j in range(l):
         assert np.array_equal(new[j][0], ref[j][0])
@@ -310,19 +309,19 @@ def test_07_compensated_blend_properties():
     prev = {0: (np.array([[4.0]]), np.array([[8.0]]))}
     mk = lambda v: {0: (np.array([[v]]), np.array([[2.0 * v]]))}
 
-    h = ContributionHistory(1, window=2)
-    h.append([4])
-    h.append([2])  # window mean beta = 3
+    h = RoundWindow(1, window=2)
+    push_counts(h, [4])
+    push_counts(h, [2])  # window mean beta = 3
     new = com_agg(prev, [(0, mk(1.0), one)], h)  # alpha = 1: 3/4 prev + 1/4 mean
     assert new[0][0][0, 0] == 3.25 and new[0][1][0, 0] == 6.5
 
-    h = ContributionHistory(1, window=2)
-    h.append([2])  # beta = 2
+    h = RoundWindow(1, window=2)
+    push_counts(h, [2])  # beta = 2
     new = com_agg(prev, [(0, mk(1.0), one), (1, mk(3.0), one)], h)  # alpha = 2: half and half
     assert new[0][0][0, 0] == 3.0 and new[0][1][0, 0] == 6.0
 
     # beta is read before this round's count lands in the window
-    h = ContributionHistory(1, window=4)
+    h = RoundWindow(1, window=4)
     new = com_agg(prev, [(0, mk(2.0), one), (1, mk(4.0), one)], h)  # beta 0: pure mean
     assert new[0][0][0, 0] == 3.0 and new[0][1][0, 0] == 6.0
     new = com_agg(prev, [(0, mk(1.0), one)], h)  # now beta = 2: 2/3 prev + 1/3 mean
@@ -332,9 +331,9 @@ def test_07_compensated_blend_properties():
     checked = 0
     for _ in range(1000):
         k = int(rng.integers(1, 6))
-        h = ContributionHistory(1, window=int(rng.integers(1, 5)))
+        h = RoundWindow(1, window=int(rng.integers(1, 5)))
         for _ in range(int(rng.integers(0, h.window + 1))):
-            h.append([int(rng.integers(0, 6))])
+            push_counts(h, [int(rng.integers(0, 6))])
         prev = {0: (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))}
         cds = [(cid, {0: (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))}, one)
                for cid in range(k)]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from conftest import push_counts
 from fedlorasim.aggregation import (
-    ContributionHistory,
     InvariantViolation,
+    RoundWindow,
     apply_delta,
     com_agg,
     com_agg_fixed,
@@ -29,7 +32,7 @@ def test_first_round_equals_fed_avg_on_contributed_layers():
     rng = np.random.default_rng(1)
     prev = zero_delta_like(make_delta(rng, range(4)))
     clients = [client(0, rng, [0, 2]), client(1, rng, [2, 3])]
-    hist = ContributionHistory(num_blocks=4, window=5)
+    hist = RoundWindow(num_blocks=4, window=5)
     merged = com_agg(prev, clients, hist)
     plain = fed_avg(clients, prev)
     for j in range(4):
@@ -44,9 +47,9 @@ def test_hand_derived_coefficients_one_of_three():
     # blend is 2/3 previous and 1/3 fresh
     rng = np.random.default_rng(2)
     prev = make_delta(rng, range(4))
-    hist = ContributionHistory(num_blocks=4, window=5)
-    hist.append([2] * 4)
-    hist.append([2] * 4)
+    hist = RoundWindow(num_blocks=4, window=5)
+    push_counts(hist, [2] * 4)
+    push_counts(hist, [2] * 4)
     cl = client(9, rng, [1])
     merged = com_agg(prev, [cl], hist)
     expect_n = (2 / 3) * prev[1][0] + (1 / 3) * cl[1][1][0]
@@ -58,8 +61,8 @@ def test_hand_derived_coefficients_one_of_three():
 def test_alpha_equals_beta_is_even_blend():
     rng = np.random.default_rng(3)
     prev = make_delta(rng, range(2))
-    hist = ContributionHistory(num_blocks=2, window=3)
-    hist.append([2, 2])
+    hist = RoundWindow(num_blocks=2, window=3)
+    push_counts(hist, [2, 2])
     clients = [client(0, rng, [0, 1], num_blocks=2), client(1, rng, [0, 1], num_blocks=2)]
     merged = com_agg(prev, clients, hist)
     for j in range(2):
@@ -70,28 +73,28 @@ def test_alpha_equals_beta_is_even_blend():
 def test_beta_window_excludes_current_round():
     rng = np.random.default_rng(4)
     prev = make_delta(rng, range(2))
-    hist = ContributionHistory(num_blocks=2, window=3)
+    hist = RoundWindow(num_blocks=2, window=3)
     clients = [client(i, rng, [0, 1], num_blocks=2) for i in range(5)]
     merged = com_agg(prev, clients, hist)
     # beta was 0 during the call, so the result is the plain mean...
     mean_n = sum(c[1][0][0] for c in clients) / 5
     np.testing.assert_allclose(merged[0][0], mean_n, rtol=1e-12)
     # ...and the call recorded alpha=5 in the caller's history for the next round
-    assert hist.beta(0) == 5.0
+    assert hist.means[0] == 5.0
 
 
 def test_carry_forward_variants():
     rng = np.random.default_rng(5)
     prev = make_delta(rng, range(2))
-    hist = ContributionHistory(num_blocks=2, window=3)
-    hist.append([1, 0])
+    hist = RoundWindow(num_blocks=2, window=3)
+    push_counts(hist, [1, 0])
     merged = com_agg(prev, [], hist)
     # layer 0 was trained before: carried; layer 1 never: zero
     np.testing.assert_array_equal(merged[0][0], prev[0][0])
     assert np.abs(merged[1][0]).max() == 0.0
 
-    hist2 = ContributionHistory(num_blocks=2, window=3)
-    hist2.append([1, 1])
+    hist2 = RoundWindow(num_blocks=2, window=3)
+    push_counts(hist2, [1, 1])
     frozen = com_agg(prev, [], hist2, carry_forward=False)
     assert np.abs(frozen[0][0]).max() == 0.0
     assert np.abs(frozen[1][0]).max() == 0.0
@@ -102,9 +105,9 @@ def test_convex_envelope_random_instances():
     for _ in range(100):
         l = int(rng.integers(1, 5))
         prev = make_delta(rng, range(l))
-        hist = ContributionHistory(num_blocks=l, window=4)
+        hist = RoundWindow(num_blocks=l, window=4)
         for _ in range(int(rng.integers(0, 4))):
-            hist.append(list(rng.integers(0, 5, size=l)))
+            push_counts(hist, list(rng.integers(0, 5, size=l)))
         n_cl = int(rng.integers(1, 5))
         clients = []
         for cid in range(n_cl):
@@ -125,10 +128,10 @@ def test_linearity_in_inputs():
     rng = np.random.default_rng(7)
     prev = make_delta(rng, range(3))
     clients = [client(0, rng, [0, 1], num_blocks=3), client(1, rng, [1, 2], num_blocks=3)]
-    hist1 = ContributionHistory(num_blocks=3, window=3)
-    hist1.append([1, 2, 1])
-    hist2 = ContributionHistory(num_blocks=3, window=3)
-    hist2.append([1, 2, 1])
+    hist1 = RoundWindow(num_blocks=3, window=3)
+    push_counts(hist1, [1, 2, 1])
+    hist2 = RoundWindow(num_blocks=3, window=3)
+    push_counts(hist2, [1, 2, 1])
     c = 3.7
     scaled_prev = {j: (c * n, c * m) for j, (n, m) in prev.items()}
     scaled_clients = [
@@ -144,13 +147,13 @@ def test_linearity_in_inputs():
 def test_full_participation_converges_to_half_half():
     rng = np.random.default_rng(8)
     l, v = 3, 4
-    hist = ContributionHistory(num_blocks=l, window=3)
+    hist = RoundWindow(num_blocks=l, window=3)
     prev = make_delta(rng, range(l))
     for _ in range(5):
         clients = [client(i, rng, list(range(l)), num_blocks=l) for i in range(v)]
         merged = com_agg(prev, clients, hist)
         prev = merged
-    assert all(hist.beta(j) == v for j in range(l))
+    assert all(hist.means[j] == v for j in range(l))
     clients = [client(i, rng, list(range(l)), num_blocks=l) for i in range(v)]
     merged = com_agg(prev, clients, hist)
     for j in range(l):
@@ -248,7 +251,7 @@ def test_apply_delta():
 def test_validation_rejects_inconsistent_deltas():
     rng = np.random.default_rng(12)
     prev = make_delta(rng, range(3))
-    hist = ContributionHistory(num_blocks=3, window=2)
+    hist = RoundWindow(num_blocks=3, window=2)
     # delta for a layer the map marks frozen
     bad = (0, make_delta(rng, [0, 1]), AllocationMap.from_indices(3, [0]))
     with pytest.raises(ValueError):
@@ -271,7 +274,7 @@ def test_non_finite_client_delta_is_rejected(bad_value):
     bad = client(7, rng, [1, 2], num_blocks=3)
     bad[1][2][1][1, 0] = bad_value
     rules = (
-        lambda cds: com_agg(prev, cds, ContributionHistory(num_blocks=3, window=2)),
+        lambda cds: com_agg(prev, cds, RoundWindow(num_blocks=3, window=2)),
         lambda cds: com_agg_fixed(prev, cds),
         lambda cds: fed_avg(cds, prev),
     )
@@ -282,15 +285,60 @@ def test_non_finite_client_delta_is_rejected(bad_value):
 
 
 def test_contribution_history_roundtrip_and_validation():
-    h = ContributionHistory(num_blocks=2, window=2)
-    h.append([1, 2])
-    h.append([3, 4])
-    h.append([5, 6])            # evicts the first row
-    assert h.beta(0) == 4.0
-    assert h.beta(1) == 5.0
-    back = ContributionHistory.from_jsonable(h.to_jsonable())
-    assert back.beta(0) == h.beta(0)
-    with pytest.raises(ValueError):
-        h.append([1])
-    with pytest.raises(ValueError):
-        h.append([-1, 0])
+    h = RoundWindow(num_blocks=2, window=2)
+    push_counts(h, [1, 2])
+    push_counts(h, [3, 4])
+    push_counts(h, [5, 6])            # evicts the first round
+    assert h.means == (4.0, 5.0) and h.round == 3
+    back = RoundWindow.from_jsonable(json.loads(json.dumps(h.to_jsonable())))
+    assert back.to_jsonable() == h.to_jsonable() and back.means == h.means
+    before = h.to_jsonable()
+    with pytest.raises(ValueError, match="layer 2 out of range"):
+        push_counts(h, [1, 0, 1])
+    with pytest.raises(ValueError, match="layer 0: value must be finite and >= 0"):
+        push_counts(h, [-1, 0])
+    with pytest.raises(ValueError, match="layer 1: value must be finite"):
+        h.push(4, {1: float("nan")})
+    with pytest.raises(ValueError, match="round 3 does not follow round 3"):
+        h.push(3, {})
+    assert h.to_jsonable() == before  # a refused push changes nothing
+
+
+def test_window_evicts_by_round_and_keeps_unnamed_layers():
+    w = RoundWindow(num_blocks=2, window=3)
+    w.push(1, {0: 1.0, 1: 8.0})
+    w.push(2, {0: 2.0})
+    assert w.means == (1.5, 8.0)
+    w.push(4, {})  # the window is now rounds 2..4: round 1 leaves
+    assert w.means == (2.0, 0.0) and not w.is_empty()
+    w.push(5, {})
+    assert w.means == (0.0, 0.0) and w.is_empty()
+
+
+def window_dict(*entries, round=4):
+    return {"num_blocks": 4, "window": 2, "round": round,
+            "entries": [list(e) for e in entries] + [[] for _ in range(4 - len(entries))]}
+
+
+@pytest.mark.parametrize("d", [
+    [[[4, 2.0]]],                                                # entries without their window
+    {**window_dict(), "entries": [[[4, 2.0]]]},                  # one entry list for 4 layers
+    {**window_dict(), "entries": [[[4, 2.0]], [], [], [], []]},  # one list too many
+    window_dict([[1, 2.0], [4, 3.0]]),                           # round 1 is outside the window
+    window_dict([[4, -1.0]]),                                    # a negative score
+    window_dict([[4, float("nan")]]),                            # a NaN score
+    window_dict([[1, 1], [2, 2], [3, 3], [4, 8]]),               # 4 counts for window 2
+    window_dict([[4, -4]]),                                      # a count of -4
+    window_dict([[4, 1], [3, 1]]),                               # rounds out of order
+    window_dict([[4, 1], [4, 2]]),                               # two entries for one round
+    window_dict([[5, 1]]),                                       # an entry after the last round
+    window_dict(round=-1),                                       # a round before the first
+    window_dict([[4, "1"]]),                                     # a value that is no number
+    {k: v for k, v in window_dict().items() if k != "round"},    # a missing field
+    {**window_dict(), "extra": 1},                               # a field too many
+])
+def test_malformed_window_checkpoint_is_refused_naming_its_key(d):
+    good = window_dict([[3, 1.5], [4, 2.0]], [[4, 0]])
+    assert RoundWindow.from_jsonable(good).means == (1.75, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^contribution_history: "):
+        RoundWindow.from_jsonable(d, "contribution_history")

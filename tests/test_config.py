@@ -1,6 +1,8 @@
 """Experiment config reading: defaults, types, bounds, and dotted-path errors."""
 
 import json
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -104,5 +106,49 @@ def test_simulate_rejects_bad_config_without_a_traceback(tmp_path, capsys, d, wh
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def float_fields(cls=ExperimentConfig, path=""):
+    """The dotted path of every float field, found from the type hints."""
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            yield from float_fields(f.type, f"{path}{f.name}.")
+        elif f.type in (float, float | None):
+            yield path + f.name
+
+
+FLOAT_FIELDS = list(float_fields())
+
+
+def nested(where: str, v) -> dict:
+    head, _, rest = where.partition(".")
+    return {head: nested(rest, v) if rest else v}
+
+
+def test_every_float_field_is_found():
+    assert FLOAT_FIELDS == ["lr", "model.lora_alpha", "data.noise_scale", "data.center_scale",
+                            "partition.alpha", "clients.sampling_rate", "clients.capacity_margin"]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), -10**400])
+@pytest.mark.parametrize("where", FLOAT_FIELDS)
+def test_non_finite_float_is_rejected_naming_its_path(where, bad):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: must be finite"):
+        ExperimentConfig.from_dict(nested(where, bad))
+
+
+@pytest.mark.parametrize("where", FLOAT_FIELDS)
+def test_simulate_rejects_infinity_before_the_run(tmp_path, capsys, where):
+    raw = json.loads(QUICK.read_text())
+    section, _, name = where.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[name] = float("inf")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))  # written as the JSON token Infinity
+    assert "Infinity" in path.read_text()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: must be finite")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()

@@ -1,7 +1,8 @@
 """Property tests: the array allocator against its oracles, batched map
 prices against ``total_memory``, client updates from the per-client
-boundary against updates from the features, and the activation stamp
-check against an explicit write log.
+boundary against updates from the features, the activation stamp
+check against an explicit write log, and ``RoundWindow`` against the two
+windows it replaced.
 
 Hypothesis draws the cases; runs are derandomized so every run of the suite
 checks the same examples.
@@ -9,13 +10,23 @@ checks the same examples.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
-from conftest import all_maps, enumerate_costs, reference_allocation  # noqa: E402
+from conftest import (  # noqa: E402
+    ReferenceContributionHistory,
+    ReferenceScoreHistory,
+    all_maps,
+    enumerate_costs,
+    push_counts,
+    reference_allocation,
+)
+from fedlorasim.aggregation import RoundWindow  # noqa: E402
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation  # noqa: E402
 from fedlorasim.data import LabeledData  # noqa: E402
 from fedlorasim.memory import (  # noqa: E402
@@ -25,7 +36,7 @@ from fedlorasim.memory import (  # noqa: E402
     marginal_weight,
     total_memory,
 )
-from fedlorasim.scoring import local_ig_scores  # noqa: E402
+from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history  # noqa: E402
 from fedlorasim.simulator import ClientSpec, PrefixCache  # noqa: E402
 from fedlorasim.toymodel import Activations, ToyLoRANet, local_train  # noqa: E402
 
@@ -196,3 +207,40 @@ def test_activations_are_accepted_exactly_while_no_block_below_them_changed(l, d
                 if want:
                     fresh = other.prefix(X, acts.block).data[rows]
                     assert fresh.tobytes() == acts.data.tobytes()
+
+
+def _read_back(window: RoundWindow) -> RoundWindow:
+    return RoundWindow.from_jsonable(json.loads(json.dumps(window.to_jsonable())))
+
+
+@PROPERTY
+@given(st.data())
+def test_score_window_matches_the_round_cutoff_buffers(data):
+    """``update_history`` gives the old score buffers' means, float for float,
+    over rounds with gaps, unreported modules and several clients."""
+    l, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    window, ref = RoundWindow(l, size), ReferenceScoreHistory(l, size)
+    score = st.floats(0, 1e12, allow_nan=False, allow_infinity=False)
+    t = 0
+    for _ in range(data.draw(st.integers(0, 10))):
+        t += data.draw(st.integers(1, 3))
+        records = [IGScoreRecord(t, cid, data.draw(st.dictionaries(st.integers(0, l - 1), score)))
+                   for cid in range(data.draw(st.integers(0, 3)))]
+        update_history(window, records, t)
+        ref.update(records, t)
+        assert window.means == ref.means()
+        assert _read_back(window).means == window.means
+
+
+@PROPERTY
+@given(st.data())
+def test_count_window_matches_the_maxlen_deques(data):
+    """Pushing every layer's count each round gives the old deques' betas."""
+    l, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    window, ref = RoundWindow(l, size), ReferenceContributionHistory(l, size)
+    for _ in range(data.draw(st.integers(0, 10))):
+        counts = data.draw(st.lists(st.integers(0, 9), min_size=l, max_size=l))
+        push_counts(window, counts)
+        ref.append(counts)
+        assert window.means == tuple(ref.beta(j) for j in range(l))
+        assert _read_back(window).means == window.means

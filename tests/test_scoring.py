@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import (
     IGScoreRecord,
-    ScoreHistory,
     local_ig_scores,
     update_history,
     value_function,
@@ -110,20 +110,20 @@ def test_record_validation():
 
 
 def test_update_history_means_and_unreported_modules():
-    h = ScoreHistory(num_blocks=4, window=5)
+    h = RoundWindow(num_blocks=4, window=5)
     recs = [
         IGScoreRecord(round=2, client_id=0, module_scores={3: 2.0}),
         IGScoreRecord(round=2, client_id=1, module_scores={3: 4.0, 1: 5.0}),
     ]
     update_history(h, recs, round=2)
-    assert h.temporal_mean(3) == pytest.approx(3.0)
-    assert h.temporal_mean(1) == pytest.approx(5.0)
-    assert h.temporal_mean(0) == 0.0
-    assert h.temporal_mean(2) == 0.0
+    assert h.means[3] == pytest.approx(3.0)
+    assert h.means[1] == pytest.approx(5.0)
+    assert h.means[0] == 0.0
+    assert h.means[2] == 0.0
 
 
 def test_update_history_round_mismatch_and_range():
-    h = ScoreHistory(num_blocks=2, window=3)
+    h = RoundWindow(num_blocks=2, window=3)
     with pytest.raises(ValueError):
         update_history(h, [IGScoreRecord(round=1, client_id=0, module_scores={0: 1.0})], round=2)
     with pytest.raises(ValueError):
@@ -131,15 +131,15 @@ def test_update_history_round_mismatch_and_range():
 
 
 def test_window_eviction():
-    h = ScoreHistory(num_blocks=1, window=2)
+    h = RoundWindow(num_blocks=1, window=2)
     for t in range(1, 5):
         update_history(h, [IGScoreRecord(round=t, client_id=0, module_scores={0: float(t)})], round=t)
     # only rounds 3 and 4 survive a window of 2
-    assert h.temporal_mean(0) == pytest.approx(3.5)
+    assert h.means[0] == pytest.approx(3.5)
 
 
 def test_stale_scores_stop_influencing_values():
-    h = ScoreHistory(num_blocks=1, window=3)
+    h = RoundWindow(num_blocks=1, window=3)
     update_history(h, [IGScoreRecord(round=1, client_id=0, module_scores={0: 1e9})], round=1)
     assert value_function(h)[0] == pytest.approx(1e9)
     for t in range(2, 5):
@@ -148,7 +148,7 @@ def test_stale_scores_stop_influencing_values():
 
 
 def test_cold_start_uniform():
-    h = ScoreHistory(num_blocks=5, window=3)
+    h = RoundWindow(num_blocks=5, window=3)
     assert value_function(h) == [1.0] * 5
     assert value_function(h, None, None) == [1.0] * 5
 
@@ -156,7 +156,7 @@ def test_cold_start_uniform():
 def test_value_function_collapse_single_client():
     # one client, window 1: local score and cross-client mean coincide, and
     # the trained-bit divisor halves their sum back to the score itself
-    h = ScoreHistory(num_blocks=2, window=1)
+    h = RoundWindow(num_blocks=2, window=1)
     rec = IGScoreRecord(round=1, client_id=0, module_scores={1: 6.0})
     update_history(h, [rec], round=1)
     vals = value_function(h, rec, AllocationMap.from_indices(2, [1]))
@@ -165,7 +165,7 @@ def test_value_function_collapse_single_client():
 
 
 def test_value_function_untrained_module_takes_buffer_mean():
-    h = ScoreHistory(num_blocks=2, window=4)
+    h = RoundWindow(num_blocks=2, window=4)
     rec = IGScoreRecord(round=1, client_id=3, module_scores={1: 2.0})
     other = IGScoreRecord(round=1, client_id=7, module_scores={0: 8.0})
     update_history(h, [other, rec], round=1)
@@ -175,7 +175,7 @@ def test_value_function_untrained_module_takes_buffer_mean():
 
 
 def test_never_trained_module_scores_zero_after_cold_start():
-    h = ScoreHistory(num_blocks=3, window=4)
+    h = RoundWindow(num_blocks=3, window=4)
     update_history(h, [IGScoreRecord(round=1, client_id=0, module_scores={0: 5.0})], round=1)
     rec = IGScoreRecord(round=1, client_id=0, module_scores={0: 5.0})
     vals = value_function(h, rec, AllocationMap.from_indices(3, [0]))
@@ -187,18 +187,18 @@ def test_permutation_equivariance():
         IGScoreRecord(round=1, client_id=i, module_scores={0: float(i + 1)})
         for i in range(4)
     ]
-    h1 = ScoreHistory(num_blocks=1, window=3)
-    h2 = ScoreHistory(num_blocks=1, window=3)
+    h1 = RoundWindow(num_blocks=1, window=3)
+    h2 = RoundWindow(num_blocks=1, window=3)
     update_history(h1, recs, round=1)
     update_history(h2, list(reversed(recs)), round=1)
-    assert h1.temporal_mean(0) == h2.temporal_mean(0)
+    assert h1.means[0] == h2.means[0]
 
 
 def test_history_serialization_roundtrip():
-    h = ScoreHistory(num_blocks=2, window=3)
+    h = RoundWindow(num_blocks=2, window=3)
     update_history(h, [IGScoreRecord(round=1, client_id=0, module_scores={0: 2.0})], round=1)
     update_history(h, [IGScoreRecord(round=2, client_id=1, module_scores={1: 4.0})], round=2)
-    back = ScoreHistory.from_jsonable(h.to_jsonable())
-    assert back.temporal_mean(0) == h.temporal_mean(0)
-    assert back.temporal_mean(1) == h.temporal_mean(1)
+    back = RoundWindow.from_jsonable(h.to_jsonable())
+    assert back.means[0] == h.means[0]
+    assert back.means[1] == h.means[1]
     assert back.window == h.window

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import make_random_profile, reference_fedra_random
-from fedlorasim.config import ClientConfig, ExperimentConfig, ModelConfig, PartitionConfig
+from fedlorasim.config import (
+    AGGREGATIONS,
+    STRATEGIES,
+    ClientConfig,
+    ExperimentConfig,
+    ModelConfig,
+    PartitionConfig,
+)
 from fedlorasim.memory import AllocationMap, naive_map, total_memory
 from fedlorasim.simulator import (
     ClientSpec,
@@ -419,6 +426,35 @@ def deep_net(cfg) -> ToyLoRANet:
     return ToyLoRANet(num_blocks=m.num_blocks, hidden_size=m.hidden_size,
                       lora_rank=m.lora_rank, input_dim=m.input_dim,
                       num_classes=m.num_classes, lora_alpha=m.lora_alpha, seed=cfg.seed)
+
+
+@pytest.mark.parametrize("strategy, aggregation, every", [
+    *[(s, a, 1) for s in STRATEGIES for a in AGGREGATIONS], ("fedpilot", "comagg", 2)])
+def test_checkpoint_read_back_reproduces_the_run(strategy, aggregation, every, tmp_path):
+    # windows of 2 rounds, so both have evicted entries by the round-3 checkpoint
+    cfg = deep_config(strategy=strategy, aggregation=aggregation, allocation_every=every,
+                      t_ig=2, t_agg=2, checkpoint_every=3)
+    run_experiment(cfg, tmp_path, quiet=True)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    state = state_from_jsonable(json.loads((tmp_path / "checkpoints" / "round_0003.json").read_text()))
+    clients, test, profile, _, _ = build_clients(cfg)
+    net = deep_net(cfg)
+    net.set_lora_state(state.params)
+    prefixes = PrefixCache()
+    rows = [json.dumps(run_round(state, clients, net, test, profile, cfg, prefixes=prefixes)
+                       .as_jsonl_dict(), allow_nan=False) for _ in range(3)]
+    assert rows == lines[4:7]
+
+
+def test_malformed_checkpoint_window_names_its_key(tmp_path):
+    run_experiment(tiny_config(rounds=2, checkpoint_every=2), tmp_path, quiet=True)
+    snap = json.loads((tmp_path / "checkpoints" / "round_0002.json").read_text())
+    for key in ("score_history", "contribution_history"):
+        bad = json.loads(json.dumps(snap))
+        bad[key]["entries"][0].append([2, -1.0])  # a negative value
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            state_from_jsonable(bad)
+    assert state_to_jsonable(state_from_jsonable(snap)) == snap
 
 
 def test_prefix_cache_is_reused_until_its_boundary_is_too_high():

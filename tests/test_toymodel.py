@@ -13,9 +13,9 @@ from conftest import (
     rebuilding_forward,
     rebuilding_local_train,
 )
-from fedlorasim.aggregation import ContributionHistory, zero_delta_like
+from fedlorasim.aggregation import RoundWindow, zero_delta_like
 from fedlorasim.memory import AllocationMap
-from fedlorasim.scoring import ScoreHistory, local_ig_scores
+from fedlorasim.scoring import local_ig_scores
 from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
     Activations,
@@ -199,12 +199,14 @@ def test_foreign_cache_rejected():
         source.backward(clone_cache, y)
 
 
-def test_allocation_mismatch_rejected():
+def test_backward_follows_the_cached_allocation():
+    # backward takes no map: it differentiates the blocks the cache's map trains
     net = small_net()
-    X = np.zeros((2, net.input_dim))
-    _, cache = net.forward(X, AllocationMap.full(net.num_blocks))
-    with pytest.raises(ValueError):
-        net.backward(cache, np.zeros(2, dtype=int), AllocationMap.empty(net.num_blocks))
+    X = np.random.default_rng(47).normal(size=(2, net.input_dim))
+    y = np.zeros(2, dtype=int)
+    for blocks in ([1], [0, 2], []):
+        _, cache = net.forward(X, AllocationMap.from_indices(net.num_blocks, blocks))
+        assert net.backward(cache, y).keys() == set(blocks)
 
 
 def test_local_train_zero_lr_gives_zero_deltas():
@@ -359,8 +361,8 @@ def test_snapshot_roundtrip():
         round=3,
         params=net.get_lora_state(),
         prev_delta=zero_delta_like(net.get_lora_state()),
-        score_history=ScoreHistory(l, 2),
-        contribution_history=ContributionHistory(l, 2),
+        score_history=RoundWindow(l, 2),
+        contribution_history=RoundWindow(l, 2),
     )
     ckpt = json.loads(json.dumps(state_to_jsonable(state)))
     back = small_net(seed=6)
