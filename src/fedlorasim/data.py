@@ -9,6 +9,10 @@ across clients, which is where the heterogeneity schemes come in:
 * ``dirichlet`` keeps all classes everywhere but skews the quantities;
 * ``pathological_dirichlet`` composes both, the worst of the two skews.
 
+One loop over classes builds every scheme: a class's shuffled samples go to
+its holders (the clients dealt that class under label skew, else every
+client) by an equal ``np.array_split``, by largest-remainder counts of a
+Dirichlet draw under quantity skew, or, for ``iid``, round-robin.
 Partitions are exact: the client index lists are disjoint and their union is
 the whole training set.
 """
@@ -183,8 +187,10 @@ def partition(data: LabeledData, spec: PartitionSpec) -> tuple[list[LabeledData]
     by_class = _class_indices(data.y)
     classes = sorted(by_class)
     num_classes = len(classes)
+    label_skew = spec.scheme in ("pathological", "pathological_dirichlet")
+    quantity_skew = spec.scheme in ("dirichlet", "pathological_dirichlet")
 
-    if spec.scheme in ("pathological", "pathological_dirichlet"):
+    if label_skew:
         k = spec.classes_per_client
         if k > num_classes:
             raise PartitionError(f"classes_per_client {k} exceeds {num_classes} classes")
@@ -193,51 +199,32 @@ def partition(data: LabeledData, spec: PartitionSpec) -> tuple[list[LabeledData]
                 f"{v} clients x {k} classes cannot cover {num_classes} classes"
             )
 
-    for attempt in range(1000):
+    for _ in range(1000):
         assign: list[list[int]] = [[] for _ in range(v)]
-        if spec.scheme == "iid":
-            for ci, c in enumerate(classes):
-                idx = rng.permutation(by_class[c])
-                for pos, sample in enumerate(idx):
-                    assign[(pos + ci) % v].append(int(sample))
-        elif spec.scheme == "pathological":
-            holders = _holders_pathological(classes, v, spec.classes_per_client, rng)
-            for c in classes:
-                idx = rng.permutation(by_class[c])
-                for part, i in zip(np.array_split(idx, len(holders[c])), holders[c]):
-                    assign[i].extend(int(s) for s in part)
-        elif spec.scheme == "dirichlet":
-            for c in classes:
-                idx = rng.permutation(by_class[c])
-                p = rng.dirichlet([spec.alpha] * v)
-                counts = _largest_remainder_counts(p, len(idx))
-                start = 0
-                for i in range(v):
-                    assign[i].extend(int(s) for s in idx[start : start + counts[i]])
-                    start += counts[i]
-        else:  # pathological_dirichlet
-            holders = _holders_pathological(classes, v, spec.classes_per_client, rng)
-            for c in classes:
-                idx = rng.permutation(by_class[c])
-                hs = holders[c]
-                p = rng.dirichlet([spec.alpha] * len(hs))
-                counts = _largest_remainder_counts(p, len(idx))
-                start = 0
-                for i, n in zip(hs, counts):
-                    assign[i].extend(int(s) for s in idx[start : start + n])
-                    start += n
+        holders = (_holders_pathological(classes, v, spec.classes_per_client, rng)
+                   if label_skew else dict.fromkeys(classes, range(v)))
+        for ci, c in enumerate(classes):
+            idx = rng.permutation(by_class[c])
+            hs = holders[c]
+            if quantity_skew:
+                counts = _largest_remainder_counts(rng.dirichlet([spec.alpha] * len(hs)), len(idx))
+                parts = np.split(idx, np.cumsum(counts)[:-1])
+            elif label_skew:
+                parts = np.array_split(idx, len(hs))
+            else:  # iid: deal round-robin, class ci's first sample to client ci mod v
+                parts = [idx[(i - ci) % v :: v] for i in hs]
+            for i, part in zip(hs, parts):
+                assign[i].extend(int(s) for s in part)
 
         sizes = [len(a) for a in assign]
-        if spec.scheme in ("dirichlet", "pathological_dirichlet"):
-            if min(sizes) < spec.min_samples_per_client:
+        if min(sizes) < spec.min_samples_per_client:
+            if quantity_skew:
                 continue  # quantity skew went too far; redraw
-        else:
-            if min(sizes) < spec.min_samples_per_client:
-                cid = sizes.index(min(sizes))
-                raise PartitionError(
-                    f"client {cid} has only {sizes[cid]} samples, below the floor "
-                    f"{spec.min_samples_per_client} (scheme {spec.scheme} cannot resample)"
-                )
+            cid = sizes.index(min(sizes))
+            raise PartitionError(
+                f"client {cid} has only {sizes[cid]} samples, below the floor "
+                f"{spec.min_samples_per_client} (scheme {spec.scheme} cannot resample)"
+            )
         return [data.subset(a) for a in assign], assign
 
     raise PartitionError(

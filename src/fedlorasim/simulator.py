@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -391,7 +391,7 @@ def init_state(config: ExperimentConfig, net: ToyLoRANet) -> GlobalState:
 
 
 def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelProfile,
-                       config: ExperimentConfig, t: int, warn):
+                       config: ExperimentConfig, t: int):
     """Allocation map for one sampled client, or None to sit the round out."""
     b = config.clients.batch_size
     if config.strategy == "fedpilot":
@@ -411,7 +411,8 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
         try:
             return optimize_allocation(inst).map
         except InfeasibleClientError:
-            warn(f"round {t}: client {client.id} cannot hold the base model; excluded")
+            print(f"round {t}: client {client.id} cannot hold the base model; excluded",
+                  file=sys.stderr)
             return None
     rng = derive_rng(config.seed, _FEDRA, t, client.id) if config.strategy == "fedra_random" else None
     return baseline_allocation(config.strategy, client.capacity_bytes, profile, b, rng)
@@ -419,13 +420,12 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
 
 def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
               test: LabeledData, profile: ModelProfile, config: ExperimentConfig,
-              warn=None, prefixes: PrefixCache | None = None) -> RoundMetrics:
+              prefixes: PrefixCache | None = None) -> RoundMetrics:
     """Advance the federation by one round, mutating ``state``.
 
     Forwards start from the frozen-prefix activations in ``prefixes``; a run
     passes the same cache to every round so that its entries carry over.
     """
-    warn = warn or (lambda msg: print(msg, file=sys.stderr))
     prefixes = PrefixCache() if prefixes is None else prefixes
     start = time.perf_counter()
     phase = dict.fromkeys(PHASES, 0.0)
@@ -442,7 +442,7 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     for cid in sampled:
         client = clients[cid]
         t0 = time.perf_counter()
-        amap = _choose_allocation(state, client, profile, config, t, warn)
+        amap = _choose_allocation(state, client, profile, config, t)
         phase["allocate"] += time.perf_counter() - t0
         if amap is None or amap.count == 0:
             infos.append(ClientRoundInfo(cid, client.level, False, None, None, 0.0))
@@ -549,35 +549,108 @@ def state_to_jsonable(state: GlobalState) -> dict:
     }
 
 
+def _unpack_adapters(p: dict, num_blocks: int, shape: tuple[int, ...] | None) -> dict:
+    """{block: (N, M)} of packed adapters, checked: blocks 0..num_blocks-1,
+    every N of one shape (H, r), ``shape`` when given, every M (r, H), all
+    finite."""
+    if set(p) != {str(j) for j in range(num_blocks)}:
+        raise ValueError(f"blocks {sorted(p)} are not the model's 0..{num_blocks - 1}")
+    out = {}
+    for j in range(num_blocks):
+        n_packed, m_packed = p[str(j)]
+        n, m = _unb64(n_packed), _unb64(m_packed)
+        shape = shape or (n.shape if n.ndim == 2 else None)
+        if shape is None or n.shape != shape or m.shape != shape[::-1]:
+            want = "(H, r)/(r, H)" if shape is None else f"{list(shape)}/{list(shape[::-1])}"
+            raise ValueError(f"block {j}: adapter shapes {list(n.shape)}/{list(m.shape)} "
+                             f"are not {want}")
+        if not (np.isfinite(n).all() and np.isfinite(m).all()):
+            raise ValueError(f"block {j}: adapters are not finite")
+        out[j] = (n, m)
+    return out
+
+
 def state_from_jsonable(d: dict) -> GlobalState:
-    unpack = lambda p: {int(j): (_unb64(pair[0]), _unb64(pair[1])) for j, pair in p.items()}
-    return GlobalState(
-        round=d["round"],
-        params=unpack(d["params"]),
-        prev_delta=unpack(d["prev_delta"]),
-        score_history=RoundWindow.from_jsonable(d["score_history"], "score_history"),
-        contribution_history=RoundWindow.from_jsonable(d["contribution_history"],
-                                                       "contribution_history"),
-        last_records={
-            int(cid): IGScoreRecord(
-                round=r["round"], client_id=r["client_id"],
-                module_scores={int(j): float(s) for j, s in r["module_scores"].items()},
-            )
-            for cid, r in d["last_records"].items()
-        },
-        last_allocations={
-            int(cid): AllocationMap.from_bitstring(bits)
-            for cid, bits in d["last_allocations"].items()
-        },
+    """Read a checkpoint back, checking every field against the model it
+    describes and against the state's round.
+
+    The score window gives the model's L blocks and block 0 of ``params``
+    the adapter shapes (H, r)/(r, H) of every block of ``params`` and
+    ``prev_delta``; adapters must be finite. The score window, pushed every
+    round, is at the state's round, and the contribution window at no later
+    one. A record is its client's, from rounds 1..round, and scores modules
+    below L; an allocation has L bits. Each field must read back as written.
+    A malformed field raises ValueError naming its key.
+    """
+    keys = [f.name for f in fields(GlobalState)]
+    for key in [*keys, *d]:
+        if key not in d or key not in keys:
+            raise ValueError(f"{key}: {'missing' if key not in d else 'unknown'} field")
+    score_history = RoundWindow.from_jsonable(d["score_history"], "score_history")
+    contribution_history = RoundWindow.from_jsonable(d["contribution_history"],
+                                                     "contribution_history")
+    num_blocks, t = score_history.num_blocks, d["round"]
+    if type(t) is not int or t != score_history.round:
+        raise ValueError(f"round: {t!r} is not score_history's round {score_history.round}")
+    if contribution_history.num_blocks != num_blocks or contribution_history.round > t:
+        raise ValueError(f"contribution_history: {contribution_history.num_blocks} layers to "
+                         f"round {contribution_history.round}, not {num_blocks} to round <= {t}")
+
+    def read(key, parse):
+        try:
+            return parse(d[key])
+        except KeyError as e:
+            raise ValueError(f"{key}: missing field {e}") from e
+        except (AttributeError, TypeError, ValueError) as e:
+            raise ValueError(f"{key}: {e}") from e
+
+    def record(cid: int, r: dict) -> IGScoreRecord:
+        rec = IGScoreRecord(round=r["round"], client_id=r["client_id"], module_scores={
+            int(j): float(s) for j, s in r["module_scores"].items()})
+        if rec.client_id != cid:
+            raise ValueError(f"client {cid}: record of client {rec.client_id}")
+        if not 1 <= rec.round <= t:
+            raise ValueError(f"client {cid}: record of round {rec.round}, not of 1..{t}")
+        if max(rec.module_scores, default=0) >= num_blocks:
+            raise ValueError(f"client {cid}: score for module {max(rec.module_scores)} "
+                             f"of {num_blocks}")
+        return rec
+
+    def allocation(cid: int, bits: str) -> AllocationMap:
+        amap = AllocationMap.from_bitstring(bits)
+        if amap.num_blocks != num_blocks:
+            raise ValueError(f"client {cid}: {amap.num_blocks} blocks, not {num_blocks}")
+        return amap
+
+    params = read("params", lambda p: _unpack_adapters(p, num_blocks, None))
+    state = GlobalState(
+        round=t,
+        params=params,
+        prev_delta=read("prev_delta",
+                        lambda p: _unpack_adapters(p, num_blocks, params[0][0].shape)),
+        score_history=score_history,
+        contribution_history=contribution_history,
+        last_records=read("last_records",
+                          lambda p: {int(c): record(int(c), r) for c, r in p.items()}),
+        last_allocations=read("last_allocations",
+                              lambda p: {int(c): allocation(int(c), b) for c, b in p.items()}),
     )
+    again = state_to_jsonable(state)
+    for key in keys:
+        if again[key] != d[key]:
+            raise ValueError(f"{key}: does not read back as written")
+    return state
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, quiet=False) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir: str | Path, quiet=False) -> dict:
     """Full run: T rounds, metrics JSONL, summary JSON, partition manifest.
 
-    Returns the summary dict. Everything written under ``out_dir`` except
-    the per-phase wall times in ``timings.jsonl`` is a pure function of the
-    config.
+    Returns the summary dict. Each round, round 0's evaluation included,
+    writes its ``metrics.jsonl`` and ``timings.jsonl`` rows and any due
+    checkpoint as it ends, so a run that fails keeps its finished rounds;
+    ``summary.json`` is written after the last. Everything written under
+    ``out_dir`` except the per-phase wall times in ``timings.jsonl`` is a
+    pure function of the config.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -610,28 +683,28 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
             fh, indent=2, allow_nan=False,
         )
 
-    history: list[RoundMetrics] = []
     ckpt_dir = out / "checkpoints"
-    with open(out / "metrics.jsonl", "w") as fh:
-        rm = _round_zero_metrics(net, test, profile.num_blocks)
-        history.append(rm)
-        fh.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
-        prefixes = PrefixCache()
-        for _ in range(config.rounds):
-            rm = run_round(state, clients, net, test, profile, config, warn=warn,
-                           prefixes=prefixes)
-            history.append(rm)
-            fh.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
-            if config.checkpoint_every and state.round % config.checkpoint_every == 0:
+    prefixes = PrefixCache()
+    best = -math.inf
+    utilization = 0.0
+    with open(out / "metrics.jsonl", "w") as metrics, open(out / "timings.jsonl", "w") as timings:
+        for t in range(config.rounds + 1):
+            if t == 0:
+                rm = _round_zero_metrics(net, test, profile.num_blocks)
+            else:
+                rm = run_round(state, clients, net, test, profile, config, prefixes=prefixes)
+                utilization += rm.mean_utilization
+            best = max(best, rm.accuracy)
+            metrics.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
+            timings.write(json.dumps(rm.timings_dict(), allow_nan=False) + "\n")
+            # a run killed mid-round still leaves every finished round's rows
+            metrics.flush()
+            timings.flush()
+            if t and config.checkpoint_every and t % config.checkpoint_every == 0:
                 ckpt_dir.mkdir(exist_ok=True)
-                with open(ckpt_dir / f"round_{state.round:04d}.json", "w") as cf:
+                with open(ckpt_dir / f"round_{t:04d}.json", "w") as cf:
                     json.dump(state_to_jsonable(state), cf, allow_nan=False)
 
-    with open(out / "timings.jsonl", "w") as fh:
-        for rm in history:
-            fh.write(json.dumps(rm.timings_dict(), allow_nan=False) + "\n")
-
-    training = history[1:]
     summary = {
         "config": config.to_dict(),
         "strategy": config.strategy,
@@ -639,11 +712,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, warn=None, qui
         "distribution": config.distribution_label(),
         "seed": config.seed,
         "rounds": config.rounds,
-        "final_accuracy": history[-1].accuracy,
-        "best_accuracy": max(rm.accuracy for rm in history),
-        "final_loss": history[-1].loss,
-        "mean_utilization": (sum(rm.mean_utilization for rm in training) / len(training))
-        if training else 0.0,
+        "final_accuracy": rm.accuracy,
+        "best_accuracy": best,
+        "final_loss": rm.loss,
+        "mean_utilization": utilization / config.rounds if config.rounds else 0.0,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)

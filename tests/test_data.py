@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -154,6 +156,37 @@ def test_pathological_dirichlet_composes():
     for part in parts:
         assert 1 <= len(np.unique(part.y)) <= 3
         assert len(part) >= 8
+
+
+# Each scheme's manifests for 7 clients at seeds 0-4, as one sha256. The
+# floor of 16 samples makes both Dirichlet schemes redraw at some seeds.
+PINNED_MANIFESTS = {
+    "iid": ({}, "f464c078565df8ae940f5e7927daa3ef9cfb53d5d2b2aa065d91f818ca85ed90"),
+    "pathological-k2": (
+        {"scheme": "pathological", "classes_per_client": 2},
+        "a8b454f14370be420e8625e0adc3d8eb59122907744d1fc84b025f6b5f297241"),
+    "dirichlet-a0.3": (
+        {"scheme": "dirichlet", "alpha": 0.3, "min_samples_per_client": 16},
+        "c68be20e73850ce85d92475d7f8da8df5e4be0548d3653deb5ac98a6aa68c61f"),
+    "dirichlet-a5": (
+        {"scheme": "dirichlet", "alpha": 5.0, "min_samples_per_client": 16},
+        "f92fe7c469de845ad5fdc5baa1f0650a20ea5ae9380fdcbc965163285627262c"),
+    "pathological_dirichlet-k3-a0.5": (
+        {"scheme": "pathological_dirichlet", "classes_per_client": 3, "alpha": 0.5,
+         "min_samples_per_client": 16},
+        "73435d6e6956b62fb82b64dbf5689e4a75950b3987bd4077571b705e2f8b102f"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MANIFESTS))
+def test_partition_manifests_match_pinned_digests(name):
+    kw, digest = PINNED_MANIFESTS[name]
+    manifests = []
+    for seed in range(5):
+        tr, _ = generate(small_task(seed=seed), seed)
+        spec = PartitionSpec(**{"scheme": "iid", **kw}, num_clients=7, seed=seed)
+        manifests.append(partition(tr, spec)[1])
+    assert hashlib.sha256(json.dumps(manifests).encode()).hexdigest() == digest
 
 
 def test_partition_determinism():

@@ -70,7 +70,7 @@ def test_quick_config_outputs_match_pinned_digests(case, tmp_path):
     d = json.loads(QUICK.read_text())
     d.update(rounds=12, strategy=strategy, aggregation=aggregation,
              comagg_carry_forward=carry_forward)
-    run_experiment(ExperimentConfig.from_dict(d), tmp_path, quiet=True, warn=lambda msg: None)
+    run_experiment(ExperimentConfig.from_dict(d), tmp_path, quiet=True)
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("metrics.jsonl", "summary.json"))
     assert got == PINNED[case]
@@ -113,7 +113,7 @@ PINNED_SHAPES = {
 def test_wide_and_deep_outputs_match_pinned_digests(name, tmp_path):
     build, digests = PINNED_SHAPES[name]
     cfg = ExperimentConfig.from_dict(build(json.loads(QUICK.read_text())))
-    run_experiment(cfg, tmp_path, quiet=True, warn=lambda msg: None)
+    run_experiment(cfg, tmp_path, quiet=True)
     got = tuple(hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
                 for fname in ("metrics.jsonl", "summary.json"))
     assert got == digests

@@ -1,7 +1,9 @@
 """Federation loop: capacities, baselines, determinism, round mechanics."""
 
+import base64
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from fedlorasim.simulator import (
     toy_profile,
 )
 from fedlorasim.toymodel import ToyLoRANet
+
+QUICK = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -353,13 +357,12 @@ def test_all_clients_too_small_means_no_training(tmp_path):
     assert len(accs) == 1  # the global model never moved
 
 
-def test_fedpilot_infeasible_base_warns_and_skips(tmp_path):
+def test_fedpilot_infeasible_base_warns_and_skips(tmp_path, capsys):
     cfg = tiny_config(rounds=1,
                       clients={"num_clients": 4, "batch_size": 16, "sampling_rate": 1.0,
                                "capacity_levels": [50, 60, 70, 80]})
-    messages = []
-    run_experiment(cfg, tmp_path, warn=messages.append, quiet=True)
-    assert any("cannot hold the base model" in m for m in messages)
+    run_experiment(cfg, tmp_path, quiet=True)
+    assert "round 1: client 0 cannot hold the base model; excluded" in capsys.readouterr().err
     rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert rows[1]["participants"] == 0
 
@@ -444,6 +447,69 @@ def test_checkpoint_read_back_reproduces_the_run(strategy, aggregation, every, t
     rows = [json.dumps(run_round(state, clients, net, test, profile, cfg, prefixes=prefixes)
                        .as_jsonl_dict(), allow_nan=False) for _ in range(3)]
     assert rows == lines[4:7]
+
+
+def test_failed_run_keeps_its_finished_rounds(tmp_path, monkeypatch):
+    import fedlorasim.simulator as sim
+
+    cfg = ExperimentConfig.from_dict(json.loads(QUICK.read_text()))
+    run_experiment(cfg, tmp_path / "whole", quiet=True)
+    whole = (tmp_path / "whole" / "metrics.jsonl").read_text().splitlines()
+
+    def fail_at_round_4(state, *args, **kwargs):
+        if state.round == 3:
+            raise RuntimeError("round 4 failed")
+        return run_round(state, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_round", fail_at_round_4)
+    with pytest.raises(RuntimeError, match="round 4 failed"):
+        run_experiment(cfg, tmp_path / "failed", quiet=True)
+    out = tmp_path / "failed"
+    assert (out / "metrics.jsonl").read_text().splitlines() == whole[:4]
+    timings = [json.loads(s) for s in (out / "timings.jsonl").read_text().splitlines()]
+    assert [row["round"] for row in timings] == [0, 1, 2, 3]
+    assert not (out / "summary.json").exists()
+
+
+def _pack(arr) -> dict:
+    a = np.asarray(arr, dtype=np.float64)
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+# each a malformed field of a 4-block run's round-2 checkpoint, and its key
+MALFORMED_CHECKPOINTS = {
+    "nan-N-of-shape-2": (lambda s: s["params"]["0"].__setitem__(0, _pack([np.nan] * 2)), "params"),
+    "nan-N": (lambda s: s["params"]["0"].__setitem__(0, _pack(np.full((8, 2), np.nan))), "params"),
+    "block-3-missing": (lambda s: s["params"].pop("3"), "params"),
+    "record-of-another-client": (lambda s: s["last_records"]["0"].__setitem__("client_id", 5),
+                                 "last_records"),
+    "record-of-a-later-round": (lambda s: s["last_records"]["0"].__setitem__("round", 99),
+                                "last_records"),
+    "one-block-allocation": (lambda s: s["last_allocations"].__setitem__("0", "1"),
+                             "last_allocations"),
+    "score-for-module-17": (lambda s: s["last_records"]["0"]["module_scores"].__setitem__(
+        "17", 1.0), "last_records"),
+    "round-past-the-windows": (lambda s: s.__setitem__("round", 7), "round"),
+    "prev-delta-missing": (lambda s: s.pop("prev_delta"), "prev_delta"),
+    "inf-delta": (lambda s: s["prev_delta"]["1"].__setitem__(1, _pack(np.full((2, 8), np.inf))),
+                  "prev_delta"),
+    "delta-of-rank-3": (lambda s: s["prev_delta"]["2"].__setitem__(0, _pack(np.zeros((8, 3)))),
+                        "prev_delta"),
+    "client-key-00": (lambda s: s["last_records"].__setitem__("00", s["last_records"].pop("0")),
+                      "last_records"),
+    "unknown-field": (lambda s: s.__setitem__("extra", 1), "extra"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_names_its_key(case, tmp_path):
+    run_experiment(tiny_config(rounds=2, checkpoint_every=2), tmp_path, quiet=True)
+    snap = json.loads((tmp_path / "checkpoints" / "round_0002.json").read_text())
+    state_from_jsonable(json.loads(json.dumps(snap)))
+    corrupt, key = MALFORMED_CHECKPOINTS[case]
+    corrupt(snap)
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        state_from_jsonable(snap)
 
 
 def test_malformed_checkpoint_window_names_its_key(tmp_path):

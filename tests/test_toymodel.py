@@ -358,7 +358,7 @@ def test_snapshot_roundtrip():
     randomize_adapters(net, rng)
     l = net.num_blocks
     state = GlobalState(
-        round=3,
+        round=0,
         params=net.get_lora_state(),
         prev_delta=zero_delta_like(net.get_lora_state()),
         score_history=RoundWindow(l, 2),
