@@ -27,20 +27,23 @@ print(f"synthetic task: {len(train)} train / {len(test)} test samples, "
       f"{task.num_classes} classes")
 print()
 
-# Same initial net, three allocation maps, same data and schedule.
+# Same initial net, three allocation maps, same data and schedule: one
+# lockstep group of three clients. local_train leaves the net as it was and
+# returns each client's adapter deltas.
 maps = {
     "all blocks": naive_map(l, "full"),
     "last half": naive_map(l, "ms", l // 2),
     "block 3 only": AllocationMap.from_indices(l, [3]),
 }
-for name, amap in maps.items():
-    net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
-                     input_dim=16, num_classes=5, lora_alpha=None, seed=0)
-    before_loss, before_acc = net.evaluate(test.X, test.y)
-    deltas = local_train(net, train.X, train.y, amap, epochs=3,
-                         batch_size=32, lr=0.2,
-                         rng=np.random.default_rng(0))
-    after_loss, after_acc = net.evaluate(test.X, test.y)
+net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
+                 input_dim=16, num_classes=5, lora_alpha=None, seed=0)
+before_loss, before_acc = net.evaluate(test.X, test.y)
+group = local_train(net, [train.X] * 3, [train.y] * 3, list(maps.values()), epochs=3,
+                    batch_size=32, lr=0.2, rng=[np.random.default_rng(0) for _ in maps])
+for (name, amap), deltas in zip(maps.items(), group):
+    trained = net.clone()
+    trained.set_lora_state({j: (net.N[j] + dn, net.M[j] + dm) for j, (dn, dm) in deltas.items()})
+    after_loss, after_acc = trained.evaluate(test.X, test.y)
     norm = sum(float((dn * dn).sum() + (dm * dm).sum()) for dn, dm in deltas.values())
     print(f"{name:13s} [{amap.to_bitstring()}]  "
           f"acc {before_acc:.3f} -> {after_acc:.3f}  "
@@ -51,12 +54,12 @@ print()
 # Gradient scores on a probe subset: squared adapter gradient norms per
 # block, the raw material for the allocation value function. Scored on the
 # trained net so the numbers reflect what is still left to learn.
-net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
-                 input_dim=16, num_classes=5, lora_alpha=None, seed=0)
-local_train(net, train.X, train.y, naive_map(l, "full"), epochs=1,
-            batch_size=32, lr=0.2, rng=np.random.default_rng(1))
+full = naive_map(l, "full")
+deltas, = local_train(net, [train.X], [train.y], [full], epochs=1,
+                      batch_size=32, lr=0.2, rng=[np.random.default_rng(1)])
+net.set_lora_state({j: (net.N[j] + dn, net.M[j] + dm) for j, (dn, dm) in deltas.items()})
 probe = split_batches(train.X[:64], train.y[:64], 32)
-scores = local_ig_scores(net, naive_map(l, "full"), probe)
+scores, = local_ig_scores(net, [full], [probe])
 print("block  gradient score")
 for j in sorted(scores):
     bar = "#" * int(round(40 * scores[j] / max(scores.values())))
@@ -66,4 +69,4 @@ print()
 # Scoring respects the map: frozen blocks never appear.
 partial = AllocationMap.from_indices(l, [2, 6])
 print("scored blocks under map", partial.to_bitstring(), ":",
-      sorted(local_ig_scores(net, partial, probe)))
+      sorted(local_ig_scores(net, [partial], [probe])[0]))

@@ -20,7 +20,13 @@ import numpy as np
 
 from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
-from fedlorasim.toymodel import NonFiniteLossError, ToyLoRANet
+from fedlorasim.toymodel import (
+    Activations,
+    MapStack,
+    NonFiniteLossError,
+    ToyLoRANet,
+    group_order,
+)
 
 
 @dataclass(frozen=True)
@@ -44,30 +50,43 @@ class IGScoreRecord:
 
 def local_ig_scores(
     net: ToyLoRANet,
-    allocation: AllocationMap,
-    batches: Sequence[tuple[np.ndarray, np.ndarray]],
+    allocation: Sequence[AllocationMap],
+    batches: Sequence[Sequence[tuple[np.ndarray | Activations, np.ndarray]]],
     loss_scale: float = 1.0,
-) -> dict[int, float]:
-    """Per-module squared gradient norms summed over the scoring batches.
+) -> list[dict[int, float]]:
+    """Per-module squared gradient norms summed over each client's scoring
+    batches, for a group of clients in one pass per batch.
 
-    Returns {block: score} for trainable blocks only; an all-frozen
-    allocation yields an empty dict. A batch holds features or
-    ``Activations`` (see ``ToyLoRANet.forward``).
+    ``allocation`` holds one map per client and ``batches`` one list of
+    batches per client; batch i has one row count for every client. A batch
+    holds features or ``Activations`` (see ``ToyLoRANet.forward``). Returns,
+    per client, {block: score} for its trainable blocks only; an all-frozen
+    allocation yields an empty dict. Each client's score is summed on its
+    own slice of the group's gradients, as a pass of that client alone sums
+    it. ``net`` is not written.
     """
-    if len(batches) == 0:
+    if len(batches) != len(allocation) or not allocation:
+        raise ValueError("a group needs one map and one batch list per client")
+    if any(len(b) == 0 for b in batches):
         raise ValueError("scoring dataset is empty")
-    scores = {j: 0.0 for j in allocation.trainable_indices}
-    for bi, (X, y) in enumerate(batches):
-        if len(X) == 0:
+    if len({len(b) for b in batches}) != 1:
+        raise ValueError("the clients of a group need the same number of scoring batches")
+    order = group_order([b[0][0] for b in batches], allocation)
+    maps = MapStack(tuple(allocation[i] for i in order))
+    scores = [{j: 0.0 for j in m.trainable_indices} for m in maps.maps]
+    for bi in range(len(batches[0])):
+        if any(len(batches[i][bi][0]) == 0 for i in order):
             raise ValueError(f"scoring batch {bi} is empty")
-        logits, cache = net.forward(X, allocation)
-        grads = net.backward(cache, y, loss_scale=loss_scale)
-        for j, (gn, gm) in grads.items():
-            s = float((gn * gn).sum() + (gm * gm).sum())
-            if not math.isfinite(s):
-                raise NonFiniteLossError(f"non-finite gradient for module {j} in batch {bi}")
-            scores[j] += s
-    return scores
+        _, cache = net.forward([batches[i][bi][0] for i in order], maps)
+        labels = np.stack([np.asarray(batches[i][bi][1]) for i in order])
+        for j, (gn, gm) in net.backward(cache, labels, loss_scale=loss_scale).items():
+            sq = ((gn * gn).reshape(len(gn), -1).sum(axis=1)
+                  + (gm * gm).reshape(len(gm), -1).sum(axis=1)).tolist()
+            for pos, s in zip(maps.trainers[j].tolist(), sq):
+                if not math.isfinite(s):
+                    raise NonFiniteLossError(f"non-finite gradient for module {j} in batch {bi}")
+                scores[pos][j] += s
+    return [s for _, s in sorted(zip(order, scores), key=lambda pair: pair[0])]
 
 
 def update_history(history: RoundWindow, records: Sequence[IGScoreRecord], round: int) -> RoundWindow:

@@ -1,9 +1,10 @@
 """Federated fine-tuning loop over simulated memory-heterogeneous clients.
 
 One round: sample clients, decide each client's trainable-module map under
-its memory budget (knapsack strategy or a baseline rule), train locally from
-the current global adapters, score gradient information, aggregate the
-sparse deltas layer-wise, apply them, evaluate. Every random draw comes from
+its memory budget (knapsack strategy or a baseline rule), score gradient
+information (fedpilot only) and train locally from the current global
+adapters, in lockstep groups of clients, aggregate the sparse deltas
+layer-wise, apply them, evaluate. Every random draw comes from
 a stream derived from (seed, purpose, round, client), so results are
 reproducible regardless of execution order, and two runs of the same config
 produce byte-identical metrics files.
@@ -57,7 +58,9 @@ _IG_DRAW = 4
 
 
 #: Phases of a round timed into timings.jsonl; the round total also covers
-#: sampling, cloning and memory checks, which belong to none of them.
+#: sampling and memory checks, which belong to none of them. ``score`` holds
+#: the per-update prefixes too, and under strategies other than fedpilot,
+#: which score nothing, only them.
 PHASES = ("allocate", "score", "train", "aggregate", "evaluate")
 
 
@@ -338,13 +341,18 @@ class PrefixCache:
     A client update starts at the client's own earliest trainable block e,
     which may lie above ``frozen_below``: the global net computes, once, the
     activations entering e for all the client's rows, from the training
-    prefix or the features, and the client's clone accepts them because its
-    writes land on e and above. Its training batches and its IG batches are
-    rows of that array. Numpy multiplies a one-row batch as a vector, which
-    can round differently from that row of a matrix product: a client with
-    a one-row training batch runs its whole update from the features, and
-    one with a one-row IG batch scores from the features but still trains
-    from e.
+    prefix or the features. Its training batches and its IG batches are
+    rows of that array. ``run_round`` scores and trains a lockstep group of
+    updates in one pass per batch (see ``lockstep_groups``): each client
+    joins the stack at its own e with these activations, which the global
+    net and the group's clone both accept, since no client of the group
+    writes below its own e. Numpy multiplies a one-row batch as a vector,
+    which can round differently from that row of a matrix product: a client
+    with a one-row training batch runs its whole update from the features,
+    and one with a one-row IG batch scores from the features but still
+    trains from e. Stacking clients keeps each one's products, so these
+    rules are the same in a group; clients in one group have equal batch
+    shapes, so they start from the same kind of input.
     Derived state: never checkpointed and never written to a run's files.
     """
 
@@ -363,7 +371,7 @@ class PrefixCache:
     def update_inputs(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap,
                       batch_size: int):
         """(training inputs, IG batches) of one client update from the global
-        ``net``: features or ``Activations`` that clones of ``net`` accept."""
+        ``net``: features or ``Activations`` that ``net`` accepts."""
         if client.has_one_row_training_batch(batch_size):
             return client.data.X, client.ig_batches
         e = amap.earliest
@@ -418,6 +426,31 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
     return baseline_allocation(config.strategy, client.capacity_bytes, profile, b, rng)
 
 
+#: Most bytes of one block's per-client effective weights a lockstep group
+#: stacks (C * H * H * 8), which caps its size: 16 clients at H = 32, one at
+#: H = 128. Stacking pays while numpy's per-call cost leads a block's small
+#: products, and it costs memory. On wide-train (H = 128, one core, 6-second
+#: bench runs at seeds 160 and 163) groups of two or three ran 9.3-9.8
+#: rounds a second against 8.4-8.6 one client at a time, but peak RSS rose
+#: from 59.1-59.2 MB to 60.1-62.6 MB, most of the benchmark's 10% bound;
+#: groups of ten ran 10 rounds in 2.4 s against 1.9 s one at a time.
+LOCKSTEP_WEIGHT_BYTES = 128 * 1024
+
+
+def lockstep_groups(updates: list[tuple[ClientSpec, AllocationMap]],
+                    hidden_size: int) -> list[list[tuple[ClientSpec, AllocationMap]]]:
+    """The (client, map) updates that run one lockstep pass together, in
+    order: updates whose training and IG batches have the same shapes, and
+    so start from the same kind of input (see ``PrefixCache``), at most as
+    many as ``LOCKSTEP_WEIGHT_BYTES`` allows."""
+    cap = max(1, LOCKSTEP_WEIGHT_BYTES // (8 * hidden_size ** 2))
+    groups: dict = {}
+    for client, amap in updates:
+        key = (len(client.data), tuple(map(len, client.ig_rows)))
+        groups.setdefault(key, []).append((client, amap))
+    return [g[lo : lo + cap] for g in groups.values() for lo in range(0, len(g), cap)]
+
+
 def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
               test: LabeledData, profile: ModelProfile, config: ExperimentConfig,
               prefixes: PrefixCache | None = None) -> RoundMetrics:
@@ -437,8 +470,7 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     sampled = sorted(int(i) for i in rng.choice(v, size=n_sampled, replace=False))
 
     infos: list[ClientRoundInfo] = []
-    collected = []
-    records = []
+    updates: list[tuple[ClientSpec, AllocationMap]] = []
     for cid in sampled:
         client = clients[cid]
         t0 = time.perf_counter()
@@ -453,24 +485,35 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
                 f"round {t}: client {cid} allocation {amap.to_bitstring()} needs "
                 f"{breakdown.total_bytes} B > capacity {client.capacity_bytes} B"
             )
-        local_net = net.clone()
-        t0 = time.perf_counter()
-        train_X, ig_batches = prefixes.update_inputs(client, net, amap, b)
-        scores = local_ig_scores(local_net, amap, ig_batches)
-        t1 = time.perf_counter()
-        phase["score"] += t1 - t0
-        records.append(IGScoreRecord(round=t, client_id=cid, module_scores=scores))
-        deltas = local_train(
-            local_net, train_X, client.data.y, amap,
-            epochs=config.epochs, batch_size=b, lr=config.lr,
-            rng=derive_rng(config.seed, _TRAIN, t, cid),
-        )
-        phase["train"] += time.perf_counter() - t1
-        collected.append((cid, deltas, amap))
+        updates.append((client, amap))
         infos.append(ClientRoundInfo(
             cid, client.level, True, amap.to_bitstring(), breakdown.total_bytes,
             breakdown.total_bytes / client.capacity_bytes,
         ))
+
+    # every update starts from the global net as the round found it, so the
+    # round's clients score and train in lockstep groups of equal batch shapes
+    records, collected = [], []
+    for group in lockstep_groups(updates, net.hidden_size):
+        t0 = time.perf_counter()
+        maps = [amap for _, amap in group]
+        inputs = [prefixes.update_inputs(client, net, amap, b) for client, amap in group]
+        if config.strategy == "fedpilot":  # only the knapsack's values read the scores
+            scores = local_ig_scores(net, maps, [ig for _, ig in inputs])
+            records.extend(IGScoreRecord(round=t, client_id=client.id, module_scores=s)
+                           for (client, _), s in zip(group, scores))
+        t1 = time.perf_counter()
+        phase["score"] += t1 - t0
+        deltas = local_train(
+            net, [x for x, _ in inputs], [client.data.y for client, _ in group], maps,
+            epochs=config.epochs, batch_size=b, lr=config.lr,
+            rng=[derive_rng(config.seed, _TRAIN, t, client.id) for client, _ in group],
+        )
+        phase["train"] += time.perf_counter() - t1
+        collected.extend((client.id, d, amap) for (client, amap), d in zip(group, deltas))
+    # aggregation and the score window sum over clients in sampled order
+    collected.sort(key=lambda c: c[0])
+    records.sort(key=lambda r: r.client_id)
 
     t0 = time.perf_counter()
     if config.aggregation == "comagg":
@@ -578,8 +621,10 @@ def state_from_jsonable(d: dict) -> GlobalState:
     the adapter shapes (H, r)/(r, H) of every block of ``params`` and
     ``prev_delta``; adapters must be finite. The score window, pushed every
     round, is at the state's round, and the contribution window at no later
-    one. A record is its client's, from rounds 1..round, and scores modules
-    below L; an allocation has L bits. Each field must read back as written.
+    one. An allocation has L bits. A record is its client's, from rounds
+    1..round, and scores exactly the blocks its client's allocation trains
+    (an allocation may have no record: only fedpilot scores). Each field
+    must read back as written.
     A malformed field raises ValueError naming its key.
     """
     keys = [f.name for f in fields(GlobalState)]
@@ -614,6 +659,13 @@ def state_from_jsonable(d: dict) -> GlobalState:
         if max(rec.module_scores, default=0) >= num_blocks:
             raise ValueError(f"client {cid}: score for module {max(rec.module_scores)} "
                              f"of {num_blocks}")
+        # a round scores exactly the blocks it gives a client to train
+        if cid not in allocations:
+            raise ValueError(f"client {cid}: record with no entry in last_allocations")
+        trained = allocations[cid].trainable_indices
+        if sorted(rec.module_scores) != list(trained):
+            raise ValueError(f"client {cid}: scores modules {sorted(rec.module_scores)}, "
+                             f"not the blocks {list(trained)} its allocation trains")
         return rec
 
     def allocation(cid: int, bits: str) -> AllocationMap:
@@ -623,6 +675,8 @@ def state_from_jsonable(d: dict) -> GlobalState:
         return amap
 
     params = read("params", lambda p: _unpack_adapters(p, num_blocks, None))
+    allocations = read("last_allocations",
+                       lambda p: {int(c): allocation(int(c), b) for c, b in p.items()})
     state = GlobalState(
         round=t,
         params=params,
@@ -632,8 +686,7 @@ def state_from_jsonable(d: dict) -> GlobalState:
         contribution_history=contribution_history,
         last_records=read("last_records",
                           lambda p: {int(c): record(int(c), r) for c, r in p.items()}),
-        last_allocations=read("last_allocations",
-                              lambda p: {int(c): allocation(int(c), b) for c, b in p.items()}),
+        last_allocations=allocations,
     )
     again = state_to_jsonable(state)
     for key in keys:

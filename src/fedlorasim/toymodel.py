@@ -15,12 +15,12 @@ Backward reads tanh' from those outputs and chains through the effective
 weights forward used, so it computes neither again.
 
 The adapters are read-only arrays held in tuples, and ``set_lora_state`` is
-their only writer. An effective weight ``W0 + scale * N @ M`` changes only
-when its block's adapters do, so the net keeps one per block: a write that
-leaves a block's factors byte-equal keeps that block's arrays and built
-weight, a write that changes them drops the built weight, and the next
-``forward`` builds it again. A clone shares every array and built weight
-with its source until its own writes replace them.
+their only writer from outside. An effective weight ``W0 + scale * N @ M``
+changes only when its block's adapters do, so the net keeps one per block:
+a write that leaves a block's factors byte-equal keeps that block's arrays
+and built weight, a write that changes them drops the built weight, and the
+next ``forward`` builds it again. A clone shares every array and built
+weight with its source until its own writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
 initial network is exactly the frozen base. Each write that changes a block
@@ -34,14 +34,32 @@ computed through. ``forward``, ``evaluate``, ``local_train`` and
 block up to the earliest trainable one (backward never goes below it), and
 run only the blocks from there up. Activations entering a block up to
 ``frozen_below``, the lowest block a write has ever changed, outlive a
-round; a client's clone accepts its source's activations at its own
-earliest trainable block, since its writes land on that block and above.
+round.
+
+A group of clients updates in lockstep: ``forward`` and ``backward`` take a
+leading client axis, one input and one map per client (a ``MapStack``), and
+run each block once for the stack of them, ``(C, B, H)`` activations against
+the shared ``(H, H)`` weight or a ``(C, H, H)`` stack of per-client ones.
+Each numpy product on the stack gives the bytes of the per-client one. The
+clients are ordered by earliest trainable block and each joins the stack at
+the block its input enters, so the clients live at a block are a leading
+slice; a block's adapter gradient is computed only for the clients whose map
+trains it. ``local_train`` trains a group on a clone of the net given: its
+SGD steps give each trained block a ``(C, H, r)``/``(C, r, H)`` stack of
+factors, one row per client, in which only the clients whose map trains the
+block move. The rows of the other clients keep the shared factors, and the
+clone keeps the ticks those rows hold, so each client's input, which enters
+no block above its earliest trainable one, stays accepted for the whole
+update. ``local_ig_scores`` runs the same pass on the net itself, with no
+write.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -86,13 +104,57 @@ class Activations:
         return Activations(self.block, data, self.base, self.stamp)
 
 
+@dataclass(frozen=True, eq=False)
+class MapStack:
+    """The allocation maps of a group of clients that run one pass together:
+    the leading client axis of ``ToyLoRANet.forward``'s allocation.
+
+    The maps come ordered by earliest trainable block, ``earliest`` holding
+    it per client (L for a map that trains nothing), so the clients whose
+    backward reaches block j are a leading slice. ``trainers[j]`` holds the
+    positions of the clients whose map trains block j, for every block some
+    map trains.
+    """
+
+    maps: tuple[AllocationMap, ...]
+    earliest: tuple[int, ...] = field(init=False)
+    trainers: dict[int, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        maps = tuple(self.maps)
+        if not maps:
+            raise ValueError("a group needs at least one client")
+        l = maps[0].num_blocks
+        if any(m.num_blocks != l for m in maps):
+            raise ValueError("the maps of a group must have equal block counts")
+        earliest = tuple(l if m.earliest is None else m.earliest for m in maps)
+        if list(earliest) != sorted(earliest):
+            raise ValueError(f"maps must be ordered by earliest trainable block, got {earliest}")
+        bits = np.array([m.bits for m in maps])
+        trainers = {j: np.flatnonzero(bits[:, j]) for j in np.flatnonzero(bits.any(axis=0)).tolist()}
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "earliest", earliest)
+        object.__setattr__(self, "trainers", trainers)
+
+    def __len__(self) -> int:
+        return len(self.maps)
+
+    @property
+    def num_blocks(self) -> int:
+        return self.maps[0].num_blocks
+
+
 @dataclass
 class ForwardCache:
     """Activations retained by one forward pass for a later backward.
 
-    ``acts`` holds block outputs a_j = tanh(z_j) for blocks from the
-    earliest trainable one onward; ``block_inputs`` holds a_{j-1} for
-    trainable j. ``base`` and ``stamp`` are the identity of the frozen
+    Arrays carry the client axis of the pass: ``logits`` is (C, B, K),
+    ``acts`` holds block outputs a_j = tanh(z_j) of the clients live at
+    block j, for blocks from the group's earliest trainable one onward, and
+    ``block_inputs`` holds their a_{j-1} for blocks some client trains.
+    ``maps`` holds the clients' maps, one for a forward given a single map
+    (``single``), whose logits it returned without the client axis.
+    ``base`` and ``stamp`` are the identity of the frozen
     weights and the write ticks of every block of the net that made it, as
     in ``Activations``.
     """
@@ -100,10 +162,12 @@ class ForwardCache:
     logits: np.ndarray
     acts: dict[int, np.ndarray]
     block_inputs: dict[int, np.ndarray]
-    allocation: AllocationMap
+    maps: MapStack
+    single: bool
     batch_size: int
     base: object
     stamp: tuple[int, ...]
+    _softmax: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def static_count(self) -> int:
@@ -112,6 +176,16 @@ class ForwardCache:
     @property
     def dynamic_count(self) -> int:
         return len(self.block_inputs)
+
+    def softmax(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(logits less their row maximum, its exponential, that one's row
+        sums), computed once per cache: the loss check of an SGD step and
+        backward both read them."""
+        if self._softmax is None:
+            shifted = self.logits - self.logits.max(axis=-1, keepdims=True)
+            expd = np.exp(shifted)
+            self._softmax = (shifted, expd, expd.sum(axis=-1, keepdims=True))
+        return self._softmax
 
 
 class ToyLoRANet:
@@ -136,8 +210,15 @@ class ToyLoRANet:
         self.num_classes = num_classes
         self.lora_alpha = float(lora_rank if lora_alpha is None else lora_alpha)
         self.scale = self.lora_alpha / lora_rank
-        #: write tick of each block's adapters, 0 while unchanged; see ``accepts``
+        #: write tick of each block's adapters, 0 while unchanged
         self._changed_at = (0,) * num_blocks
+        #: the ticks of the shared factors, which a client not training a
+        #: block holds there; ``_changed_at`` until an SGD step of a group
+        #: writes per-client rows (see ``accepts``)
+        self._shared_at = self._changed_at
+        #: size of the client axis once a group's SGD step has given the
+        #: adapters one; None for a single net
+        self.clients: int | None = None
         #: identity of the frozen weights, shared with every clone
         self._base = object()
 
@@ -161,10 +242,10 @@ class ToyLoRANet:
         return {j: (self.N[j], self.M[j]) for j in range(self.num_blocks)}
 
     def set_lora_state(self, state: LoraState) -> None:
-        """The one writer of the adapters. A block whose given factors equal
-        the held ones byte for byte keeps its arrays and built weight; a
-        changed block stores read-only copies, drops its built weight and
-        takes a new write tick."""
+        """The one writer of the adapters from outside. A block whose given
+        factors equal the held ones byte for byte keeps its arrays and built
+        weight; a changed block stores read-only copies, drops its built
+        weight and takes a new write tick."""
         changed = {}
         for j, (n, m) in state.items():
             if not 0 <= j < self.num_blocks:
@@ -177,12 +258,45 @@ class ToyLoRANet:
                 m.setflags(write=False)
                 changed[j] = (n, m)
         if changed:
-            N, M, ticks = list(self.N), list(self.M), list(self._changed_at)
-            tick = next(_write_clock)
-            for j, (n, m) in changed.items():
-                N[j], M[j], ticks[j] = n, m, tick
-                self._weights[j] = None
-            self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
+            self._store(changed, shared=True)
+
+    def _store(self, changed: LoraState, shared: bool) -> None:
+        """Hold the given read-only factors, drop their blocks' built weights
+        and give those blocks one new tick; ``shared`` factors are every
+        client's, so the shared ticks take it too."""
+        N, M, ticks = list(self.N), list(self.M), list(self._changed_at)
+        tick = next(_write_clock)
+        for j, (n, m) in changed.items():
+            N[j], M[j], ticks[j] = n, m, tick
+            self._weights[j] = None
+        self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
+        if shared:
+            self._shared_at = tuple(tick if j in changed else t for j, t in enumerate(self._shared_at))
+
+    def _descend(self, grads: dict[int, tuple[np.ndarray, np.ndarray]], maps: MapStack,
+                 lr: float) -> None:
+        """One SGD step of a group from ``backward``'s gradients: in each
+        trained block, the rows of the clients whose map trains it move by
+        -lr times their gradient and the other rows keep the shared factors.
+        The new arrays are this step's own, so there is no copy or compare;
+        every trained block takes a tick."""
+        c = len(maps)
+        changed = {}
+        for j, (gn, gm) in grads.items():
+            rows = maps.trainers[j]
+            n, m = self.N[j], self.M[j]
+            if len(rows) == c:
+                n, m = n - lr * gn, m - lr * gm
+            else:
+                # at a block's first write every client holds the shared factors
+                n, m = (np.repeat(x[None], c, axis=0) if x.ndim == 2 else x.copy() for x in (n, m))
+                n[rows] -= lr * gn
+                m[rows] -= lr * gm
+            n.setflags(write=False)
+            m.setflags(write=False)
+            changed[j] = (n, m)
+        self.clients = c
+        self._store(changed, shared=False)
 
     @property
     def frozen_below(self) -> int:
@@ -192,8 +306,10 @@ class ToyLoRANet:
     def accepts(self, acts: Activations) -> bool:
         """Whether ``acts`` were computed on these base weights through
         exactly the adapter writes this net's blocks below ``acts.block``
-        hold now."""
-        return acts.base is self._base and self._changed_at[:acts.block] == acts.stamp
+        hold now. On a net with a client axis these are the shared factors,
+        which a client holds in every block below its earliest trainable
+        one."""
+        return acts.base is self._base and self._shared_at[:acts.block] == acts.stamp
 
     def clone(self) -> "ToyLoRANet":
         """Independent copy sharing every (read-only) array, built weight and
@@ -206,6 +322,12 @@ class ToyLoRANet:
     def effective_weight(self, j: int) -> np.ndarray:
         return self.W0[j] + self.scale * (self.N[j] @ self.M[j])
 
+    def _weight(self, j: int) -> np.ndarray:
+        w = self._weights[j]
+        if w is None:
+            w = self._weights[j] = self.effective_weight(j)
+        return w
+
     # ---- forward / loss / backward -----------------------------------------
 
     def prefix(self, X: np.ndarray | Activations, k: int) -> Activations:
@@ -216,12 +338,11 @@ class ToyLoRANet:
         """
         if not 0 <= k <= self.num_blocks:
             raise ValueError(f"prefix boundary {k} is outside 0..{self.num_blocks}")
+        if self.clients is not None:
+            raise ValueError("a net with a client axis computes no prefix")
         a, start = self._inputs(X, k)
-        weights = self._weights
         for j in range(start, k):
-            if weights[j] is None:
-                weights[j] = self.effective_weight(j)
-            a = np.tanh(a @ weights[j] + self.b[j])
+            a = np.tanh(a @ self._weight(j) + self.b[j])
         a.setflags(write=False)
         return Activations(k, a, self._base, self._changed_at[:k])
 
@@ -241,41 +362,68 @@ class ToyLoRANet:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
         return X @ self.embed, 0
 
-    def forward(self, X: np.ndarray | Activations,
-                allocation: AllocationMap) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, X: np.ndarray | Activations | Sequence[np.ndarray | Activations],
+                allocation: AllocationMap | MapStack | Sequence[AllocationMap]):
         """Logits and the cache backward needs; builds the missing weights.
 
         X holds features, or ``Activations`` this net accepts that enter a
-        block up to the allocation's earliest trainable one.
+        block up to the allocation's earliest trainable one. With a leading
+        client axis, X holds one such input per client, all of one row
+        count, and the allocation one map per client, ordered by earliest
+        trainable block, their inputs entering blocks in the same order; the
+        logits are then (C, B, K). A net that has a client axis takes a
+        group of its size.
         """
-        if len(allocation) != self.num_blocks:
-            raise ValueError(
-                f"allocation has {len(allocation)} blocks, net has {self.num_blocks}"
-            )
-        first = allocation.earliest
-        a, start = self._inputs(X, self.num_blocks if first is None else first)
-        trainable = set(allocation.trainable_indices)
-        weights = self._weights
+        single = isinstance(allocation, AllocationMap)
+        if isinstance(allocation, MapStack):
+            maps = allocation
+        else:
+            maps = MapStack((allocation,) if single else tuple(allocation))
+        inputs = (X,) if single else tuple(X)
+        l = self.num_blocks
+        if maps.num_blocks != l:
+            raise ValueError(f"allocation has {maps.num_blocks} blocks, net has {l}")
+        if len(inputs) != len(maps) or self.clients not in (None, len(maps)):
+            raise ValueError(f"{len(inputs)} inputs and {len(maps)} maps for a net "
+                             f"with a client axis of {self.clients or 'none'}")
+        arrays, starts = zip(*(self._inputs(x, top) for x, top in zip(inputs, maps.earliest)))
+        if len({len(a) for a in arrays}) != 1:
+            raise ValueError("the clients of a group need batches of one row count")
+        if list(starts) != sorted(starts):
+            raise ValueError(f"inputs entering blocks {starts} are not in the order of "
+                             f"the clients' earliest trainable blocks {maps.earliest}")
+        first = maps.earliest[0]
+        live, a = 0, None
         acts: dict[int, np.ndarray] = {}
         block_inputs: dict[int, np.ndarray] = {}
-        for j in range(start, self.num_blocks):
-            if j in trainable:
+        for j in range(starts[0], l + 1):
+            # the clients whose input enters block j join the stack
+            k = bisect_right(starts, j, lo=live)
+            if k > live:
+                # one joining client is a view: evaluation's test set is not copied
+                joined = arrays[live][None] if k - live == 1 else np.stack(arrays[live:k])
+                a = joined if a is None else np.concatenate([a, joined])
+                live = k
+            if j == l:
+                break
+            if j in maps.trainers:
                 block_inputs[j] = a
-            if weights[j] is None:
-                weights[j] = self.effective_weight(j)
-            a = np.tanh(a @ weights[j] + self.b[j])
-            if first is not None and j >= first:
+            w = self._weight(j)
+            a = np.tanh(a @ (w if w.ndim == 2 else w[:live]) + self.b[j])
+            if j >= first:
                 acts[j] = a
         logits = a @ self.head
-        return logits, ForwardCache(
+        cache = ForwardCache(
             logits=logits,
             acts=acts,
             block_inputs=block_inputs,
-            allocation=allocation,
-            batch_size=a.shape[0],
+            maps=maps,
+            single=single,
+            batch_size=a.shape[1],
             base=self._base,
             stamp=self._changed_at,
         )
+        return (logits[0] if single else logits), cache
 
     def loss(self, logits: np.ndarray, y: np.ndarray, loss_scale: float = 1.0) -> float:
         """Mean softmax cross-entropy, optionally scaled by a constant."""
@@ -297,37 +445,47 @@ class ToyLoRANet:
         earliest trainable one; blocks below it never matter. The cache
         must come from these frozen weights through exactly the writes this
         net holds now, so the weights it builds or keeps are the ones
-        forward used.
+        forward used. For a group, y is (C, B) and each block's gradients
+        are stacked over the clients whose map trains it, in group order.
         """
         if cache.base is not self._base or cache.stamp != self._changed_at:
             raise StaleCacheError("this cache was not made through this net's current weights")
-        allocation = cache.allocation
-        first = allocation.earliest
-        if first is None:
+        single, maps = cache.single, cache.maps
+        first, earliest = maps.earliest[0], maps.earliest
+        if first == self.num_blocks:
             return {}
         y = np.asarray(y)
-        if len(y) != cache.batch_size:
+        if single:
+            y = y[None]
+        c, b = cache.logits.shape[:2]
+        if y.shape != (c, b):
             raise ValueError("labels do not match the cached batch")
-        logits = cache.logits
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        dlogits = expd / expd.sum(axis=1, keepdims=True)
-        dlogits[np.arange(len(y)), y] -= 1.0
+        _, expd, sums = cache.softmax()
+        dlogits = expd / sums
+        dlogits[np.arange(c)[:, None], np.arange(b), y] -= 1.0
         dlogits *= loss_scale / cache.batch_size
 
         grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        da = dlogits @ self.head.T
-        trainable = set(allocation.trainable_indices)
+        da = dlogits[:bisect_right(earliest, self.num_blocks - 1)] @ self.head.T
         for j in range(self.num_blocks - 1, first - 1, -1):
-            dz = da * (1.0 - cache.acts[j] ** 2)
-            if j in trainable:
-                a_in = cache.block_inputs[j]
-                dW = a_in.T @ dz
-                grads[j] = (self.scale * (dW @ self.M[j].T), self.scale * (self.N[j].T @ dW))
+            k = len(da)
+            dz = da * (1.0 - cache.acts[j][:k] ** 2)
+            rows = maps.trainers.get(j)
+            if rows is not None:
+                # the clients training block j: every live one, or a gather
+                take = slice(k) if len(rows) == k else rows
+                N, M = self.N[j], self.M[j]
+                if N.ndim == 3:
+                    N, M = N[take], M[take]
+                dW = cache.block_inputs[j][take].swapaxes(-1, -2) @ dz[take]
+                grads[j] = (self.scale * (dW @ M.swapaxes(-1, -2)),
+                            self.scale * (N.swapaxes(-1, -2) @ dW))
             if j > first:
-                if self._weights[j] is None:
-                    self._weights[j] = self.effective_weight(j)
-                da = dz @ self._weights[j].T
+                k = bisect_right(earliest, j - 1)
+                w = self._weight(j)
+                da = dz[:k] @ (w.T if w.ndim == 2 else w[:k].swapaxes(-1, -2))
+        if single:
+            return {j: (gn[0], gm[0]) for j, (gn, gm) in grads.items()}
         return grads
 
     def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
@@ -339,51 +497,78 @@ class ToyLoRANet:
         return loss, acc
 
 
+def group_order(X: Sequence, allocation: Sequence[AllocationMap]) -> list[int]:
+    """Positions of a group's clients in the order a pass takes them: by
+    earliest trainable block, then by the block their input enters."""
+    l = allocation[0].num_blocks if allocation else 0
+    return sorted(range(len(allocation)), key=lambda i: (
+        l if allocation[i].earliest is None else allocation[i].earliest,
+        X[i].block if isinstance(X[i], Activations) else 0))
+
+
 def local_train(
     net: ToyLoRANet,
-    X: np.ndarray | Activations,
-    y: np.ndarray,
-    allocation: AllocationMap,
+    X: Sequence[np.ndarray | Activations],
+    y: Sequence[np.ndarray],
+    allocation: Sequence[AllocationMap],
     epochs: int,
     batch_size: int,
     lr: float,
-    rng: np.random.Generator | None = None,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Plain SGD over the local data; returns adapter deltas per trained block.
+    rng: Sequence[np.random.Generator | None] | None = None,
+) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Plain SGD for a group of clients in lockstep; returns each client's
+    adapter deltas per trained block.
 
-    Updates ``net`` through ``set_lora_state``. Deltas are theta_after -
-    theta_before and exist exactly for the allocation's trainable blocks
-    (all-zero when lr is 0).
-    Batches are sequential unless an rng is given to shuffle each epoch.
-    X holds features or ``Activations`` (see ``ToyLoRANet.forward``); a
-    batch takes its rows of either.
+    X, y and allocation hold one entry per client: features or
+    ``Activations`` (see ``ToyLoRANet.forward``), labels of one count for
+    every client, and its map. Deltas are theta_after - theta_before and
+    exist exactly for each map's trainable blocks (all-zero when lr is 0).
+    A client's batches are sequential unless its rng (one per client, or
+    None for all) shuffles each of its epochs; a batch takes its rows of
+    features or ``Activations``. The clients train a clone of ``net``, which
+    stays as it was; each step is one forward and one backward of the group,
+    with one softmax for the loss check and the gradient.
     """
-    if not isinstance(X, Activations):
-        X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if len(X) == 0:
+    rngs = [None] * len(allocation) if rng is None else list(rng)
+    X = [x if isinstance(x, Activations) else np.asarray(x, dtype=np.float64) for x in X]
+    y = [np.asarray(labels) for labels in y]
+    if not len(X) == len(y) == len(allocation) == len(rngs) >= 1:
+        raise ValueError("a group needs one input, label set, map and rng per client")
+    n = len(X[0])
+    if n == 0:
         raise ValueError("local dataset is empty")
-    if len(X) != len(y):
+    if any(len(x) != len(labels) for x, labels in zip(X, y)):
         raise ValueError("features and labels disagree in length")
+    if any(len(x) != n for x in X):
+        raise ValueError("the clients of a group need datasets of one size")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
 
-    N0, M0 = net.N, net.M
-    n = len(X)
+    order = group_order(X, allocation)
+    maps = MapStack(tuple(allocation[i] for i in order))
+    group = net.clone()
     for epoch in range(epochs):
-        order = rng.permutation(n) if rng is not None else np.arange(n)
+        perms = [rngs[i].permutation(n) if rngs[i] is not None else np.arange(n) for i in order]
         for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            logits, cache = net.forward(X[idx], allocation)
-            loss = net.loss(logits, y[idx])
-            if not np.isfinite(loss):
+            idx = [p[lo : lo + batch_size] for p in perms]
+            _, cache = group.forward([X[i][r] for i, r in zip(order, idx)], maps)
+            labels = np.stack([y[i][r] for i, r in zip(order, idx)])
+            shifted, _, sums = cache.softmax()
+            picked = np.take_along_axis(shifted, labels[..., None], axis=-1)
+            losses = -(picked - np.log(sums)).mean(axis=(1, 2))
+            if not np.isfinite(losses).all():
+                # the first client given among those whose loss is not finite
+                bad = min(np.flatnonzero(~np.isfinite(losses)).tolist(), key=order.__getitem__)
                 raise NonFiniteLossError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch start {lo}, lr {lr}"
+                    f"non-finite loss {float(losses[bad])} at epoch {epoch}, batch start {lo}, lr {lr}"
                 )
-            grads = net.backward(cache, y[idx])
-            net.set_lora_state({
-                j: (net.N[j] - lr * gn, net.M[j] - lr * gm) for j, (gn, gm) in grads.items()
-            })
-    return {j: (net.N[j] - N0[j], net.M[j] - M0[j]) for j in allocation.trainable_indices}
+            group._descend(group.backward(cache, labels), maps, lr)
+
+    deltas = [{} for _ in order]
+    for j, rows in maps.trainers.items():
+        dn, dm = group.N[j][rows] - net.N[j], group.M[j][rows] - net.M[j]
+        for r, dn_c, dm_c in zip(rows.tolist(), dn, dm):
+            deltas[order[r]][j] = (dn_c, dm_c)
+    return [dict(sorted(d.items())) for d in deltas]

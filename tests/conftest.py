@@ -5,7 +5,8 @@ an independent oracle by the allocator tests, a reference greedy that
 prices every candidate through ``marginal_weight`` and normalizes one Python
 float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
-used and recomputes tanh in backward, a central difference that perturbs
+used and recomputes tanh in backward, one-client calls of the lockstep
+``local_train`` and ``local_ig_scores``, a central difference that perturbs
 one adapter entry through ``set_lora_state``, the sequential
 ``fedra_random`` sampler that prices one random map at a time, and the two
 windows ``RoundWindow`` replaced: the IG score buffers evicted by round
@@ -33,6 +34,8 @@ from fedlorasim.memory import (
     naive_map,
     total_memory,
 )
+from fedlorasim.scoring import local_ig_scores
+from fedlorasim.toymodel import local_train
 
 
 def make_random_profile(
@@ -292,6 +295,16 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
         j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
         for j in allocation.trainable_indices
     }
+
+
+def train_one(net, X, y, allocation: AllocationMap, rng=None, **kw):
+    """``local_train`` for a group of one client: its deltas."""
+    return local_train(net, [X], [y], [allocation], rng=[rng], **kw)[0]
+
+
+def score_one(net, allocation: AllocationMap, batches, loss_scale=1.0):
+    """``local_ig_scores`` for a group of one client: its scores."""
+    return local_ig_scores(net, [allocation], [batches], loss_scale=loss_scale)[0]
 
 
 class ReferenceScoreHistory:

@@ -246,10 +246,10 @@ def test_06_gradient_score_properties():
     batches = split_batches(X, y, 8)
     amap = AllocationMap.from_indices(l, [1, 3])
 
-    scores = local_ig_scores(net, amap, batches)
+    scores, = local_ig_scores(net, [amap], [batches])
     assert set(scores) == {1, 3}, "frozen modules must not be scored"
     c = 3.7
-    scaled = local_ig_scores(net, amap, batches, loss_scale=c)
+    scaled, = local_ig_scores(net, [amap], [batches], loss_scale=c)
     worst = 0.0
     for j, s in scores.items():
         assert s > 0

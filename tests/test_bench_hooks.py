@@ -4,9 +4,11 @@
 three aggregation rules, which it records as ``aggregation.merge`` spans.
 If ``run_round`` stopped looking the rules up as module globals at call
 time, or a patched name went away, traced benchmark runs would silently
-record no merges. This checks the hooks on a 2-round run per rule, and the
-counts the benchmark's exact counters read: oracle calls per allocator
-solve and effective-weight builds per scoring, training and evaluation call.
+record no merges. This checks the hooks on a 2-round run per rule, that
+every strategy's run still reaches the model's spans, and the counts the
+benchmark's exact counters read: oracle calls per allocator solve,
+effective-weight builds per lockstep group and evaluation, and one scoring
+and one training call per lockstep group.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import fedlorasim.allocator
 import fedlorasim.memory
 import fedlorasim.reporting
 import fedlorasim.simulator
-from fedlorasim.config import ExperimentConfig
+from fedlorasim.config import STRATEGIES, ExperimentConfig
 from fedlorasim.memory import AllocationMap
 from fedlorasim.simulator import run_experiment, state_from_jsonable
 from fedlorasim.toymodel import ToyLoRANet
@@ -38,14 +40,19 @@ RULES = {"comagg": "com_agg", "comagg_fixed": "com_agg_fixed", "fedavg": "fed_av
 ROUNDS, BATCH = 2, 16
 
 
-def fedpilot_config(aggregation="comagg", blocks=4, epochs=1, checkpoint_every=0) -> ExperimentConfig:
+def fedpilot_config(aggregation="comagg", blocks=4, epochs=1, checkpoint_every=0,
+                    strategy="fedpilot", partition="iid", capacity=None) -> ExperimentConfig:
+    clients = {"num_clients": 4, "batch_size": BATCH, "sampling_rate": 1.0}
+    if capacity is not None:
+        clients["capacity_levels"] = [capacity] * 4
     return ExperimentConfig.from_dict({
-        "seed": 3, "rounds": ROUNDS, "strategy": "fedpilot", "aggregation": aggregation,
+        "seed": 3, "rounds": ROUNDS, "strategy": strategy, "aggregation": aggregation,
         "ig_dataset_size": 16, "epochs": epochs, "checkpoint_every": checkpoint_every,
         "model": {"num_blocks": blocks, "hidden_size": 8, "lora_rank": 2,
                   "input_dim": 10, "num_classes": 5},
         "data": {"samples_per_class": 40},
-        "clients": {"num_clients": 4, "batch_size": BATCH, "sampling_rate": 1.0},
+        "partition": {"scheme": partition, **({"alpha": 1.0} if partition == "dirichlet" else {})},
+        "clients": clients,
     })
 
 
@@ -122,34 +129,70 @@ def changed_blocks_per_round(cfg, out_dir) -> list[int]:
     ]
 
 
-def test_effective_weights_are_built_once_per_parameter_change(tmp_path):
+def round_groups(rows, samples) -> list[list[dict]]:
+    """Each round's lockstep groups: its participants with equal data sizes.
+    Here every client scores one IG batch of 16 rows and no batch has one
+    row, so equal sizes mean equal batch shapes, and H = 8 caps no group."""
+    groups = []
+    for r in rows:
+        by_size: dict[int, list[dict]] = {}
+        for c in r["clients"]:
+            if c["participated"]:
+                by_size.setdefault(samples[c["id"]], []).append(c)
+        groups.extend(by_size.values())
+    return groups
+
+
+@pytest.mark.parametrize("partition", ["iid", "dirichlet"])
+def test_effective_weights_are_built_once_per_parameter_change(partition, tmp_path):
     # the net owns its weights and rebuilds a block only in the first forward
     # after a write that changed its bytes. Evaluation at round 0 builds all
     # L; after each round's write of the global adapters it rebuilds only the
-    # blocks the write changed. The round's clients clone the global net, so
-    # scoring and the first SGD step build none, and each later step rebuilds
-    # only the blocks the step before it updated. Rebuilding every block
-    # after each round's write adds L per round minus the changed blocks, a
-    # rebuild per scoring or training call adds L, and one after the last SGD
-    # step adds |allocation|, per client update.
+    # blocks the write changed. A round's clients score on the global net and
+    # train a clone of it in lockstep groups, so scoring and a group's first
+    # SGD step build none; each later step writes, and then builds once, a
+    # stack of per-client weights for every block some client of the group
+    # trains. A rebuild of every block after each round's write adds L per
+    # round minus the changed blocks, one per scoring or training call adds
+    # L, one per client instead of per group adds the group's other
+    # clients' blocks, and one after the last SGD step adds the group's
+    # blocks, per group.
     blocks, epochs = 6, 2
-    cfg = fedpilot_config(blocks=blocks, epochs=epochs, checkpoint_every=1)
+    cfg = fedpilot_config(blocks=blocks, epochs=epochs, checkpoint_every=1, partition=partition)
     tracer = traced_run(cfg, tmp_path)
 
     samples = {c["id"]: c["num_samples"]
                for c in json.loads((tmp_path / "partition.json").read_text())["assignments"]}
     rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
-    trained = [c for r in rows for c in r["clients"] if c["participated"]]
-    assert trained
+    groups = round_groups(rows, samples)
+    # iid gives every client 40 rows, one group a round; dirichlet unequal
+    # sizes, a group per client
+    assert [len(g) for g in groups] == ([4] * ROUNDS if partition == "iid" else [1] * 4 * ROUNDS)
     changed = changed_blocks_per_round(cfg, tmp_path)
     assert len(changed) == ROUNDS and 0 < min(changed) and max(changed) < blocks
-    steps = lambda cid: epochs * math.ceil(samples[cid] / BATCH)
+    steps = lambda g: epochs * math.ceil(samples[g[0]["id"]] / BATCH)
+    trained = lambda g: {j for c in g for j, bit in enumerate(c["allocation"]) if bit == "1"}
     expected = (
-        sum((steps(c["id"]) - 1) * c["allocation"].count("1") for c in trained)  # local_train
+        sum((steps(g) - 1) * len(trained(g)) for g in groups)  # local_train
         + blocks  # round-0 evaluation
         + sum(changed)  # evaluation after each round's write
     )
     nid = tracer.arrays()["nid"]
-    assert int((nid == tracer.names.index("scoring.local_ig_scores")).sum()) == len(trained)
-    assert int((nid == tracer.names.index("toymodel.evaluate")).sum()) == len(rows)
+    spans = lambda name: int((nid == tracer.names.index(name)).sum())
+    # one scoring and one training call per lockstep group
+    assert spans("scoring.local_ig_scores") == spans("toymodel.local_train") == len(groups)
+    assert spans("toymodel.evaluate") == len(rows)
     assert tracer.counts["toymodel.effective_weight"] == expected
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_records_model_spans(strategy, tmp_path):
+    # the group pass still runs through the patched forward, backward and
+    # local_train; only fedpilot reads IG scores, so only it scores. Every
+    # client can hold the whole model, so every strategy trains.
+    tracer = traced_run(fedpilot_config(strategy=strategy, capacity=10**9), tmp_path)
+    nid = tracer.arrays()["nid"]
+    spans = lambda name: int((nid == tracer.name_id(name)).sum())
+    for name in ("toymodel.forward", "toymodel.backward", "toymodel.local_train"):
+        assert spans(name) >= 1, name
+    assert (spans("scoring.local_ig_scores") >= 1) == (strategy == "fedpilot")

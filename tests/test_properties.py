@@ -1,6 +1,7 @@
 """Property tests: the array allocator against its oracles, batched map
 prices against ``total_memory``, client updates from the per-client
-boundary against updates from the features, the activation stamp
+boundary against updates from the features, lockstep groups against the
+rebuilding per-client loop, the activation stamp
 check against an explicit write log, and ``RoundWindow`` against the two
 windows it replaced.
 
@@ -24,7 +25,10 @@ from conftest import (  # noqa: E402
     all_maps,
     enumerate_costs,
     push_counts,
+    rebuilding_local_train,
     reference_allocation,
+    score_one,
+    train_one,
 )
 from fedlorasim.aggregation import RoundWindow  # noqa: E402
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation  # noqa: E402
@@ -145,9 +149,8 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
     amap = AllocationMap.from_bits(bits)
     kw = dict(epochs=2, batch_size=batch, lr=0.3)
 
-    ref = net.clone()
-    ref_scores = local_ig_scores(ref, amap, client.ig_batches)
-    ref_deltas = local_train(ref, data.X, data.y, amap, rng=np.random.default_rng(seed), **kw)
+    ref_scores = score_one(net, amap, client.ig_batches)
+    ref_deltas = train_one(net, data.X, data.y, amap, rng=np.random.default_rng(seed), **kw)
 
     cache = PrefixCache()
     for _ in range(2):  # a cold cache, then the entry the first update left
@@ -156,14 +159,56 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
         assert isinstance(X, Activations) and X.block == amap.earliest
         from_acts = [isinstance(a, Activations) for a, _ in ig_batches]
         assert from_acts == [not client.has_one_row_ig_batch] * len(ig_batches)
-        scores = local_ig_scores(local, amap, ig_batches)
-        deltas = local_train(local, X, data.y, amap, rng=np.random.default_rng(seed), **kw)
-        assert local.accepts(X)  # its writes landed on the earliest block and up
+        scores = score_one(local, amap, ig_batches)
+        deltas = train_one(local, X, data.y, amap, rng=np.random.default_rng(seed), **kw)
+        assert local.accepts(X) and local._changed_at == net._changed_at  # not written
         assert scores == ref_scores
         assert list(deltas) == list(ref_deltas)
         for j, (dn, dm) in ref_deltas.items():
             assert deltas[j][0].tobytes() == dn.tobytes()
             assert deltas[j][1].tobytes() == dm.tobytes()
+
+
+@st.composite
+def lockstep_cases(draw):
+    l = draw(st.integers(1, 7))
+    hidden = draw(st.sampled_from([3, 8, 16]))
+    batch = draw(st.integers(2, 9))
+    from_prefix = draw(st.booleans())
+    # batches sliced from a prefix have two rows or more (see PrefixCache)
+    n = draw(st.integers(2, 30).filter(lambda n: not from_prefix or n % batch != 1))
+    maps = draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), min_size=1, max_size=4))
+    shuffled = draw(st.lists(st.booleans(), min_size=len(maps), max_size=len(maps)))
+    return (l, hidden, batch, n, from_prefix, maps, shuffled, draw(st.integers(1, 2)),
+            draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
+
+
+@PROPERTY
+@given(lockstep_cases())
+def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
+    """Random maps (empty ones too) for up to four clients, from the
+    features or from each client's earliest block: every client's deltas
+    and scores from one group pass are the bytes of the rebuilding loop."""
+    l, hidden, batch, n, from_prefix, bits, shuffled, epochs, n_ig, seed = case
+    rng = np.random.default_rng(seed)
+    net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=2, input_dim=8,
+                     num_classes=3, lora_alpha=None, seed=seed)
+    net.set_lora_state({j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in range(l)})
+    maps = [AllocationMap.from_bits(b) for b in bits]
+    data = [(rng.normal(size=(n, 8)), rng.integers(0, 3, size=n)) for _ in maps]
+    starts = [net.num_blocks if m.earliest is None else m.earliest for m in maps]
+    inputs = [net.prefix(X, k) if from_prefix else X for (X, _), k in zip(data, starts)]
+    orders = lambda: [np.random.default_rng(c) if s else None for c, s in enumerate(shuffled)]
+    kw = dict(epochs=epochs, batch_size=batch, lr=0.3)
+    deltas = local_train(net, inputs, [y for _, y in data], maps, rng=orders(), **kw)
+    scores = local_ig_scores(net, maps, [[(x[:n_ig], y[:n_ig])] for x, (_, y) in zip(inputs, data)])
+    for (X, y), amap, d, s, r in zip(data, maps, deltas, scores, orders()):
+        want = rebuilding_local_train(net.clone(), X, y, amap, rng=r, **kw)
+        assert list(d) == list(want)
+        for j, (dn, dm) in want.items():
+            assert d[j][0].tobytes() == dn.tobytes() and d[j][1].tobytes() == dm.tobytes()
+        if not from_prefix or n_ig > 1:
+            assert s == score_one(net, amap, [(X[:n_ig], y[:n_ig])])
 
 
 @PROPERTY

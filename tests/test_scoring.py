@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import central_difference
+from conftest import central_difference, score_one
 from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import (
     IGScoreRecord,
-    local_ig_scores,
     update_history,
     value_function,
 )
@@ -35,14 +34,14 @@ def batch(rng, net, n=6):
 def test_all_frozen_allocation_gives_empty_scores():
     net = scoring_net()
     rng = np.random.default_rng(1)
-    assert local_ig_scores(net, AllocationMap.empty(net.num_blocks), [batch(rng, net)]) == {}
+    assert score_one(net, AllocationMap.empty(net.num_blocks), [batch(rng, net)]) == {}
 
 
 def test_scores_only_for_trained_modules_and_nonnegative():
     net = scoring_net(num_blocks=4)
     rng = np.random.default_rng(2)
     amap = AllocationMap.from_indices(4, [1, 3])
-    scores = local_ig_scores(net, amap, [batch(rng, net), batch(rng, net)])
+    scores = score_one(net, amap, [batch(rng, net), batch(rng, net)])
     assert set(scores) == {1, 3}
     assert all(s >= 0 for s in scores.values())
     assert any(s > 0 for s in scores.values())
@@ -53,8 +52,8 @@ def test_loss_scaling_squares_into_scores():
     rng = np.random.default_rng(3)
     batches = [batch(rng, net) for _ in range(3)]
     amap = AllocationMap.full(3)
-    base = local_ig_scores(net, amap, batches)
-    scaled = local_ig_scores(net, amap, batches, loss_scale=2.5)
+    base = score_one(net, amap, batches)
+    scaled = score_one(net, amap, batches, loss_scale=2.5)
     for j in base:
         assert abs(scaled[j] - 2.5**2 * base[j]) <= 1e-10 * max(1.0, abs(scaled[j]))
 
@@ -65,7 +64,7 @@ def test_score_matches_finite_difference_gradient_norm():
     rng = np.random.default_rng(4)
     X, y = batch(rng, net, n=5)
     amap = AllocationMap.full(2)
-    scores = local_ig_scores(net, amap, [(X, y)])
+    scores = score_one(net, amap, [(X, y)])
     for j in range(2):
         total = 0.0
         for k, arr in enumerate((net.N[j], net.M[j])):
@@ -79,9 +78,9 @@ def test_scores_add_over_batches():
     rng = np.random.default_rng(5)
     b1, b2 = batch(rng, net), batch(rng, net)
     amap = AllocationMap.full(3)
-    both = local_ig_scores(net, amap, [b1, b2])
-    one = local_ig_scores(net, amap, [b1])
-    two = local_ig_scores(net, amap, [b2])
+    both = score_one(net, amap, [b1, b2])
+    one = score_one(net, amap, [b1])
+    two = score_one(net, amap, [b2])
     for j in both:
         assert both[j] == pytest.approx(one[j] + two[j], rel=1e-12)
 
@@ -90,13 +89,13 @@ def test_scoring_errors():
     net = scoring_net()
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError):
-        local_ig_scores(net, AllocationMap.full(2), [])
+        score_one(net, AllocationMap.full(2), [])
     X, y = batch(rng, net)
     with pytest.raises(ValueError):
-        local_ig_scores(net, AllocationMap.full(2), [(X[:0], y[:0])])
+        score_one(net, AllocationMap.full(2), [(X[:0], y[:0])])
     bad = np.full_like(X, np.nan)
     with pytest.raises(NonFiniteLossError, match="module"):
-        local_ig_scores(net, AllocationMap.full(2), [(bad, y)])
+        score_one(net, AllocationMap.full(2), [(bad, y)])
 
 
 def test_record_validation():

@@ -498,6 +498,10 @@ MALFORMED_CHECKPOINTS = {
     "client-key-00": (lambda s: s["last_records"].__setitem__("00", s["last_records"].pop("0")),
                       "last_records"),
     "unknown-field": (lambda s: s.__setitem__("extra", 1), "extra"),
+    # a record must score exactly the blocks its client's allocation trains
+    "record-without-allocation": (lambda s: s["last_allocations"].pop("0"), "last_records"),
+    "record-of-another-map": (lambda s: s["last_allocations"].__setitem__("1", "1000"),
+                              "last_records"),
 }
 
 
@@ -506,6 +510,7 @@ def test_malformed_checkpoint_names_its_key(case, tmp_path):
     run_experiment(tiny_config(rounds=2, checkpoint_every=2), tmp_path, quiet=True)
     snap = json.loads((tmp_path / "checkpoints" / "round_0002.json").read_text())
     state_from_jsonable(json.loads(json.dumps(snap)))
+    assert snap["last_allocations"]["1"] == "0001"  # the map the cases above edit
     corrupt, key = MALFORMED_CHECKPOINTS[case]
     corrupt(snap)
     with pytest.raises(ValueError, match=f"^{key}: "):

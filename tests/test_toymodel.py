@@ -12,6 +12,8 @@ from conftest import (
     rebuilding_backward,
     rebuilding_forward,
     rebuilding_local_train,
+    score_one,
+    train_one,
 )
 from fedlorasim.aggregation import RoundWindow, zero_delta_like
 from fedlorasim.memory import AllocationMap
@@ -19,6 +21,7 @@ from fedlorasim.scoring import local_ig_scores
 from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
     Activations,
+    MapStack,
     NonFiniteLossError,
     StaleCacheError,
     ToyLoRANet,
@@ -45,6 +48,13 @@ def randomize_adapters(net, rng, scale=0.3, blocks=None):
         for j in (range(net.num_blocks) if blocks is None else blocks)
     }
     net.set_lora_state(state)
+
+
+def applied(net, deltas):
+    """A clone of ``net`` with ``local_train``'s deltas added to its adapters."""
+    out = net.clone()
+    out.set_lora_state({j: (net.N[j] + dn, net.M[j] + dm) for j, (dn, dm) in deltas.items()})
+    return out
 
 
 def reference_forward(net, X):
@@ -214,7 +224,7 @@ def test_local_train_zero_lr_gives_zero_deltas():
     net = small_net()
     X = rng.normal(size=(10, net.input_dim))
     y = rng.integers(0, net.num_classes, size=10)
-    deltas = local_train(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.0)
+    deltas = train_one(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.0)
     assert set(deltas) == set(range(net.num_blocks))
     for dn, dm in deltas.values():
         assert np.abs(dn).max() == 0.0
@@ -230,7 +240,7 @@ def test_single_step_delta_is_minus_lr_grad():
     amap = AllocationMap.from_indices(net.num_blocks, [1, 3])
     _, cache = net.forward(X, amap)
     grads = net.backward(cache, y)
-    deltas = local_train(net.clone(), X, y, amap, epochs=1, batch_size=1, lr=0.05)
+    deltas = train_one(net, X, y, amap, epochs=1, batch_size=1, lr=0.05)
     for j in amap.trainable_indices:
         # (N - lr*g) - N carries one rounding step, so compare numerically
         np.testing.assert_allclose(deltas[j][0], -0.05 * grads[j][0], rtol=1e-9, atol=1e-18)
@@ -245,21 +255,19 @@ def test_local_train_is_deterministic_and_decreases_loss():
     net = small_net(seed=5)
     before_loss, _ = net.evaluate(X, y)
 
-    n1, n2 = net.clone(), net.clone()
-    d1 = local_train(n1, X, y, AllocationMap.full(4), epochs=3, batch_size=16, lr=0.5,
-                     rng=np.random.default_rng(77))
-    d2 = local_train(n2, X, y, AllocationMap.full(4), epochs=3, batch_size=16, lr=0.5,
-                     rng=np.random.default_rng(77))
+    d1 = train_one(net, X, y, AllocationMap.full(4), epochs=3, batch_size=16, lr=0.5,
+                   rng=np.random.default_rng(77))
+    d2 = train_one(net, X, y, AllocationMap.full(4), epochs=3, batch_size=16, lr=0.5,
+                   rng=np.random.default_rng(77))
     for j in d1:
         np.testing.assert_array_equal(d1[j][0], d2[j][0])
         np.testing.assert_array_equal(d1[j][1], d2[j][1])
-    after_loss, _ = n1.evaluate(X, y)
+    after_loss, _ = applied(net, d1).evaluate(X, y)
     assert after_loss < before_loss
 
     # a partial allocation learns too: gradients reach early blocks
-    n3 = net.clone()
-    local_train(n3, X, y, AllocationMap.from_indices(4, [0]), epochs=3, batch_size=16, lr=0.5)
-    partial_loss, _ = n3.evaluate(X, y)
+    d3 = train_one(net, X, y, AllocationMap.from_indices(4, [0]), epochs=3, batch_size=16, lr=0.5)
+    partial_loss, _ = applied(net, d3).evaluate(X, y)
     assert partial_loss < before_loss
 
 
@@ -288,15 +296,14 @@ def test_local_train_matches_reference_bytes(kind, shuffle):
         kw = dict(epochs=2, batch_size=8, lr=0.3)
         d_ref = rebuilding_local_train(
             ref, X, y, amap, rng=np.random.default_rng(trial) if shuffle else None, **kw)
-        d_new = local_train(
+        d_new = train_one(
             new, X, y, amap, rng=np.random.default_rng(trial) if shuffle else None, **kw)
         assert list(d_new) == list(d_ref) == list(amap.trainable_indices)
         for j in d_ref:
             assert d_new[j][0].tobytes() == d_ref[j][0].tobytes()
             assert d_new[j][1].tobytes() == d_ref[j][1].tobytes()
-        for j in range(7):
-            assert new.N[j].tobytes() == ref.N[j].tobytes()
-            assert new.M[j].tobytes() == ref.M[j].tobytes()
+        # the clients train a clone: the net given keeps its adapters
+        assert new.N == net.N and new.M == net.M and new._changed_at == net._changed_at
 
 
 def test_local_ig_scores_match_reference():
@@ -314,7 +321,7 @@ def test_local_ig_scores_match_reference():
             _, cache = rebuilding_forward(net, X, amap)
             for j, (gn, gm) in rebuilding_backward(net, cache, y, loss_scale=2.5).items():
                 expected[j] += float((gn * gn).sum() + (gm * gm).sum())
-        assert local_ig_scores(net, amap, batches, loss_scale=2.5) == expected
+        assert score_one(net, amap, batches, loss_scale=2.5) == expected
 
 
 def test_forward_with_weights_is_bitwise_equal():
@@ -346,8 +353,8 @@ def test_non_finite_loss_aborts_with_diagnostics():
     X = np.full((4, net.input_dim), np.nan)
     y = np.zeros(4, dtype=int)
     with pytest.raises(NonFiniteLossError, match="epoch 0"):
-        local_train(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32,
-                    lr=0.1)
+        train_one(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32,
+                  lr=0.1)
 
 
 def test_snapshot_roundtrip():
@@ -411,8 +418,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         net.forward(np.zeros((2, net.input_dim)), AllocationMap.full(net.num_blocks + 1))
     with pytest.raises(ValueError):
-        local_train(net, np.zeros((0, net.input_dim)), np.zeros(0, dtype=int),
-                    AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.1)
+        train_one(net, np.zeros((0, net.input_dim)), np.zeros(0, dtype=int),
+                  AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.1)
 
 
 # ---- frozen-prefix starts ----------------------------------------------------
@@ -492,16 +499,14 @@ def test_local_train_from_prefix_is_bitwise_equal(kind, shuffle):
         y = rng.integers(0, net.num_classes, size=37)
         order = lambda: np.random.default_rng(trial) if shuffle else None
         kw = dict(epochs=2, batch_size=8, lr=0.3)
-        ref = net.clone()
-        d_ref = local_train(ref, X, y, amap, rng=order(), **kw)
+        d_ref = train_one(net, X, y, amap, rng=order(), **kw)
         for k in boundaries(net, amap):
-            new = net.clone()
-            d_new = local_train(new, net.prefix(X, k), y, amap, rng=order(), **kw)
+            d_new = train_one(net, net.prefix(X, k), y, amap, rng=order(), **kw)
             assert list(d_new) == list(d_ref)
             for j in d_ref:
                 assert d_new[j][0].tobytes() == d_ref[j][0].tobytes()
                 assert d_new[j][1].tobytes() == d_ref[j][1].tobytes()
-            assert new.frozen_below == ref.frozen_below == min(3, amap.earliest)
+            assert net.frozen_below == 3
 
 
 def test_local_ig_scores_from_prefix_match():
@@ -513,10 +518,10 @@ def test_local_ig_scores_from_prefix_match():
     ]
     for kind in ("earliest-at-frozen", "earliest-above", "deepest"):
         amap = AllocationMap.from_indices(7, PREFIX_MAPS[kind])
-        expected = local_ig_scores(net, amap, batches, loss_scale=1.5)
+        expected = score_one(net, amap, batches, loss_scale=1.5)
         for k in boundaries(net, amap):
             started = [(net.prefix(X, k), y) for X, y in batches]
-            assert local_ig_scores(net, amap, started, loss_scale=1.5) == expected
+            assert score_one(net, amap, started, loss_scale=1.5) == expected
 
 
 def test_activations_above_the_earliest_block_are_rejected():
@@ -532,10 +537,10 @@ def test_activations_above_the_earliest_block_are_rejected():
     with pytest.raises(ValueError, match="block 3 cannot start a pass .* block 2"):
         net.forward(a3, low)
     with pytest.raises(ValueError, match="block 3"):
-        local_ig_scores(net, low, [(a3, y)])
+        score_one(net, low, [(a3, y)])
     ticks = net._changed_at
     with pytest.raises(ValueError, match="block 3"):
-        local_train(net, a3, y, low, epochs=1, batch_size=2, lr=0.1)
+        train_one(net, a3, y, low, epochs=1, batch_size=2, lr=0.1)
     assert net._changed_at == ticks  # rejected before any write
     with pytest.raises(ValueError, match="block 4"):
         net.prefix(a4, 3)  # a prefix never runs backwards
@@ -554,8 +559,8 @@ def assert_rejected_everywhere(net, acts, y, amap):
         lambda: net.forward(acts, amap),
         lambda: net.evaluate(acts, y),
         lambda: net.prefix(acts, amap.earliest),
-        lambda: local_ig_scores(net, amap, [(acts, y)]),
-        lambda: local_train(net, acts, y, amap, epochs=1, batch_size=2, lr=0.1),
+        lambda: score_one(net, amap, [(acts, y)]),
+        lambda: train_one(net, acts, y, amap, epochs=1, batch_size=2, lr=0.1),
     )
     assert not net.accepts(acts)
     for call in calls:
@@ -608,11 +613,11 @@ def test_clone_accepts_its_source_activations_until_a_write_below_them():
     grads, p_grads = net.backward(cache, y), local.backward(p_cache, y)
     assert all(p_grads[j][i].tobytes() == g[i].tobytes() for j, g in grads.items() for i in (0, 1))
     # the clone's own training writes blocks 5 and up and keeps accepting them
-    deltas = local_train(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2)
-    ref = net.clone()
-    ref_deltas = local_train(ref, X, y, amap, epochs=2, batch_size=3, lr=0.2)
+    deltas = train_one(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2)
+    ref_deltas = train_one(net, X, y, amap, epochs=2, batch_size=3, lr=0.2)
     assert all(deltas[j][i].tobytes() == d[i].tobytes() for j, d in ref_deltas.items()
                for i in (0, 1))
+    local = applied(local, deltas)
     assert local.frozen_below == 3 and local.accepts(a5)
     trained, _ = local.forward(X, amap)
     assert local.forward(a5, amap)[0].tobytes() == trained.tobytes()
@@ -662,11 +667,11 @@ def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
     assert twin.frozen_below == 2
     twin.set_lora_state({0: (twin.N[0], twin.M[0] + 0.1)})
     assert (twin.frozen_below, net.frozen_below) == (0, 2)
-    # an SGD step at lr 0 writes byte-equal factors
-    before = net.frozen_below
-    local_train(net, X, np.zeros(3, dtype=int), AllocationMap.from_indices(6, [1]),
-                epochs=1, batch_size=2, lr=0.0)
-    assert net.frozen_below == before
+    # training at lr 0 moves nothing, and the net given is never written
+    ticks = net._changed_at
+    deltas = train_one(net, X, np.zeros(3, dtype=int), AllocationMap.from_indices(6, [1]),
+                       epochs=1, batch_size=2, lr=0.0)
+    assert not np.abs(deltas[1][1]).any() and net._changed_at == ticks
     with pytest.raises(ValueError, match="out of range"):
         net.set_lora_state({-1: (net.N[5], net.M[5])})
 
@@ -690,3 +695,135 @@ def test_row_subset_products_are_bitwise_equal(hidden):
         for idx in np.array_split(rng.permutation(n), range(32, n, 32)):
             assert (X[idx] @ embed).tobytes() == full_embed[idx].tobytes()
             assert np.tanh(A[idx] @ W + b).tobytes() == full_act[idx].tobytes()
+
+
+# ---- lockstep groups -----------------------------------------------------------
+
+GROUP_MAPS = ([1, 3], [2, 6], [4], [5, 6], [6])  # earliest blocks 1, 2, 4, 5, 6
+
+
+def group_case(hidden, n, seed, num_blocks=7):
+    """A net whose writes changed blocks 3 and up, and one dataset per map."""
+    net = ToyLoRANet(num_blocks=num_blocks, hidden_size=hidden, lora_rank=2, input_dim=32,
+                     num_classes=10, lora_alpha=None, seed=seed)
+    rng = np.random.default_rng(seed)
+    randomize_adapters(net, rng, blocks=range(3, num_blocks))
+    data = [(rng.normal(size=(n, 32)), rng.integers(0, 10, size=n)) for _ in GROUP_MAPS]
+    maps = [AllocationMap.from_indices(num_blocks, m) for m in GROUP_MAPS]
+    return net, data, maps
+
+
+def assert_deltas_equal(got, want):
+    assert list(got) == list(want)
+    for j, (dn, dm) in want.items():
+        assert got[j][0].tobytes() == dn.tobytes() and got[j][1].tobytes() == dm.tobytes()
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sequential", "shuffled"])
+@pytest.mark.parametrize("hidden", [16, 32, 128])
+def test_group_pass_matches_per_client_reference(hidden, shuffle):
+    # 37 rows in batches of 8 end each epoch on a short batch of 5. Each
+    # client joins the stack at its own earliest block from the net's
+    # prefix, given in reverse order of earliest block; every client's
+    # deltas and scores must be the bytes of the rebuilding per-client loop
+    # from the features
+    net, data, maps = group_case(hidden, 37, seed=hidden)
+    order = lambda c: np.random.default_rng(c) if shuffle else None
+    kw = dict(epochs=2, batch_size=8, lr=0.3)
+    inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
+    ig = [[(a[:8], y[:8]), (a[8:13], y[8:13])] for a, (_, y) in zip(inputs, data)]
+    got = local_train(net, inputs[::-1], [y for _, y in data][::-1], maps[::-1],
+                      rng=[order(c) for c in range(len(maps))][::-1], **kw)[::-1]
+    scores = local_ig_scores(net, maps[::-1], ig[::-1])[::-1]
+    for c, ((X, y), amap) in enumerate(zip(data, maps)):
+        assert_deltas_equal(got[c], rebuilding_local_train(net.clone(), X, y, amap,
+                                                           rng=order(c), **kw))
+        want = {j: 0.0 for j in amap.trainable_indices}
+        for rows in (slice(0, 8), slice(8, 13)):
+            _, cache = rebuilding_forward(net, X[rows], amap)
+            for j, (gn, gm) in rebuilding_backward(net, cache, y[rows]).items():
+                want[j] += float((gn * gn).sum() + (gm * gm).sum())
+        assert scores[c] == want
+
+
+def test_group_of_one_and_one_row_batches_from_the_features():
+    # 33 rows in batches of 8 end each epoch on one row, which a client
+    # takes from the features; a group of one is the per-client loop
+    net, data, maps = group_case(16, 33, seed=5)
+    kw = dict(epochs=2, batch_size=8, lr=0.3)
+    got = local_train(net, [X for X, _ in data], [y for _, y in data], maps,
+                      rng=[np.random.default_rng(c) for c in range(len(maps))], **kw)
+    for c, ((X, y), amap) in enumerate(zip(data, maps)):
+        want = rebuilding_local_train(net.clone(), X, y, amap, rng=np.random.default_rng(c), **kw)
+        assert_deltas_equal(got[c], want)
+        assert_deltas_equal(train_one(net, X, y, amap, rng=np.random.default_rng(c), **kw), want)
+    one_row = [(X[:1], y[:1]) for X, y in data]
+    got = local_ig_scores(net, maps, [[b] for b in one_row])
+    assert got == [score_one(net, m, [b]) for m, b in zip(maps, one_row)]
+
+
+def test_group_forward_takes_a_client_axis():
+    net, data, maps = group_case(16, 6, seed=7)
+    stack = MapStack(tuple(maps))
+    inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
+    logits, cache = net.forward(inputs, stack)
+    assert logits.shape == (len(maps), 6, 10)
+    for c, ((X, _), m) in enumerate(zip(data, maps)):
+        assert logits[c].tobytes() == net.forward(X, m)[0].tobytes()
+    # at block j the stack holds the clients whose input entered by then
+    assert [len(cache.acts[j]) for j in range(1, 7)] == [1, 2, 2, 3, 4, 5]
+    grads = net.backward(cache, np.stack([y for _, y in data]))
+    assert {j: len(g[0]) for j, g in grads.items()} == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 3}
+    with pytest.raises(ValueError, match="ordered by earliest"):
+        MapStack(tuple(maps[::-1]))
+    with pytest.raises(ValueError, match="not in the order"):
+        net.forward([inputs[0], data[1][0]], MapStack(tuple(maps[:2])))
+    with pytest.raises(ValueError, match="one row count"):
+        net.forward([inputs[0], inputs[1][:3]], MapStack(tuple(maps[:2])))
+    with pytest.raises(ValueError, match="datasets of one size"):
+        local_train(net, [data[0][0], data[1][0][:3]], [data[0][1], data[1][1][:3]], maps[:2],
+                    epochs=1, batch_size=2, lr=0.1)
+
+
+def test_group_training_keeps_its_clients_inputs_accepted():
+    # the clients' SGD steps write per-client rows of a clone; a client's rows
+    # below its earliest block keep the shared factors, so the inputs of the
+    # other clients stay accepted while the net given is never written
+    net, data, maps = group_case(16, 10, seed=9)
+    ticks = net._changed_at
+    inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
+    deltas = local_train(net, inputs, [y for _, y in data], maps, epochs=2, batch_size=4, lr=0.2)
+    assert net._changed_at == ticks and net.clients is None
+    assert [sorted(d) for d in deltas] == [list(m.trainable_indices) for m in maps]
+    group = net.clone()
+    group._descend({6: (np.zeros((3, 16, 2)), np.zeros((3, 2, 16)))}, MapStack(tuple(maps)), 0.1)
+    assert group.clients == len(maps) and group.N[6].shape == (len(maps), 16, 2)
+    assert group._changed_at[6] != ticks[6] and all(group.accepts(a) for a in inputs)
+    with pytest.raises(ValueError, match="client axis"):
+        group.prefix(data[0][0], 2)
+    with pytest.raises(ValueError, match="client axis"):
+        group.evaluate(data[0][0], data[0][1])
+
+
+def test_non_finite_loss_text_is_unchanged():
+    # one shifted exponential gives the loss check and the gradient; the
+    # error names the same loss, epoch, batch and lr as before, here for a
+    # NaN feature and for an lr whose second step overflows the adapters
+    net = small_net()
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(8, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=8)
+    full = AllocationMap.full(net.num_blocks)
+    bad = X.copy()
+    bad[5, 2] = np.nan
+    with pytest.raises(NonFiniteLossError) as e:
+        train_one(net, bad, y, full, epochs=1, batch_size=4, lr=0.1)
+    assert str(e.value) == "non-finite loss nan at epoch 0, batch start 4, lr 0.1"
+    randomize_adapters(net, rng, scale=3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLossError) as e:
+            train_one(net, X * 0.01, y, full, epochs=4, batch_size=4, lr=1e200)
+    assert str(e.value) == "non-finite loss nan at epoch 0, batch start 4, lr 1e+200"
+    # in a group, the first client given whose loss is not finite is named
+    with pytest.raises(NonFiniteLossError, match="batch start 4, lr 0.1$"):
+        local_train(net, [X, bad], [y, y], [full, full], epochs=1, batch_size=4, lr=0.1)
