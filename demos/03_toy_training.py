@@ -28,12 +28,13 @@ print(f"synthetic task: {len(train)} train / {len(test)} test samples, "
 print()
 
 # Same initial net, three allocation maps, same data and schedule: one
-# lockstep group of three clients. local_train leaves the net as it was and
-# returns each client's adapter deltas.
+# lockstep group of three clients, given in pass order (by earliest trained
+# block: 0, 3, 4). local_train leaves the net as it was and returns each
+# client's adapter deltas.
 maps = {
     "all blocks": naive_map(l, "full"),
-    "last half": naive_map(l, "ms", l // 2),
     "block 3 only": AllocationMap.from_indices(l, [3]),
+    "last half": naive_map(l, "ms", l // 2),
 }
 net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
                  input_dim=16, num_classes=5, lora_alpha=None, seed=0)

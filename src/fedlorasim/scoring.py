@@ -20,13 +20,7 @@ import numpy as np
 
 from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
-from fedlorasim.toymodel import (
-    Activations,
-    MapStack,
-    NonFiniteLossError,
-    ToyLoRANet,
-    group_order,
-)
+from fedlorasim.toymodel import Activations, MapStack, NonFiniteLossError, ToyLoRANet
 
 
 @dataclass(frozen=True)
@@ -57,9 +51,10 @@ def local_ig_scores(
     """Per-module squared gradient norms summed over each client's scoring
     batches, for a group of clients in one pass per batch.
 
-    ``allocation`` holds one map per client and ``batches`` one list of
-    batches per client; batch i has one row count for every client. A batch
-    holds features or ``Activations`` (see ``ToyLoRANet.forward``). Returns,
+    ``allocation`` holds one map per client, in pass order (see
+    ``MapStack``), and ``batches`` one list of batches per client; batch i
+    has one row count for every client. A batch holds features or
+    ``Activations`` (see ``ToyLoRANet.forward``). Returns,
     per client, {block: score} for its trainable blocks only; an all-frozen
     allocation yields an empty dict. Each client's score is summed on its
     own slice of the group's gradients, as a pass of that client alone sums
@@ -71,14 +66,13 @@ def local_ig_scores(
         raise ValueError("scoring dataset is empty")
     if len({len(b) for b in batches}) != 1:
         raise ValueError("the clients of a group need the same number of scoring batches")
-    order = group_order([b[0][0] for b in batches], allocation)
-    maps = MapStack(tuple(allocation[i] for i in order))
+    maps = MapStack(tuple(allocation))
     scores = [{j: 0.0 for j in m.trainable_indices} for m in maps.maps]
     for bi in range(len(batches[0])):
-        if any(len(batches[i][bi][0]) == 0 for i in order):
+        if any(len(b[bi][0]) == 0 for b in batches):
             raise ValueError(f"scoring batch {bi} is empty")
-        _, cache = net.forward([batches[i][bi][0] for i in order], maps)
-        labels = np.stack([np.asarray(batches[i][bi][1]) for i in order])
+        _, cache = net.forward([b[bi][0] for b in batches], maps)
+        labels = np.stack([np.asarray(b[bi][1]) for b in batches])
         for j, (gn, gm) in net.backward(cache, labels, loss_scale=loss_scale).items():
             sq = ((gn * gn).reshape(len(gn), -1).sum(axis=1)
                   + (gm * gm).reshape(len(gm), -1).sum(axis=1)).tolist()
@@ -86,7 +80,7 @@ def local_ig_scores(
                 if not math.isfinite(s):
                     raise NonFiniteLossError(f"non-finite gradient for module {j} in batch {bi}")
                 scores[pos][j] += s
-    return [s for _, s in sorted(zip(order, scores), key=lambda pair: pair[0])]
+    return scores
 
 
 def update_history(history: RoundWindow, records: Sequence[IGScoreRecord], round: int) -> RoundWindow:

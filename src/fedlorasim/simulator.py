@@ -84,19 +84,16 @@ class ClientSpec:
         if self.capacity_bytes <= 0:
             raise ValueError(f"client {self.id}: capacity must be positive")
 
-    @property
-    def ig_batches(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The IG scoring batches as (features, labels)."""
-        return [(self.data.X[rows], self.data.y[rows]) for rows in self.ig_rows]
+    def ig_batches(self, inputs: np.ndarray | Activations) -> list[tuple]:
+        """The IG scoring batches as (rows of ``inputs``, labels), where
+        ``inputs`` stands for all the client's rows: its features or an
+        update input (see ``PrefixCache``)."""
+        return [(inputs[rows], self.data.y[rows]) for rows in self.ig_rows]
 
-    def has_one_row_training_batch(self, batch_size: int) -> bool:
-        """Whether a training batch has a single row (see ``PrefixCache``)."""
-        return batch_size == 1 or len(self.data) % batch_size == 1
-
-    @property
-    def has_one_row_ig_batch(self) -> bool:
-        """Whether an IG batch has a single row (see ``PrefixCache``)."""
-        return any(len(rows) == 1 for rows in self.ig_rows)
+    def has_one_row_batch(self, batch_size: int) -> bool:
+        """Whether a training or IG batch has a single row (see ``PrefixCache``)."""
+        return (batch_size == 1 or len(self.data) % batch_size == 1
+                or any(len(rows) == 1 for rows in self.ig_rows))
 
 
 @dataclass
@@ -341,19 +338,19 @@ class PrefixCache:
     A client update starts at the client's own earliest trainable block e,
     which may lie above ``frozen_below``: the global net computes, once, the
     activations entering e for all the client's rows, from the training
-    prefix or the features. Its training batches and its IG batches are
-    rows of that array. ``run_round`` scores and trains a lockstep group of
-    updates in one pass per batch (see ``lockstep_groups``): each client
-    joins the stack at its own e with these activations, which the global
-    net and the group's clone both accept, since no client of the group
-    writes below its own e. Numpy multiplies a one-row batch as a vector,
-    which can round differently from that row of a matrix product: a client
-    with a one-row training batch runs its whole update from the features,
-    and one with a one-row IG batch scores from the features but still
-    trains from e. Stacking clients keeps each one's products, so these
-    rules are the same in a group; clients in one group have equal batch
-    shapes, so they start from the same kind of input.
-    Derived state: never checkpointed and never written to a run's files.
+    prefix or the features. That array is the update's input, and its
+    training batches and IG batches are rows of it. ``run_round`` scores and
+    trains a lockstep group of updates in one pass per batch (see
+    ``lockstep_groups``): each client joins the stack at its own e with its
+    input, which the global net and the group's clone both accept, since no
+    client of the group writes below its own e. Numpy multiplies a one-row
+    batch as a vector, which can round differently from that row of a
+    matrix product, so a client with any one-row batch, training or IG,
+    runs its whole update from the features. Stacking clients keeps each
+    one's products, so this rule is the same in a group; clients in one
+    group have equal batch shapes, so they start from the same kind of
+    input. Derived state: never checkpointed and never written to a run's
+    files.
     """
 
     def __init__(self):
@@ -369,19 +366,16 @@ class PrefixCache:
         return entry
 
     def update_inputs(self, client: ClientSpec, net: ToyLoRANet, amap: AllocationMap,
-                      batch_size: int):
-        """(training inputs, IG batches) of one client update from the global
-        ``net``: features or ``Activations`` that ``net`` accepts."""
-        if client.has_one_row_training_batch(batch_size):
-            return client.data.X, client.ig_batches
-        e = amap.earliest
+                      batch_size: int) -> np.ndarray | Activations:
+        """The input of one client update from the global ``net``, over all
+        the client's rows: its features or ``Activations`` that ``net``
+        accepts."""
+        if client.has_one_row_batch(batch_size):
+            return client.data.X
         X = client.data.X
         if net.hidden_size <= net.input_dim:
-            X = self.get(("train", client.id), net, e, X)
-        acts = net.prefix(X, e)
-        if client.has_one_row_ig_batch:
-            return acts, client.ig_batches
-        return acts, [(acts[rows], client.data.y[rows]) for rows in client.ig_rows]
+            X = self.get(("train", client.id), net, amap.earliest, X)
+        return net.prefix(X, amap.earliest)
 
     def test_set(self, test: LabeledData, net: ToyLoRANet) -> Activations:
         return self.get("test", net, None, test.X)
@@ -439,16 +433,19 @@ LOCKSTEP_WEIGHT_BYTES = 128 * 1024
 
 def lockstep_groups(updates: list[tuple[ClientSpec, AllocationMap]],
                     hidden_size: int) -> list[list[tuple[ClientSpec, AllocationMap]]]:
-    """The (client, map) updates that run one lockstep pass together, in
-    order: updates whose training and IG batches have the same shapes, and
-    so start from the same kind of input (see ``PrefixCache``), at most as
-    many as ``LOCKSTEP_WEIGHT_BYTES`` allows."""
+    """The (client, map) updates, each map training some block, that run one
+    lockstep pass together: updates whose training and IG batches have the
+    same shapes, and so start from the same kind of input (see
+    ``PrefixCache``), at most as many as ``LOCKSTEP_WEIGHT_BYTES`` allows.
+    Each group is in pass order, by earliest trainable block; the sort is
+    stable, so ties keep the order of ``updates``."""
     cap = max(1, LOCKSTEP_WEIGHT_BYTES // (8 * hidden_size ** 2))
     groups: dict = {}
     for client, amap in updates:
         key = (len(client.data), tuple(map(len, client.ig_rows)))
         groups.setdefault(key, []).append((client, amap))
-    return [g[lo : lo + cap] for g in groups.values() for lo in range(0, len(g), cap)]
+    return [sorted(g[lo : lo + cap], key=lambda update: update[1].earliest)
+            for g in groups.values() for lo in range(0, len(g), cap)]
 
 
 def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
@@ -499,13 +496,14 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
         maps = [amap for _, amap in group]
         inputs = [prefixes.update_inputs(client, net, amap, b) for client, amap in group]
         if config.strategy == "fedpilot":  # only the knapsack's values read the scores
-            scores = local_ig_scores(net, maps, [ig for _, ig in inputs])
+            scores = local_ig_scores(net, maps, [client.ig_batches(x)
+                                                 for (client, _), x in zip(group, inputs)])
             records.extend(IGScoreRecord(round=t, client_id=client.id, module_scores=s)
                            for (client, _), s in zip(group, scores))
         t1 = time.perf_counter()
         phase["score"] += t1 - t0
         deltas = local_train(
-            net, [x for x, _ in inputs], [client.data.y for client, _ in group], maps,
+            net, inputs, [client.data.y for client, _ in group], maps,
             epochs=config.epochs, batch_size=b, lr=config.lr,
             rng=[derive_rng(config.seed, _TRAIN, t, client.id) for client, _ in group],
         )
@@ -622,10 +620,10 @@ def state_from_jsonable(d: dict) -> GlobalState:
     ``prev_delta``; adapters must be finite. The score window, pushed every
     round, is at the state's round, and the contribution window at no later
     one. An allocation has L bits. A record is its client's, from rounds
-    1..round, and scores exactly the blocks its client's allocation trains
-    (an allocation may have no record: only fedpilot scores). Each field
-    must read back as written.
-    A malformed field raises ValueError naming its key.
+    1..round, with an int round and client id and float scores, and scores
+    exactly the blocks its client's allocation trains (an allocation may
+    have no record: only fedpilot scores). Each field must read back as
+    written. A malformed field raises ValueError naming its key.
     """
     keys = [f.name for f in fields(GlobalState)]
     for key in [*keys, *d]:
@@ -650,8 +648,15 @@ def state_from_jsonable(d: dict) -> GlobalState:
             raise ValueError(f"{key}: {e}") from e
 
     def record(cid: int, r: dict) -> IGScoreRecord:
+        # 1.0 and True compare equal to 1, so the read-back compare cannot see them
+        for k in ("round", "client_id"):
+            if type(r[k]) is not int:
+                raise ValueError(f"client {cid}: {k} {r[k]!r} is not an int")
+        for j, s in r["module_scores"].items():
+            if type(s) is not float:
+                raise ValueError(f"client {cid}: score {s!r} for module {j} is not a float")
         rec = IGScoreRecord(round=r["round"], client_id=r["client_id"], module_scores={
-            int(j): float(s) for j, s in r["module_scores"].items()})
+            int(j): s for j, s in r["module_scores"].items()})
         if rec.client_id != cid:
             raise ValueError(f"client {cid}: record of client {rec.client_id}")
         if not 1 <= rec.round <= t:

@@ -36,22 +36,22 @@ run only the blocks from there up. Activations entering a block up to
 ``frozen_below``, the lowest block a write has ever changed, outlive a
 round.
 
-A group of clients updates in lockstep: ``forward`` and ``backward`` take a
-leading client axis, one input and one map per client (a ``MapStack``), and
-run each block once for the stack of them, ``(C, B, H)`` activations against
-the shared ``(H, H)`` weight or a ``(C, H, H)`` stack of per-client ones.
-Each numpy product on the stack gives the bytes of the per-client one. The
-clients are ordered by earliest trainable block and each joins the stack at
-the block its input enters, so the clients live at a block are a leading
-slice; a block's adapter gradient is computed only for the clients whose map
-trains it. ``local_train`` trains a group on a clone of the net given: its
-SGD steps give each trained block a ``(C, H, r)``/``(C, r, H)`` stack of
-factors, one row per client, in which only the clients whose map trains the
-block move. The rows of the other clients keep the shared factors, and the
-clone keeps the ticks those rows hold, so each client's input, which enters
-no block above its earliest trainable one, stays accepted for the whole
-update. ``local_ig_scores`` runs the same pass on the net itself, with no
-write.
+The net has one call form, a group of clients in lockstep: ``forward``
+takes one input per client and a ``MapStack`` of their maps, in pass order
+(by earliest trainable block), and runs each block once for the stack,
+``(C, B, H)`` activations against the shared ``(H, H)`` weight or a
+``(C, H, H)`` stack of per-client ones; each numpy product on the stack
+gives the bytes of the per-client one. A single client is a group of one.
+Each client joins the stack at the block its input enters, so the clients
+live at a block are a leading slice; a block's adapter gradient is computed
+only for the clients whose map trains it. ``local_train`` trains a group on
+a clone of the net given: its SGD steps give each trained block a
+``(C, H, r)``/``(C, r, H)`` stack of factors, one row per client, in which
+only the clients whose map trains the block move. The rows of the other
+clients keep the shared factors, and the clone keeps the ticks those rows
+hold, so each client's input, which enters no block above its earliest
+trainable one, stays accepted for the whole update. ``local_ig_scores``
+runs the same pass on the net itself, with no write.
 """
 
 from __future__ import annotations
@@ -106,14 +106,14 @@ class Activations:
 
 @dataclass(frozen=True, eq=False)
 class MapStack:
-    """The allocation maps of a group of clients that run one pass together:
-    the leading client axis of ``ToyLoRANet.forward``'s allocation.
+    """The allocation maps of a group of clients that run one pass together,
+    one per client of ``ToyLoRANet.forward``'s client axis.
 
-    The maps come ordered by earliest trainable block, ``earliest`` holding
-    it per client (L for a map that trains nothing), so the clients whose
-    backward reaches block j are a leading slice. ``trainers[j]`` holds the
-    positions of the clients whose map trains block j, for every block some
-    map trains.
+    The maps come in pass order, by earliest trainable block, and any other
+    order is refused; ``earliest`` holds it per client (L for a map that
+    trains nothing), so the clients whose backward reaches block j are a
+    leading slice. ``trainers[j]`` holds the positions of the clients whose
+    map trains block j, for every block some map trains.
     """
 
     maps: tuple[AllocationMap, ...]
@@ -152,19 +152,15 @@ class ForwardCache:
     ``acts`` holds block outputs a_j = tanh(z_j) of the clients live at
     block j, for blocks from the group's earliest trainable one onward, and
     ``block_inputs`` holds their a_{j-1} for blocks some client trains.
-    ``maps`` holds the clients' maps, one for a forward given a single map
-    (``single``), whose logits it returned without the client axis.
-    ``base`` and ``stamp`` are the identity of the frozen
-    weights and the write ticks of every block of the net that made it, as
-    in ``Activations``.
+    ``maps`` holds the clients' maps. ``base`` and ``stamp`` are the
+    identity of the frozen weights and the write ticks of every block of the
+    net that made it, as in ``Activations``.
     """
 
     logits: np.ndarray
     acts: dict[int, np.ndarray]
     block_inputs: dict[int, np.ndarray]
     maps: MapStack
-    single: bool
-    batch_size: int
     base: object
     stamp: tuple[int, ...]
     _softmax: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
@@ -179,13 +175,26 @@ class ForwardCache:
 
     def softmax(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(logits less their row maximum, its exponential, that one's row
-        sums), computed once per cache: the loss check of an SGD step and
-        backward both read them."""
+        sums), computed once per cache: ``losses`` and backward both read
+        them."""
         if self._softmax is None:
             shifted = self.logits - self.logits.max(axis=-1, keepdims=True)
             expd = np.exp(shifted)
             self._softmax = (shifted, expd, expd.sum(axis=-1, keepdims=True))
         return self._softmax
+
+    def labels(self, y) -> np.ndarray:
+        """y as an array of the cached batch's (C, B) shape."""
+        y = np.asarray(y)
+        if y.shape != self.logits.shape[:2]:
+            raise ValueError("labels do not match the cached batch")
+        return y
+
+    def losses(self, y) -> np.ndarray:
+        """Each client's mean softmax cross-entropy for labels y (C, B)."""
+        shifted, _, sums = self.softmax()
+        picked = np.take_along_axis(shifted, self.labels(y)[..., None], axis=-1)[..., 0]
+        return -(picked - np.log(sums[..., 0])).mean(axis=-1)
 
 
 class ToyLoRANet:
@@ -362,24 +371,19 @@ class ToyLoRANet:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
         return X @ self.embed, 0
 
-    def forward(self, X: np.ndarray | Activations | Sequence[np.ndarray | Activations],
-                allocation: AllocationMap | MapStack | Sequence[AllocationMap]):
-        """Logits and the cache backward needs; builds the missing weights.
+    def forward(self, inputs: Sequence[np.ndarray | Activations], maps: MapStack):
+        """Logits (C, B, K) of a group of C clients and the cache backward
+        needs; builds the missing weights.
 
-        X holds features, or ``Activations`` this net accepts that enter a
-        block up to the allocation's earliest trainable one. With a leading
-        client axis, X holds one such input per client, all of one row
-        count, and the allocation one map per client, ordered by earliest
-        trainable block, their inputs entering blocks in the same order; the
-        logits are then (C, B, K). A net that has a client axis takes a
-        group of its size.
+        ``inputs`` holds one input per client, all of one row count:
+        features, or ``Activations`` this net accepts that enter a block up
+        to the client's earliest trainable one, in the order of ``maps``,
+        which holds the clients' maps in pass order. A net that has a client
+        axis takes a group of its size.
         """
-        single = isinstance(allocation, AllocationMap)
-        if isinstance(allocation, MapStack):
-            maps = allocation
-        else:
-            maps = MapStack((allocation,) if single else tuple(allocation))
-        inputs = (X,) if single else tuple(X)
+        if not isinstance(maps, MapStack) or isinstance(inputs, (np.ndarray, Activations)):
+            raise TypeError("forward takes one input per client and a MapStack of their maps")
+        inputs = tuple(inputs)
         l = self.num_blocks
         if maps.num_blocks != l:
             raise ValueError(f"allocation has {maps.num_blocks} blocks, net has {l}")
@@ -413,24 +417,9 @@ class ToyLoRANet:
             if j >= first:
                 acts[j] = a
         logits = a @ self.head
-        cache = ForwardCache(
-            logits=logits,
-            acts=acts,
-            block_inputs=block_inputs,
-            maps=maps,
-            single=single,
-            batch_size=a.shape[1],
-            base=self._base,
-            stamp=self._changed_at,
-        )
-        return (logits[0] if single else logits), cache
-
-    def loss(self, logits: np.ndarray, y: np.ndarray, loss_scale: float = 1.0) -> float:
-        """Mean softmax cross-entropy, optionally scaled by a constant."""
-        y = np.asarray(y)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return float(-loss_scale * logp[np.arange(len(y)), y].mean())
+        cache = ForwardCache(logits=logits, acts=acts, block_inputs=block_inputs, maps=maps,
+                             base=self._base, stamp=self._changed_at)
+        return logits, cache
 
     def backward(
         self,
@@ -438,32 +427,28 @@ class ToyLoRANet:
         y: np.ndarray,
         loss_scale: float = 1.0,
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Adapter gradients of the mean cross-entropy for the blocks the
-        cache's allocation trains.
+        """Adapter gradients of each client's mean cross-entropy, labels y
+        (C, B), for the blocks the cache's maps train.
 
         The signal is chained down through frozen blocks and stops at the
         earliest trainable one; blocks below it never matter. The cache
         must come from these frozen weights through exactly the writes this
         net holds now, so the weights it builds or keeps are the ones
-        forward used. For a group, y is (C, B) and each block's gradients
-        are stacked over the clients whose map trains it, in group order.
+        forward used. Each block's gradients are stacked over the clients
+        whose map trains it, in group order.
         """
         if cache.base is not self._base or cache.stamp != self._changed_at:
             raise StaleCacheError("this cache was not made through this net's current weights")
-        single, maps = cache.single, cache.maps
+        maps = cache.maps
         first, earliest = maps.earliest[0], maps.earliest
         if first == self.num_blocks:
             return {}
-        y = np.asarray(y)
-        if single:
-            y = y[None]
-        c, b = cache.logits.shape[:2]
-        if y.shape != (c, b):
-            raise ValueError("labels do not match the cached batch")
+        y = cache.labels(y)
+        c, b = y.shape
         _, expd, sums = cache.softmax()
         dlogits = expd / sums
         dlogits[np.arange(c)[:, None], np.arange(b), y] -= 1.0
-        dlogits *= loss_scale / cache.batch_size
+        dlogits *= loss_scale / b
 
         grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         da = dlogits[:bisect_right(earliest, self.num_blocks - 1)] @ self.head.T
@@ -484,26 +469,14 @@ class ToyLoRANet:
                 k = bisect_right(earliest, j - 1)
                 w = self._weight(j)
                 da = dz[:k] @ (w.T if w.ndim == 2 else w[:k].swapaxes(-1, -2))
-        if single:
-            return {j: (gn[0], gm[0]) for j, (gn, gm) in grads.items()}
         return grads
 
     def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
-        """(mean cross-entropy, accuracy) with nothing trainable; X as in
-        ``forward``."""
-        logits, _ = self.forward(X, AllocationMap.empty(self.num_blocks))
-        loss = self.loss(logits, np.asarray(y))
-        acc = float((logits.argmax(axis=1) == np.asarray(y)).mean())
-        return loss, acc
-
-
-def group_order(X: Sequence, allocation: Sequence[AllocationMap]) -> list[int]:
-    """Positions of a group's clients in the order a pass takes them: by
-    earliest trainable block, then by the block their input enters."""
-    l = allocation[0].num_blocks if allocation else 0
-    return sorted(range(len(allocation)), key=lambda i: (
-        l if allocation[i].earliest is None else allocation[i].earliest,
-        X[i].block if isinstance(X[i], Activations) else 0))
+        """(mean cross-entropy, accuracy) with nothing trainable, as a group
+        of one; X as one input of ``forward``."""
+        y = np.asarray(y)[None]
+        logits, cache = self.forward([X], MapStack((AllocationMap.empty(self.num_blocks),)))
+        return float(cache.losses(y)[0]), float((logits.argmax(axis=-1) == y).mean())
 
 
 def local_train(
@@ -519,15 +492,16 @@ def local_train(
     """Plain SGD for a group of clients in lockstep; returns each client's
     adapter deltas per trained block.
 
-    X, y and allocation hold one entry per client: features or
-    ``Activations`` (see ``ToyLoRANet.forward``), labels of one count for
-    every client, and its map. Deltas are theta_after - theta_before and
-    exist exactly for each map's trainable blocks (all-zero when lr is 0).
-    A client's batches are sequential unless its rng (one per client, or
-    None for all) shuffles each of its epochs; a batch takes its rows of
-    features or ``Activations``. The clients train a clone of ``net``, which
-    stays as it was; each step is one forward and one backward of the group,
-    with one softmax for the loss check and the gradient.
+    X, y and allocation hold one entry per client, in pass order (see
+    ``MapStack``): features or ``Activations`` (see ``ToyLoRANet.forward``),
+    labels of one count for every client, and its map. Deltas are
+    theta_after - theta_before and exist exactly for each map's trainable
+    blocks (all-zero when lr is 0). A client's batches are sequential
+    unless its rng (one per client, or None for all) shuffles each of its
+    epochs; a batch takes its rows of features or ``Activations``. The
+    clients train a clone of ``net``, which stays as it was; each step is
+    one forward and one backward of the group, whose one softmax gives the
+    loss check and the gradient.
     """
     rngs = [None] * len(allocation) if rng is None else list(rng)
     X = [x if isinstance(x, Activations) else np.asarray(x, dtype=np.float64) for x in X]
@@ -546,29 +520,24 @@ def local_train(
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
 
-    order = group_order(X, allocation)
-    maps = MapStack(tuple(allocation[i] for i in order))
+    maps = MapStack(tuple(allocation))
     group = net.clone()
     for epoch in range(epochs):
-        perms = [rngs[i].permutation(n) if rngs[i] is not None else np.arange(n) for i in order]
+        perms = [np.arange(n) if r is None else r.permutation(n) for r in rngs]
         for lo in range(0, n, batch_size):
             idx = [p[lo : lo + batch_size] for p in perms]
-            _, cache = group.forward([X[i][r] for i, r in zip(order, idx)], maps)
-            labels = np.stack([y[i][r] for i, r in zip(order, idx)])
-            shifted, _, sums = cache.softmax()
-            picked = np.take_along_axis(shifted, labels[..., None], axis=-1)
-            losses = -(picked - np.log(sums)).mean(axis=(1, 2))
-            if not np.isfinite(losses).all():
-                # the first client given among those whose loss is not finite
-                bad = min(np.flatnonzero(~np.isfinite(losses)).tolist(), key=order.__getitem__)
-                raise NonFiniteLossError(
-                    f"non-finite loss {float(losses[bad])} at epoch {epoch}, batch start {lo}, lr {lr}"
-                )
+            _, cache = group.forward([x[r] for x, r in zip(X, idx)], maps)
+            labels = np.stack([yc[r] for yc, r in zip(y, idx)])
+            losses = cache.losses(labels)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:  # name the first client given whose loss is not finite
+                raise NonFiniteLossError(f"non-finite loss {float(losses[bad[0]])} at epoch "
+                                         f"{epoch}, batch start {lo}, lr {lr}")
             group._descend(group.backward(cache, labels), maps, lr)
 
-    deltas = [{} for _ in order]
+    deltas = [{} for _ in allocation]
     for j, rows in maps.trainers.items():
         dn, dm = group.N[j][rows] - net.N[j], group.M[j][rows] - net.M[j]
         for r, dn_c, dm_c in zip(rows.tolist(), dn, dm):
-            deltas[order[r]][j] = (dn_c, dm_c)
+            deltas[r][j] = (dn_c, dm_c)
     return [dict(sorted(d.items())) for d in deltas]

@@ -5,9 +5,10 @@ an independent oracle by the allocator tests, a reference greedy that
 prices every candidate through ``marginal_weight`` and normalizes one Python
 float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
-used and recomputes tanh in backward, one-client calls of the lockstep
-``local_train`` and ``local_ig_scores``, a central difference that perturbs
-one adapter entry through ``set_lora_state``, the sequential
+used and recomputes tanh in backward, a reference cross-entropy, one-client
+calls of the lockstep ``forward``, ``backward``, ``local_train`` and
+``local_ig_scores``, a central difference that perturbs one adapter entry
+through ``set_lora_state``, the sequential
 ``fedra_random`` sampler that prices one random map at a time, and the two
 windows ``RoundWindow`` replaced: the IG score buffers evicted by round
 cutoff and the ``maxlen`` deques of contributor counts.
@@ -35,7 +36,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import local_ig_scores
-from fedlorasim.toymodel import local_train
+from fedlorasim.toymodel import MapStack, local_train
 
 
 def make_random_profile(
@@ -241,6 +242,15 @@ def rebuilding_forward(net, X: np.ndarray, allocation: AllocationMap):
     )
 
 
+def reference_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+    """Mean softmax cross-entropy of (B, K) logits, as ``ToyLoRANet.loss``
+    computed it before ``ForwardCache.losses``."""
+    y = np.asarray(y)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
 def rebuilding_backward(net, cache: ReferenceCache, y: np.ndarray, loss_scale: float = 1.0):
     """``ToyLoRANet.backward`` as it was before weight reuse: tanh' from the
     cached pre-tanh values, and the effective weights rebuilt on the way down."""
@@ -285,8 +295,7 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             logits, cache = rebuilding_forward(net, X[idx], allocation)
-            loss = net.loss(logits, y[idx])
-            assert np.isfinite(loss)
+            assert np.isfinite(reference_cross_entropy(logits, y[idx]))
             grads = rebuilding_backward(net, cache, y[idx])
             net.set_lora_state({
                 j: (net.N[j] - lr * gn, net.M[j] - lr * gm) for j, (gn, gm) in grads.items()
@@ -295,6 +304,19 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
         j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
         for j in allocation.trainable_indices
     }
+
+
+def forward_one(net, X, allocation: AllocationMap):
+    """``ToyLoRANet.forward`` for a group of one client: its (B, K) logits
+    and the cache."""
+    logits, cache = net.forward([X], MapStack((allocation,)))
+    return logits[0], cache
+
+
+def backward_one(net, cache, y, loss_scale=1.0):
+    """``ToyLoRANet.backward`` for a group of one client: its gradients."""
+    grads = net.backward(cache, np.asarray(y)[None], loss_scale=loss_scale)
+    return {j: (gn[0], gm[0]) for j, (gn, gm) in grads.items()}
 
 
 def train_one(net, X, y, allocation: AllocationMap, rng=None, **kw):
@@ -360,6 +382,6 @@ def central_difference(net, X, y, allocation: AllocationMap, j: int, k: int, idx
         factors = [orig[0].copy(), orig[1].copy()]
         factors[k][idx] += step
         net.set_lora_state({j: tuple(factors)})
-        losses.append(net.loss(net.forward(X, allocation)[0], y))
+        losses.append(reference_cross_entropy(forward_one(net, X, allocation)[0], y))
     net.set_lora_state({j: orig})
     return (losses[0] - losses[1]) / (2 * h)

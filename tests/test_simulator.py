@@ -27,6 +27,7 @@ from fedlorasim.simulator import (
     build_clients,
     derive_rng,
     init_state,
+    lockstep_groups,
     max_feasible_naive_u,
     run_experiment,
     run_round,
@@ -210,7 +211,7 @@ def test_build_clients_disjoint_data_and_bounded_ig_sets():
         seen.update(rows)
     assert len(seen) == sum(len(c.data) for c in clients)
     for c in clients:
-        n_ig = sum(len(by) for _, by in c.ig_batches)
+        n_ig = sum(len(by) for _, by in c.ig_batches(c.data.X))
         assert n_ig == min(cfg.ig_dataset_size, len(c.data))
         assert c.capacity_bytes == levels[c.level]
     # ratio (4, 3, 2, 1) over 4 clients floors to [1, 1, 0, 0] + 2 leftovers
@@ -502,6 +503,15 @@ MALFORMED_CHECKPOINTS = {
     "record-without-allocation": (lambda s: s["last_allocations"].pop("0"), "last_records"),
     "record-of-another-map": (lambda s: s["last_allocations"].__setitem__("1", "1000"),
                               "last_records"),
+    # 1.0 and True equal 1, so reading back as written cannot tell them apart
+    "record-round-as-float": (lambda s: s["last_records"]["1"].__setitem__(
+        "round", float(s["last_records"]["1"]["round"])), "last_records"),
+    "record-client-id-as-float": (lambda s: s["last_records"]["1"].__setitem__("client_id", 1.0),
+                                  "last_records"),
+    "record-round-true": (lambda s: s["last_records"]["1"].__setitem__("round", True),
+                          "last_records"),
+    "score-true": (lambda s: s["last_records"]["1"]["module_scores"].__setitem__("3", True),
+                   "last_records"),
 }
 
 
@@ -511,6 +521,7 @@ def test_malformed_checkpoint_names_its_key(case, tmp_path):
     snap = json.loads((tmp_path / "checkpoints" / "round_0002.json").read_text())
     state_from_jsonable(json.loads(json.dumps(snap)))
     assert snap["last_allocations"]["1"] == "0001"  # the map the cases above edit
+    assert list(snap["last_records"]["1"]["module_scores"]) == ["3"]
     corrupt, key = MALFORMED_CHECKPOINTS[case]
     corrupt(snap)
     with pytest.raises(ValueError, match=f"^{key}: "):
@@ -563,7 +574,8 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
                          num_classes=5, lora_alpha=None, seed=0)
         net.set_lora_state({6: (net.N[6], net.M[6] + 0.1)})  # frozen_below 6
         cache = PrefixCache()
-        X, ig = cache.update_inputs(client, net, amap, batch)
+        X = cache.update_inputs(client, net, amap, batch)
+        assert client.has_one_row_batch(batch) is not boundary
         if boundary:
             # the update runs from the client's earliest block, above frozen_below
             assert X.block == 9 and X.data.shape == (n, hidden)
@@ -571,40 +583,59 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
             assert X.data.tobytes() == net.prefix(client.data.X, 9).data.tobytes()
             # the training prefix is kept only when no larger than the features
             assert [e.block for e in cache._entries.values()] == ([6] if hidden <= 10 else [])
-            for (a, y), rows in zip(ig, client.ig_rows, strict=True):
+            # the IG batches are rows of the update input
+            for (a, y), rows in zip(client.ig_batches(X), client.ig_rows, strict=True):
                 assert a.block == 9 and a.data.tobytes() == X.data[rows].tobytes()
                 assert y.tobytes() == client.data.y[rows].tobytes()
         else:
             assert X is client.data.X and not cache._entries
-            assert all(a.tobytes() == b.tobytes() and y.tobytes() == y0.tobytes()
-                       for (a, y), (b, y0) in zip(ig, client.ig_batches, strict=True))
-    # a one-row IG batch sends only the scoring back to the features
+    # a one-row IG batch sends the whole update back to the features
     one_row = ClientSpec(id=0, level=1, capacity_bytes=1, data=client.data,
                          ig_rows=[client.ig_rows[0], client.ig_rows[0][:1]])
-    assert one_row.has_one_row_ig_batch and not client.has_one_row_ig_batch
-    assert not one_row.has_one_row_training_batch(n) and one_row.has_one_row_training_batch(1)
-    net = deep_net(cfg)
-    X, ig = PrefixCache().update_inputs(one_row, net, amap, n)
-    assert X.block == 9 and X.data.tobytes() == net.prefix(one_row.data.X, 9).data.tobytes()
-    assert all(a.tobytes() == b.tobytes() and y.tobytes() == y0.tobytes()
-               for (a, y), (b, y0) in zip(ig, one_row.ig_batches, strict=True))
+    assert one_row.has_one_row_batch(n) and not client.has_one_row_batch(n)
+    cache = PrefixCache()
+    assert cache.update_inputs(one_row, deep_net(cfg), amap, n) is one_row.data.X
+    assert not cache._entries
+
+
+def test_lockstep_groups_come_in_pass_order_with_ties_in_sampled_order():
+    clients, _, _, _, _ = build_clients(deep_config())
+    c0 = clients[0]
+    same = [ClientSpec(id=i, level=1, capacity_bytes=1, data=c0.data, ig_rows=c0.ig_rows)
+            for i in range(6)]
+    # another IG batch shape: a group of its own
+    other = ClientSpec(id=6, level=1, capacity_bytes=1, data=c0.data, ig_rows=c0.ig_rows[:1] * 2)
+    earliest = [9, 7, 9, 8, 7, 10, 8]  # of the updates in sampled order, client 6 last
+    updates = [(c, naive_map(12, "ms", 12 - e)) for c, e in zip([*same, other], earliest)]
+    groups = lockstep_groups(updates, hidden_size=8)
+    assert [[c.id for c, _ in g] for g in groups] == [[1, 4, 3, 0, 2, 5], [6]]
+    assert all(amap.earliest == earliest[c.id] for g in groups for c, amap in g)
+    # at H = 128 a group holds one update, in sampled order
+    assert [[c.id for c, _ in g] for g in lockstep_groups(updates, hidden_size=128)] == [
+        [0], [1], [2], [3], [4], [5], [6]]
 
 
 class _FromFeatures(PrefixCache):
     """Every forward from the features: the run without the cache."""
 
     def update_inputs(self, client, net, amap, batch_size):
-        return client.data.X, client.ig_batches
+        return client.data.X
 
     def test_set(self, test, net):
         return test.X
 
 
-@pytest.mark.parametrize("aggregation", ["comagg", "fedavg"])
-def test_run_from_prefixes_matches_run_from_features(aggregation, tmp_path, monkeypatch):
+# 16 IG rows make one IG batch; 17 end on a one-row batch, which sends every
+# update back to the features
+@pytest.mark.parametrize("aggregation, ig_size", [("comagg", 16), ("fedavg", 16), ("comagg", 17)],
+                         ids=["comagg", "fedavg", "comagg-one-row-ig"])
+def test_run_from_prefixes_matches_run_from_features(aggregation, ig_size, tmp_path,
+                                                     monkeypatch):
     import fedlorasim.simulator as sim
 
-    cfg = deep_config(aggregation=aggregation, checkpoint_every=6)
+    cfg = deep_config(aggregation=aggregation, checkpoint_every=6, ig_dataset_size=ig_size)
+    clients = build_clients(cfg)[0]
+    assert [c.has_one_row_batch(16) for c in clients] == [ig_size == 17] * len(clients)
     starts = []
     prefix = ToyLoRANet.prefix
     monkeypatch.setattr(ToyLoRANet, "prefix",
@@ -615,6 +646,17 @@ def test_run_from_prefixes_matches_run_from_features(aggregation, tmp_path, monk
     run_experiment(cfg, tmp_path / "plain", quiet=True)
     for name in ("metrics.jsonl", "summary.json", "checkpoints/round_0006.json"):
         assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_only_fedpilot_builds_ig_batches(tmp_path, monkeypatch):
+    built = []
+    ig_batches = ClientSpec.ig_batches
+    monkeypatch.setattr(ClientSpec, "ig_batches",
+                        lambda client, inputs: built.append(client.id) or ig_batches(client, inputs))
+    run_experiment(deep_config(strategy="ms", rounds=2), tmp_path / "ms", quiet=True)
+    assert built == []
+    run_experiment(deep_config(rounds=2), tmp_path / "fedpilot", quiet=True)
+    assert built
 
 
 def test_prefixes_are_built_in_rounds_and_never_checkpointed(tmp_path, monkeypatch):

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    backward_one,
     central_difference,
+    forward_one,
     rebuilding_backward,
     rebuilding_forward,
     rebuilding_local_train,
+    reference_cross_entropy,
     score_one,
     train_one,
 )
@@ -76,7 +79,7 @@ def test_fresh_net_equals_frozen_base():
     net = small_net(seed=3)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(7, net.input_dim))
-    logits, _ = net.forward(X, AllocationMap.full(net.num_blocks))
+    logits, _ = forward_one(net, X, AllocationMap.full(net.num_blocks))
     base = X @ net.embed
     for j in range(net.num_blocks):
         base = np.tanh(base @ net.W0[j] + net.b[j])
@@ -89,7 +92,7 @@ def test_forward_matches_reference_implementation():
         net = small_net(seed=seed)
         randomize_adapters(net, rng)
         X = rng.normal(size=(6, net.input_dim))
-        logits, _ = net.forward(X, AllocationMap.empty(net.num_blocks))
+        logits, _ = forward_one(net, X, AllocationMap.empty(net.num_blocks))
         np.testing.assert_allclose(logits, reference_forward(net, X), rtol=1e-12, atol=1e-12)
 
 
@@ -103,8 +106,8 @@ def test_gradients_match_finite_differences():
         y = rng.integers(0, net.num_classes, size=8)
         for bits in patterns:
             amap = AllocationMap.from_bitstring(bits)
-            logits, cache = net.forward(X, amap)
-            grads = net.backward(cache, y)
+            logits, cache = forward_one(net, X, amap)
+            grads = backward_one(net, cache, y)
             assert set(grads) == set(amap.trainable_indices)
             for j, (gn, gm) in grads.items():
                 for k, g in enumerate((gn, gm)):
@@ -123,8 +126,8 @@ def test_gradient_flows_through_frozen_blocks():
     X = rng.normal(size=(5, net.input_dim))
     y = rng.integers(0, net.num_classes, size=5)
     amap = AllocationMap.from_indices(net.num_blocks, [0])
-    logits, cache = net.forward(X, amap)
-    grads = net.backward(cache, y)
+    logits, cache = forward_one(net, X, amap)
+    grads = backward_one(net, cache, y)
     assert set(grads) == {0}
     gn, gm = grads[0]
     assert np.abs(gn).max() > 0
@@ -134,8 +137,8 @@ def test_gradient_flows_through_frozen_blocks():
 def test_empty_allocation_backward_is_empty():
     net = small_net()
     X = np.zeros((2, net.input_dim))
-    logits, cache = net.forward(X, AllocationMap.empty(net.num_blocks))
-    assert net.backward(cache, np.zeros(2, dtype=int)) == {}
+    logits, cache = forward_one(net, X, AllocationMap.empty(net.num_blocks))
+    assert backward_one(net, cache, np.zeros(2, dtype=int)) == {}
 
 
 def test_cache_economy_mirrors_memory_split():
@@ -143,7 +146,7 @@ def test_cache_economy_mirrors_memory_split():
     X = np.zeros((3, net.input_dim))
     for indices in ([2, 4], [0], [5], []):
         amap = AllocationMap.from_indices(6, indices)
-        _, cache = net.forward(X, amap)
+        _, cache = forward_one(net, X, amap)
         if indices:
             assert cache.static_count == 6 - min(indices)
             assert cache.dynamic_count == len(indices)
@@ -161,9 +164,9 @@ def test_loss_scale_scales_gradients_linearly():
     X = rng.normal(size=(4, net.input_dim))
     y = rng.integers(0, net.num_classes, size=4)
     amap = AllocationMap.full(net.num_blocks)
-    _, cache = net.forward(X, amap)
-    g1 = net.backward(cache, y, loss_scale=1.0)
-    g3 = net.backward(cache, y, loss_scale=3.0)
+    _, cache = forward_one(net, X, amap)
+    g1 = backward_one(net, cache, y, loss_scale=1.0)
+    g3 = backward_one(net, cache, y, loss_scale=3.0)
     for j in g1:
         np.testing.assert_allclose(g3[j][0], 3.0 * g1[j][0], rtol=1e-12)
         np.testing.assert_allclose(g3[j][1], 3.0 * g1[j][1], rtol=1e-12)
@@ -173,12 +176,12 @@ def test_stale_cache_rejected():
     net = small_net()
     X = np.zeros((2, net.input_dim))
     y = np.zeros(2, dtype=int)
-    _, cache = net.forward(X, AllocationMap.full(net.num_blocks))
+    _, cache = forward_one(net, X, AllocationMap.full(net.num_blocks))
     net.set_lora_state(net.get_lora_state())  # byte-equal: the cache still holds
-    assert net.backward(cache, y).keys() == set(range(net.num_blocks))
+    assert backward_one(net, cache, y).keys() == set(range(net.num_blocks))
     net.set_lora_state({1: (net.N[1], net.M[1] + 0.1)})
     with pytest.raises(StaleCacheError):
-        net.backward(cache, y)
+        backward_one(net, cache, y)
 
 
 def test_foreign_cache_rejected():
@@ -187,26 +190,26 @@ def test_foreign_cache_rejected():
     full = AllocationMap.full(3)
     # two nets with equal (zero) write ticks but different frozen weights
     nets = [small_net(seed=s, num_blocks=3) for s in (0, 1)]
-    caches = [net.forward(X, full)[1] for net in nets]
+    caches = [forward_one(net, X, full)[1] for net in nets]
     for net, cache in zip(nets, caches[::-1]):
         with pytest.raises(StaleCacheError):
-            net.backward(cache, y)
+            backward_one(net, cache, y)
     # a clone made before its source's forward holds the same weights, so it
     # accepts the source's cache and builds the weights it has not built yet
     source = small_net(seed=2, num_blocks=3)
     clone = source.clone()
-    _, cache = source.forward(X, full)
+    _, cache = forward_one(source, X, full)
     assert clone._weights == [None] * 3
-    want = source.backward(cache, y)
-    got = clone.backward(cache, y)
+    want = backward_one(source, cache, y)
+    got = backward_one(clone, cache, y)
     assert all(got[j][k].tobytes() == want[j][k].tobytes() for j in want for k in (0, 1))
     # once the clone changes block 2, neither takes the other's cache
     clone.set_lora_state({2: (clone.N[2], clone.M[2] + 0.1)})
     with pytest.raises(StaleCacheError):
-        clone.backward(cache, y)
-    _, clone_cache = clone.forward(X, full)
+        backward_one(clone, cache, y)
+    _, clone_cache = forward_one(clone, X, full)
     with pytest.raises(StaleCacheError):
-        source.backward(clone_cache, y)
+        backward_one(source, clone_cache, y)
 
 
 def test_backward_follows_the_cached_allocation():
@@ -215,8 +218,8 @@ def test_backward_follows_the_cached_allocation():
     X = np.random.default_rng(47).normal(size=(2, net.input_dim))
     y = np.zeros(2, dtype=int)
     for blocks in ([1], [0, 2], []):
-        _, cache = net.forward(X, AllocationMap.from_indices(net.num_blocks, blocks))
-        assert net.backward(cache, y).keys() == set(blocks)
+        _, cache = forward_one(net, X, AllocationMap.from_indices(net.num_blocks, blocks))
+        assert backward_one(net, cache, y).keys() == set(blocks)
 
 
 def test_local_train_zero_lr_gives_zero_deltas():
@@ -238,8 +241,8 @@ def test_single_step_delta_is_minus_lr_grad():
     X = rng.normal(size=(1, net.input_dim))
     y = rng.integers(0, net.num_classes, size=1)
     amap = AllocationMap.from_indices(net.num_blocks, [1, 3])
-    _, cache = net.forward(X, amap)
-    grads = net.backward(cache, y)
+    _, cache = forward_one(net, X, amap)
+    grads = backward_one(net, cache, y)
     deltas = train_one(net, X, y, amap, epochs=1, batch_size=1, lr=0.05)
     for j in amap.trainable_indices:
         # (N - lr*g) - N carries one rounding step, so compare numerically
@@ -334,14 +337,14 @@ def test_forward_with_weights_is_bitwise_equal():
     for indices in EQUIVALENCE_MAPS.values():
         amap = AllocationMap.from_indices(7, indices)
         ref_logits, ref_cache = rebuilding_forward(net, X, amap)
-        logits, cache = net.forward(X, amap)
+        logits, cache = forward_one(net, X, amap)
         assert logits.tobytes() == ref_logits.tobytes()
         assert list(cache.acts) == list(ref_cache.preacts)
         assert list(cache.block_inputs) == list(ref_cache.block_inputs)
         for j, z in ref_cache.preacts.items():
             assert cache.acts[j].tobytes() == np.tanh(z).tobytes()
         ref_grads = rebuilding_backward(net, ref_cache, y)
-        grads = net.backward(cache, y)
+        grads = backward_one(net, cache, y)
         assert list(grads) == list(ref_grads)
         for j, (gn, gm) in ref_grads.items():
             assert grads[j][0].tobytes() == gn.tobytes()
@@ -375,8 +378,8 @@ def test_snapshot_roundtrip():
     back = small_net(seed=6)
     back.set_lora_state(state_from_jsonable(ckpt).params)
     X = rng.normal(size=(5, net.input_dim))
-    a, _ = net.forward(X, AllocationMap.full(l))
-    b, _ = back.forward(X, AllocationMap.full(l))
+    a, _ = forward_one(net, X, AllocationMap.full(l))
+    b, _ = forward_one(back, X, AllocationMap.full(l))
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(net.head, back.head)
 
@@ -385,13 +388,13 @@ def test_clone_is_independent():
     net = small_net()
     X = np.random.default_rng(43).normal(size=(3, net.input_dim))
     full = AllocationMap.full(net.num_blocks)
-    before, _ = net.forward(X, full)
+    before, _ = forward_one(net, X, full)
     twin = net.clone()
     twin.set_lora_state({0: (twin.N[0] + 1.0, twin.M[0] + 1.0)})
     assert np.abs(net.N[0] - twin.N[0]).max() > 0
     # the twin's rebuilt weight never reaches the source's built weights
-    moved, _ = twin.forward(X, full)
-    after, _ = net.forward(X, full)
+    moved, _ = forward_one(twin, X, full)
+    after, _ = forward_one(net, X, full)
     assert np.abs(moved - before).max() > 0
     assert after.tobytes() == before.tobytes()
     # adapters are written only through set_lora_state, which keeps no
@@ -414,9 +417,9 @@ def test_clone_is_independent():
 def test_input_validation():
     net = small_net()
     with pytest.raises(ValueError):
-        net.forward(np.zeros((2, net.input_dim + 1)), AllocationMap.full(net.num_blocks))
+        forward_one(net, np.zeros((2, net.input_dim + 1)), AllocationMap.full(net.num_blocks))
     with pytest.raises(ValueError):
-        net.forward(np.zeros((2, net.input_dim)), AllocationMap.full(net.num_blocks + 1))
+        forward_one(net, np.zeros((2, net.input_dim)), AllocationMap.full(net.num_blocks + 1))
     with pytest.raises(ValueError):
         train_one(net, np.zeros((0, net.input_dim)), np.zeros(0, dtype=int),
                   AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.1)
@@ -450,19 +453,19 @@ def test_forward_from_prefix_is_bitwise_equal(kind):
     amap = AllocationMap.from_indices(7, PREFIX_MAPS[kind])
     X = rng.normal(size=(9, net.input_dim))
     y = rng.integers(0, net.num_classes, size=9)
-    logits, cache = net.forward(X, amap)
-    grads = net.backward(cache, y)
+    logits, cache = forward_one(net, X, amap)
+    grads = backward_one(net, cache, y)
     for k in boundaries(net, amap):
         acts = net.prefix(X, k)
         assert acts.block == k
-        p_logits, p_cache = net.forward(acts, amap)
+        p_logits, p_cache = forward_one(net, acts, amap)
         assert p_logits.tobytes() == logits.tobytes()
         assert list(p_cache.acts) == list(cache.acts)
         assert all(p_cache.acts[j].tobytes() == a.tobytes() for j, a in cache.acts.items())
         assert list(p_cache.block_inputs) == list(cache.block_inputs)
         assert all(p_cache.block_inputs[j].tobytes() == a.tobytes()
                    for j, a in cache.block_inputs.items())
-        p_grads = net.backward(p_cache, y)
+        p_grads = backward_one(net, p_cache, y)
         assert list(p_grads) == list(grads)
         for j, (gn, gm) in grads.items():
             assert p_grads[j][0].tobytes() == gn.tobytes()
@@ -474,7 +477,7 @@ def test_prefix_zero_is_the_embedding_and_prefix_l_feeds_the_head():
     net = small_net(num_blocks=4)
     X = np.random.default_rng(53).normal(size=(5, net.input_dim))
     assert net.prefix(X, 0).data.tobytes() == (X @ net.embed).tobytes()
-    logits, _ = net.forward(X, AllocationMap.empty(4))
+    logits, _ = forward_one(net, X, AllocationMap.empty(4))
     assert (net.prefix(X, 4).data @ net.head).tobytes() == logits.tobytes()
     # a prefix continued from a lower one is the prefix from the features
     assert net.prefix(net.prefix(X, 1), 3).data.tobytes() == net.prefix(X, 3).data.tobytes()
@@ -532,10 +535,10 @@ def test_activations_above_the_earliest_block_are_rejected():
     high = AllocationMap.from_indices(7, [5, 6])
     low = AllocationMap.from_indices(7, [2, 6])
     a3, a4 = net.prefix(X, 3), net.prefix(X, 4)
-    net.forward(a4, high)  # above frozen_below is fine for the net that computed it
+    forward_one(net, a4, high)  # above frozen_below is fine for the net that computed it
     assert net.evaluate(net.prefix(X, 7), y) == net.evaluate(X, y)  # nothing trains
     with pytest.raises(ValueError, match="block 3 cannot start a pass .* block 2"):
-        net.forward(a3, low)
+        forward_one(net, a3, low)
     with pytest.raises(ValueError, match="block 3"):
         score_one(net, low, [(a3, y)])
     ticks = net._changed_at
@@ -548,7 +551,7 @@ def test_activations_above_the_earliest_block_are_rejected():
         with pytest.raises(ValueError, match="outside 0..7"):
             net.prefix(X, k)
     with pytest.raises(ValueError, match="features"):
-        net.forward(a4.data, high)  # a bare array is read as features
+        forward_one(net, a4.data, high)  # a bare array is read as features
 
 
 def assert_rejected_everywhere(net, acts, y, amap):
@@ -556,7 +559,7 @@ def assert_rejected_everywhere(net, acts, y, amap):
     ticks = net._changed_at
     y = y[:len(acts)]
     calls = (
-        lambda: net.forward(acts, amap),
+        lambda: forward_one(net, acts, amap),
         lambda: net.evaluate(acts, y),
         lambda: net.prefix(acts, amap.earliest),
         lambda: score_one(net, amap, [(acts, y)]),
@@ -582,8 +585,8 @@ def test_stale_or_foreign_activations_are_rejected_at_every_entry_point():
     assert_rejected_everywhere(net, stale, y, amap)
     assert_rejected_everywhere(net.clone(), stale, y, amap)
     assert_rejected_everywhere(net, stale[[0, 1]], y, amap)
-    logits, _ = net.forward(X, amap)
-    assert net.forward(below, amap)[0].tobytes() == logits.tobytes()
+    logits, _ = forward_one(net, X, amap)
+    assert forward_one(net, below, amap)[0].tobytes() == logits.tobytes()
     # from a net built separately on the same seed: the same bytes, another base
     twin = small_net(seed=5, num_blocks=7)
     foreign = twin.prefix(X, 2)
@@ -607,10 +610,10 @@ def test_clone_accepts_its_source_activations_until_a_write_below_them():
     a5 = net.prefix(net.prefix(X, 3), 5)  # continues from a kept prefix
     assert a5.data.tobytes() == net.prefix(X, 5).data.tobytes()
     local = net.clone()
-    logits, cache = net.forward(X, amap)
-    p_logits, p_cache = local.forward(a5, amap)
+    logits, cache = forward_one(net, X, amap)
+    p_logits, p_cache = forward_one(local, a5, amap)
     assert p_logits.tobytes() == logits.tobytes()
-    grads, p_grads = net.backward(cache, y), local.backward(p_cache, y)
+    grads, p_grads = backward_one(net, cache, y), backward_one(local, p_cache, y)
     assert all(p_grads[j][i].tobytes() == g[i].tobytes() for j, g in grads.items() for i in (0, 1))
     # the clone's own training writes blocks 5 and up and keeps accepting them
     deltas = train_one(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2)
@@ -619,10 +622,10 @@ def test_clone_accepts_its_source_activations_until_a_write_below_them():
                for i in (0, 1))
     local = applied(local, deltas)
     assert local.frozen_below == 3 and local.accepts(a5)
-    trained, _ = local.forward(X, amap)
-    assert local.forward(a5, amap)[0].tobytes() == trained.tobytes()
+    trained, _ = forward_one(local, X, amap)
+    assert forward_one(local, a5, amap)[0].tobytes() == trained.tobytes()
     with pytest.raises(ValueError, match="block 5 cannot start"):
-        local.forward(a5, AllocationMap.from_indices(7, [4]))
+        forward_one(local, a5, AllocationMap.from_indices(7, [4]))
     # a clone of the clone shares every write below block 5
     twin = local.clone()
     assert twin.accepts(a5)
@@ -641,7 +644,7 @@ def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
     X = np.random.default_rng(71).normal(size=(3, net.input_dim))
     full = AllocationMap.full(6)
     assert net.frozen_below == 6
-    net.forward(X, full)  # builds every weight
+    forward_one(net, X, full)  # builds every weight
     built = list(net._weights)
     arrays = (net.N, net.M)
     ticks = net._changed_at
@@ -724,17 +727,16 @@ def assert_deltas_equal(got, want):
 def test_group_pass_matches_per_client_reference(hidden, shuffle):
     # 37 rows in batches of 8 end each epoch on a short batch of 5. Each
     # client joins the stack at its own earliest block from the net's
-    # prefix, given in reverse order of earliest block; every client's
-    # deltas and scores must be the bytes of the rebuilding per-client loop
-    # from the features
+    # prefix; every client's deltas and scores must be the bytes of the
+    # rebuilding per-client loop from the features
     net, data, maps = group_case(hidden, 37, seed=hidden)
     order = lambda c: np.random.default_rng(c) if shuffle else None
     kw = dict(epochs=2, batch_size=8, lr=0.3)
     inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
     ig = [[(a[:8], y[:8]), (a[8:13], y[8:13])] for a, (_, y) in zip(inputs, data)]
-    got = local_train(net, inputs[::-1], [y for _, y in data][::-1], maps[::-1],
-                      rng=[order(c) for c in range(len(maps))][::-1], **kw)[::-1]
-    scores = local_ig_scores(net, maps[::-1], ig[::-1])[::-1]
+    got = local_train(net, inputs, [y for _, y in data], maps,
+                      rng=[order(c) for c in range(len(maps))], **kw)
+    scores = local_ig_scores(net, maps, ig)
     for c, ((X, y), amap) in enumerate(zip(data, maps)):
         assert_deltas_equal(got[c], rebuilding_local_train(net.clone(), X, y, amap,
                                                            rng=order(c), **kw))
@@ -769,13 +771,17 @@ def test_group_forward_takes_a_client_axis():
     logits, cache = net.forward(inputs, stack)
     assert logits.shape == (len(maps), 6, 10)
     for c, ((X, _), m) in enumerate(zip(data, maps)):
-        assert logits[c].tobytes() == net.forward(X, m)[0].tobytes()
+        assert logits[c].tobytes() == forward_one(net, X, m)[0].tobytes()
     # at block j the stack holds the clients whose input entered by then
     assert [len(cache.acts[j]) for j in range(1, 7)] == [1, 2, 2, 3, 4, 5]
     grads = net.backward(cache, np.stack([y for _, y in data]))
     assert {j: len(g[0]) for j, g in grads.items()} == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 3}
     with pytest.raises(ValueError, match="ordered by earliest"):
         MapStack(tuple(maps[::-1]))
+    with pytest.raises(TypeError, match="MapStack"):
+        net.forward(inputs, maps)  # a list of maps is not a group
+    with pytest.raises(TypeError, match="one input per client"):
+        net.forward(data[0][0], MapStack(tuple(maps[:1])))  # nor is one bare input
     with pytest.raises(ValueError, match="not in the order"):
         net.forward([inputs[0], data[1][0]], MapStack(tuple(maps[:2])))
     with pytest.raises(ValueError, match="one row count"):
@@ -783,6 +789,52 @@ def test_group_forward_takes_a_client_axis():
     with pytest.raises(ValueError, match="datasets of one size"):
         local_train(net, [data[0][0], data[1][0][:3]], [data[0][1], data[1][1][:3]], maps[:2],
                     epochs=1, batch_size=2, lr=0.1)
+
+
+def test_a_group_out_of_pass_order_is_refused():
+    # the caller gives the pass order (``simulator.lockstep_groups``); a group
+    # in any other order fails before any forward, with no write
+    net, data, maps = group_case(16, 6, seed=8)
+    ticks = net._changed_at
+    pair = [1, 0]  # earliest blocks 2, 1
+    with pytest.raises(ValueError, match=r"ordered by earliest trainable block, got \(2, 1\)"):
+        local_train(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
+                    [maps[c] for c in pair], epochs=1, batch_size=2, lr=0.1)
+    with pytest.raises(ValueError, match=r"ordered by earliest trainable block, got \(2, 1\)"):
+        local_ig_scores(net, [maps[c] for c in pair], [[data[c]] for c in pair])
+    assert net._changed_at == ticks
+    # ties in earliest block take either order
+    tied = [AllocationMap.from_indices(7, [4]), AllocationMap.from_indices(7, [4, 6])]
+    for pair in ([0, 1], [1, 0]):
+        deltas = local_train(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
+                             [tied[c] for c in pair], epochs=1, batch_size=2, lr=0.1)
+        assert [sorted(d) for d in deltas] == [list(tied[c].trainable_indices) for c in pair]
+
+
+def test_evaluate_loss_is_the_reference_cross_entropy():
+    # the loss comes from the cache's one softmax (``ForwardCache.losses``),
+    # with the bytes of the cross-entropy computed on its own, over a test-set
+    # sized batch and from a prefix too
+    net = prefix_net(seed=6)
+    rng = np.random.default_rng(83)
+    for n in (1, 7, 2000):
+        X = rng.normal(size=(n, net.input_dim))
+        y = rng.integers(0, net.num_classes, size=n)
+        logits, _ = rebuilding_forward(net, X, AllocationMap.empty(7))
+        want = reference_cross_entropy(logits, y)
+        for inputs in (X, net.prefix(X, 3)):
+            loss, acc = net.evaluate(inputs, y)
+            assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+            assert acc == float((logits.argmax(axis=1) == y).mean())
+    # a group's losses are each client's, and labels must fit the batch
+    group_net, data, maps = group_case(16, 9, seed=4)
+    inputs = [group_net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
+    logits, cache = group_net.forward(inputs, MapStack(tuple(maps)))
+    losses = cache.losses(np.stack([y for _, y in data]))
+    assert losses.tolist() == [reference_cross_entropy(logits[c], y)
+                               for c, (_, y) in enumerate(data)]
+    with pytest.raises(ValueError, match="labels do not match"):
+        cache.losses(data[0][1])
 
 
 def test_group_training_keeps_its_clients_inputs_accepted():
