@@ -11,6 +11,7 @@ from fedlorasim import (
     AllocationMap,
     SyntheticTask,
     ToyLoRANet,
+    apply_delta,
     generate,
     local_ig_scores,
     local_train,
@@ -30,7 +31,8 @@ print()
 # Same initial net, three allocation maps, same data and schedule: one
 # lockstep group of three clients, given in pass order (by earliest trained
 # block: 0, 3, 4). local_train leaves the net as it was and returns each
-# client's adapter deltas.
+# client's adapter deltas, stacked over all blocks with zeros on the blocks
+# its map does not train.
 maps = {
     "all blocks": naive_map(l, "full"),
     "block 3 only": AllocationMap.from_indices(l, [3]),
@@ -43,9 +45,9 @@ group = local_train(net, [train.X] * 3, [train.y] * 3, list(maps.values()), epoc
                     batch_size=32, lr=0.2, rng=[np.random.default_rng(0) for _ in maps])
 for (name, amap), deltas in zip(maps.items(), group):
     trained = net.clone()
-    trained.set_lora_state({j: (net.N[j] + dn, net.M[j] + dm) for j, (dn, dm) in deltas.items()})
+    trained.set_lora_state(apply_delta(net.get_lora_state(), deltas))
     after_loss, after_acc = trained.evaluate(test.X, test.y)
-    norm = sum(float((dn * dn).sum() + (dm * dm).sum()) for dn, dm in deltas.values())
+    norm = float((deltas.N ** 2).sum() + (deltas.M ** 2).sum())
     print(f"{name:13s} [{amap.to_bitstring()}]  "
           f"acc {before_acc:.3f} -> {after_acc:.3f}  "
           f"loss {before_loss:.3f} -> {after_loss:.3f}  "
@@ -58,7 +60,7 @@ print()
 full = naive_map(l, "full")
 deltas, = local_train(net, [train.X], [train.y], [full], epochs=1,
                       batch_size=32, lr=0.2, rng=[np.random.default_rng(1)])
-net.set_lora_state({j: (net.N[j] + dn, net.M[j] + dm) for j, (dn, dm) in deltas.items()})
+net.set_lora_state(apply_delta(net.get_lora_state(), deltas))
 probe = split_batches(train.X[:64], train.y[:64], 32)
 scores, = local_ig_scores(net, [full], [probe])
 print("block  gradient score")

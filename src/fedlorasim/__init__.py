@@ -61,7 +61,7 @@ from fedlorasim.simulator import (
     toy_capacity_levels,
     toy_profile,
 )
-from fedlorasim.toymodel import ToyLoRANet, local_train
+from fedlorasim.toymodel import Adapters, ToyLoRANet, local_train
 
 __version__ = "0.1.0"
 
@@ -69,6 +69,7 @@ __all__ = [
     "GB",
     "MB",
     "VIT_CONTEXT_MB_BY_LEVEL",
+    "Adapters",
     "AllocationMap",
     "AllocationResult",
     "ExperimentConfig",

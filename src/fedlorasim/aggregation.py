@@ -17,7 +17,9 @@ Beta is a mean kept by ``RoundWindow``: per-layer values from the last T
 rounds, evicted by round and averaged once per push. The scoring side keeps
 its windowed cross-client score means in the same type.
 
-Deltas are dicts {block: (dN, dM)} of float64 arrays.
+Adapters, deltas and client updates are ``Adapters``, every layer's N and M
+stacked. A round's updates stack over the clients, one masked sum gives every
+layer's contributor mean, and each rule only picks the per-layer weights.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from fedlorasim.memory import AllocationMap
+from fedlorasim.toymodel import Adapters
 
-#: (client_id, sparse delta dict, that client's allocation map)
-ClientDelta = tuple[int, dict[int, tuple[np.ndarray, np.ndarray]], AllocationMap]
+#: (client_id, that client's delta, its allocation map)
+ClientDelta = tuple[int, Adapters, AllocationMap]
 
 
 class InvariantViolation(RuntimeError):
@@ -90,14 +93,22 @@ class RoundWindow:
 
     @classmethod
     def from_jsonable(cls, d: dict, key: str = "window") -> "RoundWindow":
-        """Rebuild a window by pushing its entries round by round. A value a
+        """Rebuild a window by pushing its entries round by round. A count
+        or round that is no int, a value that is no int or float, a value a
         push refuses, or entries the pushes do not keep as ``d`` has them,
         fail naming ``key``."""
         try:
+            # 2.0 and True equal 2 and 1, so the read-back compare cannot see them
+            for k in ("num_blocks", "window", "round"):
+                if type(d[k]) is not int:
+                    raise ValueError(f"{k} {d[k]!r} is not an int")
             w = cls(d["num_blocks"], d["window"])
             by_round: dict[int, dict[int, float]] = {}
             for j, buf in enumerate(d["entries"]):
                 for r, v in buf:
+                    if type(r) is not int or type(v) not in (int, float):
+                        raise ValueError(f"layer {j}: entry {[r, v]!r} is not an int round "
+                                         f"and an int or float value")
                     by_round.setdefault(r, {})[j] = v
             for r in sorted(by_round):
                 w.push(r, by_round[r])
@@ -114,71 +125,54 @@ class RoundWindow:
         return w
 
 
-def zero_delta_like(template: dict[int, tuple[np.ndarray, np.ndarray]]) -> dict:
-    return {j: (np.zeros_like(n), np.zeros_like(m)) for j, (n, m) in template.items()}
+def zero_delta_like(template: Adapters) -> Adapters:
+    return Adapters(np.zeros_like(template.N), np.zeros_like(template.M))
 
 
-def _check_client_deltas(client_deltas: Sequence[ClientDelta], template: dict) -> None:
-    for cid, deltas, amap in client_deltas:
-        trained = set(amap.trainable_indices)
-        if set(deltas) != trained:
-            raise ValueError(
-                f"client {cid}: delta layers {sorted(deltas)} do not match "
-                f"allocation {sorted(trained)}"
-            )
-        for j, (dn, dm) in deltas.items():
-            if j not in template:
-                raise ValueError(f"client {cid}: layer {j} unknown to the global model")
-            tn, tm = template[j]
-            if dn.shape != tn.shape or dm.shape != tm.shape:
-                raise ValueError(f"client {cid}: layer {j} delta shapes do not match the model")
-            if not (np.isfinite(dn).all() and np.isfinite(dm).all()):
-                raise InvariantViolation(f"client {cid}: layer {j} delta is not finite")
+def _blend(prev_delta: Adapters, client_deltas: Sequence[ClientDelta], weights):
+    """The one blend behind every rule: w_prev * prev + w_mean * mean.
 
-
-def _layer_mean(contributions: list[tuple[np.ndarray, np.ndarray]]):
-    sn = contributions[0][0].copy()
-    sm = contributions[0][1].copy()
-    for dn, dm in contributions[1:]:
-        sn += dn
-        sm += dm
-    k = len(contributions)
-    return sn / k, sm / k
-
-
-def _blend(prev_delta, client_deltas: Sequence[ClientDelta], weights):
-    """The one per-layer loop behind every rule: w_prev * prev + w_mean * mean.
-
-    ``weights(j, alpha)`` gives layer j's (w_prev, w_mean) when alpha clients
-    trained it. A layer nobody trained keeps its previous delta when w_prev
-    is nonzero and is zero otherwise; a zero w_prev returns the mean itself.
-    Returns the new delta and the per-layer contributor counts.
+    The client deltas stack into (C, L, H, r)/(C, L, r, H) arrays, checked:
+    model shapes, finite, zero on the layers the map does not train.
+    ``weights(alpha)`` gives the length-L (w_prev, w_mean) vectors for the
+    contributor counts alpha. An untrained layer keeps its previous delta if
+    w_prev is nonzero, else is zero; a zero w_prev gives the mean itself.
+    Three branches, since ``0 * x`` and ``x + 0.0`` can flip a zero's sign.
+    The mean adds the clients in order from -0.0, with -0.0 for a client not
+    training the layer, so its bytes are a per-layer loop's, signed zeros
+    included; a reduce may add pairwise (numpy does when L = H = r = 1).
+    Returns the new delta and alpha.
     """
-    _check_client_deltas(client_deltas, prev_delta)
-    new_delta: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    counts = []
-    for j in sorted(prev_delta):
-        contributions = [deltas[j] for _, deltas, amap in client_deltas if amap.bits[j]]
-        alpha = len(contributions)
-        counts.append(alpha)
-        wp, wc = weights(j, alpha)
-        pn, pm = prev_delta[j]
-        if alpha == 0:
-            new_delta[j] = (pn.copy(), pm.copy()) if wp else (np.zeros_like(pn), np.zeros_like(pm))
-        elif wp == 0:
-            new_delta[j] = _layer_mean(contributions)
-        else:
-            mn, mm = _layer_mean(contributions)
-            new_delta[j] = (wp * pn + wc * mn, wp * pm + wc * mm)
-    return new_delta, counts
+    c, l = len(client_deltas), len(prev_delta.N)
+    for cid, delta, amap in client_deltas:
+        if delta.N.shape != prev_delta.N.shape or amap.num_blocks != l:
+            raise ValueError(f"client {cid}: delta {list(delta.N.shape)} or {amap.num_blocks}-block "
+                             f"map does not match the model's {list(prev_delta.N.shape)}")
+    DN = np.array([d.N for _, d, _ in client_deltas]).reshape(c, *prev_delta.N.shape)
+    DM = np.array([d.M for _, d, _ in client_deltas]).reshape(c, *prev_delta.M.shape)
+    bits = np.array([amap.bits for *_, amap in client_deltas], dtype=bool).reshape(c, l)
+    finite = np.isfinite(DN).all(axis=(2, 3)) & np.isfinite(DM).all(axis=(2, 3))
+    stray = (DN.any(axis=(2, 3)) | DM.any(axis=(2, 3))) & ~bits
+    for bad, error, what in ((~finite, InvariantViolation, "is not finite"),
+                             (stray, ValueError, "is nonzero on a layer its map does not train")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise error(f"client {client_deltas[i][0]}: layer {j} delta {what}")
+
+    alpha = bits.sum(axis=0)
+    w_prev, w_mean = (w[:, None, None] for w in weights(alpha))
+    trained, count = (alpha > 0)[:, None, None], np.maximum(alpha, 1)[:, None, None]
+
+    def blend(prev: np.ndarray, D: np.ndarray) -> np.ndarray:
+        mean = sum(np.where(bits[..., None, None], D, -0.0), np.full(prev.shape, -0.0)) / count
+        return np.where(trained, np.where(w_prev == 0, mean, w_prev * prev + w_mean * mean),
+                        np.where(w_prev != 0, prev, 0.0))
+
+    return Adapters(blend(prev_delta.N, DN), blend(prev_delta.M, DM)), alpha
 
 
-def com_agg(
-    prev_delta: dict[int, tuple[np.ndarray, np.ndarray]],
-    client_deltas: Sequence[ClientDelta],
-    history: RoundWindow,
-    carry_forward: bool = True,
-):
+def com_agg(prev_delta: Adapters, client_deltas: Sequence[ClientDelta], history: RoundWindow,
+            carry_forward: bool = True) -> Adapters:
     """Compensated layer-wise aggregation; returns the new delta.
 
     Betas are the window means *before* this round's counts are pushed to
@@ -187,44 +181,32 @@ def com_agg(
     carry the previous delta forward (or zero out when ``carry_forward`` is
     off or the layer has never been trained).
     """
-    def weights(j, alpha):
-        beta = history.means[j]
-        if alpha == 0:
-            return (1.0 if carry_forward and beta > 0 else 0.0), 0.0
-        return beta / (alpha + beta), alpha / (alpha + beta)
+    beta = np.array(history.means)
 
-    new_delta, counts = _blend(prev_delta, client_deltas, weights)
-    history.push(history.round + 1, dict(enumerate(counts)))
+    def weights(alpha):
+        total = np.where(alpha > 0, alpha + beta, 1.0)
+        return np.where(alpha > 0, beta / total, (beta > 0) * float(carry_forward)), alpha / total
+
+    new_delta, alpha = _blend(prev_delta, client_deltas, weights)
+    history.push(history.round + 1, dict(enumerate(alpha.tolist())))
     return new_delta
 
 
-def com_agg_fixed(
-    prev_delta: dict[int, tuple[np.ndarray, np.ndarray]],
-    client_deltas: Sequence[ClientDelta],
-):
+def com_agg_fixed(prev_delta: Adapters, client_deltas: Sequence[ClientDelta]) -> Adapters:
     """Aggregation with both blend coefficients pinned to 1 (half and half)."""
-    return _blend(prev_delta, client_deltas, lambda j, alpha: (0.5, 0.5) if alpha else (1.0, 0.0))[0]
+    return _blend(prev_delta, client_deltas,
+                  lambda alpha: (np.where(alpha > 0, 0.5, 1.0), np.where(alpha > 0, 0.5, 0.0)))[0]
 
 
-def fed_avg(
-    client_deltas: Sequence[ClientDelta],
-    template: dict[int, tuple[np.ndarray, np.ndarray]],
-):
+def fed_avg(client_deltas: Sequence[ClientDelta], template: Adapters) -> Adapters:
     """Plain per-layer mean over contributors; zero where nobody trained."""
-    return _blend(template, client_deltas, lambda j, alpha: (0.0, 1.0))[0]
+    return _blend(template, client_deltas,
+                  lambda alpha: (np.zeros(len(alpha)), np.ones(len(alpha))))[0]
 
 
-def apply_delta(
-    params: dict[int, tuple[np.ndarray, np.ndarray]],
-    delta: dict[int, tuple[np.ndarray, np.ndarray]],
-):
-    """theta + delta, layer by layer; keys and shapes must match exactly."""
-    if set(params) != set(delta):
-        raise ValueError("delta layers do not match parameter layers")
-    out = {}
-    for j, (n, m) in params.items():
-        dn, dm = delta[j]
-        if dn.shape != n.shape or dm.shape != m.shape:
-            raise ValueError(f"layer {j}: delta shapes do not match parameters")
-        out[j] = (n + dn, m + dm)
-    return out
+def apply_delta(params: Adapters, delta: Adapters) -> Adapters:
+    """theta + delta; shapes must match exactly."""
+    if params.N.shape != delta.N.shape:
+        raise ValueError(f"delta shapes {list(delta.N.shape)}/{list(delta.M.shape)} do not "
+                         f"match parameters {list(params.N.shape)}/{list(params.M.shape)}")
+    return Adapters(params.N + delta.N, params.M + delta.M)

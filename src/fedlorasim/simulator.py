@@ -48,7 +48,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history, value_function
-from fedlorasim.toymodel import Activations, ToyLoRANet, local_train
+from fedlorasim.toymodel import Activations, Adapters, ToyLoRANet, local_train
 
 # purpose tags for derived RNG streams
 _SAMPLING = 1
@@ -99,8 +99,8 @@ class ClientSpec:
 @dataclass
 class GlobalState:
     round: int
-    params: dict
-    prev_delta: dict
+    params: Adapters
+    prev_delta: Adapters
     score_history: RoundWindow
     contribution_history: RoundWindow
     last_records: dict[int, IGScoreRecord] = field(default_factory=dict)
@@ -536,9 +536,8 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     net.set_lora_state(state.params)
     loss, acc = net.evaluate(prefixes.test_set(test, net), test.y)
     phase["evaluate"] = time.perf_counter() - t1
-    layer_counts = [
-        sum(1 for _, _, amap in collected if amap.bits[j]) for j in range(profile.num_blocks)
-    ]
+    bits = np.array([amap.bits for _, _, amap in collected], dtype=bool)
+    layer_counts = bits.reshape(len(collected), profile.num_blocks).sum(axis=0).tolist()
     return RoundMetrics(
         round=t,
         accuracy=acc,
@@ -574,7 +573,7 @@ def _unb64(d: dict) -> np.ndarray:
 
 
 def state_to_jsonable(state: GlobalState) -> dict:
-    pack = lambda d: {str(j): [_b64(n), _b64(m)] for j, (n, m) in d.items()}
+    pack = lambda a: {str(j): [_b64(n), _b64(m)] for j, (n, m) in enumerate(zip(a.N, a.M))}
     return {
         "round": state.round,
         "params": pack(state.params),
@@ -590,25 +589,18 @@ def state_to_jsonable(state: GlobalState) -> dict:
     }
 
 
-def _unpack_adapters(p: dict, num_blocks: int, shape: tuple[int, ...] | None) -> dict:
-    """{block: (N, M)} of packed adapters, checked: blocks 0..num_blocks-1,
-    every N of one shape (H, r), ``shape`` when given, every M (r, H), all
-    finite."""
+def _unpack_adapters(p: dict, num_blocks: int, like: Adapters | None) -> Adapters:
+    """``Adapters`` packed one entry per block, checked: blocks 0..num_blocks-1,
+    of one shape, that of ``like`` when given, and finite."""
     if set(p) != {str(j) for j in range(num_blocks)}:
         raise ValueError(f"blocks {sorted(p)} are not the model's 0..{num_blocks - 1}")
-    out = {}
-    for j in range(num_blocks):
-        n_packed, m_packed = p[str(j)]
-        n, m = _unb64(n_packed), _unb64(m_packed)
-        shape = shape or (n.shape if n.ndim == 2 else None)
-        if shape is None or n.shape != shape or m.shape != shape[::-1]:
-            want = "(H, r)/(r, H)" if shape is None else f"{list(shape)}/{list(shape[::-1])}"
-            raise ValueError(f"block {j}: adapter shapes {list(n.shape)}/{list(m.shape)} "
-                             f"are not {want}")
-        if not (np.isfinite(n).all() and np.isfinite(m).all()):
-            raise ValueError(f"block {j}: adapters are not finite")
-        out[j] = (n, m)
-    return out
+    N, M = zip(*(map(_unb64, p[str(j)]) for j in range(num_blocks)))
+    a = Adapters(np.stack(N), np.stack(M))
+    if like is not None and a.N.shape != like.N.shape:
+        raise ValueError(f"adapter shapes {list(a.N.shape)} are not {list(like.N.shape)}")
+    if not (np.isfinite(a.N).all() and np.isfinite(a.M).all()):
+        raise ValueError("adapters are not finite")
+    return a
 
 
 def state_from_jsonable(d: dict) -> GlobalState:
@@ -686,7 +678,7 @@ def state_from_jsonable(d: dict) -> GlobalState:
         round=t,
         params=params,
         prev_delta=read("prev_delta",
-                        lambda p: _unpack_adapters(p, num_blocks, params[0][0].shape)),
+                        lambda p: _unpack_adapters(p, num_blocks, params)),
         score_history=score_history,
         contribution_history=contribution_history,
         last_records=read("last_records",

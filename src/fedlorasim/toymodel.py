@@ -14,13 +14,15 @@ analog), block inputs only for trainable blocks (the dynamic analog).
 Backward reads tanh' from those outputs and chains through the effective
 weights forward used, so it computes neither again.
 
-The adapters are read-only arrays held in tuples, and ``set_lora_state`` is
-their only writer from outside. An effective weight ``W0 + scale * N @ M``
-changes only when its block's adapters do, so the net keeps one per block:
-a write that leaves a block's factors byte-equal keeps that block's arrays
-and built weight, a write that changes them drops the built weight, and the
-next ``forward`` builds it again. A clone shares every array and built
-weight with its source until its own writes replace them.
+The net holds its adapters as read-only per-block arrays in tuples; outside
+it they are one ``Adapters``, which ``get_lora_state`` copies out and
+``set_lora_state``, their only writer from outside, takes. An effective
+weight ``W0 + scale * N @ M`` changes only when its block's adapters do, so
+the net keeps one per block: a write that leaves a block's factors
+byte-equal keeps that block's arrays and built weight, a write that changes
+them drops the built weight, and the next ``forward`` builds it again. A
+clone shares every array and built weight with its source until its own
+writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
 initial network is exactly the frozen base. Each write that changes a block
@@ -75,12 +77,34 @@ class NonFiniteLossError(ArithmeticError):
     """Training or scoring hit a NaN/inf loss or gradient."""
 
 
-#: LoRA parameter state: block index -> (N, M) float64 arrays.
-LoraState = dict[int, tuple[np.ndarray, np.ndarray]]
-
 #: Ticks for adapter writes; unique across every net in the process, so
 #: equal ticks mean one write, inherited by clones.
 _write_clock = itertools.count(1)
+
+
+@dataclass(frozen=True, eq=False)
+class Adapters:
+    """Every block's LoRA factors stacked, ``N`` (L, H, r) and ``M`` (L, r, H),
+    float64: the net's state, a global delta or a client's update (zero rows
+    on the blocks it did not train). ``a[j]`` is block j's (N, M) pair, and
+    iterating gives the block indices 0..L-1."""
+
+    N: np.ndarray
+    M: np.ndarray
+
+    def __post_init__(self):
+        n, m = (np.asarray(x, dtype=np.float64) for x in (self.N, self.M))
+        if n.ndim != 3 or not len(n) or m.shape != (len(n), n.shape[2], n.shape[1]):
+            raise ValueError(f"adapter shapes {list(n.shape)}/{list(m.shape)} "
+                             f"are not (L, H, r)/(L, r, H)")
+        object.__setattr__(self, "N", n)
+        object.__setattr__(self, "M", m)
+
+    def __iter__(self):
+        return iter(range(len(self.N)))
+
+    def __getitem__(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.N[j], self.M[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,39 +271,41 @@ class ToyLoRANet:
 
     # ---- parameter plumbing -------------------------------------------------
 
-    def get_lora_state(self) -> LoraState:
-        return {j: (self.N[j], self.M[j]) for j in range(self.num_blocks)}
+    def get_lora_state(self) -> Adapters:
+        """A copy of the adapters, stacked over the blocks."""
+        return Adapters(np.stack(self.N), np.stack(self.M))
 
-    def set_lora_state(self, state: LoraState) -> None:
+    def set_lora_state(self, state: Adapters) -> None:
         """The one writer of the adapters from outside. A block whose given
         factors equal the held ones byte for byte keeps its arrays and built
         weight; a changed block stores read-only copies, drops its built
         weight and takes a new write tick."""
-        changed = {}
-        for j, (n, m) in state.items():
-            if not 0 <= j < self.num_blocks:
-                raise ValueError(f"block {j} is out of range for {self.num_blocks} blocks")
-            if n.shape != self.N[j].shape or m.shape != self.M[j].shape:
-                raise ValueError(f"block {j}: adapter shapes {n.shape}/{m.shape} do not fit")
-            n, m = np.array(n, dtype=np.float64), np.array(m, dtype=np.float64)
-            if n.tobytes() != self.N[j].tobytes() or m.tobytes() != self.M[j].tobytes():
-                n.setflags(write=False)
-                m.setflags(write=False)
-                changed[j] = (n, m)
+        want = (self.num_blocks, self.hidden_size, self.lora_rank)
+        if state.N.shape != want:
+            raise ValueError(f"adapter shapes {list(state.N.shape)}/{list(state.M.shape)} "
+                             f"do not fit (L, H, r) = {want}")
+        N, M, changed = list(self.N), list(self.M), []
+        for j, (n, m) in enumerate(zip(state.N, state.M)):
+            if n.tobytes() != N[j].tobytes() or m.tobytes() != M[j].tobytes():
+                N[j], M[j] = n.copy(), m.copy()
+                changed.append(j)
         if changed:
-            self._store(changed, shared=True)
+            self._store(N, M, changed, shared=True)
 
-    def _store(self, changed: LoraState, shared: bool) -> None:
-        """Hold the given read-only factors, drop their blocks' built weights
-        and give those blocks one new tick; ``shared`` factors are every
-        client's, so the shared ticks take it too."""
-        N, M, ticks = list(self.N), list(self.M), list(self._changed_at)
+    def _store(self, N: list, M: list, changed: list[int], shared: bool) -> None:
+        """Hold the per-block factors N and M, new arrays in the blocks
+        ``changed``: make those read-only, drop their built weights and give
+        them one new tick, which ``shared`` factors give every client."""
+        ticks = list(self._changed_at)
         tick = next(_write_clock)
-        for j, (n, m) in changed.items():
-            N[j], M[j], ticks[j] = n, m, tick
+        for j in changed:
+            N[j].setflags(write=False)
+            M[j].setflags(write=False)
+            ticks[j] = tick
             self._weights[j] = None
         self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
         if shared:
+            changed = set(changed)
             self._shared_at = tuple(tick if j in changed else t for j, t in enumerate(self._shared_at))
 
     def _descend(self, grads: dict[int, tuple[np.ndarray, np.ndarray]], maps: MapStack,
@@ -290,10 +316,10 @@ class ToyLoRANet:
         The new arrays are this step's own, so there is no copy or compare;
         every trained block takes a tick."""
         c = len(maps)
-        changed = {}
+        N, M = list(self.N), list(self.M)
         for j, (gn, gm) in grads.items():
             rows = maps.trainers[j]
-            n, m = self.N[j], self.M[j]
+            n, m = N[j], M[j]
             if len(rows) == c:
                 n, m = n - lr * gn, m - lr * gm
             else:
@@ -301,11 +327,9 @@ class ToyLoRANet:
                 n, m = (np.repeat(x[None], c, axis=0) if x.ndim == 2 else x.copy() for x in (n, m))
                 n[rows] -= lr * gn
                 m[rows] -= lr * gm
-            n.setflags(write=False)
-            m.setflags(write=False)
-            changed[j] = (n, m)
+            N[j], M[j] = n, m
         self.clients = c
-        self._store(changed, shared=False)
+        self._store(N, M, list(grads), shared=False)
 
     @property
     def frozen_below(self) -> int:
@@ -488,15 +512,15 @@ def local_train(
     batch_size: int,
     lr: float,
     rng: Sequence[np.random.Generator | None] | None = None,
-) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
+) -> list[Adapters]:
     """Plain SGD for a group of clients in lockstep; returns each client's
-    adapter deltas per trained block.
+    adapter deltas.
 
     X, y and allocation hold one entry per client, in pass order (see
     ``MapStack``): features or ``Activations`` (see ``ToyLoRANet.forward``),
-    labels of one count for every client, and its map. Deltas are
-    theta_after - theta_before and exist exactly for each map's trainable
-    blocks (all-zero when lr is 0). A client's batches are sequential
+    labels of one count for every client, and its map. A client's deltas are
+    theta_after - theta_before on the blocks its map trains (all-zero when
+    lr is 0) and zero rows on the others. A client's batches are sequential
     unless its rng (one per client, or None for all) shuffles each of its
     epochs; a batch takes its rows of features or ``Activations``. The
     clients train a clone of ``net``, which stays as it was; each step is
@@ -535,9 +559,9 @@ def local_train(
                                          f"{epoch}, batch start {lo}, lr {lr}")
             group._descend(group.backward(cache, labels), maps, lr)
 
-    deltas = [{} for _ in allocation]
+    l, h, r = net.num_blocks, net.hidden_size, net.lora_rank
+    dN, dM = np.zeros((len(maps), l, h, r)), np.zeros((len(maps), l, r, h))
     for j, rows in maps.trainers.items():
-        dn, dm = group.N[j][rows] - net.N[j], group.M[j][rows] - net.M[j]
-        for r, dn_c, dm_c in zip(rows.tolist(), dn, dm):
-            deltas[r][j] = (dn_c, dm_c)
-    return [dict(sorted(d.items())) for d in deltas]
+        dN[rows, j] = group.N[j][rows] - net.N[j]
+        dM[rows, j] = group.M[j][rows] - net.M[j]
+    return [Adapters(dn, dm) for dn, dm in zip(dN, dM)]

@@ -7,11 +7,13 @@ float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
 used and recomputes tanh in backward, a reference cross-entropy, one-client
 calls of the lockstep ``forward``, ``backward``, ``local_train`` and
-``local_ig_scores``, a central difference that perturbs one adapter entry
-through ``set_lora_state``, the sequential
-``fedra_random`` sampler that prices one random map at a time, and the two
-windows ``RoundWindow`` replaced: the IG score buffers evicted by round
-cutoff and the ``maxlen`` deques of contributor counts.
+``local_ig_scores``, a write of some blocks' adapters through
+``set_lora_state``, a central difference that perturbs one adapter entry
+that way, the sequential ``fedra_random`` sampler that prices one random
+map at a time, the two windows ``RoundWindow`` replaced (the IG score
+buffers evicted by round cutoff and the ``maxlen`` deques of contributor
+counts), and the per-layer aggregation loop over ``{block: (dN, dM)}`` dicts
+that the stacked blend replaced.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import local_ig_scores
-from fedlorasim.toymodel import MapStack, local_train
+from fedlorasim.toymodel import Adapters, MapStack, local_train
 
 
 def make_random_profile(
@@ -285,10 +287,11 @@ def rebuilding_backward(net, cache: ReferenceCache, y: np.ndarray, loss_scale: f
 
 def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch_size=32,
                           lr=0.1, rng=None):
-    """``local_train``'s SGD loop over ``rebuilding_forward``/``rebuilding_backward``."""
+    """``local_train``'s SGD loop over ``rebuilding_forward``/``rebuilding_backward``;
+    the deltas are zero rows on the blocks ``allocation`` does not train."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    before = {j: (net.N[j], net.M[j]) for j in allocation.trainable_indices}
+    before = net.get_lora_state()
     n = len(X)
     for epoch in range(epochs):
         order = rng.permutation(n) if rng is not None else np.arange(n)
@@ -297,13 +300,26 @@ def rebuilding_local_train(net, X, y, allocation: AllocationMap, epochs=1, batch
             logits, cache = rebuilding_forward(net, X[idx], allocation)
             assert np.isfinite(reference_cross_entropy(logits, y[idx]))
             grads = rebuilding_backward(net, cache, y[idx])
-            net.set_lora_state({
+            write_blocks(net, {
                 j: (net.N[j] - lr * gn, net.M[j] - lr * gm) for j, (gn, gm) in grads.items()
             })
-    return {
-        j: (net.N[j] - before[j][0], net.M[j] - before[j][1])
-        for j in allocation.trainable_indices
-    }
+    after = net.get_lora_state()
+    return Adapters(after.N - before.N, after.M - before.M)
+
+
+def write_blocks(net, blocks) -> None:
+    """Write the (N, M) factors of the blocks in ``blocks`` through
+    ``set_lora_state``, keeping every other block's."""
+    state = net.get_lora_state()
+    for j, (n, m) in blocks.items():
+        state.N[j], state.M[j] = n, m
+    net.set_lora_state(state)
+
+
+def same_bytes(a: Adapters, b: Adapters) -> bool:
+    """Whether two ``Adapters`` hold the same shapes and bytes."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.N, b.N), (a.M, b.M)))
 
 
 def forward_one(net, X, allocation: AllocationMap):
@@ -381,7 +397,70 @@ def central_difference(net, X, y, allocation: AllocationMap, j: int, k: int, idx
     for step in (h, -h):
         factors = [orig[0].copy(), orig[1].copy()]
         factors[k][idx] += step
-        net.set_lora_state({j: tuple(factors)})
+        write_blocks(net, {j: factors})
         losses.append(reference_cross_entropy(forward_one(net, X, allocation)[0], y))
-    net.set_lora_state({j: orig})
+    write_blocks(net, {j: orig})
     return (losses[0] - losses[1]) / (2 * h)
+
+
+def _reference_layer_mean(contributions: list[tuple[np.ndarray, np.ndarray]]):
+    sn = contributions[0][0].copy()
+    sm = contributions[0][1].copy()
+    for dn, dm in contributions[1:]:
+        sn += dn
+        sm += dm
+    k = len(contributions)
+    return sn / k, sm / k
+
+
+def _reference_blend(prev_delta: dict, client_deltas, weights):
+    """The per-layer blend loop the stacked ``_blend`` replaced, on
+    ``{block: (dN, dM)}`` dicts: a client's dict holds exactly the blocks
+    its map trains. ``weights(j, alpha)`` gives layer j's (w_prev, w_mean)
+    when alpha clients trained it. Returns the new delta and the counts."""
+    new_delta: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    counts = []
+    for j in sorted(prev_delta):
+        contributions = [deltas[j] for _, deltas, amap in client_deltas if amap.bits[j]]
+        alpha = len(contributions)
+        counts.append(alpha)
+        wp, wc = weights(j, alpha)
+        pn, pm = prev_delta[j]
+        if alpha == 0:
+            new_delta[j] = (pn.copy(), pm.copy()) if wp else (np.zeros_like(pn), np.zeros_like(pm))
+        elif wp == 0:
+            new_delta[j] = _reference_layer_mean(contributions)
+        else:
+            mn, mm = _reference_layer_mean(contributions)
+            new_delta[j] = (wp * pn + wc * mn, wp * pm + wc * mm)
+    return new_delta, counts
+
+
+def reference_com_agg(prev_delta: dict, client_deltas, history, carry_forward=True) -> dict:
+    """``com_agg`` on dicts, one layer at a time; pushes the counts to ``history``."""
+    def weights(j, alpha):
+        beta = history.means[j]
+        if alpha == 0:
+            return (1.0 if carry_forward and beta > 0 else 0.0), 0.0
+        return beta / (alpha + beta), alpha / (alpha + beta)
+
+    new_delta, counts = _reference_blend(prev_delta, client_deltas, weights)
+    history.push(history.round + 1, dict(enumerate(counts)))
+    return new_delta
+
+
+def reference_com_agg_fixed(prev_delta: dict, client_deltas) -> dict:
+    """``com_agg_fixed`` on dicts, one layer at a time."""
+    return _reference_blend(prev_delta, client_deltas,
+                            lambda j, alpha: (0.5, 0.5) if alpha else (1.0, 0.0))[0]
+
+
+def reference_fed_avg(client_deltas, template: dict) -> dict:
+    """``fed_avg`` on dicts, one layer at a time."""
+    return _reference_blend(template, client_deltas, lambda j, alpha: (0.0, 1.0))[0]
+
+
+def as_blocks(a: Adapters, amap: AllocationMap | None = None) -> dict:
+    """``{block: (N, M)}`` of ``a``: every block, or the blocks ``amap`` trains."""
+    blocks = range(len(a.N)) if amap is None else amap.trainable_indices
+    return {j: (a.N[j], a.M[j]) for j in blocks}

@@ -22,6 +22,7 @@ from conftest import (
     forward_one,
     make_random_profile,
     push_counts,
+    write_blocks,
 )
 from fedlorasim.aggregation import RoundWindow, com_agg, fed_avg, zero_delta_like
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation
@@ -43,7 +44,7 @@ from fedlorasim.scoring import (
     value_function,
 )
 from fedlorasim.simulator import build_clients, run_experiment, toy_profile
-from fedlorasim.toymodel import ToyLoRANet
+from fedlorasim.toymodel import Adapters, ToyLoRANet
 
 # Shared scenario for the federated trend, determinism and round-zero checks.
 # Capacity tiers are derived from the toy profile at runtime: tier u affords
@@ -85,7 +86,7 @@ def _trend_config(strategy: str, aggregation: str, seed: int) -> ExperimentConfi
 
 def _randomize_adapters(net: ToyLoRANet, rng: np.random.Generator) -> None:
     """Replace the zero-initialized factors so gradients flow through both."""
-    net.set_lora_state({
+    write_blocks(net, {
         j: (rng.normal(0.0, 0.3, size=net.N[j].shape), rng.normal(0.0, 0.3, size=net.M[j].shape))
         for j in range(net.num_blocks)
     })
@@ -292,7 +293,10 @@ def test_07_compensated_blend_properties():
     def rand_pair():
         return rng.normal(size=(3, 2)), rng.normal(size=(2, 3))
 
-    template = {j: rand_pair() for j in range(l)}
+    def stacked(pairs):
+        return Adapters(np.stack([n for n, _ in pairs]), np.stack([m for _, m in pairs]))
+
+    template = stacked([rand_pair() for _ in range(l)])
 
     def rand_clients(k):
         out = []
@@ -301,7 +305,10 @@ def test_07_compensated_blend_properties():
             if not bits.any():
                 bits[int(rng.integers(0, l))] = 1
             amap = AllocationMap.from_bits(bits)
-            out.append((cid, {j: rand_pair() for j in amap.trainable_indices}, amap))
+            delta = zero_delta_like(template)
+            for j in amap.trainable_indices:
+                delta.N[j], delta.M[j] = rand_pair()
+            out.append((cid, delta, amap))
         return out
 
     # (i) first round, empty history and zero previous delta: plain layer means
@@ -314,8 +321,8 @@ def test_07_compensated_blend_properties():
 
     # (ii) hand-derived blend coefficients, exact float arithmetic
     one = AllocationMap.from_bits([1])
-    prev = {0: (np.array([[4.0]]), np.array([[8.0]]))}
-    mk = lambda v: {0: (np.array([[v]]), np.array([[2.0 * v]]))}
+    prev = stacked([(np.array([[4.0]]), np.array([[8.0]]))])
+    mk = lambda v: stacked([(np.array([[v]]), np.array([[2.0 * v]]))])
 
     h = RoundWindow(1, window=2)
     push_counts(h, [4])
@@ -342,8 +349,8 @@ def test_07_compensated_blend_properties():
         h = RoundWindow(1, window=int(rng.integers(1, 5)))
         for _ in range(int(rng.integers(0, h.window + 1))):
             push_counts(h, [int(rng.integers(0, 6))])
-        prev = {0: (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))}
-        cds = [(cid, {0: (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))}, one)
+        prev = stacked([(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))])
+        cds = [(cid, stacked([(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))]), one)
                for cid in range(k)]
         new = com_agg(prev, cds, h)
         for comp in (0, 1):

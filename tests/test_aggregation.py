@@ -18,19 +18,26 @@ from fedlorasim.aggregation import (
     zero_delta_like,
 )
 from fedlorasim.memory import AllocationMap
+from fedlorasim.toymodel import Adapters
 
 
-def make_delta(rng, layers, shape=(3, 2)):
-    return {j: (rng.normal(size=shape), rng.normal(size=shape[::-1])) for j in layers}
+def make_delta(rng, num_blocks, layers=None, shape=(3, 2)) -> Adapters:
+    """Adapters of ``num_blocks`` layers: normal draws on ``layers`` (every
+    layer by default), zero rows on the others."""
+    N, M = np.zeros((num_blocks, *shape)), np.zeros((num_blocks, *shape[::-1]))
+    for j in range(num_blocks) if layers is None else layers:
+        N[j], M[j] = rng.normal(size=shape), rng.normal(size=shape[::-1])
+    return Adapters(N, M)
 
 
 def client(cid, rng, layers, num_blocks=4, shape=(3, 2)):
-    return (cid, make_delta(rng, layers, shape), AllocationMap.from_indices(num_blocks, layers))
+    return (cid, make_delta(rng, num_blocks, layers, shape),
+            AllocationMap.from_indices(num_blocks, layers))
 
 
 def test_first_round_equals_fed_avg_on_contributed_layers():
     rng = np.random.default_rng(1)
-    prev = zero_delta_like(make_delta(rng, range(4)))
+    prev = zero_delta_like(make_delta(rng, 4))
     clients = [client(0, rng, [0, 2]), client(1, rng, [2, 3])]
     hist = RoundWindow(num_blocks=4, window=5)
     merged = com_agg(prev, clients, hist)
@@ -46,7 +53,7 @@ def test_hand_derived_coefficients_one_of_three():
     # window holds counts [2, 2] so beta = 2; one contributor now, so the
     # blend is 2/3 previous and 1/3 fresh
     rng = np.random.default_rng(2)
-    prev = make_delta(rng, range(4))
+    prev = make_delta(rng, 4)
     hist = RoundWindow(num_blocks=4, window=5)
     push_counts(hist, [2] * 4)
     push_counts(hist, [2] * 4)
@@ -60,7 +67,7 @@ def test_hand_derived_coefficients_one_of_three():
 
 def test_alpha_equals_beta_is_even_blend():
     rng = np.random.default_rng(3)
-    prev = make_delta(rng, range(2))
+    prev = make_delta(rng, 2)
     hist = RoundWindow(num_blocks=2, window=3)
     push_counts(hist, [2, 2])
     clients = [client(0, rng, [0, 1], num_blocks=2), client(1, rng, [0, 1], num_blocks=2)]
@@ -72,7 +79,7 @@ def test_alpha_equals_beta_is_even_blend():
 
 def test_beta_window_excludes_current_round():
     rng = np.random.default_rng(4)
-    prev = make_delta(rng, range(2))
+    prev = make_delta(rng, 2)
     hist = RoundWindow(num_blocks=2, window=3)
     clients = [client(i, rng, [0, 1], num_blocks=2) for i in range(5)]
     merged = com_agg(prev, clients, hist)
@@ -85,7 +92,7 @@ def test_beta_window_excludes_current_round():
 
 def test_carry_forward_variants():
     rng = np.random.default_rng(5)
-    prev = make_delta(rng, range(2))
+    prev = make_delta(rng, 2)
     hist = RoundWindow(num_blocks=2, window=3)
     push_counts(hist, [1, 0])
     merged = com_agg(prev, [], hist)
@@ -104,7 +111,7 @@ def test_convex_envelope_random_instances():
     rng = np.random.default_rng(6)
     for _ in range(100):
         l = int(rng.integers(1, 5))
-        prev = make_delta(rng, range(l))
+        prev = make_delta(rng, l)
         hist = RoundWindow(num_blocks=l, window=4)
         for _ in range(int(rng.integers(0, 4))):
             push_counts(hist, list(rng.integers(0, 5, size=l)))
@@ -126,17 +133,15 @@ def test_convex_envelope_random_instances():
 
 def test_linearity_in_inputs():
     rng = np.random.default_rng(7)
-    prev = make_delta(rng, range(3))
+    prev = make_delta(rng, 3)
     clients = [client(0, rng, [0, 1], num_blocks=3), client(1, rng, [1, 2], num_blocks=3)]
     hist1 = RoundWindow(num_blocks=3, window=3)
     push_counts(hist1, [1, 2, 1])
     hist2 = RoundWindow(num_blocks=3, window=3)
     push_counts(hist2, [1, 2, 1])
     c = 3.7
-    scaled_prev = {j: (c * n, c * m) for j, (n, m) in prev.items()}
-    scaled_clients = [
-        (cid, {j: (c * dn, c * dm) for j, (dn, dm) in d.items()}, m) for cid, d, m in clients
-    ]
+    scaled_prev = Adapters(c * prev.N, c * prev.M)
+    scaled_clients = [(cid, Adapters(c * d.N, c * d.M), m) for cid, d, m in clients]
     a = com_agg(prev, clients, hist1)
     b = com_agg(scaled_prev, scaled_clients, hist2)
     for j in range(3):
@@ -148,7 +153,7 @@ def test_full_participation_converges_to_half_half():
     rng = np.random.default_rng(8)
     l, v = 3, 4
     hist = RoundWindow(num_blocks=l, window=3)
-    prev = make_delta(rng, range(l))
+    prev = make_delta(rng, l)
     for _ in range(5):
         clients = [client(i, rng, list(range(l)), num_blocks=l) for i in range(v)]
         merged = com_agg(prev, clients, hist)
@@ -163,25 +168,25 @@ def test_full_participation_converges_to_half_half():
 
 def test_com_agg_fixed_basics_and_recurrence():
     rng = np.random.default_rng(9)
-    zero = zero_delta_like(make_delta(rng, range(2)))
+    zero = zero_delta_like(make_delta(rng, 2))
     clients = [client(0, rng, [0, 1], num_blocks=2)]
     merged = com_agg_fixed(zero, clients)
     np.testing.assert_allclose(merged[0][0], 0.5 * clients[0][1][0][0], rtol=1e-12)
 
     # fixed point: mean equal to prev stays put
-    prev = make_delta(rng, range(1), shape=(2, 2))
-    same = (0, {0: (prev[0][0].copy(), prev[0][1].copy())}, AllocationMap.full(1))
+    prev = make_delta(rng, 1, shape=(2, 2))
+    same = (0, Adapters(prev.N.copy(), prev.M.copy()), AllocationMap.full(1))
     merged = com_agg_fixed(prev, [same])
     np.testing.assert_allclose(merged[0][0], prev[0][0], rtol=1e-12)
 
     # three-round unroll with alternating-sign means: delta follows the
     # closed form d_t = d_{t-1}/2 + m_t/2
     x = np.ones((2, 2))
-    d = zero_delta_like({0: (x, x)})
+    d = zero_delta_like(Adapters(x[None], x[None]))
     expect = np.zeros((2, 2))
     for t in range(3):
         m = x if t % 2 == 0 else -x
-        cl = (0, {0: (m, m)}, AllocationMap.full(1))
+        cl = (0, Adapters(m[None], m[None]), AllocationMap.full(1))
         d = com_agg_fixed(d, [cl])
         expect = expect / 2 + m / 2
         np.testing.assert_allclose(d[0][0], expect, rtol=1e-12)
@@ -193,12 +198,9 @@ def test_com_agg_fixed_basics_and_recurrence():
 
 def test_fed_avg_cases():
     rng = np.random.default_rng(10)
-    template = zero_delta_like(make_delta(rng, range(3)))
-    d = make_delta(rng, range(3))
-    clients = [
-        (0, {j: (d[j][0].copy(), d[j][1].copy()) for j in range(3)}, AllocationMap.full(3)),
-        (1, {j: (d[j][0].copy(), d[j][1].copy()) for j in range(3)}, AllocationMap.full(3)),
-    ]
+    template = zero_delta_like(make_delta(rng, 3))
+    d = make_delta(rng, 3)
+    clients = [(cid, Adapters(d.N.copy(), d.M.copy()), AllocationMap.full(3)) for cid in (0, 1)]
     merged = fed_avg(clients, template)
     for j in range(3):
         np.testing.assert_allclose(merged[j][0], d[j][0], rtol=1e-12)
@@ -209,10 +211,11 @@ def test_fed_avg_cases():
     assert np.abs(merged[0][0]).max() == 0.0
 
     x = rng.normal(size=(3, 2))
-    pair = [
-        (0, {0: (x, x.T)}, AllocationMap.from_indices(3, [0])),
-        (1, {0: (-x, -x.T)}, AllocationMap.from_indices(3, [0])),
-    ]
+    pair = []
+    for cid, sign in ((0, 1.0), (1, -1.0)):
+        delta = zero_delta_like(template)
+        delta.N[0], delta.M[0] = sign * x, sign * x.T
+        pair.append((cid, delta, AllocationMap.from_indices(3, [0])))
     merged = fed_avg(pair, template)
     np.testing.assert_allclose(merged[0][0], np.zeros_like(x), atol=1e-15)
 
@@ -226,50 +229,54 @@ def test_fed_avg_cases():
 
 def test_apply_delta():
     rng = np.random.default_rng(11)
-    params = make_delta(rng, range(3))
+    params = make_delta(rng, 3)
     zero = zero_delta_like(params)
     same = apply_delta(params, zero)
     for j in range(3):
         np.testing.assert_array_equal(same[j][0], params[j][0])
 
-    neg = {j: (-n, -m) for j, (n, m) in params.items()}
+    neg = Adapters(-params.N, -params.M)
     zeroed = apply_delta(params, neg)
     for j in range(3):
         assert np.abs(zeroed[j][0]).max() == 0.0
 
-    delta = make_delta(rng, range(3))
+    delta = make_delta(rng, 3)
     out = apply_delta(params, delta)
     for j in range(3):
         for a, b, c in zip(out[j], params[j], delta[j]):
             expect = np.array([[b[r, q] + c[r, q] for q in range(b.shape[1])] for r in range(b.shape[0])])
             np.testing.assert_array_equal(a, expect)
 
-    with pytest.raises(ValueError):
-        apply_delta(params, {0: params[0]})
+    with pytest.raises(ValueError, match="do not match parameters"):
+        apply_delta(params, make_delta(rng, 2))
 
 
 def test_validation_rejects_inconsistent_deltas():
     rng = np.random.default_rng(12)
-    prev = make_delta(rng, range(3))
+    prev = make_delta(rng, 3)
     hist = RoundWindow(num_blocks=3, window=2)
-    # delta for a layer the map marks frozen
-    bad = (0, make_delta(rng, [0, 1]), AllocationMap.from_indices(3, [0]))
-    with pytest.raises(ValueError):
+    # a nonzero delta for a layer the map marks frozen
+    bad = (0, make_delta(rng, 3, [0, 1]), AllocationMap.from_indices(3, [0]))
+    with pytest.raises(ValueError, match="client 0: layer 1 delta is nonzero"):
         com_agg(prev, [bad], hist)
-    # missing delta for a trained layer
-    bad = (0, make_delta(rng, [0]), AllocationMap.from_indices(3, [0, 1]))
-    with pytest.raises(ValueError):
-        com_agg_fixed(prev, [bad])
+    # a delta or a map of another layer count
+    for bad in ((0, make_delta(rng, 2, [0]), AllocationMap.from_indices(3, [0])),
+                (0, make_delta(rng, 3, [0]), AllocationMap.from_indices(2, [0]))):
+        with pytest.raises(ValueError, match="does not match the model"):
+            com_agg_fixed(prev, [bad])
     # wrong shape
-    bad = (0, make_delta(rng, [0], shape=(5, 5)), AllocationMap.from_indices(3, [0]))
-    with pytest.raises(ValueError):
+    bad = (0, make_delta(rng, 3, [0], shape=(5, 5)), AllocationMap.from_indices(3, [0]))
+    with pytest.raises(ValueError, match="does not match the model"):
         fed_avg([bad], prev)
+    # a trained layer may move by zero, as training at lr 0 gives
+    still = (0, make_delta(rng, 3, [0]), AllocationMap.from_indices(3, [0, 1]))
+    assert np.abs(fed_avg([still], prev)[1][0]).max() == 0.0
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
 def test_non_finite_client_delta_is_rejected(bad_value):
     rng = np.random.default_rng(13)
-    prev = make_delta(rng, range(3))
+    prev = make_delta(rng, 3)
     good = client(4, rng, [0, 2], num_blocks=3)
     bad = client(7, rng, [1, 2], num_blocks=3)
     bad[1][2][1][1, 0] = bad_value
@@ -336,6 +343,12 @@ def window_dict(*entries, round=4):
     window_dict([[4, "1"]]),                                     # a value that is no number
     {k: v for k, v in window_dict().items() if k != "round"},    # a missing field
     {**window_dict(), "extra": 1},                               # a field too many
+    {**window_dict(), "round": 4.0},                             # a round as a float
+    {**window_dict(), "window": 2.0},                            # a window as a float
+    window_dict([[4.0, 1.0]]),                                   # an entry round as a float
+    {**window_dict([[True, 1.0]]), "round": True},               # rounds as bools
+    window_dict([[4, True]]),                                    # a value as a bool
+    {**window_dict(), "num_blocks": True, "entries": [[]]},      # a layer count as a bool
 ])
 def test_malformed_window_checkpoint_is_refused_naming_its_key(d):
     good = window_dict([[3, 1.5], [4, 2.0]], [[4, 0]])

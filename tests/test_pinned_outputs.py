@@ -9,7 +9,10 @@ change that moves a byte of them must say why and re-record the digests.
 pin a wide net (H = 128, ``ms`` + ``fedavg``) and a deep one (L = 48,
 ``fedpilot`` + ``comagg`` under binding capacity tiers, so its lowest trained
 block is far from block 0); both were recorded before the toy net started
-forwards from cached frozen-prefix activations.
+forwards from cached frozen-prefix activations. The checkpoints a quick
+run writes every 4 rounds are pinned too, recorded before the global
+adapters, deltas and client updates became stacked ``Adapters`` arrays: the
+checkpoint codec still packs one entry per block, so its bytes must not move.
 
 The digests come from numpy 2.4.6 linked against scipy-openblas 0.3.31
 (DYNAMIC_ARCH, Haswell kernels) under CPython 3.11.7 on x86-64. Another
@@ -74,6 +77,60 @@ def test_quick_config_outputs_match_pinned_digests(case, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("metrics.jsonl", "summary.json"))
     assert got == PINNED[case]
+
+
+# (strategy, aggregation, carry_forward): sha256 of checkpoints/round_0004,
+# round_0008 and round_0012.json, in that order
+PINNED_CHECKPOINTS = {
+    ("fedpilot", "comagg", True): (
+        "22b8204fd2bf5547a6a7e06498b979d7398e62175a4b33cc1e5911d82256af14",
+        "54d7d9826478789d00c9f9fd3c99eba267ed1716bd064a214d974f1989ff2b76",
+        "5555d4427898e322a240b035e7e862c6980918b0775e12bc155a1b9638b8ef7c",
+    ),
+    ("fedpilot", "comagg", False): (
+        "bae9eea891bd130b4fcf530a781edeb07218c1aa07bac82c08e6548d7773fda5",
+        "c7bded5953bf3a1e69530949adba8e272402cc515524a070bdc61ebd2caa2a91",
+        "bb2e4fef1b81abe219f2feb9bc6fb120fee47daca16b9d6e21acc5e28d35149d",
+    ),
+    ("fedpilot", "comagg_fixed", True): (
+        "452e7ff72a8a87ad790d1d368ffa5c15b9c5194b0c5246a221eb8c7ec4572fe2",
+        "de17c28c43f50da0380dc0ea95ea4de369d9266598c101f7cf2fa1ab84045bb6",
+        "c23411f58bf70cd9e2843d9190da6e2ad5e1e105fd26b474d54d2c4efc095d71",
+    ),
+    ("fedpilot", "fedavg", True): (
+        "5cbec39abea09a19c9151a4f04a18088efd8e355053c29db6088a29d53ac7ad9",
+        "bd147f40412cfdaf344caf9b4015c8e188f5d710b1e68739554858f1af0b16ea",
+        "fa8f9ec1a5ebdf95b172568a225685f71e235db23359ada79fd63bb091eed4a6",
+    ),
+    ("fedra_random", "comagg", True): (
+        "301b0864583f2342976eeec1497966707e0efcd528805e9e12d2b0598884cdf9",
+        "396b04464b0d17d3a42c40610e729c590349d0e5f2536043f9d2e7bbdb63c516",
+        "b87f12e7c1a9b71f40c72d47f45751b9c0fae27624d65ad86292b6a3a032102f",
+    ),
+    ("ms", "fedavg", True): (
+        "69d61b2e6dece71bd6370a120580256b22ef643adb516578bc78e6bedd4a58cf",
+        "f8b614f0c1c73ee4daea3a3030f8dad177c7ccb19c888c94b6f68948eb55c4b6",
+        "ba57526158fb963cbcf37bf95e6e638271a8cba0af438837a062818e5523c1f7",
+    ),
+    ("full", "comagg_fixed", True): (
+        "f16dd8f76693ed782a2064a6371efbd67c1dff1deb914cdcce506808c0fa75ef",
+        "164f9f8c89ba7445d060c01ef784684b166971537756834499d5f12d832460ea",
+        "0b6df49e7bdd13814492ade0df9455c9f87f6c5db9578eac101035bca2784615",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CHECKPOINTS),
+                         ids=lambda c: f"{c[0]}-{c[1]}-cf{int(c[2])}")
+def test_quick_config_checkpoints_match_pinned_digests(case, tmp_path):
+    strategy, aggregation, carry_forward = case
+    d = json.loads(QUICK.read_text())
+    d.update(rounds=12, strategy=strategy, aggregation=aggregation,
+             comagg_carry_forward=carry_forward, checkpoint_every=4)
+    run_experiment(ExperimentConfig.from_dict(d), tmp_path, quiet=True)
+    files = sorted((tmp_path / "checkpoints").glob("round_*.json"))
+    assert [f.name for f in files] == ["round_0004.json", "round_0008.json", "round_0012.json"]
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == PINNED_CHECKPOINTS[case]
 
 
 def _wide_config(d: dict) -> dict:

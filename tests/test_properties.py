@@ -2,8 +2,9 @@
 prices against ``total_memory``, client updates from the per-client
 boundary against updates from the features, lockstep groups against the
 rebuilding per-client loop, the activation stamp
-check against an explicit write log, and ``RoundWindow`` against the two
-windows it replaced; and a check that a failing property test fails as a
+check against an explicit write log, ``RoundWindow`` against the two
+windows it replaced, and the stacked aggregation rules against the
+per-layer loop on dicts they replaced; and a check that a failing property test fails as a
 test under the suite's warning settings.
 
 Hypothesis draws the cases; runs are derandomized so every run of the suite
@@ -31,10 +32,15 @@ from conftest import (  # noqa: E402
     push_counts,
     rebuilding_local_train,
     reference_allocation,
+    reference_com_agg,
+    reference_com_agg_fixed,
+    reference_fed_avg,
+    same_bytes,
     score_one,
     train_one,
+    write_blocks,
 )
-from fedlorasim.aggregation import RoundWindow  # noqa: E402
+from fedlorasim.aggregation import RoundWindow, com_agg, com_agg_fixed, fed_avg  # noqa: E402
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation  # noqa: E402
 from fedlorasim.data import LabeledData  # noqa: E402
 from fedlorasim.memory import (  # noqa: E402
@@ -46,7 +52,7 @@ from fedlorasim.memory import (  # noqa: E402
 )
 from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history  # noqa: E402
 from fedlorasim.simulator import ClientSpec, PrefixCache  # noqa: E402
-from fedlorasim.toymodel import Activations, ToyLoRANet, local_train  # noqa: E402
+from fedlorasim.toymodel import Activations, Adapters, ToyLoRANet, local_train  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -144,7 +150,7 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
     net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=2, input_dim=input_dim,
                      num_classes=3, lora_alpha=None, seed=seed)
     # earlier rounds changed some blocks, which sets frozen_below
-    net.set_lora_state({j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in changed})
+    write_blocks(net, {j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in changed})
     data = LabeledData(rng.normal(size=(n, input_dim)), rng.integers(0, 3, size=n))
     ig = rng.choice(n, size=n_ig, replace=False)
     client = ClientSpec(id=0, level=1, capacity_bytes=1, data=data,
@@ -167,10 +173,7 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
         deltas = train_one(local, X, data.y, amap, rng=np.random.default_rng(seed), **kw)
         assert local._changed_at == net._changed_at  # not written
         assert scores == ref_scores
-        assert list(deltas) == list(ref_deltas)
-        for j, (dn, dm) in ref_deltas.items():
-            assert deltas[j][0].tobytes() == dn.tobytes()
-            assert deltas[j][1].tobytes() == dm.tobytes()
+        assert same_bytes(deltas, ref_deltas)
 
 
 @st.composite
@@ -197,7 +200,7 @@ def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
     rng = np.random.default_rng(seed)
     net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=2, input_dim=8,
                      num_classes=3, lora_alpha=None, seed=seed)
-    net.set_lora_state({j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in range(l)})
+    write_blocks(net, {j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in range(l)})
     # a group comes in pass order, by earliest trainable block (L for none)
     maps = sorted((AllocationMap.from_bits(b) for b in bits),
                   key=lambda m: l if m.earliest is None else m.earliest)
@@ -209,10 +212,7 @@ def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
     deltas = local_train(net, inputs, [y for _, y in data], maps, rng=orders(), **kw)
     scores = local_ig_scores(net, maps, [[(x[:n_ig], y[:n_ig])] for x, (_, y) in zip(inputs, data)])
     for (X, y), amap, d, s, r in zip(data, maps, deltas, scores, orders()):
-        want = rebuilding_local_train(net.clone(), X, y, amap, rng=r, **kw)
-        assert list(d) == list(want)
-        for j, (dn, dm) in want.items():
-            assert d[j][0].tobytes() == dn.tobytes() and d[j][1].tobytes() == dm.tobytes()
+        assert same_bytes(d, rebuilding_local_train(net.clone(), X, y, amap, rng=r, **kw))
         if not from_prefix or n_ig > 1:
             assert s == score_one(net, amap, [(X[:n_ig], y[:n_ig])])
 
@@ -238,11 +238,11 @@ def test_activations_are_accepted_exactly_while_no_block_below_them_changed(l, d
         net = nets[i]
         if op == "write":
             blocks = data.draw(st.sets(st.integers(0, l - 1), min_size=1, max_size=l))
-            net.set_lora_state({j: (net.N[j], net.M[j] + 0.1 * (write + 1)) for j in blocks})
+            write_blocks(net, {j: (net.N[j], net.M[j] + 0.1 * (write + 1)) for j in blocks})
             for j in blocks:
                 held[i][j] = write
         elif op == "rewrite":  # byte-equal factors change nothing
-            net.set_lora_state({j: (net.N[j].copy(), net.M[j].copy()) for j in range(l)})
+            write_blocks(net, {j: (net.N[j].copy(), net.M[j].copy()) for j in range(l)})
         elif op == "clone":
             nets.append(net.clone())
             family.append(family[i])
@@ -295,6 +295,64 @@ def test_count_window_matches_the_maxlen_deques(data):
         ref.append(counts)
         assert window.means == tuple(ref.beta(j) for j in range(l))
         assert _read_back(window).means == window.means
+
+
+@st.composite
+def blend_cases(draw):
+    c, l = draw(st.integers(0, 11)), draw(st.integers(1, 19))
+    bits = draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), min_size=c, max_size=c))
+    counts = draw(st.lists(st.lists(st.integers(0, 11), min_size=l, max_size=l), max_size=3))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 2)))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.95]))  # share of entries set to +0.0 or -0.0
+    return (bits, l, counts, shape, zeros, draw(st.sampled_from(["comagg", "comagg_fixed", "fedavg"])),
+            draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+@PROPERTY
+@given(blend_cases())
+def test_stacked_rules_match_the_per_layer_loop_on_dicts(case):
+    """Each rule's blend of stacked deltas is the bytes of the per-layer
+    loop on ``{block: (dN, dM)}`` dicts, signed zeros included, for random
+    maps (layers with no contributor too), histories and ``carry_forward``.
+    The rows of blocks a client does not train hold signed zeros, which the
+    masked sum must skip."""
+    bits, l, counts, (h, r), zeros, rule, carry_forward, seed = case
+    rng = np.random.default_rng(seed)
+
+    def values(*shape):
+        v = rng.normal(size=shape)
+        hit = rng.random(shape) < zeros
+        v[hit] = rng.choice([-0.0, 0.0], size=int(hit.sum()))
+        return v
+
+    def signed_zeros(*shape):
+        return rng.choice([-0.0, 0.0], size=shape)
+
+    prev = Adapters(values(l, h, r), values(l, r, h))
+    stacked, dicts = [], []
+    for cid, b in enumerate(bits):
+        amap = AllocationMap.from_bits(b)
+        N, M = signed_zeros(l, h, r), signed_zeros(l, r, h)
+        for j in amap.trainable_indices:
+            N[j], M[j] = values(h, r), values(r, h)
+        stacked.append((cid, Adapters(N, M), amap))
+        dicts.append((cid, {j: (N[j].copy(), M[j].copy()) for j in amap.trainable_indices}, amap))
+    prev_dict = {j: (prev.N[j].copy(), prev.M[j].copy()) for j in range(l)}
+
+    window, ref_window = RoundWindow(l, 2), RoundWindow(l, 2)
+    for row in counts:
+        push_counts(window, row)
+        push_counts(ref_window, row)
+    if rule == "comagg":
+        got = com_agg(prev, stacked, window, carry_forward=carry_forward)
+        want = reference_com_agg(prev_dict, dicts, ref_window, carry_forward=carry_forward)
+    elif rule == "comagg_fixed":
+        got, want = com_agg_fixed(prev, stacked), reference_com_agg_fixed(prev_dict, dicts)
+    else:
+        got, want = fed_avg(stacked, prev), reference_fed_avg(dicts, prev_dict)
+    assert same_bytes(got, Adapters(np.stack([n for n, _ in want.values()]),
+                                    np.stack([m for _, m in want.values()])))
+    assert window.to_jsonable() == ref_window.to_jsonable()
 
 
 PROBE = '''

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import central_difference, score_one
+from conftest import central_difference, score_one, write_blocks
 from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import (
@@ -20,7 +20,7 @@ def scoring_net(seed=0, num_blocks=2):
     net = ToyLoRANet(num_blocks=num_blocks, hidden_size=5, lora_rank=2,
                      input_dim=4, num_classes=3, lora_alpha=None, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    net.set_lora_state({
+    write_blocks(net, {
         j: (rng.normal(0, 0.3, net.N[j].shape), rng.normal(0, 0.3, net.M[j].shape))
         for j in range(net.num_blocks)
     })

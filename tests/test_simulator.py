@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_random_profile, reference_fedra_random
+from conftest import make_random_profile, reference_fedra_random, write_blocks
 from fedlorasim.config import (
     AGGREGATIONS,
     STRATEGIES,
@@ -342,8 +342,8 @@ def test_checkpoint_state_roundtrip(tmp_path):
     assert state.round == 4
     again = state_to_jsonable(state)
     assert again == snap
-    for j, (n, m) in state.params.items():
-        assert n.dtype == np.float64 and m.dtype == np.float64
+    assert state.params.N.dtype == np.float64 and state.params.M.dtype == np.float64
+    assert state.params.N.shape == (cfg.model.num_blocks, cfg.model.hidden_size, cfg.model.lora_rank)
 
 
 def test_all_clients_too_small_means_no_training(tmp_path):
@@ -551,9 +551,9 @@ def test_prefix_cache_is_reused_until_its_boundary_is_too_high():
     b = cache.get("x", net, 7, X)  # an earliest block below it does not
     assert b.block == 7 and b.data.tobytes() == net.prefix(X, 7).data.tobytes()
     # a write above the boundary keeps it; one below lowers frozen_below
-    net.set_lora_state({8: (net.N[8], net.M[8] + 0.1)})
+    write_blocks(net, {8: (net.N[8], net.M[8] + 0.1)})
     assert cache.get("x", net, 10, X) is b
-    net.set_lora_state({5: (net.N[5], net.M[5] + 0.1)})
+    write_blocks(net, {5: (net.N[5], net.M[5] + 0.1)})
     c = cache.get("x", net, 10, X)
     assert c.block == 5 and c.data.tobytes() == net.prefix(X, 5).data.tobytes()
     assert cache.get("y", net, None, X).block == 5  # each input set has its own entry
@@ -572,7 +572,7 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
                                     (8, n - 1, False)):
         net = ToyLoRANet(num_blocks=12, hidden_size=hidden, lora_rank=2, input_dim=10,
                          num_classes=5, lora_alpha=None, seed=0)
-        net.set_lora_state({6: (net.N[6], net.M[6] + 0.1)})  # frozen_below 6
+        write_blocks(net, {6: (net.N[6], net.M[6] + 0.1)})  # frozen_below 6
         cache = PrefixCache()
         X = cache.update_inputs(client, net, amap, batch)
         assert client.has_one_row_batch(batch) is not boundary

@@ -15,15 +15,18 @@ from conftest import (
     rebuilding_forward,
     rebuilding_local_train,
     reference_cross_entropy,
+    same_bytes,
     score_one,
     train_one,
+    write_blocks,
 )
-from fedlorasim.aggregation import RoundWindow, zero_delta_like
+from fedlorasim.aggregation import RoundWindow, apply_delta, zero_delta_like
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import local_ig_scores
 from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
     Activations,
+    Adapters,
     MapStack,
     NonFiniteLossError,
     StaleCacheError,
@@ -50,13 +53,13 @@ def randomize_adapters(net, rng, scale=0.3, blocks=None):
         )
         for j in (range(net.num_blocks) if blocks is None else blocks)
     }
-    net.set_lora_state(state)
+    write_blocks(net, state)
 
 
 def applied(net, deltas):
     """A clone of ``net`` with ``local_train``'s deltas added to its adapters."""
     out = net.clone()
-    out.set_lora_state({j: (net.N[j] + dn, net.M[j] + dm) for j, (dn, dm) in deltas.items()})
+    out.set_lora_state(apply_delta(net.get_lora_state(), deltas))
     return out
 
 
@@ -179,7 +182,7 @@ def test_stale_cache_rejected():
     _, cache = forward_one(net, X, AllocationMap.full(net.num_blocks))
     net.set_lora_state(net.get_lora_state())  # byte-equal: the cache still holds
     assert backward_one(net, cache, y).keys() == set(range(net.num_blocks))
-    net.set_lora_state({1: (net.N[1], net.M[1] + 0.1)})
+    write_blocks(net, {1: (net.N[1], net.M[1] + 0.1)})
     with pytest.raises(StaleCacheError):
         backward_one(net, cache, y)
 
@@ -204,7 +207,7 @@ def test_foreign_cache_rejected():
     got = backward_one(clone, cache, y)
     assert all(got[j][k].tobytes() == want[j][k].tobytes() for j in want for k in (0, 1))
     # once the clone changes block 2, neither takes the other's cache
-    clone.set_lora_state({2: (clone.N[2], clone.M[2] + 0.1)})
+    write_blocks(clone, {2: (clone.N[2], clone.M[2] + 0.1)})
     with pytest.raises(StaleCacheError):
         backward_one(clone, cache, y)
     _, clone_cache = forward_one(clone, X, full)
@@ -228,10 +231,9 @@ def test_local_train_zero_lr_gives_zero_deltas():
     X = rng.normal(size=(10, net.input_dim))
     y = rng.integers(0, net.num_classes, size=10)
     deltas = train_one(net, X, y, AllocationMap.full(net.num_blocks), epochs=1, batch_size=32, lr=0.0)
-    assert set(deltas) == set(range(net.num_blocks))
-    for dn, dm in deltas.values():
-        assert np.abs(dn).max() == 0.0
-        assert np.abs(dm).max() == 0.0
+    assert deltas.N.shape == (net.num_blocks, net.hidden_size, net.lora_rank)
+    assert np.abs(deltas.N).max() == 0.0
+    assert np.abs(deltas.M).max() == 0.0
 
 
 def test_single_step_delta_is_minus_lr_grad():
@@ -301,10 +303,8 @@ def test_local_train_matches_reference_bytes(kind, shuffle):
             ref, X, y, amap, rng=np.random.default_rng(trial) if shuffle else None, **kw)
         d_new = train_one(
             new, X, y, amap, rng=np.random.default_rng(trial) if shuffle else None, **kw)
-        assert list(d_new) == list(d_ref) == list(amap.trainable_indices)
-        for j in d_ref:
-            assert d_new[j][0].tobytes() == d_ref[j][0].tobytes()
-            assert d_new[j][1].tobytes() == d_ref[j][1].tobytes()
+        # the reference's rows of untrained blocks are theta - theta, +0.0
+        assert same_bytes(d_new, d_ref)
         # the clients train a clone: the net given keeps its adapters
         assert new.N == net.N and new.M == net.M and new._changed_at == net._changed_at
 
@@ -390,7 +390,7 @@ def test_clone_is_independent():
     full = AllocationMap.full(net.num_blocks)
     before, _ = forward_one(net, X, full)
     twin = net.clone()
-    twin.set_lora_state({0: (twin.N[0] + 1.0, twin.M[0] + 1.0)})
+    write_blocks(twin, {0: (twin.N[0] + 1.0, twin.M[0] + 1.0)})
     assert np.abs(net.N[0] - twin.N[0]).max() > 0
     # the twin's rebuilt weight never reaches the source's built weights
     moved, _ = forward_one(twin, X, full)
@@ -398,14 +398,17 @@ def test_clone_is_independent():
     assert np.abs(moved - before).max() > 0
     assert after.tobytes() == before.tobytes()
     # adapters are written only through set_lora_state, which keeps no
-    # reference to its inputs
+    # reference to its inputs; get_lora_state hands out a copy
     with pytest.raises(TypeError):
         twin.N[0] = np.zeros_like(twin.N[0])
-    for arr in (twin.N[0], twin.M[1], net.get_lora_state()[2][0]):
+    for arr in (twin.N[0], twin.M[1]):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+    state = net.get_lora_state()
+    state.N[2][0, 0] += 1.0
+    assert state.N[2][0, 0] != net.N[2][0, 0]
     n = np.ones_like(net.N[3])
-    net.set_lora_state({3: (n, net.M[3])})
+    write_blocks(net, {3: (n, net.M[3])})
     n[0, 0] = 5.0
     assert (net.N[3] == 1.0).all()
     # frozen arrays are shared and locked
@@ -581,7 +584,7 @@ def test_stale_or_foreign_activations_are_rejected_at_every_entry_point():
     # computed before a write below their block: stale for the net and every
     # later clone, rows included, while activations below the write still serve
     stale, below = net.prefix(X, 4), net.prefix(X, 2)
-    net.set_lora_state({2: (net.N[2], net.M[2] + 0.1)})
+    write_blocks(net, {2: (net.N[2], net.M[2] + 0.1)})
     assert_rejected_everywhere(net, stale, y, amap)
     assert_rejected_everywhere(net.clone(), stale, y, amap)
     assert_rejected_everywhere(net, stale[[0, 1]], y, amap)
@@ -594,7 +597,7 @@ def test_stale_or_foreign_activations_are_rejected_at_every_entry_point():
     assert_rejected_everywhere(net, foreign, y, amap)
     # a clone and its source part ways at their first write below a block
     local = net.clone()
-    local.set_lora_state({1: (local.N[1], local.M[1] + 0.1)})
+    write_blocks(local, {1: (local.N[1], local.M[1] + 0.1)})
     assert_rejected_everywhere(net, local.prefix(X, 4), y, amap)
     ahead = net.prefix(X, 4)
     assert local.accepts(local.prefix(X, 4)) and net.accepts(ahead)
@@ -618,8 +621,7 @@ def test_clone_accepts_its_source_activations_until_a_write_below_them():
     # the clone's own training writes blocks 5 and up and keeps accepting them
     deltas = train_one(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2)
     ref_deltas = train_one(net, X, y, amap, epochs=2, batch_size=3, lr=0.2)
-    assert all(deltas[j][i].tobytes() == d[i].tobytes() for j, d in ref_deltas.items()
-               for i in (0, 1))
+    assert same_bytes(deltas, ref_deltas)
     local = applied(local, deltas)
     assert local.frozen_below == 3 and local.accepts(a5)
     trained, _ = forward_one(local, X, amap)
@@ -630,10 +632,10 @@ def test_clone_accepts_its_source_activations_until_a_write_below_them():
     twin = local.clone()
     assert twin.accepts(a5)
     # a write below block 5 on the source leaves the clones' blocks as they were
-    net.set_lora_state({4: (net.N[4], net.M[4] + 0.1)})
+    write_blocks(net, {4: (net.N[4], net.M[4] + 0.1)})
     assert not net.accepts(a5) and local.accepts(a5)
     # and one on the clone makes them stale for it, not for its own clone
-    local.set_lora_state({4: (local.N[4], local.M[4] + 0.1)})
+    write_blocks(local, {4: (local.N[4], local.M[4] + 0.1)})
     assert (local.frozen_below, twin.frozen_below) == (3, 3)
     assert_rejected_everywhere(local, a5, y, amap)
     assert twin.accepts(a5)
@@ -649,34 +651,38 @@ def test_frozen_below_only_falls_and_byte_equal_writes_keep_everything():
     arrays = (net.N, net.M)
     ticks = net._changed_at
     # byte-equal factors, passed as fresh arrays: nothing moves
-    net.set_lora_state({j: (net.N[j].copy(), net.M[j].copy()) for j in range(6)})
+    write_blocks(net, {j: (net.N[j].copy(), net.M[j].copy()) for j in range(6)})
     assert net._changed_at == ticks
     assert net.frozen_below == 6
     assert all(w is b for w, b in zip(net._weights, built))
     assert all(a is b for a, b in zip(net.N + net.M, arrays[0] + arrays[1]))
     # a change lowers frozen_below to the lowest changed block and drops only
     # the changed blocks' weights
-    net.set_lora_state({4: (net.N[4], net.M[4] + 0.5), 5: (net.N[5], net.M[5])})
+    write_blocks(net, {4: (net.N[4], net.M[4] + 0.5), 5: (net.N[5], net.M[5])})
     assert net.frozen_below == 4
     assert net._weights[4] is None
     assert all(net._weights[j] is built[j] for j in (0, 1, 2, 3, 5))
     assert net.N[5] is arrays[0][5] and net.M[5] is arrays[1][5]
-    net.set_lora_state({5: (net.N[5] + 1.0, net.M[5])})
+    write_blocks(net, {5: (net.N[5] + 1.0, net.M[5])})
     assert net.frozen_below == 4  # a higher change never raises it
-    net.set_lora_state({2: (net.N[2], net.M[2] - 0.25)})
+    write_blocks(net, {2: (net.N[2], net.M[2] - 0.25)})
     assert net.frozen_below == 2
     # a clone inherits it and lowers its own
     twin = net.clone()
     assert twin.frozen_below == 2
-    twin.set_lora_state({0: (twin.N[0], twin.M[0] + 0.1)})
+    write_blocks(twin, {0: (twin.N[0], twin.M[0] + 0.1)})
     assert (twin.frozen_below, net.frozen_below) == (0, 2)
     # training at lr 0 moves nothing, and the net given is never written
     ticks = net._changed_at
     deltas = train_one(net, X, np.zeros(3, dtype=int), AllocationMap.from_indices(6, [1]),
                        epochs=1, batch_size=2, lr=0.0)
     assert not np.abs(deltas[1][1]).any() and net._changed_at == ticks
-    with pytest.raises(ValueError, match="out of range"):
-        net.set_lora_state({-1: (net.N[5], net.M[5])})
+    # adapters of another block count or width are refused
+    for l, h in ((5, 6), (7, 6), (6, 5)):
+        with pytest.raises(ValueError, match="do not fit"):
+            net.set_lora_state(Adapters(np.zeros((l, h, 2)), np.zeros((l, 2, h))))
+    with pytest.raises(ValueError, match="are not"):
+        Adapters(np.zeros((6, 6, 2)), np.zeros((6, 6, 2)))
 
 
 @pytest.mark.parametrize("hidden", [16, 32, 128])
@@ -716,10 +722,9 @@ def group_case(hidden, n, seed, num_blocks=7):
     return net, data, maps
 
 
-def assert_deltas_equal(got, want):
-    assert list(got) == list(want)
-    for j, (dn, dm) in want.items():
-        assert got[j][0].tobytes() == dn.tobytes() and got[j][1].tobytes() == dm.tobytes()
+def moved_blocks(delta) -> list[int]:
+    """The blocks whose rows of a client's delta are nonzero."""
+    return np.flatnonzero(delta.N.any(axis=(1, 2)) | delta.M.any(axis=(1, 2))).tolist()
 
 
 @pytest.mark.parametrize("shuffle", [False, True], ids=["sequential", "shuffled"])
@@ -738,8 +743,8 @@ def test_group_pass_matches_per_client_reference(hidden, shuffle):
                       rng=[order(c) for c in range(len(maps))], **kw)
     scores = local_ig_scores(net, maps, ig)
     for c, ((X, y), amap) in enumerate(zip(data, maps)):
-        assert_deltas_equal(got[c], rebuilding_local_train(net.clone(), X, y, amap,
-                                                           rng=order(c), **kw))
+        assert same_bytes(got[c], rebuilding_local_train(net.clone(), X, y, amap,
+                                                         rng=order(c), **kw))
         want = {j: 0.0 for j in amap.trainable_indices}
         for rows in (slice(0, 8), slice(8, 13)):
             _, cache = rebuilding_forward(net, X[rows], amap)
@@ -757,8 +762,8 @@ def test_group_of_one_and_one_row_batches_from_the_features():
                       rng=[np.random.default_rng(c) for c in range(len(maps))], **kw)
     for c, ((X, y), amap) in enumerate(zip(data, maps)):
         want = rebuilding_local_train(net.clone(), X, y, amap, rng=np.random.default_rng(c), **kw)
-        assert_deltas_equal(got[c], want)
-        assert_deltas_equal(train_one(net, X, y, amap, rng=np.random.default_rng(c), **kw), want)
+        assert same_bytes(got[c], want)
+        assert same_bytes(train_one(net, X, y, amap, rng=np.random.default_rng(c), **kw), want)
     one_row = [(X[:1], y[:1]) for X, y in data]
     got = local_ig_scores(net, maps, [[b] for b in one_row])
     assert got == [score_one(net, m, [b]) for m, b in zip(maps, one_row)]
@@ -808,7 +813,7 @@ def test_a_group_out_of_pass_order_is_refused():
     for pair in ([0, 1], [1, 0]):
         deltas = local_train(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
                              [tied[c] for c in pair], epochs=1, batch_size=2, lr=0.1)
-        assert [sorted(d) for d in deltas] == [list(tied[c].trainable_indices) for c in pair]
+        assert [moved_blocks(d) for d in deltas] == [list(tied[c].trainable_indices) for c in pair]
 
 
 def test_evaluate_loss_is_the_reference_cross_entropy():
@@ -846,7 +851,7 @@ def test_group_training_keeps_its_clients_inputs_accepted():
     inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
     deltas = local_train(net, inputs, [y for _, y in data], maps, epochs=2, batch_size=4, lr=0.2)
     assert net._changed_at == ticks and net.clients is None
-    assert [sorted(d) for d in deltas] == [list(m.trainable_indices) for m in maps]
+    assert [moved_blocks(d) for d in deltas] == [list(m.trainable_indices) for m in maps]
     group = net.clone()
     group._descend({6: (np.zeros((3, 16, 2)), np.zeros((3, 2, 16)))}, MapStack(tuple(maps)), 0.1)
     assert group.clients == len(maps) and group.N[6].shape == (len(maps), 16, 2)
