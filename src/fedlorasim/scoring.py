@@ -57,8 +57,8 @@ def local_ig_scores(
     ``Activations`` (see ``ToyLoRANet.forward``). Returns,
     per client, {block: score} for its trainable blocks only; an all-frozen
     allocation yields an empty dict. Each client's score is summed on its
-    own slice of the group's gradients, as a pass of that client alone sums
-    it. ``net`` is not written.
+    own (block, client) pairs of the group's gradients, as a pass of that
+    client alone sums it. ``net`` is not written.
     """
     if len(batches) != len(allocation) or not allocation:
         raise ValueError("a group needs one map and one batch list per client")
@@ -67,19 +67,22 @@ def local_ig_scores(
     if len({len(b) for b in batches}) != 1:
         raise ValueError("the clients of a group need the same number of scoring batches")
     maps = MapStack(tuple(allocation))
-    scores = [{j: 0.0 for j in m.trainable_indices} for m in maps.maps]
+    totals = np.zeros(len(maps.pair_block))
     for bi in range(len(batches[0])):
         if any(len(b[bi][0]) == 0 for b in batches):
             raise ValueError(f"scoring batch {bi} is empty")
         _, cache = net.forward([b[bi][0] for b in batches], maps)
         labels = np.stack([np.asarray(b[bi][1]) for b in batches])
-        for j, (gn, gm) in net.backward(cache, labels, loss_scale=loss_scale).items():
-            sq = ((gn * gn).reshape(len(gn), -1).sum(axis=1)
-                  + (gm * gm).reshape(len(gm), -1).sum(axis=1)).tolist()
-            for pos, s in zip(maps.trainers[j].tolist(), sq):
-                if not math.isfinite(s):
-                    raise NonFiniteLossError(f"non-finite gradient for module {j} in batch {bi}")
-                scores[pos][j] += s
+        g = net.backward(cache, labels, loss_scale=loss_scale)
+        sq = np.square(g.N).sum(axis=(1, 2)) + np.square(g.M).sum(axis=(1, 2))
+        bad = np.flatnonzero(~np.isfinite(sq))
+        if bad.size:  # name the first pair in backward's order
+            raise NonFiniteLossError(f"non-finite gradient for module "
+                                     f"{maps.pair_block[bad[0]]} in batch {bi}")
+        totals += sq
+    scores = [{j: 0.0 for j in m.trainable_indices} for m in maps.maps]
+    for j, pos, total in zip(maps.pair_block.tolist(), maps.pair_client.tolist(), totals.tolist()):
+        scores[pos][j] = total
     return scores
 
 

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +138,8 @@ class RoundMetrics:
             "participants": self.participants,
             "mean_utilization": self.mean_utilization,
             "layer_counts": self.layer_counts,
-            "clients": [asdict(c) for c in self.clients],
+            # a shallow copy in field order: the fields are scalars and strings
+            "clients": [dict(vars(c)) for c in self.clients],
         }
 
     def timings_dict(self) -> dict:

@@ -45,15 +45,24 @@ takes one input per client and a ``MapStack`` of their maps, in pass order
 ``(C, H, H)`` stack of per-client ones; each numpy product on the stack
 gives the bytes of the per-client one. A single client is a group of one.
 Each client joins the stack at the block its input enters, so the clients
-live at a block are a leading slice; a block's adapter gradient is computed
-only for the clients whose map trains it. ``local_train`` trains a group on
-a clone of the net given: its SGD steps give each trained block a
-``(C, H, r)``/``(C, r, H)`` stack of factors, one row per client, in which
-only the clients whose map trains the block move. The rows of the other
-clients keep the shared factors, and the clone keeps the ticks those rows
-hold, so each client's input, which enters no block above its earliest
-trainable one, stays accepted for the whole update. ``local_ig_scores``
-runs the same pass on the net itself, with no write.
+live at a block are a leading slice. Backward chains the signal down block
+by block, but the adapter gradients are computed only for the group's
+(block, client) pairs, the clients whose map trains a block, and for all of
+them at once: ``Gradients`` holds one ``(P, H, r)``/``(P, r, H)`` stack in
+the pair order of ``MapStack``. ``local_train`` trains a group on a clone of
+the net given. The clone holds the factors of the blocks the group trains
+as one ``(T, C, H, r)``/``(T, C, r, H)`` stack, one row per client, and an
+SGD step is one update of a copy of it at the pairs; each trained block's
+per-block arrays are read-only views of the newest stack. The rows of the
+clients whose map does not train a block keep the shared factors, and the
+clone keeps the ticks those rows hold, so each client's input, which enters
+no block above its earliest trainable one, stays accepted for the whole
+update. ``local_ig_scores`` runs the same pass on the net itself, with no
+write.
+
+Block arithmetic writes into the fresh result of the block's product (the
+pre-activation, tanh' and the effective weight), never into an array that
+is kept: ``Activations.data``, the cache's activations or the factors.
 """
 
 from __future__ import annotations
@@ -137,12 +146,23 @@ class MapStack:
     order is refused; ``earliest`` holds it per client (L for a map that
     trains nothing), so the clients whose backward reaches block j are a
     leading slice. ``trainers[j]`` holds the positions of the clients whose
-    map trains block j, for every block some map trains.
+    map trains block j, for every block some map trains; ``trained`` holds
+    those blocks in ascending order.
+
+    A group's gradients and SGD steps run over its (block, client) pairs
+    in one stack, in backward's order: the trained blocks from the top one
+    down, each with its trainers in group order. Pair p is client
+    ``pair_client[p]`` at block ``pair_block[p]``, which is
+    ``trained[pair_row[p]]``.
     """
 
     maps: tuple[AllocationMap, ...]
     earliest: tuple[int, ...] = field(init=False)
     trainers: dict[int, np.ndarray] = field(init=False)
+    trained: np.ndarray = field(init=False)
+    pair_block: np.ndarray = field(init=False)
+    pair_client: np.ndarray = field(init=False)
+    pair_row: np.ndarray = field(init=False)
 
     def __post_init__(self):
         maps = tuple(self.maps)
@@ -155,10 +175,15 @@ class MapStack:
         if list(earliest) != sorted(earliest):
             raise ValueError(f"maps must be ordered by earliest trainable block, got {earliest}")
         bits = np.array([m.bits for m in maps])
-        trainers = {j: np.flatnonzero(bits[:, j]) for j in np.flatnonzero(bits.any(axis=0)).tolist()}
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "earliest", earliest)
-        object.__setattr__(self, "trainers", trainers)
+        trained = np.flatnonzero(bits.any(axis=0))
+        trainers = {j: np.flatnonzero(bits[:, j]) for j in trained.tolist()}
+        # row-major over the trained blocks from the top down: each block's trainers in order
+        down, pair_client = np.nonzero(bits.T[trained[::-1]])
+        pair_row = len(trained) - 1 - down
+        for name, value in (("maps", maps), ("earliest", earliest), ("trainers", trainers),
+                            ("trained", trained), ("pair_block", trained[pair_row]),
+                            ("pair_client", pair_client), ("pair_row", pair_row)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -166,6 +191,31 @@ class MapStack:
     @property
     def num_blocks(self) -> int:
         return self.maps[0].num_blocks
+
+
+@dataclass(frozen=True, eq=False)
+class Gradients:
+    """Adapter gradients of a group's (block, client) pairs, ``N`` (P, H, r)
+    and ``M`` (P, r, H), in the pair order of ``maps``. ``items()`` gives
+    each trained block's (N, M) slice, stacked over the clients that train
+    it in group order, from the top block down."""
+
+    N: np.ndarray
+    M: np.ndarray
+    maps: MapStack
+
+    def __post_init__(self):
+        p = len(self.maps.pair_block)
+        if len(self.N) != p or len(self.M) != p:
+            raise ValueError(f"gradients of {len(self.N)}/{len(self.M)} pairs for a group "
+                             f"of {p} (block, client) pairs")
+
+    def items(self):
+        lo = 0
+        for j in self.maps.trained[::-1].tolist():
+            hi = lo + len(self.maps.trainers[j])
+            yield j, (self.N[lo:hi], self.M[lo:hi])
+            lo = hi
 
 
 @dataclass
@@ -252,6 +302,10 @@ class ToyLoRANet:
         #: size of the client axis once a group's SGD step has given the
         #: adapters one; None for a single net
         self.clients: int | None = None
+        #: (maps, N, M) of the last SGD step: the (T, C, H, r)/(T, C, r, H)
+        #: factors of the T blocks ``maps`` trains, which the per-block
+        #: arrays of those blocks view; None once ``set_lora_state`` writes
+        self._stack: tuple[MapStack, np.ndarray, np.ndarray] | None = None
         #: identity of the frozen weights, shared with every clone
         self._base = object()
 
@@ -288,19 +342,20 @@ class ToyLoRANet:
         for j, (n, m) in enumerate(zip(state.N, state.M)):
             if n.tobytes() != N[j].tobytes() or m.tobytes() != M[j].tobytes():
                 N[j], M[j] = n.copy(), m.copy()
+                N[j].setflags(write=False)
+                M[j].setflags(write=False)
                 changed.append(j)
         if changed:
+            self._stack = None
             self._store(N, M, changed, shared=True)
 
     def _store(self, N: list, M: list, changed: list[int], shared: bool) -> None:
-        """Hold the per-block factors N and M, new arrays in the blocks
-        ``changed``: make those read-only, drop their built weights and give
-        them one new tick, which ``shared`` factors give every client."""
+        """Hold the per-block factors N and M, new read-only arrays in the
+        blocks ``changed``: drop their built weights and give them one new
+        tick, which ``shared`` factors give every client."""
         ticks = list(self._changed_at)
         tick = next(_write_clock)
         for j in changed:
-            N[j].setflags(write=False)
-            M[j].setflags(write=False)
             ticks[j] = tick
             self._weights[j] = None
         self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
@@ -308,28 +363,47 @@ class ToyLoRANet:
             changed = set(changed)
             self._shared_at = tuple(tick if j in changed else t for j, t in enumerate(self._shared_at))
 
-    def _descend(self, grads: dict[int, tuple[np.ndarray, np.ndarray]], maps: MapStack,
-                 lr: float) -> None:
-        """One SGD step of a group from ``backward``'s gradients: in each
-        trained block, the rows of the clients whose map trains it move by
-        -lr times their gradient and the other rows keep the shared factors.
-        The new arrays are this step's own, so there is no copy or compare;
-        every trained block takes a tick."""
-        c = len(maps)
+    def _factor_stack(self, maps: MapStack, clients: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, clients, H, r)/(T, clients, r, H) factors of the T blocks
+        ``maps`` trains: the last SGD step's stack when it was taken with
+        these maps, else a fresh one read from the per-block arrays, whose
+        shared factors fill every client row."""
+        if self._stack is not None and self._stack[0] is maps:
+            return self._stack[1], self._stack[2]
+        t, h, r = len(maps.trained), self.hidden_size, self.lora_rank
+        n, m = np.empty((t, clients, h, r)), np.empty((t, clients, r, h))
+        for row, j in enumerate(maps.trained.tolist()):
+            n[row], m[row] = self.N[j], self.M[j]
+        return n, m
+
+    def _pair_factors(self, maps: MapStack) -> tuple[np.ndarray, np.ndarray]:
+        """The factors each (block, client) pair of ``maps`` trains from,
+        (P, H, r)/(P, r, H) in pair order; a net with no client axis holds
+        one row, the shared factors, for every client."""
+        n, m = self._factor_stack(maps, self.clients or 1)
+        at = maps.pair_row, (maps.pair_client if self.clients else 0)
+        return n[at], m[at]
+
+    def _descend(self, grads: Gradients, lr: float) -> None:
+        """One SGD step of a group from ``backward``'s gradients, as one
+        update of a copy of the factor stack: each (block, client) pair's
+        factors move by -lr times its gradient, and the rows of the clients
+        whose map does not train a block keep the shared factors. The
+        trained blocks' per-block arrays become read-only views of the new
+        stack, and every trained block takes a tick."""
+        maps = grads.maps
+        n, m = (x.copy() for x in self._factor_stack(maps, len(maps)))
+        at = maps.pair_row, maps.pair_client
+        n[at] -= lr * grads.N
+        m[at] -= lr * grads.M
+        n.setflags(write=False)
+        m.setflags(write=False)
         N, M = list(self.N), list(self.M)
-        for j, (gn, gm) in grads.items():
-            rows = maps.trainers[j]
-            n, m = N[j], M[j]
-            if len(rows) == c:
-                n, m = n - lr * gn, m - lr * gm
-            else:
-                # at a block's first write every client holds the shared factors
-                n, m = (np.repeat(x[None], c, axis=0) if x.ndim == 2 else x.copy() for x in (n, m))
-                n[rows] -= lr * gn
-                m[rows] -= lr * gm
-            N[j], M[j] = n, m
-        self.clients = c
-        self._store(N, M, list(grads), shared=False)
+        trained = maps.trained.tolist()
+        for row, j in enumerate(trained):
+            N[j], M[j] = n[row], m[row]
+        self.clients, self._stack = len(maps), (maps, n, m)
+        self._store(N, M, trained, shared=False)
 
     @property
     def frozen_below(self) -> int:
@@ -353,7 +427,10 @@ class ToyLoRANet:
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
-        return self.W0[j] + self.scale * (self.N[j] @ self.M[j])
+        w = self.N[j] @ self.M[j]
+        w *= self.scale
+        w += self.W0[j]
+        return w
 
     def _weight(self, j: int) -> np.ndarray:
         w = self._weights[j]
@@ -375,7 +452,9 @@ class ToyLoRANet:
             raise ValueError("a net with a client axis computes no prefix")
         a, start = self._inputs(X, k)
         for j in range(start, k):
-            a = np.tanh(a @ self._weight(j) + self.b[j])
+            a = a @ self._weight(j)
+            a += self.b[j]
+            np.tanh(a, out=a)
         a.setflags(write=False)
         return Activations(k, a, self._base, self._changed_at[:k])
 
@@ -437,7 +516,9 @@ class ToyLoRANet:
             if j in maps.trainers:
                 block_inputs[j] = a
             w = self._weight(j)
-            a = np.tanh(a @ (w if w.ndim == 2 else w[:live]) + self.b[j])
+            a = a @ (w if w.ndim == 2 else w[:live])
+            a += self.b[j]
+            np.tanh(a, out=a)
             if j >= first:
                 acts[j] = a
         logits = a @ self.head
@@ -445,28 +526,26 @@ class ToyLoRANet:
                              base=self._base, stamp=self._changed_at)
         return logits, cache
 
-    def backward(
-        self,
-        cache: ForwardCache,
-        y: np.ndarray,
-        loss_scale: float = 1.0,
-    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    def backward(self, cache: ForwardCache, y: np.ndarray, loss_scale: float = 1.0) -> Gradients:
         """Adapter gradients of each client's mean cross-entropy, labels y
-        (C, B), for the blocks the cache's maps train.
+        (C, B), for the (block, client) pairs of the cache's maps.
 
         The signal is chained down through frozen blocks and stops at the
         earliest trainable one; blocks below it never matter. The cache
         must come from these frozen weights through exactly the writes this
         net holds now, so the weights it builds or keeps are the ones
-        forward used. Each block's gradients are stacked over the clients
-        whose map trains it, in group order.
+        forward used. The chain runs block by block, and each trained
+        block writes its clients' weight gradients ``X^T @ dz`` into one
+        (P, H, H) stack, in pair order; the factor gradients of all P
+        pairs are then two stacked products.
         """
         if cache.base is not self._base or cache.stamp != self._changed_at:
             raise StaleCacheError("this cache was not made through this net's current weights")
         maps = cache.maps
         first, earliest = maps.earliest[0], maps.earliest
+        h, r = self.hidden_size, self.lora_rank
         if first == self.num_blocks:
-            return {}
+            return Gradients(np.zeros((0, h, r)), np.zeros((0, r, h)), maps)
         y = cache.labels(y)
         c, b = y.shape
         _, expd, sums = cache.softmax()
@@ -474,26 +553,28 @@ class ToyLoRANet:
         dlogits[np.arange(c)[:, None], np.arange(b), y] -= 1.0
         dlogits *= loss_scale / b
 
-        grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        dW = np.empty((len(maps.pair_block), h, h))
+        lo = 0
         da = dlogits[:bisect_right(earliest, self.num_blocks - 1)] @ self.head.T
         for j in range(self.num_blocks - 1, first - 1, -1):
             k = len(da)
-            dz = da * (1.0 - cache.acts[j][:k] ** 2)
+            dz = np.square(cache.acts[j][:k])
+            np.subtract(1.0, dz, out=dz)
+            dz *= da
             rows = maps.trainers.get(j)
             if rows is not None:
                 # the clients training block j: every live one, or a gather
                 take = slice(k) if len(rows) == k else rows
-                N, M = self.N[j], self.M[j]
-                if N.ndim == 3:
-                    N, M = N[take], M[take]
-                dW = cache.block_inputs[j][take].swapaxes(-1, -2) @ dz[take]
-                grads[j] = (self.scale * (dW @ M.swapaxes(-1, -2)),
-                            self.scale * (N.swapaxes(-1, -2) @ dW))
+                np.matmul(cache.block_inputs[j][take].swapaxes(-1, -2), dz[take],
+                          out=dW[lo : lo + len(rows)])
+                lo += len(rows)
             if j > first:
                 k = bisect_right(earliest, j - 1)
                 w = self._weight(j)
                 da = dz[:k] @ (w.T if w.ndim == 2 else w[:k].swapaxes(-1, -2))
-        return grads
+        N, M = self._pair_factors(maps)
+        return Gradients(self.scale * (dW @ M.swapaxes(-1, -2)),
+                         self.scale * (N.swapaxes(-1, -2) @ dW), maps)
 
     def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
         """(mean cross-entropy, accuracy) with nothing trainable, as a group
@@ -557,11 +638,12 @@ def local_train(
             if bad.size:  # name the first client given whose loss is not finite
                 raise NonFiniteLossError(f"non-finite loss {float(losses[bad[0]])} at epoch "
                                          f"{epoch}, batch start {lo}, lr {lr}")
-            group._descend(group.backward(cache, labels), maps, lr)
+            group._descend(group.backward(cache, labels), lr)
 
     l, h, r = net.num_blocks, net.hidden_size, net.lora_rank
     dN, dM = np.zeros((len(maps), l, h, r)), np.zeros((len(maps), l, r, h))
-    for j, rows in maps.trainers.items():
-        dN[rows, j] = group.N[j][rows] - net.N[j]
-        dM[rows, j] = group.M[j][rows] - net.M[j]
+    (after_n, after_m), (before_n, before_m) = group._pair_factors(maps), net._pair_factors(maps)
+    at = maps.pair_client, maps.pair_block
+    dN[at] = after_n - before_n
+    dM[at] = after_m - before_m
     return [Adapters(dn, dm) for dn, dm in zip(dN, dM)]

@@ -184,21 +184,24 @@ def lockstep_cases(draw):
     from_prefix = draw(st.booleans())
     # batches sliced from a prefix have two rows or more (see PrefixCache)
     n = draw(st.integers(2, 30).filter(lambda n: not from_prefix or n % batch != 1))
-    maps = draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), min_size=1, max_size=4))
+    maps = draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), min_size=1, max_size=6))
     shuffled = draw(st.lists(st.booleans(), min_size=len(maps), max_size=len(maps)))
+    # rank 1 makes the factor products outer products; lr 0 must give zero deltas
+    rank, lr = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([0.0, 0.3]))
     return (l, hidden, batch, n, from_prefix, maps, shuffled, draw(st.integers(1, 2)),
-            draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
+            draw(st.integers(1, n)), rank, lr, draw(st.integers(0, 2**16)))
 
 
 @PROPERTY
 @given(lockstep_cases())
 def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
-    """Random maps (empty ones too) for up to four clients, from the
-    features or from each client's earliest block: every client's deltas
-    and scores from one group pass are the bytes of the rebuilding loop."""
-    l, hidden, batch, n, from_prefix, bits, shuffled, epochs, n_ig, seed = case
+    """Random maps (empty ones too) for up to six clients, ranks 1 to 3 and
+    lr 0 or 0.3, from the features or from each client's earliest block:
+    every client's deltas and scores from one group pass are the bytes of
+    the rebuilding loop."""
+    l, hidden, batch, n, from_prefix, bits, shuffled, epochs, n_ig, rank, lr, seed = case
     rng = np.random.default_rng(seed)
-    net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=2, input_dim=8,
+    net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=rank, input_dim=8,
                      num_classes=3, lora_alpha=None, seed=seed)
     write_blocks(net, {j: (net.N[j], rng.normal(0, 0.3, net.M[j].shape)) for j in range(l)})
     # a group comes in pass order, by earliest trainable block (L for none)
@@ -208,7 +211,7 @@ def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
     starts = [net.num_blocks if m.earliest is None else m.earliest for m in maps]
     inputs = [net.prefix(X, k) if from_prefix else X for (X, _), k in zip(data, starts)]
     orders = lambda: [np.random.default_rng(c) if s else None for c, s in enumerate(shuffled)]
-    kw = dict(epochs=epochs, batch_size=batch, lr=0.3)
+    kw = dict(epochs=epochs, batch_size=batch, lr=lr)
     deltas = local_train(net, inputs, [y for _, y in data], maps, rng=orders(), **kw)
     scores = local_ig_scores(net, maps, [[(x[:n_ig], y[:n_ig])] for x, (_, y) in zip(inputs, data)])
     for (X, y), amap, d, s, r in zip(data, maps, deltas, scores, orders()):

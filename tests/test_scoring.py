@@ -10,6 +10,7 @@ from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import (
     IGScoreRecord,
+    local_ig_scores,
     update_history,
     value_function,
 )
@@ -96,6 +97,16 @@ def test_scoring_errors():
     bad = np.full_like(X, np.nan)
     with pytest.raises(NonFiniteLossError, match="module"):
         score_one(net, AllocationMap.full(2), [(bad, y)])
+    # in a group the first non-finite (block, client) pair in backward's
+    # order is named: block 2 of the first client is finite, then block 1 of
+    # the second, whose second batch is all NaN
+    net = scoring_net(num_blocks=3)
+    maps = [AllocationMap.from_indices(3, [0, 2]), AllocationMap.from_indices(3, [1])]
+    good = [batch(rng, net) for _ in range(2)]
+    (X0, y0), (X1, y1) = (batch(rng, net) for _ in range(2))
+    with pytest.raises(NonFiniteLossError) as e:
+        local_ig_scores(net, maps, [good, [(X0, y0), (np.full_like(X1, np.nan), y1)]])
+    assert str(e.value) == "non-finite gradient for module 1 in batch 1"
 
 
 def test_record_validation():

@@ -3,6 +3,7 @@
 import base64
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,12 @@ def test_run_round_metrics_are_consistent():
         else:
             assert c.utilization == 0.0 and c.allocation is None
     assert 0.0 <= rm.accuracy <= 1.0 and np.isfinite(rm.loss)
+    # a client row is its fields in order, as dataclasses.asdict gives them,
+    # in a dict of its own
+    rows = rm.as_jsonl_dict()["clients"]
+    assert [list(r.items()) for r in rows] == [list(asdict(c).items()) for c in rm.clients]
+    rows[0]["id"] = -1
+    assert rm.as_jsonl_dict()["clients"][0]["id"] == rm.clients[0].id
 
 
 def test_memory_safety_invariant_trips_on_oversized_map(monkeypatch):

@@ -27,6 +27,7 @@ from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_json
 from fedlorasim.toymodel import (
     Activations,
     Adapters,
+    Gradients,
     MapStack,
     NonFiniteLossError,
     StaleCacheError,
@@ -849,13 +850,23 @@ def test_group_training_keeps_its_clients_inputs_accepted():
     net, data, maps = group_case(16, 10, seed=9)
     ticks = net._changed_at
     inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
+    held = (net.N, net.M, list(net._weights))
     deltas = local_train(net, inputs, [y for _, y in data], maps, epochs=2, batch_size=4, lr=0.2)
     assert net._changed_at == ticks and net.clients is None
     assert [moved_blocks(d) for d in deltas] == [list(m.trainable_indices) for m in maps]
     group = net.clone()
-    group._descend({6: (np.zeros((3, 16, 2)), np.zeros((3, 2, 16)))}, MapStack(tuple(maps)), 0.1)
+    stack = MapStack(tuple(maps))
+    p = len(stack.pair_block)
+    group._descend(Gradients(np.zeros((p, 16, 2)), np.zeros((p, 2, 16)), stack), 0.1)
     assert group.clients == len(maps) and group.N[6].shape == (len(maps), 16, 2)
     assert group._changed_at[6] != ticks[6] and all(group.accepts(a) for a in inputs)
+    # the step's per-block factors are read-only views, and the net given
+    # keeps its arrays, ticks and built weights
+    assert not any(x.flags.writeable for j in stack.trained.tolist()
+                   for x in (group.N[j], group.M[j]))
+    assert all(x is y for x, y in zip((*net.N, *net.M, *net._weights),
+                                      (*held[0], *held[1], *held[2])))
+    assert net._changed_at == ticks and net.clients is None
     with pytest.raises(ValueError, match="client axis"):
         group.prefix(data[0][0], 2)
     with pytest.raises(ValueError, match="client axis"):
