@@ -115,7 +115,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DataConfig:
-    samples_per_class: int = _setting(250, _at_least(1))
+    #: the 80/20 split keeps round(0.8 * n) rows of each class for
+    #: training, which leaves no test row below 3
+    samples_per_class: int = _setting(250, _at_least(3))
     noise_scale: float = _setting(1.0, _at_least(0))
     center_scale: float = _setting(1.0, _above(0))
 

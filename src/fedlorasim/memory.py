@@ -30,6 +30,8 @@ the reference measurements report sizes.
 
 from __future__ import annotations
 
+import operator
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -159,13 +161,24 @@ class AllocationMap:
         return len(self.trainable_indices)
 
     def with_block(self, j: int) -> "AllocationMap":
+        """This map with block j trainable too. Its other bits and indices
+        were checked when this map was made, so only j is new: the grown
+        map is built from them without reading all L bits again, once per
+        greedy pick."""
+        j = operator.index(j)
         if not 0 <= j < len(self.bits):
             raise ValueError(f"block {j} out of range [0, {len(self.bits)})")
         if self.bits[j]:
             return self
         bits = list(self.bits)
         bits[j] = True
-        return AllocationMap(tuple(bits))
+        indices = list(self.trainable_indices)
+        insort(indices, j)
+        grown = object.__new__(AllocationMap)
+        object.__setattr__(grown, "bits", tuple(bits))
+        object.__setattr__(grown, "trainable_indices", tuple(indices))
+        object.__setattr__(grown, "earliest", indices[0])
+        return grown
 
     def __len__(self) -> int:
         return len(self.bits)

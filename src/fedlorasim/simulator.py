@@ -449,6 +449,41 @@ def lockstep_groups(updates: list[tuple[ClientSpec, AllocationMap]],
             for g in groups.values() for lo in range(0, len(g), cap)]
 
 
+def _client_updates(updates: list[tuple[ClientSpec, AllocationMap]], net: ToyLoRANet,
+                    prefixes: PrefixCache, config: ExperimentConfig, t: int,
+                    phase: dict[str, float]) -> tuple[list[IGScoreRecord], list[tuple]]:
+    """Score (fedpilot only) and train round t's (client, map) updates from
+    the global ``net``; returns the score records and the (client id,
+    delta, map) updates, both in sampled order, and adds the time spent to
+    ``phase``. Every update starts from the global net as the round found
+    it, so the clients score and train in lockstep groups of equal batch
+    shapes."""
+    b = config.clients.batch_size
+    records, collected = [], []
+    for group in lockstep_groups(updates, net.hidden_size):
+        t0 = time.perf_counter()
+        maps = [amap for _, amap in group]
+        inputs = [prefixes.update_inputs(client, net, amap, b) for client, amap in group]
+        if config.strategy == "fedpilot":  # only the knapsack's values read the scores
+            scores = local_ig_scores(net, maps, [client.ig_batches(x)
+                                                 for (client, _), x in zip(group, inputs)])
+            records.extend(IGScoreRecord(round=t, client_id=client.id, module_scores=s)
+                           for (client, _), s in zip(group, scores))
+        t1 = time.perf_counter()
+        phase["score"] += t1 - t0
+        deltas = local_train(
+            net, inputs, [client.data.y for client, _ in group], maps,
+            epochs=config.epochs, batch_size=b, lr=config.lr,
+            rng=[derive_rng(config.seed, _TRAIN, t, client.id) for client, _ in group],
+        )
+        phase["train"] += time.perf_counter() - t1
+        collected.extend((client.id, d, amap) for (client, amap), d in zip(group, deltas))
+    # aggregation and the score window sum over clients in sampled order
+    collected.sort(key=lambda c: c[0])
+    records.sort(key=lambda r: r.client_id)
+    return records, collected
+
+
 def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
               test: LabeledData, profile: ModelProfile, config: ExperimentConfig,
               prefixes: PrefixCache | None = None) -> RoundMetrics:
@@ -489,31 +524,7 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
             breakdown.total_bytes / client.capacity_bytes,
         ))
 
-    # every update starts from the global net as the round found it, so the
-    # round's clients score and train in lockstep groups of equal batch shapes
-    records, collected = [], []
-    for group in lockstep_groups(updates, net.hidden_size):
-        t0 = time.perf_counter()
-        maps = [amap for _, amap in group]
-        inputs = [prefixes.update_inputs(client, net, amap, b) for client, amap in group]
-        if config.strategy == "fedpilot":  # only the knapsack's values read the scores
-            scores = local_ig_scores(net, maps, [client.ig_batches(x)
-                                                 for (client, _), x in zip(group, inputs)])
-            records.extend(IGScoreRecord(round=t, client_id=client.id, module_scores=s)
-                           for (client, _), s in zip(group, scores))
-        t1 = time.perf_counter()
-        phase["score"] += t1 - t0
-        deltas = local_train(
-            net, inputs, [client.data.y for client, _ in group], maps,
-            epochs=config.epochs, batch_size=b, lr=config.lr,
-            rng=[derive_rng(config.seed, _TRAIN, t, client.id) for client, _ in group],
-        )
-        phase["train"] += time.perf_counter() - t1
-        collected.extend((client.id, d, amap) for (client, amap), d in zip(group, deltas))
-    # aggregation and the score window sum over clients in sampled order
-    collected.sort(key=lambda c: c[0])
-    records.sort(key=lambda r: r.client_id)
-
+    records, collected = _client_updates(updates, net, prefixes, config, t, phase)
     t0 = time.perf_counter()
     if config.aggregation == "comagg":
         new_delta = com_agg(state.prev_delta, collected, state.contribution_history,
@@ -531,19 +542,21 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     for cid, _, amap in collected:
         state.last_allocations[cid] = amap
     state.round = t
+    participants = len(collected)
+    bits = np.array([amap.bits for _, _, amap in collected], dtype=bool)
+    layer_counts = bits.reshape(participants, profile.num_blocks).sum(axis=0).tolist()
+    del collected  # the clients' deltas: evaluation holds none of them
     t1 = time.perf_counter()
     phase["aggregate"] = t1 - t0
 
     net.set_lora_state(state.params)
     loss, acc = net.evaluate(prefixes.test_set(test, net), test.y)
     phase["evaluate"] = time.perf_counter() - t1
-    bits = np.array([amap.bits for _, _, amap in collected], dtype=bool)
-    layer_counts = bits.reshape(len(collected), profile.num_blocks).sum(axis=0).tolist()
     return RoundMetrics(
         round=t,
         accuracy=acc,
         loss=loss,
-        participants=len(collected),
+        participants=participants,
         mean_utilization=(sum(i.utilization for i in infos) / len(infos)) if infos else 0.0,
         layer_counts=layer_counts,
         clients=infos,
@@ -733,6 +746,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, quiet=False) -
             },
             fh, indent=2, allow_nan=False,
         )
+    del manifest  # every client's row indices: nothing after partition.json reads them
 
     ckpt_dir = out / "checkpoints"
     prefixes = PrefixCache()

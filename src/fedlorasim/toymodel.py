@@ -21,8 +21,9 @@ weight ``W0 + scale * N @ M`` changes only when its block's adapters do, so
 the net keeps one per block: a write that leaves a block's factors
 byte-equal keeps that block's arrays and built weight, a write that changes
 them drops the built weight, and the next ``forward`` builds it again. A
-clone shares every array and built weight with its source until its own
-writes replace them.
+block no write has touched uses ``W0`` itself, which the sum equals byte
+for byte while M is zero. A clone shares every array and built weight with
+its source until its own writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
 initial network is exactly the frozen base. Each write that changes a block
@@ -63,6 +64,10 @@ write.
 Block arithmetic writes into the fresh result of the block's product (the
 pre-activation, tanh' and the effective weight), never into an array that
 is kept: ``Activations.data``, the cache's activations or the factors.
+``prefix`` and ``evaluate`` run their rows through the embedding and the
+blocks in chunks of ``ROW_CHUNK_BYTES``, so a large set such as a test set
+never takes a whole-set array per block; only the head, whose product is
+not row-invariant, runs over all rows at once.
 """
 
 from __future__ import annotations
@@ -89,6 +94,13 @@ class NonFiniteLossError(ArithmeticError):
 #: Ticks for adapter writes; unique across every net in the process, so
 #: equal ticks mean one write, inherited by clones.
 _write_clock = itertools.count(1)
+
+#: Most bytes of activations one row chunk of ``ToyLoRANet.evaluate`` and
+#: ``prefix`` holds (rows * H * 8): 256 rows at H = 128, so wide-train's
+#: 2000-row test set runs as eight chunks, while a 500-row test set at
+#: H <= 32 is one. A fresh (n, H) product per block over the whole test set
+#: set wide-train's memory peak and caused most of its minor page faults.
+ROW_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +264,7 @@ class ForwardCache:
         sums), computed once per cache: ``losses`` and backward both read
         them."""
         if self._softmax is None:
-            shifted = self.logits - self.logits.max(axis=-1, keepdims=True)
-            expd = np.exp(shifted)
-            self._softmax = (shifted, expd, expd.sum(axis=-1, keepdims=True))
+            self._softmax = _softmax(self.logits)
         return self._softmax
 
     def labels(self, y) -> np.ndarray:
@@ -266,9 +276,32 @@ class ForwardCache:
 
     def losses(self, y) -> np.ndarray:
         """Each client's mean softmax cross-entropy for labels y (C, B)."""
-        shifted, _, sums = self.softmax()
-        picked = np.take_along_axis(shifted, self.labels(y)[..., None], axis=-1)[..., 0]
-        return -(picked - np.log(sums[..., 0])).mean(axis=-1)
+        return _mean_cross_entropy(self.softmax(), self.labels(y))
+
+
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(logits less their row maximum, its exponential, that one's row sums)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return shifted, expd, expd.sum(axis=-1, keepdims=True)
+
+
+def _mean_cross_entropy(softmax: tuple[np.ndarray, ...], y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy over the rows of ``_softmax``'s logits, labels y
+    of the logits' shape less the class axis."""
+    shifted, _, sums = softmax
+    picked = np.take_along_axis(shifted, y[..., None], axis=-1)[..., 0]
+    return -(picked - np.log(sums[..., 0])).mean(axis=-1)
+
+
+def _row_chunks(n: int, rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) of consecutive chunks of ``rows`` rows (at least two) over n
+    rows; a last chunk of one row joins the one before it, since numpy
+    multiplies a single row as a vector, which can round differently."""
+    stops = list(range(rows, n, rows))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0, *stops], [*stops, n]))
 
 
 class ToyLoRANet:
@@ -427,6 +460,11 @@ class ToyLoRANet:
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
+        """``W0 + scale * N @ M`` of block j; ``W0[j]`` itself while no write
+        has touched the block, whose M is then still zero, so that the sum
+        is W0 byte for byte."""
+        if not self._changed_at[j]:
+            return self.W0[j]
         w = self.N[j] @ self.M[j]
         w *= self.scale
         w += self.W0[j]
@@ -450,17 +488,38 @@ class ToyLoRANet:
             raise ValueError(f"prefix boundary {k} is outside 0..{self.num_blocks}")
         if self.clients is not None:
             raise ValueError("a net with a client axis computes no prefix")
-        a, start = self._inputs(X, k)
-        for j in range(start, k):
-            a = a @ self._weight(j)
-            a += self.b[j]
-            np.tanh(a, out=a)
+        a = self._rows_through(*self._entry(X, k), k)
         a.setflags(write=False)
         return Activations(k, a, self._base, self._changed_at[:k])
 
-    def _inputs(self, X: np.ndarray | Activations, top: int) -> tuple[np.ndarray, int]:
-        """(array, the block it enters) of features, or of ``Activations``
-        this net accepts that enter a block up to ``top``."""
+    def _rows_through(self, a: np.ndarray, start: int, embed: bool, stop: int) -> np.ndarray:
+        """The activations entering block ``stop`` of rows ``a`` that enter
+        block ``start``, features still to embed when ``embed``, on a net
+        with no client axis.
+
+        The rows go through the embedding and the blocks in chunks of
+        ``ROW_CHUNK_BYTES`` (see ``_row_chunks``); each block works in the
+        fresh result of its product, and the last product of each chunk
+        writes into one (n, H) array. These products give each row the
+        bytes of the whole set's.
+        """
+        if start == stop and not embed:
+            return a
+        out = np.empty((len(a), self.hidden_size))
+        for lo, hi in _row_chunks(len(a), max(2, ROW_CHUNK_BYTES // (8 * self.hidden_size))):
+            x = a[lo:hi]
+            if embed:
+                x = np.matmul(x, self.embed, out=out[lo:hi] if start == stop else None)
+            for j in range(start, stop):
+                z = np.matmul(x, self._weight(j), out=out[lo:hi] if j == stop - 1 else None)
+                z += self.b[j]
+                x = np.tanh(z, out=z)
+        return out
+
+    def _entry(self, X: np.ndarray | Activations, top: int) -> tuple[np.ndarray, int, bool]:
+        """(array, the block it enters, whether it holds features the
+        embedding has yet to map) of features, or of ``Activations`` this
+        net accepts that enter a block up to ``top``."""
         if isinstance(X, Activations):
             if not self.accepts(X):
                 raise ValueError(f"activations entering block {X.block} were not computed "
@@ -468,11 +527,11 @@ class ToyLoRANet:
             if X.block > top:
                 raise ValueError(f"activations entering block {X.block} cannot start a pass "
                                  f"that must begin at block {top} or below")
-            return X.data, X.block
+            return X.data, X.block, False
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
-        return X @ self.embed, 0
+        return X, 0, True
 
     def forward(self, inputs: Sequence[np.ndarray | Activations], maps: MapStack):
         """Logits (C, B, K) of a group of C clients and the cache backward
@@ -493,7 +552,8 @@ class ToyLoRANet:
         if len(inputs) != len(maps) or self.clients not in (None, len(maps)):
             raise ValueError(f"{len(inputs)} inputs and {len(maps)} maps for a net "
                              f"with a client axis of {self.clients or 'none'}")
-        arrays, starts = zip(*(self._inputs(x, top) for x, top in zip(inputs, maps.earliest)))
+        arrays, starts, embed = zip(*(self._entry(x, top) for x, top in zip(inputs, maps.earliest)))
+        arrays = [a @ self.embed if e else a for a, e in zip(arrays, embed)]
         if len({len(a) for a in arrays}) != 1:
             raise ValueError("the clients of a group need batches of one row count")
         if list(starts) != sorted(starts):
@@ -577,11 +637,23 @@ class ToyLoRANet:
                          self.scale * (N.swapaxes(-1, -2) @ dW), maps)
 
     def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
-        """(mean cross-entropy, accuracy) with nothing trainable, as a group
-        of one; X as one input of ``forward``."""
-        y = np.asarray(y)[None]
-        logits, cache = self.forward([X], MapStack((AllocationMap.empty(self.num_blocks),)))
-        return float(cache.losses(y)[0]), float((logits.argmax(axis=-1) == y).mean())
+        """(mean cross-entropy, accuracy) of a net with no client axis, with
+        the bytes of a forward of one client that trains nothing; X as one
+        input of ``forward``.
+
+        The rows go through the blocks in chunks, as in ``prefix``, so that
+        no block holds a product over the whole set. The head's product is
+        not row-invariant on this BLAS, so it runs once over all rows.
+        """
+        if self.clients is not None:
+            raise ValueError("a net with a client axis evaluates nothing")
+        a = self._rows_through(*self._entry(X, self.num_blocks), self.num_blocks)
+        y = np.asarray(y)
+        if y.shape != (len(a),):
+            raise ValueError(f"{y.shape} labels for {len(a)} rows")
+        logits = a @ self.head
+        return (float(_mean_cross_entropy(_softmax(logits), y)),
+                float((logits.argmax(axis=-1) == y).mean()))
 
 
 def local_train(

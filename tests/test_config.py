@@ -1,6 +1,7 @@
 """Experiment config reading: defaults, types, bounds, and dotted-path errors."""
 
 import json
+import math
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from fedlorasim.cli import main
 from fedlorasim.config import ConfigError, ExperimentConfig, load_config
+from fedlorasim.simulator import run_experiment
 
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
 
@@ -108,6 +110,39 @@ def test_simulate_rejects_bad_config_without_a_traceback(tmp_path, capsys, d, wh
     assert err.startswith(f"error: {where}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def tiny_split(samples_per_class: int) -> dict:
+    """configs/quick.json on two iid clients with batches of 4."""
+    d = json.loads(QUICK.read_text())
+    d.update(rounds=2, partition={"scheme": "iid"})
+    d["clients"].update(num_clients=2, batch_size=4)
+    d["data"]["samples_per_class"] = samples_per_class
+    return d
+
+
+@pytest.mark.parametrize("samples_per_class", [1, 2])
+def test_samples_per_class_that_leave_no_test_row_are_refused(tmp_path, capsys,
+                                                              samples_per_class):
+    # the 80/20 split keeps round(0.8 * n) rows of each class for training,
+    # so 1 or 2 leave the test set empty: round 0 averaged nothing, and the
+    # run died in json.dumps on its NaN loss
+    d = tiny_split(samples_per_class)
+    with pytest.raises(ConfigError, match=r"^data.samples_per_class: must be >= 3"):
+        ExperimentConfig.from_dict(d)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: data.samples_per_class: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_the_fewest_samples_per_class_give_a_finite_run(tmp_path):
+    # 3 keep one test row of each class
+    summary = run_experiment(ExperimentConfig.from_dict(tiny_split(3)), tmp_path, quiet=True)
+    rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert len(rows) == 3 and all(math.isfinite(r["loss"]) for r in rows)
+    assert summary["final_accuracy"] == rows[-1]["accuracy"]
 
 
 def float_fields(cls=ExperimentConfig, path=""):

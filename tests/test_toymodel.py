@@ -25,6 +25,7 @@ from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import local_ig_scores
 from fedlorasim.simulator import GlobalState, state_from_jsonable, state_to_jsonable
 from fedlorasim.toymodel import (
+    ROW_CHUNK_BYTES,
     Activations,
     Adapters,
     Gradients,
@@ -32,6 +33,7 @@ from fedlorasim.toymodel import (
     NonFiniteLossError,
     StaleCacheError,
     ToyLoRANet,
+    _row_chunks,
     local_train,
 )
 
@@ -694,15 +696,25 @@ def test_row_subset_products_are_bitwise_equal(hidden):
     # holds on the numpy/BLAS build the pinned digests were recorded with.
     # A one-row batch is multiplied as a vector and may round differently,
     # which is why the simulator never slices one from a prefix.
+    # ``evaluate`` runs a test set through the embedding and the blocks in
+    # row chunks (256 of wide-train's 2000 rows at H = 128), so those
+    # products must hold for chunk-sized subsets too. The head's (n, H) @
+    # (H, 10) does not: at H = 128 chunks of 32 to 500 rows give other bytes
+    # than the whole set's product, so evaluate runs the head once over all
+    # rows.
     rng = np.random.default_rng(hidden)
     embed = rng.normal(0, 1 / np.sqrt(32), (32, hidden))
     W = rng.normal(0, 1 / np.sqrt(hidden), (hidden, hidden))
     b = rng.normal(0, 0.1, hidden)
-    for n in [64 + r for r in range(2, 33)] + [250, 1000]:  # last batch of 2..32 rows
+    chunk = ROW_CHUNK_BYTES // (8 * hidden)
+    for n in [64 + r for r in range(2, 33)] + [250, 1000, 2000]:  # last batch of 2..32 rows
         X = rng.normal(size=(n, 32))
         A = np.tanh(X @ embed)
         full_embed, full_act = X @ embed, np.tanh(A @ W + b)
-        for idx in np.array_split(rng.permutation(n), range(32, n, 32)):
+        subsets = np.array_split(rng.permutation(n), range(32, n, 32))
+        if n == 2000:
+            subsets = [np.arange(lo, hi) for lo, hi in _row_chunks(n, chunk)]
+        for idx in subsets:
             assert (X[idx] @ embed).tobytes() == full_embed[idx].tobytes()
             assert np.tanh(A[idx] @ W + b).tobytes() == full_act[idx].tobytes()
 
@@ -818,9 +830,9 @@ def test_a_group_out_of_pass_order_is_refused():
 
 
 def test_evaluate_loss_is_the_reference_cross_entropy():
-    # the loss comes from the cache's one softmax (``ForwardCache.losses``),
-    # with the bytes of the cross-entropy computed on its own, over a test-set
-    # sized batch and from a prefix too
+    # evaluate's loss and a cache's (``ForwardCache.losses``) are one
+    # function of the logits' softmax, with the bytes of the cross-entropy
+    # computed on its own, over a test-set sized batch and from a prefix too
     net = prefix_net(seed=6)
     rng = np.random.default_rng(83)
     for n in (1, 7, 2000):
@@ -841,6 +853,73 @@ def test_evaluate_loss_is_the_reference_cross_entropy():
                                for c, (_, y) in enumerate(data)]
     with pytest.raises(ValueError, match="labels do not match"):
         cache.losses(data[0][1])
+
+
+def whole_set_evaluate(net, X, y) -> tuple[float, float]:
+    """``evaluate`` as one forward of a client that trains nothing, over
+    all rows at once."""
+    y = np.asarray(y)[None]
+    logits, cache = net.forward([X], MapStack((AllocationMap.empty(net.num_blocks),)))
+    return float(cache.losses(y)[0]), float((logits.argmax(axis=-1) == y).mean())
+
+
+def test_row_chunks_cover_the_rows_with_no_one_row_chunk():
+    for rows in (2, 3, 256):
+        for n in range(1, 3 * rows + 3):
+            chunks = _row_chunks(n, rows)
+            assert [lo for lo, _ in chunks] == [0, *[hi for _, hi in chunks[:-1]]]
+            assert chunks[-1][1] == n
+            assert all(rows <= hi - lo <= rows + 1 for lo, hi in chunks[:-1])
+            # one row only where the whole set is one row
+            assert all(hi - lo >= 2 for lo, hi in chunks) or n == 1
+
+
+@pytest.mark.parametrize("hidden", [16, 128])
+def test_evaluate_in_row_chunks_gives_the_bytes_of_one_pass(hidden):
+    # the embedding and blocks run in chunks of ``rows`` rows; a set of k * rows rows ends
+    # on a full chunk, k * rows + 1 on a chunk of rows + 1 (never one row),
+    # and k * rows + 2 on a chunk of two
+    rows = ROW_CHUNK_BYTES // (8 * hidden)
+    net = ToyLoRANet(num_blocks=5, hidden_size=hidden, lora_rank=2, input_dim=32,
+                     num_classes=10, lora_alpha=None, seed=hidden)
+    rng = np.random.default_rng(hidden)
+    randomize_adapters(net, rng, blocks=range(2, 5))
+    k = 1 if rows > 1000 else 2
+    for n in (k * rows, k * rows + 1, k * rows + 2):
+        X = rng.normal(size=(n, 32))
+        y = rng.integers(0, 10, size=n)
+        want = whole_set_evaluate(net, X, y)
+        # ``prefix`` runs the same chunks
+        a = X @ net.embed
+        assert net.prefix(X, 0).data.tobytes() == a.tobytes()
+        for j in range(5):
+            a = np.tanh(a @ (net.W0[j] + net.scale * net.N[j] @ net.M[j]) + net.b[j])
+        assert net.prefix(X, 5).data.tobytes() == a.tobytes()
+        for inputs in (X, net.prefix(X, 0), net.prefix(X, 2), net.prefix(X, 5)):
+            loss, acc = net.evaluate(inputs, y)
+            assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
+            assert acc == want[1]
+    with pytest.raises(ValueError, match="labels for"):
+        net.evaluate(X, y[:-1])
+
+
+def test_a_never_written_block_weighs_w0_itself():
+    # M is zero until a write changes a block, so W0 + scale * N @ M is W0
+    # byte for byte, and the net uses W0 itself: no copy per block
+    net = prefix_net(seed=2, lowest=3)
+    for j in range(net.num_blocks):
+        formula = net.W0[j] + net.scale * (net.N[j] @ net.M[j])
+        w = net.effective_weight(j)
+        assert w.tobytes() == formula.tobytes()
+        assert (w is net.W0[j]) == (j < 3)
+    assert not net.effective_weight(0).flags.writeable
+    # a group's SGD step writes block 1 of its clone only
+    group = net.clone()
+    stack = MapStack((AllocationMap.from_indices(7, [1]),))
+    group._descend(Gradients(np.ones((1, 6, 2)), np.ones((1, 2, 6)), stack), 0.1)
+    assert group.effective_weight(1).shape == (1, 6, 6)
+    assert group.effective_weight(0) is net.W0[0] and group.effective_weight(2) is net.W0[2]
+    assert net.effective_weight(1) is net.W0[1]
 
 
 def test_group_training_keeps_its_clients_inputs_accepted():
