@@ -5,6 +5,13 @@ The network is an l-block chain: frozen input embedding, then l blocks of
 linear head into softmax cross-entropy. Only the adapter factors N (H x r)
 and M (r x H) ever train, and only where the allocation map allows.
 
+The bias b_j is frozen at zero: no code writes it, and the memory model
+(``simulator.toy_profile``) still bills it as a frozen parameter. The
+block passes skip adding it, which changes no byte: a product accumulates
+from +0.0, so it never gives -0.0, and adding +0.0 to anything else leaves
+it as it is. In the same way a scale of 1, which ``lora_alpha`` left at its
+default r gives, multiplies nothing.
+
 Backward is analytic and float64. Gradients still flow *through* frozen
 blocks so an early trainable block learns even when everything above it is
 frozen; what freezing removes is the need to keep that block's input around.
@@ -73,6 +80,7 @@ not row-invariant, runs over all rows at once.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -290,8 +298,9 @@ def _mean_cross_entropy(softmax: tuple[np.ndarray, ...], y: np.ndarray) -> np.nd
     """Mean cross-entropy over the rows of ``_softmax``'s logits, labels y
     of the logits' shape less the class axis."""
     shifted, _, sums = softmax
-    picked = np.take_along_axis(shifted, y[..., None], axis=-1)[..., 0]
-    return -(picked - np.log(sums[..., 0])).mean(axis=-1)
+    picked = shifted.reshape(-1, shifted.shape[-1])[np.arange(y.size), y.ravel()].reshape(y.shape)
+    # the sum over the rows divided by their count, as ``mean`` computes it
+    return -np.add.reduce(picked - np.log(sums[..., 0]), axis=-1) / y.shape[-1]
 
 
 def _row_chunks(n: int, rows: int) -> list[tuple[int, int]]:
@@ -319,13 +328,16 @@ class ToyLoRANet:
     ):
         if min(num_blocks, hidden_size, lora_rank, input_dim, num_classes) < 1:
             raise ValueError("all dimensions must be positive")
+        alpha = float(lora_rank if lora_alpha is None else lora_alpha)
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"lora_alpha must be finite and above 0, got {lora_alpha}")
         self.num_blocks = num_blocks
         self.hidden_size = hidden_size
         self.lora_rank = lora_rank
         self.input_dim = input_dim
         self.num_classes = num_classes
-        self.lora_alpha = float(lora_rank if lora_alpha is None else lora_alpha)
-        self.scale = self.lora_alpha / lora_rank
+        self.lora_alpha = alpha
+        self.scale = alpha / lora_rank
         #: write tick of each block's adapters, 0 while unchanged
         self._changed_at = (0,) * num_blocks
         #: the ticks of the shared factors, which a client not training a
@@ -346,7 +358,9 @@ class ToyLoRANet:
         h = hidden_size
         self.embed = rng.normal(0.0, 1.0 / np.sqrt(input_dim), (input_dim, h))
         self.W0 = [rng.normal(0.0, 1.0 / np.sqrt(h), (h, h)) for _ in range(num_blocks)]
-        self.b = [np.zeros(h) for _ in range(num_blocks)]
+        #: frozen at zero and never written: the memory model bills it, but
+        #: the block passes skip adding it (see the module docstring)
+        self.b = tuple(np.zeros(h) for _ in range(num_blocks))
         self.head = rng.normal(0.0, 1.0 / np.sqrt(h), (h, num_classes))
         self.N = tuple(rng.normal(0.0, 1.0 / np.sqrt(h), (h, lora_rank))
                        for _ in range(num_blocks))
@@ -466,7 +480,8 @@ class ToyLoRANet:
         if not self._changed_at[j]:
             return self.W0[j]
         w = self.N[j] @ self.M[j]
-        w *= self.scale
+        if self.scale != 1.0:
+            w *= self.scale
         w += self.W0[j]
         return w
 
@@ -512,7 +527,6 @@ class ToyLoRANet:
                 x = np.matmul(x, self.embed, out=out[lo:hi] if start == stop else None)
             for j in range(start, stop):
                 z = np.matmul(x, self._weight(j), out=out[lo:hi] if j == stop - 1 else None)
-                z += self.b[j]
                 x = np.tanh(z, out=z)
         return out
 
@@ -577,7 +591,6 @@ class ToyLoRANet:
                 block_inputs[j] = a
             w = self._weight(j)
             a = a @ (w if w.ndim == 2 else w[:live])
-            a += self.b[j]
             np.tanh(a, out=a)
             if j >= first:
                 acts[j] = a
@@ -633,8 +646,11 @@ class ToyLoRANet:
                 w = self._weight(j)
                 da = dz[:k] @ (w.T if w.ndim == 2 else w[:k].swapaxes(-1, -2))
         N, M = self._pair_factors(maps)
-        return Gradients(self.scale * (dW @ M.swapaxes(-1, -2)),
-                         self.scale * (N.swapaxes(-1, -2) @ dW), maps)
+        gn, gm = dW @ M.swapaxes(-1, -2), N.swapaxes(-1, -2) @ dW
+        if self.scale != 1.0:
+            gn *= self.scale
+            gm *= self.scale
+        return Gradients(gn, gm, maps)
 
     def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
         """(mean cross-entropy, accuracy) of a net with no client axis, with
@@ -694,8 +710,8 @@ def local_train(
         raise ValueError("the clients of a group need datasets of one size")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
-    if lr < 0:
-        raise ValueError("learning rate must be nonnegative")
+    if not 0.0 <= lr < math.inf:
+        raise ValueError(f"learning rate must be finite and nonnegative, got lr={lr}")
 
     maps = MapStack(tuple(allocation))
     group = net.clone()

@@ -294,6 +294,24 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     assert not any(k.endswith("_s") for k in payload)
 
 
+def test_a_quick_run_with_a_lora_scale_is_byte_deterministic(tmp_path):
+    # configs/quick.json leaves lora_alpha at r, a scale of 1 that the net
+    # skips; alpha 3 at r = 2 runs the scaled path in every round
+    d = json.loads(QUICK.read_text())
+    unit = ExperimentConfig.from_dict(d)
+    d["model"]["lora_alpha"] = 3.0
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.model.lora_alpha / cfg.model.lora_rank == 1.5
+    for name, config in (("a", cfg), ("b", cfg), ("unit", unit)):
+        run_experiment(config, tmp_path / name, quiet=True)
+    files = {name: [(tmp_path / name / f).read_bytes() for f in ("metrics.jsonl", "summary.json")]
+             for name in ("a", "b", "unit")}
+    assert files["a"] == files["b"]
+    # the scale reaches training: the rows after round 0 differ from scale 1's
+    rows, unit_rows = (files[name][0].splitlines() for name in ("a", "unit"))
+    assert rows[0] == unit_rows[0] and rows[1:] != unit_rows[1:]
+
+
 def test_non_finite_metrics_are_never_written(tmp_path, monkeypatch):
     # JSON has no NaN; writing one must fail instead of emitting a bare NaN
     monkeypatch.setattr(ToyLoRANet, "evaluate", lambda self, X, y: (float("nan"), 0.5))

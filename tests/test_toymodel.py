@@ -330,6 +330,116 @@ def test_local_ig_scores_match_reference():
         assert score_one(net, amap, batches, loss_scale=2.5) == expected
 
 
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_a_lora_scale_other_than_one_matches_the_references(alpha):
+    # every config leaves lora_alpha at r, a scale of 1 that the net skips;
+    # at r = 2 these give 1.5 and 2.0, so the scaled path runs: the effective
+    # weights, the forward, the gradients, the SGD steps and the scores must
+    # be the bytes of the references, which scale every weight and gradient
+    rng = np.random.default_rng(int(alpha))
+    net = small_net(seed=int(alpha), num_blocks=7, lora_alpha=alpha)
+    assert net.scale == alpha / 2
+    randomize_adapters(net, rng, blocks=range(2, 7))
+    for j in range(7):
+        formula = net.W0[j] + net.scale * (net.N[j] @ net.M[j])
+        assert net.effective_weight(j).tobytes() == formula.tobytes()
+    X = rng.normal(size=(9, net.input_dim))
+    y = rng.integers(0, net.num_classes, size=9)
+    batches = [(X[:5], y[:5]), (X[5:], y[5:])]
+    for indices in EQUIVALENCE_MAPS.values():
+        amap = AllocationMap.from_indices(7, indices)
+        ref_logits, ref_cache = rebuilding_forward(net, X, amap)
+        logits, cache = forward_one(net, X, amap)
+        assert logits.tobytes() == ref_logits.tobytes()
+        grads = backward_one(net, cache, y)
+        ref_grads = rebuilding_backward(net, ref_cache, y)
+        assert list(grads) == list(ref_grads)
+        for j, (gn, gm) in ref_grads.items():
+            assert grads[j][0].tobytes() == gn.tobytes()
+            assert grads[j][1].tobytes() == gm.tobytes()
+        kw = dict(epochs=2, batch_size=4, lr=0.3)
+        assert same_bytes(train_one(net, X, y, amap, rng=np.random.default_rng(1), **kw),
+                          rebuilding_local_train(net.clone(), X, y, amap,
+                                                 rng=np.random.default_rng(1), **kw))
+        expected = {j: 0.0 for j in indices}
+        for Xb, yb in batches:
+            _, ref_cache = rebuilding_forward(net, Xb, amap)
+            for j, (gn, gm) in rebuilding_backward(net, ref_cache, yb).items():
+                expected[j] += float((gn * gn).sum() + (gm * gm).sum())
+        assert score_one(net, amap, batches) == expected
+
+
+def test_non_finite_lr_and_bad_lora_alpha_are_refused():
+    net = small_net()
+    X = np.ones((4, net.input_dim))
+    y = np.zeros(4, dtype=int)
+    full = AllocationMap.full(net.num_blocks)
+    for lr in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got lr={lr}"):
+            train_one(net, X, y, full, epochs=1, batch_size=4, lr=lr)
+    # the config refuses these too; a net built without one must as well
+    for alpha in (float("nan"), float("inf"), 0.0, -2.0):
+        with pytest.raises(ValueError, match=f"lora_alpha must be finite and above 0, got {alpha}"):
+            small_net(lora_alpha=alpha)
+    assert small_net(lora_alpha=None).scale == 1.0
+    assert small_net(lora_alpha=0.5).scale == 0.25
+
+
+def test_the_bias_is_frozen_at_zero_on_every_net():
+    # the block passes skip adding b, which is only sound while every b is
+    # +0.0 everywhere and no one can write it
+    net = small_net(num_blocks=5)
+    nets = [net]
+    randomize_adapters(net, np.random.default_rng(3), blocks=[1, 4])
+    nets.append(net.clone())
+    group = net.clone()
+    stack = MapStack((AllocationMap.from_indices(5, [1]), AllocationMap.from_indices(5, [2, 4])))
+    p = len(stack.pair_block)
+    group._descend(Gradients(np.ones((p, 6, 2)), np.ones((p, 2, 6)), stack), 0.1)
+    assert group.clients == 2
+    nets.append(group)
+    zero = np.zeros(net.hidden_size).tobytes()
+    for n in nets:
+        assert isinstance(n.b, tuple) and len(n.b) == n.num_blocks
+        for b in n.b:
+            assert b.shape == (n.hidden_size,) and b.dtype == np.float64
+            assert b.tobytes() == zero and not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0] = 1.0
+        with pytest.raises(TypeError):
+            n.b[0] = np.ones(n.hidden_size)
+
+
+def test_block_passes_give_the_bytes_of_adding_the_bias():
+    # a product accumulates from +0.0, so an all-zero row's pre-activations
+    # are +0.0, never -0.0, and adding b (+0.0) changed no byte of them or
+    # of any other row: forward, prefix and evaluate match the ``+ b[j]``
+    # references, from the features and from a prefix
+    net = prefix_net(seed=4, lowest=2)
+    rng = np.random.default_rng(59)
+    X = rng.normal(size=(8, net.input_dim))
+    X[[0, 5]] = 0.0
+    y = rng.integers(0, net.num_classes, size=8)
+    a = X @ net.embed
+    for j in range(net.num_blocks):
+        z = a @ net.effective_weight(j)
+        assert not np.signbit(z[[0, 5]]).any() and not z[[0, 5]].any()
+        a = np.tanh(z + net.b[j])
+        assert net.prefix(X, j + 1).data.tobytes() == a.tobytes()
+    for indices in EQUIVALENCE_MAPS.values():
+        amap = AllocationMap.from_indices(7, indices)
+        ref_logits, _ = rebuilding_forward(net, X, amap)
+        assert forward_one(net, X, amap)[0].tobytes() == ref_logits.tobytes()
+        start = min(net.frozen_below, amap.earliest if indices else 7)
+        assert forward_one(net, net.prefix(X, start), amap)[0].tobytes() == ref_logits.tobytes()
+    ref_logits, _ = rebuilding_forward(net, X, AllocationMap.empty(7))
+    want = reference_cross_entropy(ref_logits, y)
+    for inputs in (X, net.prefix(X, 2)):
+        loss, acc = net.evaluate(inputs, y)
+        assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+        assert acc == float((ref_logits.argmax(axis=1) == y).mean())
+
+
 def test_forward_with_weights_is_bitwise_equal():
     rng = np.random.default_rng(41)
     net = small_net(seed=6, num_blocks=7)
