@@ -36,7 +36,7 @@ for budget in budgets_gb:
     capacity = budget * GB
     inst = KnapsackInstance(profile=profile, capacity_bytes=capacity,
                             batch=batch, values=tuple(values))
-    res = optimize_allocation(inst)
+    [res] = optimize_allocation([inst])
     used = res.memory.total_bytes
     print(f"budget {budget:2d} GB -> map {res.map.to_bitstring()}  "
           f"value {res.total_value:5.2f}  used {used / 1e9:6.2f} GB "
@@ -51,10 +51,10 @@ print()
 print("budget   greedy value   last-u value   first-u value")
 for budget in budgets_gb:
     capacity = budget * GB
-    greedy = optimize_allocation(
+    [greedy] = optimize_allocation([
         KnapsackInstance(profile=profile, capacity_bytes=capacity,
                          batch=batch, values=tuple(values))
-    ).total_value
+    ])
 
     def best_naive(kind):
         best = 0.0
@@ -65,14 +65,14 @@ for budget in budgets_gb:
                 best = max(best, v)
         return best
 
-    print(f"{budget:4d} GB   {greedy:10.2f}   {best_naive('ms'):11.2f}   {best_naive('mh'):12.2f}")
+    print(f"{budget:4d} GB   {greedy.total_value:10.2f}   {best_naive('ms'):11.2f}   {best_naive('mh'):12.2f}")
 print()
 
 # Uniform values degrade gracefully: selection then ranks by weight alone
 # and packs deep blocks first, which never extend the static range.
-flat = optimize_allocation(
+[flat] = optimize_allocation([
     KnapsackInstance(profile=profile, capacity_bytes=24 * GB, batch=batch,
                      values=(1.0,) * l)
-)
+])
 print("uniform values, 24 GB:", flat.map.to_bitstring(),
       "picked", [s.block for s in flat.selection_trace])

@@ -5,26 +5,35 @@ memory capacity. Item weights are not constants: the byte cost of adding a
 module depends on what is already selected (the first pick pays the fixed
 parameter and context bill, and selecting a shallow module extends the static
 activation range). It depends on the map only through its earliest trainable
-block, so one (l+1, l) int64 table (``memory.marginal_weights``), built once
-per solve and read by both greedy passes, prices every block for every
-earliest block; each step prices the candidates with the row of the current
-map's earliest block (row l while the map is empty). A bool mask marks the
-candidates, so each step's min and max are masked reductions over that row.
-Each step min-max normalizes the raw weights across the candidates and picks
-the feasible one with the best value-to-normalized-weight ratio, ties going
-to the deeper block; the pick's raw weight is then checked against the
-``marginal_weight`` oracle.
+block, so one (l+1, l) int64 table (``memory.marginal_weights``) prices every
+block for every earliest block (row l while the map is empty).
+
+``optimize_allocation`` solves the instances of several clients that share
+one profile and batch in one call: it builds the table once and runs one
+greedy over a (clients, blocks) array, one row per instance. Each step
+prices every row's candidates with the table row of its map's earliest
+block; a bool mask marks the candidates, so the step's min and max are
+masked reductions along the rows. A row stops for good once its cheapest
+candidate exceeds its residual budget. Each step min-max normalizes each
+row's raw weights across its candidates and picks the feasible one with the
+best value-to-normalized-weight ratio, ties going to the deeper block; each
+pick's raw weight is then checked against the ``marginal_weight`` oracle.
+The guard pass reruns only the rows where the best single feasible module
+is worth more than the greedy's map, with that module as their first pick.
+The picks are kept as plain columns; a ``SelectionTrace`` builds its
+``SelectionStep``s only when they are read.
 
 Raw bytes decide feasibility; normalized weights only shape the ratio. Every
 cost stays below 2**53 (``KnapsackInstance`` checks the all-trainable map,
-the dearest), so a cost's distance from the cheapest converts to a float
-exactly and numpy's normalization gives the floats a per-candidate Python
-loop would.
+the dearest), so costs, their differences and the live residual budgets
+are exact float64 values, and numpy's normalization gives the floats a
+per-candidate Python loop would.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -89,12 +98,41 @@ class SelectionStep:
     ratio: float
 
 
+@dataclass(frozen=True, eq=False)
+class SelectionTrace(Sequence):
+    """A solve's picks in order, held as plain columns; item k is built as
+    the ``SelectionStep`` of step k only when it is read. Equal to any
+    sequence of the same steps."""
+
+    blocks: tuple[int, ...]
+    raw_weight_bytes: tuple[int, ...]
+    normalized_weights: tuple[float, ...]
+    ratios: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        k = range(len(self))[k]
+        return SelectionStep(step=k, block=self.blocks[k],
+                             raw_weight_bytes=self.raw_weight_bytes[k],
+                             normalized_weight=self.normalized_weights[k], ratio=self.ratios[k])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class AllocationResult:
     map: AllocationMap
     total_value: float
     memory: MemoryBreakdown
-    selection_trace: tuple[SelectionStep, ...]
+    selection_trace: Sequence[SelectionStep]
 
     def as_dict(self) -> dict:
         return {
@@ -105,86 +143,140 @@ class AllocationResult:
         }
 
 
-def _greedy(instance: KnapsackInstance, values: np.ndarray, table: np.ndarray,
-            forced_first: int | None = None):
-    profile = instance.profile
-    batch = instance.batch
-    l = profile.num_blocks
-    amap = AllocationMap.empty(l)
-    residual = instance.capacity_bytes
-    trace: list[SelectionStep] = []
-    candidate = np.ones(l, dtype=bool)
+def _normalized(cost: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Min-max scale of raw weights ``cost`` into [RATIO_EPS, 1] over
+    candidates whose cheapest costs ``lo`` and dearest ``lo + span``; equal
+    weights (``span`` 0) all map to 1, so selection degrades to ranking by
+    value. Shapes broadcast."""
+    flat = span == 0
+    norm = (cost - lo) * (1.0 - RATIO_EPS)
+    norm /= np.maximum(span, 1)
+    norm += RATIO_EPS
+    if flat.any():
+        norm[np.broadcast_to(flat, norm.shape)] = 1.0
+    return norm
+
+
+def _greedy(profile: ModelProfile, batch: int, values: np.ndarray, capacity: np.ndarray,
+            table: np.ndarray, forced_first: np.ndarray | None = None):
+    """One greedy pass over C instances at once: ``values`` (C, l) and
+    float64 ``capacity`` (C,), at most EXACT_COST_LIMIT. Every step runs on
+    all C rows; a row stops for good once its cheapest candidate exceeds
+    its residual budget, and what later steps compute on it is never read.
+    Returns each row's map and its picks as (C, l) arrays of blocks, raw
+    costs, normalized weights and ratios, of which row i's first
+    ``maps[i].count`` entries are its own.
+
+    The steps price in float64: every cost, every difference of two and
+    every live residual is an integer below 2**53, so the floats are exact
+    and give the comparisons and normalized weights of the int64 table."""
+    c, l = values.shape
+    maps = [AllocationMap.empty(l)] * c
+    prices = table.astype(np.float64)
+    residual = capacity.copy()
+    earliest = np.full(c, l)
+    candidate = np.ones((c, l), dtype=bool)
+    live = np.ones(c, dtype=bool)
+    at = np.arange(c)
+    # per step: each row's pick and its raw cost, and the cheapest
+    # candidate and the range the step's normalization used
+    picks, costs = np.zeros((l, c), dtype=np.int64), np.zeros((l, c), dtype=np.int64)
+    los, spans = np.zeros((l, c)), np.zeros((l, c))
     for step in range(l):
-        price = table[l if amap.earliest is None else amap.earliest]
-        lo = int(price.min(where=candidate, initial=EXACT_COST_LIMIT))
-        if lo > residual:
+        price = prices[earliest]
+        lo = price.min(axis=1, where=candidate, initial=EXACT_COST_LIMIT)
+        live &= lo <= residual
+        alive = live.tolist()
+        if not any(alive):
             break
-        # min-max scale into [RATIO_EPS, 1]; equal weights all map to 1 so
-        # selection degrades to ranking by value
-        hi = int(price.max(where=candidate, initial=0))
-        if hi == lo:
-            norm = np.ones(len(price))
-        else:
-            norm = RATIO_EPS + (1.0 - RATIO_EPS) * (price - lo) / (hi - lo)
-        ratio = values / norm
+        span = price.max(axis=1, where=candidate, initial=0) - lo
+        ratio = values / _normalized(price, lo[:, None], span[:, None])
         if step == 0 and forced_first is not None:
             pick = forced_first
         else:
             # max ratio among the feasible; ties go to the deeper block, which
             # never extends the static range and so preserves future budget
-            feasible = np.where(candidate & (price <= residual), ratio, -np.inf)
-            pick = len(feasible) - 1 - int(feasible[::-1].argmax())
-        cost = int(price[pick])
-        oracle = marginal_weight(profile, amap, pick, batch)
-        if oracle != cost:
-            raise CostVectorMismatch(
-                f"block {pick}: cost table gives {cost} B, marginal_weight gives {oracle} B"
-            )
-        trace.append(
-            SelectionStep(
-                step=step,
-                block=pick,
-                raw_weight_bytes=cost,
-                normalized_weight=float(norm[pick]),
-                ratio=float(ratio[pick]),
-            )
-        )
+            feasible = np.where(candidate & (price <= residual[:, None]), ratio, -np.inf)
+            pick = (l - 1) - feasible[:, ::-1].argmax(axis=1)
+        cost = table[earliest, pick]
+        for i, (ok, j, w) in enumerate(zip(alive, pick.tolist(), cost.tolist())):
+            if ok:
+                oracle = marginal_weight(profile, maps[i], j, batch)
+                if oracle != w:
+                    raise CostVectorMismatch(
+                        f"block {j}: cost table gives {w} B, marginal_weight gives {oracle} B"
+                    )
+                maps[i] = maps[i].with_block(j)
+        picks[step], costs[step], los[step], spans[step] = pick, cost, lo, span
         residual -= cost
-        amap = amap.with_block(pick)
-        candidate[pick] = False
-    return amap, tuple(trace)
+        np.minimum(earliest, pick, out=earliest)
+        candidate[at, pick] = False
+    norms = _normalized(costs, los, spans)
+    return maps, (picks.T, costs.T, norms.T, (values[at, picks] / norms).T)
 
 
-def optimize_allocation(instance: KnapsackInstance) -> AllocationResult:
-    """Greedy solve of one client's selection knapsack.
+def optimize_allocation(instances: Sequence[KnapsackInstance]) -> list[AllocationResult]:
+    """Greedy solves of the selection knapsacks of several clients, one
+    result per instance, in order.
 
-    Raises InfeasibleClientError when even an empty map (frozen parameters
-    plus runtime context) exceeds capacity. Otherwise the result is feasible
-    and maximal: no unselected module's marginal weight fits the leftover
-    budget. A guard pass keeps the value no worse than the best single
-    feasible module, which pure ratio greed can miss when a cheap low-value
-    item's near-zero normalized weight dominates the ratio.
+    The instances must share one profile and one batch size: one cost table
+    prices them all, and one greedy pass runs them as the rows of one
+    (clients, blocks) array, each row with the arithmetic of a solve of its
+    own. Raises InfeasibleClientError when even an empty map (frozen
+    parameters plus runtime context) exceeds an instance's capacity.
+    Otherwise each result is feasible and maximal: no unselected module's
+    marginal weight fits the leftover budget. A guard pass keeps the value
+    no worse than the best single feasible module, which pure ratio greed
+    can miss when a cheap low-value item's near-zero normalized weight
+    dominates the ratio; it reruns only the rows where it fires.
     """
-    profile = instance.profile
-    base = total_memory(profile, AllocationMap.empty(profile.num_blocks), instance.batch)
-    if base.total_bytes > instance.capacity_bytes:
-        raise InfeasibleClientError(
-            f"fixed footprint {base.total_bytes} B exceeds capacity {instance.capacity_bytes} B"
-        )
+    instances = list(instances)
+    if not instances:
+        return []
+    profile, batch = instances[0].profile, instances[0].batch
+    for i, inst in enumerate(instances):
+        for name, shared in (("profile", profile), ("batch", batch)):
+            if getattr(inst, name) != shared:
+                raise ValueError(f"the instances of one solve must share one {name}; "
+                                 f"instance {i} has another {name} than instance 0")
+    l = profile.num_blocks
+    base = total_memory(profile, AllocationMap.empty(l), batch).total_bytes
+    for inst in instances:
+        if base > inst.capacity_bytes:
+            raise InfeasibleClientError(
+                f"fixed footprint {base} B exceeds capacity {inst.capacity_bytes} B"
+            )
 
-    values = np.array(instance.values)
-    table = marginal_weights(profile, instance.batch)
-    singles = table[profile.num_blocks]
-    amap, trace = _greedy(instance, values, table)
-    total_value = sum(instance.values[j] for j in amap.trainable_indices)
+    values = np.array([inst.values for inst in instances])
+    # a map and any block added to it cost less than EXACT_COST_LIMIT, so a
+    # larger capacity, which need not fit int64 or a float exactly, fits
+    # every pick as it does
+    capacity = np.array([min(inst.capacity_bytes, EXACT_COST_LIMIT) for inst in instances],
+                        dtype=np.float64)
+    table = marginal_weights(profile, batch)
+    maps, trace = _greedy(profile, batch, values, capacity, table)
+    totals = [sum(inst.values[j] for j in amap.trainable_indices)
+              for inst, amap in zip(instances, maps)]
 
     # the best single feasible module (values are >= 0, so -1 marks one
     # that does not fit); ties go to the deeper block
-    fitting = np.where(singles <= instance.capacity_bytes, values, -1.0)
-    best_j = len(fitting) - 1 - int(fitting[::-1].argmax())
-    if fitting[best_j] > total_value:
-        amap, trace = _greedy(instance, values, table, forced_first=best_j)
-        total_value = sum(instance.values[j] for j in amap.trainable_indices)
+    fitting = np.where(table[l] <= capacity[:, None], values, -1.0)
+    best = l - 1 - fitting[:, ::-1].argmax(axis=1)
+    guard = np.flatnonzero(fitting[np.arange(len(instances)), best] > np.array(totals))
+    if len(guard):
+        rerun, retrace = _greedy(profile, batch, values[guard], capacity[guard], table,
+                                 forced_first=best[guard])
+        for k, i in enumerate(guard.tolist()):
+            maps[i] = rerun[k]
+            totals[i] = sum(instances[i].values[j] for j in maps[i].trainable_indices)
+        for col, recol in zip(trace, retrace):
+            col[guard] = recol
 
-    memory = total_memory(profile, amap, instance.batch)
-    return AllocationResult(map=amap, total_value=total_value, memory=memory, selection_trace=trace)
+    columns = [col.tolist() for col in trace]
+    return [
+        AllocationResult(
+            map=amap, total_value=total, memory=total_memory(profile, amap, batch),
+            selection_trace=SelectionTrace(*(tuple(col[i][:amap.count]) for col in columns)),
+        )
+        for i, (amap, total) in enumerate(zip(maps, totals))
+    ]

@@ -83,7 +83,7 @@ def cmd_allocate(args) -> int:
     profile = load_profile(args.profile)
     values = _parse_values(args.values)
     instance = KnapsackInstance(profile, args.capacity, args.batch, tuple(values))
-    result = optimize_allocation(instance)
+    [result] = optimize_allocation([instance])
     print(json.dumps(result.as_dict(), indent=2))
     return 0
 

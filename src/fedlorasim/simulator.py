@@ -31,7 +31,7 @@ from fedlorasim.aggregation import (
     fed_avg,
     zero_delta_like,
 )
-from fedlorasim.allocator import InfeasibleClientError, KnapsackInstance, optimize_allocation
+from fedlorasim.allocator import KnapsackInstance, optimize_allocation
 from fedlorasim.config import ExperimentConfig
 from fedlorasim.data import (
     LabeledData,
@@ -394,8 +394,13 @@ def init_state(config: ExperimentConfig, net: ToyLoRANet) -> GlobalState:
 
 
 def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelProfile,
-                       config: ExperimentConfig, t: int):
-    """Allocation map for one sampled client, or None to sit the round out."""
+                       config: ExperimentConfig, t: int,
+                       base: int) -> AllocationMap | KnapsackInstance | None:
+    """Allocation map for one sampled client, None to sit the round out, or
+    the knapsack instance of a fedpilot client that solves it this round,
+    which ``run_round`` solves with the round's others in one call. A client
+    whose capacity is below ``base``, the bytes of the empty map, cannot
+    hold the base model and is excluded before the solve."""
     b = config.clients.batch_size
     if config.strategy == "fedpilot":
         reuse = (
@@ -405,18 +410,16 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
         )
         if reuse:
             return state.last_allocations[client.id]
+        if base > client.capacity_bytes:
+            print(f"round {t}: client {client.id} cannot hold the base model; excluded",
+                  file=sys.stderr)
+            return None
         values = value_function(
             state.score_history,
             state.last_records.get(client.id),
             state.last_allocations.get(client.id),
         )
-        inst = KnapsackInstance(profile, client.capacity_bytes, b, tuple(values))
-        try:
-            return optimize_allocation(inst).map
-        except InfeasibleClientError:
-            print(f"round {t}: client {client.id} cannot hold the base model; excluded",
-                  file=sys.stderr)
-            return None
+        return KnapsackInstance(profile, client.capacity_bytes, b, tuple(values))
     rng = derive_rng(config.seed, _FEDRA, t, client.id) if config.strategy == "fedra_random" else None
     return baseline_allocation(config.strategy, client.capacity_bytes, profile, b, rng)
 
@@ -504,11 +507,17 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
 
     infos: list[ClientRoundInfo] = []
     updates: list[tuple[ClientSpec, AllocationMap]] = []
-    for cid in sampled:
+    t0 = time.perf_counter()
+    # the empty map's bytes: profile and batch are every client's
+    base = total_memory(profile, AllocationMap.empty(profile.num_blocks), b).total_bytes
+    maps = [_choose_allocation(state, clients[cid], profile, config, t, base) for cid in sampled]
+    solve = [k for k, m in enumerate(maps) if isinstance(m, KnapsackInstance)]
+    if solve:  # one knapsack pass for the round's solving clients, none without them
+        for k, result in zip(solve, optimize_allocation([maps[k] for k in solve])):
+            maps[k] = result.map
+    phase["allocate"] = time.perf_counter() - t0
+    for cid, amap in zip(sampled, maps):
         client = clients[cid]
-        t0 = time.perf_counter()
-        amap = _choose_allocation(state, client, profile, config, t)
-        phase["allocate"] += time.perf_counter() - t0
         if amap is None or amap.count == 0:
             infos.append(ClientRoundInfo(cid, client.level, False, None, None, 0.0))
             continue

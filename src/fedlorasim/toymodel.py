@@ -21,16 +21,22 @@ analog), block inputs only for trainable blocks (the dynamic analog).
 Backward reads tanh' from those outputs and chains through the effective
 weights forward used, so it computes neither again.
 
-The net holds its adapters as read-only per-block arrays in tuples; outside
-it they are one ``Adapters``, which ``get_lora_state`` copies out and
+The net holds its adapters as read-only per-block arrays in tuples, and
+``W0`` as a tuple of read-only views of one (L, H, H) array; outside it the
+adapters are one ``Adapters``, which ``get_lora_state`` copies out and
 ``set_lora_state``, their only writer from outside, takes. An effective
 weight ``W0 + scale * N @ M`` changes only when its block's adapters do, so
 the net keeps one per block: a write that leaves a block's factors
 byte-equal keeps that block's arrays and built weight, a write that changes
-them drops the built weight, and the next ``forward`` builds it again. A
-block no write has touched uses ``W0`` itself, which the sum equals byte
-for byte while M is zero. A clone shares every array and built weight with
-its source until its own writes replace them.
+them drops the built weight. The first weight read after a write that finds
+a weight missing builds every block that write changed (the blocks
+``set_lora_state`` changed, or a group's trained blocks after an SGD step)
+in one stacked ``N @ M`` product, whose every matrix has the bytes of its
+block's own, then adds ``W0``; ``effective_weight(j)`` hands out block j's
+slice. A write no forward follows builds nothing. A block no write has
+touched uses ``W0`` itself, which the sum equals byte for byte while M is
+zero. A clone shares every array and built weight with its source until
+its own writes replace them.
 
 M starts at zero so the adapters contribute nothing until trained and the
 initial network is exactly the frozen base. Each write that changes a block
@@ -213,6 +219,18 @@ class MapStack:
         return self.maps[0].num_blocks
 
 
+class _WeightBuild:
+    """The effective weights of the blocks one write changed (``blocks``,
+    ascending, block ``blocks[k]`` at row k), from their stacked factors
+    ``N``/``M``; ``weights`` holds them once built, shared by the net and
+    its clones until their own writes replace it."""
+
+    def __init__(self, blocks: list[int], N: np.ndarray, M: np.ndarray):
+        self.blocks, self.N, self.M = blocks, N, M
+        self.rows = {j: k for k, j in enumerate(blocks)}
+        self.weights: np.ndarray | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class Gradients:
     """Adapter gradients of a group's (block, client) pairs, ``N`` (P, H, r)
@@ -351,13 +369,19 @@ class ToyLoRANet:
         #: factors of the T blocks ``maps`` trains, which the per-block
         #: arrays of those blocks view; None once ``set_lora_state`` writes
         self._stack: tuple[MapStack, np.ndarray, np.ndarray] | None = None
+        #: the effective weights of the blocks the last write changed,
+        #: built together on the first read of one of them
+        self._fresh: _WeightBuild | None = None
         #: identity of the frozen weights, shared with every clone
         self._base = object()
 
         rng = np.random.default_rng(seed)
         h = hidden_size
         self.embed = rng.normal(0.0, 1.0 / np.sqrt(input_dim), (input_dim, h))
-        self.W0 = [rng.normal(0.0, 1.0 / np.sqrt(h), (h, h)) for _ in range(num_blocks)]
+        #: every block's frozen weight, one (L, H, H) array that ``W0`` views
+        self._W0 = rng.normal(0.0, 1.0 / np.sqrt(h), (num_blocks, h, h))
+        self._W0.setflags(write=False)
+        self.W0 = tuple(self._W0)
         #: frozen at zero and never written: the memory model bills it, but
         #: the block passes skip adding it (see the module docstring)
         self.b = tuple(np.zeros(h) for _ in range(num_blocks))
@@ -365,7 +389,7 @@ class ToyLoRANet:
         self.N = tuple(rng.normal(0.0, 1.0 / np.sqrt(h), (h, lora_rank))
                        for _ in range(num_blocks))
         self.M = tuple(np.zeros((lora_rank, h)) for _ in range(num_blocks))
-        for arr in (self.embed, self.head, *self.W0, *self.b, *self.N, *self.M):
+        for arr in (self.embed, self.head, *self.b, *self.N, *self.M):
             arr.setflags(write=False)
         #: effective weight of each block, None until forward builds it
         self._weights: list[np.ndarray | None] = [None] * num_blocks
@@ -385,27 +409,28 @@ class ToyLoRANet:
         if state.N.shape != want:
             raise ValueError(f"adapter shapes {list(state.N.shape)}/{list(state.M.shape)} "
                              f"do not fit (L, H, r) = {want}")
-        N, M, changed = list(self.N), list(self.M), []
-        for j, (n, m) in enumerate(zip(state.N, state.M)):
-            if n.tobytes() != N[j].tobytes() or m.tobytes() != M[j].tobytes():
-                N[j], M[j] = n.copy(), m.copy()
-                N[j].setflags(write=False)
-                M[j].setflags(write=False)
-                changed.append(j)
+        changed = [j for j, (n, m) in enumerate(zip(state.N, state.M))
+                   if n.tobytes() != self.N[j].tobytes() or m.tobytes() != self.M[j].tobytes()]
         if changed:
+            n, m = state.N[changed], state.M[changed]
+            n.setflags(write=False)
+            m.setflags(write=False)
             self._stack = None
-            self._store(N, M, changed, shared=True)
+            self._store(n, m, changed, shared=True)
 
-    def _store(self, N: list, M: list, changed: list[int], shared: bool) -> None:
-        """Hold the per-block factors N and M, new read-only arrays in the
-        blocks ``changed``: drop their built weights and give them one new
-        tick, which ``shared`` factors give every client."""
-        ticks = list(self._changed_at)
+    def _store(self, n: np.ndarray, m: np.ndarray, changed: list[int], shared: bool) -> None:
+        """Hold the read-only factors n (T, ..., H, r) and m (T, ..., r, H)
+        of the T blocks ``changed``, ascending: their per-block arrays view
+        them, their built weights are dropped, to be built together on the
+        next read, and they take one new tick, which ``shared`` factors give
+        every client."""
+        N, M, ticks = list(self.N), list(self.M), list(self._changed_at)
         tick = next(_write_clock)
-        for j in changed:
-            ticks[j] = tick
+        for row, j in enumerate(changed):
+            N[j], M[j], ticks[j] = n[row], m[row], tick
             self._weights[j] = None
         self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
+        self._fresh = _WeightBuild(changed, n, m)
         if shared:
             changed = set(changed)
             self._shared_at = tuple(tick if j in changed else t for j, t in enumerate(self._shared_at))
@@ -445,12 +470,8 @@ class ToyLoRANet:
         m[at] -= lr * grads.M
         n.setflags(write=False)
         m.setflags(write=False)
-        N, M = list(self.N), list(self.M)
-        trained = maps.trained.tolist()
-        for row, j in enumerate(trained):
-            N[j], M[j] = n[row], m[row]
         self.clients, self._stack = len(maps), (maps, n, m)
-        self._store(N, M, trained, shared=False)
+        self._store(n, m, maps.trained.tolist(), shared=False)
 
     @property
     def frozen_below(self) -> int:
@@ -474,15 +495,32 @@ class ToyLoRANet:
         return other
 
     def effective_weight(self, j: int) -> np.ndarray:
-        """``W0 + scale * N @ M`` of block j; ``W0[j]`` itself while no write
-        has touched the block, whose M is then still zero, so that the sum
-        is W0 byte for byte."""
+        """``W0 + scale * N @ M`` of block j, read-only; ``W0[j]`` itself
+        while no write has touched the block, whose M is then still zero, so
+        that the sum is W0 byte for byte. A block the last write changed
+        gets its slice of the weights of every block that write changed,
+        built on the first read of one of them."""
         if not self._changed_at[j]:
             return self.W0[j]
-        w = self.N[j] @ self.M[j]
+        fresh = self._fresh
+        if j in fresh.rows:
+            if fresh.weights is None:
+                fresh.weights = self._weights_of(fresh.blocks, fresh.N, fresh.M)
+            return fresh.weights[fresh.rows[j]]
+        return self._weights_of([j], self.N[j][None], self.M[j][None])[0]
+
+    def _weights_of(self, blocks: list[int], n: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """``W0 + scale * N @ M`` of ``blocks``, ascending, from their
+        stacked factors n (T, ..., H, r) and m (T, ..., r, H): one stacked
+        product, each of whose matrices has the bytes of its block's own,
+        then W0 added in place (a view while the blocks are consecutive)."""
+        w = n @ m
         if self.scale != 1.0:
             w *= self.scale
-        w += self.W0[j]
+        lo, hi = blocks[0], blocks[-1] + 1
+        w0 = self._W0[lo:hi] if hi - lo == len(blocks) else self._W0[blocks]
+        w += w0 if w.ndim == 3 else w0[:, None]
+        w.setflags(write=False)
         return w
 
     def _weight(self, j: int) -> np.ndarray:

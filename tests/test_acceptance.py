@@ -172,10 +172,10 @@ def test_04_knapsack_feasible_maximal_near_optimal():
         base = total_memory(profile, AllocationMap.empty(l), batch).total_bytes
         full_cost = total_memory(profile, AllocationMap.full(l), batch).total_bytes
         capacity = int(rng.integers(base, int(full_cost * 1.05) + 1))
-        result = optimize_allocation(
+        result = optimize_allocation([
             KnapsackInstance(profile=profile, capacity_bytes=capacity, batch=batch,
                              values=tuple(values))
-        )
+        ])[0]
         assert result.memory.total_bytes <= capacity
         for j in range(l):
             if not result.map.bits[j]:

@@ -94,21 +94,25 @@ def test_tracer_records_one_merge_per_round_and_restores(aggregation, tmp_path):
 
 
 def test_allocator_asks_the_oracle_once_per_pick(tmp_path):
-    # the cost table prices every candidate; the oracle is asked once per
-    # pick, so a solve makes between 1 and 2L marginal_weight calls (two
-    # greedy passes when the guard fires). Pricing each candidate through
-    # the oracle makes at least 3L-1 calls in a solve that picks anything,
-    # and dropping the per-pick check makes none, which the benchmark's
-    # exact counters need to be positive.
+    # a round solves all its clients' knapsacks in one call, and one cost
+    # table prices every candidate; the oracle is asked once per pick, so a
+    # round's solve makes between its clients' kept picks and 2L
+    # marginal_weight calls per client (two greedy passes when the guard
+    # fires). Pricing each candidate through the oracle makes at least 3L-1
+    # calls per client that picks anything, and dropping the per-pick check
+    # makes none, which the benchmark's exact counters need to be positive.
     blocks = 6
     tracer = traced_run(fedpilot_config(blocks=blocks), tmp_path)
+    rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
 
     a = tracer.arrays()
     solves = a["sid"][a["nid"] == tracer.names.index("allocator.solve")]
     oracle_parents = a["parent"][a["nid"] == tracer.names.index("memory.marginal_weight")]
-    assert len(solves) == ROUNDS * 4
+    assert len(solves) == ROUNDS
     per_solve = [int((oracle_parents == sid).sum()) for sid in solves]
-    assert all(1 <= n <= 2 * blocks for n in per_solve), per_solve
+    for n, row in zip(per_solve, rows[1:], strict=True):  # rows[0] is round 0
+        kept = sum(c["allocation"].count("1") for c in row["clients"] if c["allocation"])
+        assert 1 <= kept <= n <= 2 * blocks * len(row["clients"]), (per_solve, row["clients"])
     assert len(oracle_parents) == sum(per_solve)
 
 

@@ -1,4 +1,6 @@
-"""Property tests: the array allocator against its oracles, batched map
+"""Property tests: the array allocator against its oracles, one stacked
+solve of several instances against a reference solve of each, stacked
+effective-weight builds against each block's own, batched map
 prices against ``total_memory``, client updates from the per-client
 boundary against updates from the features, lockstep groups against the
 rebuilding per-client loop, the activation stamp
@@ -13,6 +15,7 @@ checks the same examples.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -44,6 +47,7 @@ from fedlorasim.aggregation import RoundWindow, com_agg, com_agg_fixed, fed_avg 
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation  # noqa: E402
 from fedlorasim.data import LabeledData  # noqa: E402
 from fedlorasim.memory import (  # noqa: E402
+    EXACT_COST_LIMIT,
     AllocationMap,
     ModelProfile,
     map_costs,
@@ -52,7 +56,14 @@ from fedlorasim.memory import (  # noqa: E402
 )
 from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history  # noqa: E402
 from fedlorasim.simulator import ClientSpec, PrefixCache  # noqa: E402
-from fedlorasim.toymodel import Activations, Adapters, ToyLoRANet, local_train  # noqa: E402
+from fedlorasim.toymodel import (  # noqa: E402
+    Activations,
+    Adapters,
+    Gradients,
+    MapStack,
+    ToyLoRANet,
+    local_train,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -95,7 +106,7 @@ def instances(draw) -> KnapsackInstance:
 @PROPERTY
 @given(instances())
 def test_allocation_matches_reference_and_is_feasible_maximal_and_bounded(inst):
-    res = optimize_allocation(inst)
+    res = optimize_allocation([inst])[0]
     assert res.as_dict() == reference_allocation(inst).as_dict()
 
     p, l = inst.profile, inst.profile.num_blocks
@@ -110,6 +121,85 @@ def test_allocation_matches_reference_and_is_feasible_maximal_and_bounded(inst):
     fits = enumerate_costs(p, inst.batch, maps) <= inst.capacity_bytes
     best = (maps[fits] @ np.asarray(inst.values)).max()
     assert res.total_value <= best + 1e-9
+
+
+@st.composite
+def shared_instances(draw) -> list[KnapsackInstance]:
+    """The instances of one solve, sharing a profile and a batch: capacities
+    at the empty map's cost (no pick fits), at a map's exact cost, in
+    between, and at and past EXACT_COST_LIMIT, where int64 ends too; value
+    vectors random, tied (all-zero among them) and baiting the guard pass
+    with one dear item among near-free ones. Sometimes the dearest map
+    costs exactly EXACT_COST_LIMIT - 1."""
+    profile = draw(profiles())
+    l = profile.num_blocks
+    batch = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        top = total_memory(profile, AllocationMap.full(l), batch).total_bytes
+        profile = dataclasses.replace(
+            profile, frozen_param_bytes=profile.frozen_param_bytes + EXACT_COST_LIMIT - 1 - top)
+    base = total_memory(profile, AllocationMap.empty(l), batch).total_bytes
+    full = total_memory(profile, AllocationMap.full(l), batch).total_bytes
+    capacity = st.one_of(
+        st.just(base),
+        st.integers(base, full + 1),
+        st.lists(st.booleans(), min_size=l, max_size=l).map(
+            lambda bits: total_memory(profile, AllocationMap(tuple(bits)), batch).total_bytes),
+        st.sampled_from([EXACT_COST_LIMIT - 1, EXACT_COST_LIMIT, 2**63, 2**80]),
+    ).map(lambda c: max(c, 1))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                      st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False))
+    vector = st.one_of(
+        st.lists(value, min_size=l, max_size=l),
+        value.map(lambda v: [v] * l),
+        st.integers(0, l - 1).map(lambda j: [10.0 if k == j else 0.001 for k in range(l)]),
+    )
+    return [KnapsackInstance(profile, draw(capacity), batch, tuple(draw(vector)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+@PROPERTY
+@given(shared_instances())
+def test_one_stacked_solve_equals_a_reference_solve_per_instance(instances):
+    results = optimize_allocation(instances)
+    assert [r.as_dict() for r in results] == [reference_allocation(i).as_dict() for i in instances]
+
+
+@PROPERTY
+@given(st.data())
+def test_stacked_weight_builds_give_the_bytes_of_each_blocks_own(data):
+    # writes through set_lora_state on the net, then SGD steps of a group
+    # on its clone; after each, a random subset of the blocks is read, so
+    # later writes also leave blocks an earlier write changed unbuilt
+    l, h, r = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    alpha = data.draw(st.sampled_from([None, r + 0.5, 2.0 * r]))
+    net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r, input_dim=3, num_classes=2,
+                     lora_alpha=alpha, seed=data.draw(st.integers(0, 99)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+    blocks = st.lists(st.integers(0, l - 1), unique=True)
+
+    def check(target, reads):
+        for j in reads:
+            want = target.W0[j] + target.scale * (target.N[j] @ target.M[j])
+            assert target._weight(j).tobytes() == want.tobytes(), j
+
+    for _ in range(data.draw(st.integers(1, 3))):
+        write = data.draw(blocks)
+        state = net.get_lora_state()
+        state.N[write] += rng.normal(size=state.N[write].shape)
+        state.M[write] += rng.normal(size=state.M[write].shape)
+        net.set_lora_state(state)
+        check(net, data.draw(blocks))
+    group = net.clone()
+    bits = data.draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), min_size=1, max_size=3))
+    maps = MapStack(tuple(sorted((AllocationMap(tuple(b)) for b in bits),
+                                 key=lambda m: l if m.earliest is None else m.earliest)))
+    p = len(maps.pair_block)
+    for _ in range(data.draw(st.integers(1, 3))):
+        group._descend(Gradients(rng.normal(size=(p, h, r)), rng.normal(size=(p, r, h)), maps), 0.1)
+        check(group, data.draw(blocks))
+    check(net, range(l))
+    check(group, range(l))
 
 
 @PROPERTY

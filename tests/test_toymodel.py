@@ -530,6 +530,20 @@ def test_clone_is_independent():
         twin.W0[0][0, 0] = 1.0
 
 
+def test_w0_cannot_be_replaced_on_a_net_or_its_clone():
+    # a clone shares W0 with its source, so a write through either one
+    # would change the other's frozen weights: both forms of it raise
+    net = small_net()
+    twin = net.clone()
+    for target in (net, twin):
+        with pytest.raises(TypeError):
+            target.W0[1] = np.zeros_like(target.W0[1])
+        with pytest.raises(ValueError):
+            target.W0[1][0, 0] = 1.0
+    assert all(a is b for a, b in zip(net.W0, twin.W0))
+    assert not np.any(net.W0[1] == 0.0)
+
+
 def test_input_validation():
     net = small_net()
     with pytest.raises(ValueError):
