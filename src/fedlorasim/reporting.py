@@ -15,29 +15,33 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from fedlorasim.memory import is_int
+from fedlorasim.simulator import ROW_KEYS, SUMMARY_KEYS
 
-REQUIRED_ROW_KEYS = (
-    "round", "accuracy", "loss", "participants", "mean_utilization", "layer_counts", "clients",
-)
-
-#: Row keys whose values the tables average.
-NUMBER_ROW_KEYS = ("accuracy", "loss", "mean_utilization")
-
-#: summary.json keys whose values the tables report.
-NUMBER_SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_utilization")
-
-#: summary.json keys that name a run, by the type they hold.
-STRING_SUMMARY_KEYS = ("strategy", "aggregation", "distribution")
-INT_SUMMARY_KEYS = ("seed", "rounds")
+_TYPE_NAMES = {int: "an int", float: "a finite number", str: "a string", list: "a list",
+               dict: "an object"}
 
 
 class ReportError(ValueError):
     """Input files are missing, malformed, or mutually inconsistent."""
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _check_value(value, kind: type, name: str) -> None:
+    # a bool is no number; json reads NaN and Infinity, which no table may show
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if not ok or (kind is float and not math.isfinite(value)):
+        raise ReportError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _check_keys(obj: dict, table: dict, where: str) -> None:
+    """Raise unless ``obj`` holds every key of ``table`` (``ROW_KEYS`` or
+    ``SUMMARY_KEYS``) with a value of its type, naming ``where`` and the key."""
+    for key, kind in table.items():
+        if key not in obj:
+            raise ReportError(f"{where}: missing key {key!r}")
+        outer = getattr(kind, "__origin__", kind)  # list for list[int]
+        _check_value(obj[key], outer, f"{where}: {key}")
+        for i, item in enumerate(obj[key] if outer is not kind else ()):
+            _check_value(item, kind.__args__[0], f"{where}: {key}[{i}]")
 
 
 def load_metrics(path: str | Path) -> list[dict]:
@@ -54,28 +58,14 @@ def load_metrics(path: str | Path) -> list[dict]:
                 raise ReportError(f"{path}:{lineno}: not valid JSON ({exc.msg})") from exc
             if not isinstance(row, dict):
                 raise ReportError(f"{path}:{lineno}: expected an object, got {type(row).__name__}")
-            missing = [k for k in REQUIRED_ROW_KEYS if k not in row]
-            if missing:
-                raise ReportError(f"{path}:{lineno}: missing keys {missing}")
-            for key in NUMBER_ROW_KEYS:
-                # json reads NaN and Infinity, which no table may show
-                if not (_is_number(row[key]) and math.isfinite(row[key])):
-                    raise ReportError(f"{path}:{lineno}: {key} must be a finite number, "
-                                      f"got {row[key]!r}")
-            for key in ("round", "participants"):
-                if not is_int(row[key]):
-                    raise ReportError(f"{path}:{lineno}: {key} must be an int, got {row[key]!r}")
+            _check_keys(row, ROW_KEYS, f"{path}:{lineno}")
             participants = row["participants"]
             if participants < 0:
                 raise ReportError(f"{path}:{lineno}: participants must be >= 0, got {participants}")
             counts = row["layer_counts"]
-            if not isinstance(counts, list) or (rows and len(counts) != len(rows[0]["layer_counts"])):
-                raise ReportError(f"{path}:{lineno}: layer_counts must be a list as long as "
+            if rows and len(counts) != len(rows[0]["layer_counts"]):
+                raise ReportError(f"{path}:{lineno}: layer_counts must be as long as "
                                   f"the first row's")
-            bad = [j for j, c in enumerate(counts) if not is_int(c)]
-            if bad:
-                raise ReportError(f"{path}:{lineno}: layer_counts[{bad[0]}] must be an int, "
-                                  f"got {counts[bad[0]]!r}")
             # no layer is trained by more clients than the round has
             bad = [j for j, c in enumerate(counts) if not 0 <= c <= participants]
             if bad:
@@ -93,17 +83,11 @@ def load_metrics(path: str | Path) -> list[dict]:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One simulator run: its identity plus the parsed metrics rows."""
+    """One simulator run: its directory, its summary.json (``SUMMARY_KEYS``)
+    and its parsed metrics rows (``ROW_KEYS``)."""
 
     path: str
-    strategy: str
-    aggregation: str
-    distribution: str
-    seed: int
-    rounds: int
-    final_accuracy: float
-    best_accuracy: float
-    mean_utilization: float
+    summary: dict
     rows: tuple
 
     @property
@@ -125,34 +109,12 @@ def load_run(run_dir: str | Path) -> RunRecord:
         raise ReportError(f"{summary_path}: must hold a JSON object")
     metrics_path = run_dir / "metrics.jsonl"
     rows = load_metrics(metrics_path)
-    for keys, ok, kind in ((STRING_SUMMARY_KEYS, lambda v: isinstance(v, str), "a string"),
-                           (INT_SUMMARY_KEYS, is_int, "an int"),
-                           (NUMBER_SUMMARY_KEYS, _is_number, "a number")):
-        for key in keys:
-            if key not in summary:
-                raise ReportError(f"{summary_path}: missing key {key!r}")
-            if not ok(summary[key]):
-                raise ReportError(f"{summary_path}: bad value: {key} must be {kind}, "
-                                  f"got {summary[key]!r}")
-    for key in NUMBER_SUMMARY_KEYS:
-        if not math.isfinite(summary[key]):
-            raise ReportError(f"{summary_path}: {key} must be finite, got {summary[key]!r}")
-    run = RunRecord(
-        path=str(run_dir),
-        strategy=summary["strategy"],
-        aggregation=summary["aggregation"],
-        distribution=summary["distribution"],
-        seed=summary["seed"],
-        rounds=summary["rounds"],
-        final_accuracy=float(summary["final_accuracy"]),
-        best_accuracy=float(summary["best_accuracy"]),
-        mean_utilization=float(summary["mean_utilization"]),
-        rows=tuple(rows),
-    )
-    if len(rows) != run.rounds + 1:
+    _check_keys(summary, SUMMARY_KEYS, str(summary_path))
+    rounds = summary["rounds"]
+    if len(rows) != rounds + 1:
         raise ReportError(f"{metrics_path}: {len(rows)} rows, but summary.json says "
-                          f"{run.rounds} rounds, which need {run.rounds + 1}")
-    return run
+                          f"{rounds} rounds, which need {rounds + 1}")
+    return RunRecord(path=str(run_dir), summary=summary, rows=tuple(rows))
 
 
 def discover_runs(root: str | Path) -> list[Path]:
@@ -221,7 +183,7 @@ class RunSummary:
 
 
 def _group_key(run: RunRecord) -> tuple[str, str, str]:
-    return (run.strategy, run.aggregation, run.distribution)
+    return tuple(run.summary[k] for k in ("strategy", "aggregation", "distribution"))
 
 
 def summarize(runs: list[RunRecord]) -> list[RunSummary]:
@@ -234,12 +196,12 @@ def summarize(runs: list[RunRecord]) -> list[RunSummary]:
 
     out = []
     for key in sorted(groups):
-        members = sorted(groups[key], key=lambda r: r.seed)
-        seeds = [r.seed for r in members]
+        members = sorted(groups[key], key=lambda r: r.summary["seed"])
+        seeds = [r.summary["seed"] for r in members]
         if len(set(seeds)) != len(seeds):
             dupes = sorted({s for s in seeds if seeds.count(s) > 1})
             raise ReportError(f"group {key}: duplicate seeds {dupes}")
-        rounds = {r.rounds for r in members}
+        rounds = {r.summary["rounds"] for r in members}
         layers = {r.num_layers for r in members}
         if len(rounds) != 1 or len(layers) != 1:
             raise ReportError(f"group {key}: runs disagree on rounds or layer count")
@@ -257,9 +219,9 @@ def summarize(runs: list[RunRecord]) -> list[RunSummary]:
             aggregation=key[1],
             distribution=key[2],
             seeds=tuple(seeds),
-            final_accuracies=tuple(r.final_accuracy for r in members),
-            best_accuracies=tuple(r.best_accuracy for r in members),
-            mean_utilizations=tuple(r.mean_utilization for r in members),
+            final_accuracies=tuple(float(r.summary["final_accuracy"]) for r in members),
+            best_accuracies=tuple(float(r.summary["best_accuracy"]) for r in members),
+            mean_utilizations=tuple(float(r.summary["mean_utilization"]) for r in members),
             rounds=T,
             num_layers=L,
             accuracy_by_round=tuple(sum(a) / len(a) for a in acc),

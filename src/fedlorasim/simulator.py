@@ -117,6 +117,20 @@ class ClientRoundInfo:
     utilization: float
 
 
+#: A ``metrics.jsonl`` row: its keys in written order, each with the type of
+#: its value. ``float`` is a finite JSON number and ``list[int]`` a list of
+#: ints; a bool is never an int. ``reporting`` checks rows against this.
+ROW_KEYS = {
+    "round": int,
+    "accuracy": float,
+    "loss": float,
+    "participants": int,
+    "mean_utilization": float,
+    "layer_counts": list[int],
+    "clients": list[dict],
+}
+
+
 @dataclass
 class RoundMetrics:
     round: int
@@ -131,16 +145,10 @@ class RoundMetrics:
 
     def as_jsonl_dict(self) -> dict:
         # wall time stays out: metrics files must be byte-reproducible
-        return {
-            "round": self.round,
-            "accuracy": self.accuracy,
-            "loss": self.loss,
-            "participants": self.participants,
-            "mean_utilization": self.mean_utilization,
-            "layer_counts": self.layer_counts,
-            # a shallow copy in field order: the fields are scalars and strings
-            "clients": [dict(vars(c)) for c in self.clients],
-        }
+        row = {key: getattr(self, key) for key in ROW_KEYS}
+        # a shallow copy in field order: the fields are scalars and strings
+        row["clients"] = [dict(vars(c)) for c in self.clients]
+        return row
 
     def timings_dict(self) -> dict:
         """Wall-clock seconds of the round and of each phase; never in metrics.jsonl."""
@@ -596,11 +604,10 @@ def _unb64(d: dict) -> np.ndarray:
 
 
 def state_to_jsonable(state: GlobalState) -> dict:
-    pack = lambda a: {str(j): [_b64(n), _b64(m)] for j, (n, m) in enumerate(zip(a.N, a.M))}
     return {
         "round": state.round,
-        "params": pack(state.params),
-        "prev_delta": pack(state.prev_delta),
+        "params": [_b64(state.params.N), _b64(state.params.M)],
+        "prev_delta": [_b64(state.prev_delta.N), _b64(state.prev_delta.M)],
         "score_history": state.score_history.to_jsonable(),
         "contribution_history": state.contribution_history.to_jsonable(),
         "last_records": {
@@ -612,13 +619,14 @@ def state_to_jsonable(state: GlobalState) -> dict:
     }
 
 
-def _unpack_adapters(p: dict, num_blocks: int, like: Adapters | None) -> Adapters:
-    """``Adapters`` packed one entry per block, checked: blocks 0..num_blocks-1,
-    of one shape, that of ``like`` when given, and finite."""
-    if set(p) != {str(j) for j in range(num_blocks)}:
-        raise ValueError(f"blocks {sorted(p)} are not the model's 0..{num_blocks - 1}")
-    N, M = zip(*(map(_unb64, p[str(j)]) for j in range(num_blocks)))
-    a = Adapters(np.stack(N), np.stack(M))
+def _unpack_adapters(p: list, num_blocks: int, like: Adapters | None) -> Adapters:
+    """``Adapters`` packed as one [N, M] pair, checked: num_blocks blocks, the
+    shapes of ``like`` when given, and finite."""
+    if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, dict) for x in p)):
+        raise ValueError("not an [N, M] pair of arrays")
+    a = Adapters(*map(_unb64, p))
+    if len(a.N) != num_blocks:
+        raise ValueError(f"{len(a.N)} blocks, not the model's {num_blocks}")
     if like is not None and a.N.shape != like.N.shape:
         raise ValueError(f"adapter shapes {list(a.N.shape)} are not {list(like.N.shape)}")
     if not (np.isfinite(a.N).all() and np.isfinite(a.M).all()):
@@ -630,8 +638,8 @@ def state_from_jsonable(d: dict) -> GlobalState:
     """Read a checkpoint back, checking every field against the model it
     describes and against the state's round.
 
-    The score window gives the model's L blocks and block 0 of ``params``
-    the adapter shapes (H, r)/(r, H) of every block of ``params`` and
+    The score window gives the model's L blocks, which ``params`` must
+    stack, and ``params`` the adapter shapes (L, H, r)/(L, r, H) of
     ``prev_delta``; adapters must be finite. The score window, pushed every
     round, is at the state's round, and the contribution window at no later
     one. An allocation has L bits. A record is its client's, from rounds
@@ -715,6 +723,22 @@ def state_from_jsonable(d: dict) -> GlobalState:
     return state
 
 
+#: ``summary.json``: its keys in written order, each with the type of its
+#: value, as in ``ROW_KEYS``. ``reporting`` checks summaries against this.
+SUMMARY_KEYS = {
+    "config": dict,
+    "strategy": str,
+    "aggregation": str,
+    "distribution": str,
+    "seed": int,
+    "rounds": int,
+    "final_accuracy": float,
+    "best_accuracy": float,
+    "final_loss": float,
+    "mean_utilization": float,
+}
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path, quiet=False) -> dict:
     """Full run: T rounds, metrics JSONL, summary JSON, partition manifest.
 
@@ -779,7 +803,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, quiet=False) -
                 with open(ckpt_dir / f"round_{t:04d}.json", "w") as cf:
                     json.dump(state_to_jsonable(state), cf, allow_nan=False)
 
-    summary = {
+    summary = {  # the keys of SUMMARY_KEYS, in its order
         "config": config.to_dict(),
         "strategy": config.strategy,
         "aggregation": config.aggregation,

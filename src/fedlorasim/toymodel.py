@@ -202,10 +202,11 @@ class MapStack:
             raise ValueError(f"maps must be ordered by earliest trainable block, got {earliest}")
         bits = np.array([m.bits for m in maps])
         trained = np.flatnonzero(bits.any(axis=0))
-        trainers = {j: np.flatnonzero(bits[:, j]) for j in trained.tolist()}
         # row-major over the trained blocks from the top down: each block's trainers in order
         down, pair_client = np.nonzero(bits.T[trained[::-1]])
         pair_row = len(trained) - 1 - down
+        runs = np.split(pair_client, np.flatnonzero(np.diff(down)) + 1)
+        trainers = dict(zip(trained[::-1].tolist(), runs))
         for name, value in (("maps", maps), ("earliest", earliest), ("trainers", trainers),
                             ("trained", trained), ("pair_block", trained[pair_row]),
                             ("pair_client", pair_client), ("pair_row", pair_row)):

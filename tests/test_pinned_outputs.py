@@ -10,9 +10,9 @@ pin a wide net (H = 128, ``ms`` + ``fedavg``) and a deep one (L = 48,
 ``fedpilot`` + ``comagg`` under binding capacity tiers, so its lowest trained
 block is far from block 0); both were recorded before the toy net started
 forwards from cached frozen-prefix activations. The checkpoints a quick
-run writes every 4 rounds are pinned too, recorded before the global
-adapters, deltas and client updates became stacked ``Adapters`` arrays: the
-checkpoint codec still packs one entry per block, so its bytes must not move.
+run writes every 4 rounds are pinned too, recorded when the codec came to
+pack each ``Adapters`` as one stacked [N, M] pair; those checkpoints hold
+the numbers that the one-entry-per-block codec before it wrote.
 
 The digests come from numpy 2.4.6 linked against scipy-openblas 0.3.31
 (DYNAMIC_ARCH, Haswell kernels) under CPython 3.11.7 on x86-64. Another
@@ -82,40 +82,40 @@ def test_quick_config_outputs_match_pinned_digests(case, tmp_path):
 # (strategy, aggregation, carry_forward): sha256 of checkpoints/round_0004,
 # round_0008 and round_0012.json, in that order
 PINNED_CHECKPOINTS = {
-    ("fedpilot", "comagg", True): (
-        "22b8204fd2bf5547a6a7e06498b979d7398e62175a4b33cc1e5911d82256af14",
-        "54d7d9826478789d00c9f9fd3c99eba267ed1716bd064a214d974f1989ff2b76",
-        "5555d4427898e322a240b035e7e862c6980918b0775e12bc155a1b9638b8ef7c",
+    ('fedpilot', 'comagg', True): (
+        "64df997a4c34dcee702bc8a36c4135a9ad4b08982d1f9927d42cedb46d54db0c",
+        "49069aa5e580a8ddf1f260d83a492a3874e8c59a91679dfeebfa43367e58ec1a",
+        "bff51a1661ae0b0f1b4ea31c24237615f878d701df1ba9c285f813bc6650f803",
     ),
-    ("fedpilot", "comagg", False): (
-        "bae9eea891bd130b4fcf530a781edeb07218c1aa07bac82c08e6548d7773fda5",
-        "c7bded5953bf3a1e69530949adba8e272402cc515524a070bdc61ebd2caa2a91",
-        "bb2e4fef1b81abe219f2feb9bc6fb120fee47daca16b9d6e21acc5e28d35149d",
+    ('fedpilot', 'comagg', False): (
+        "9c025cfe08da8dce96db7cfa45d48424a92684731d433aa1942ccb5d6494ceda",
+        "6d5dc0cb714e2ea412a72db98af413e327a85e97ba9d5a192bb0867f6e38f992",
+        "62d6cb98f53c7f41eec9217844f964018b122953b7fab17ae29630ae08288c71",
     ),
-    ("fedpilot", "comagg_fixed", True): (
-        "452e7ff72a8a87ad790d1d368ffa5c15b9c5194b0c5246a221eb8c7ec4572fe2",
-        "de17c28c43f50da0380dc0ea95ea4de369d9266598c101f7cf2fa1ab84045bb6",
-        "c23411f58bf70cd9e2843d9190da6e2ad5e1e105fd26b474d54d2c4efc095d71",
+    ('fedpilot', 'comagg_fixed', True): (
+        "9e226c5ca7be182d45f28cfacbd2e2d6c884220ac982242510c8c9f7d47f23df",
+        "a2a423a342010e30b6dfd8a32c8a34109f606cdde3954c5afef4ed0f3db57ab2",
+        "716cd349e08d5e6aa166caacdfaecf5d536286d856992d5a7182c5dcb9323346",
     ),
-    ("fedpilot", "fedavg", True): (
-        "5cbec39abea09a19c9151a4f04a18088efd8e355053c29db6088a29d53ac7ad9",
-        "bd147f40412cfdaf344caf9b4015c8e188f5d710b1e68739554858f1af0b16ea",
-        "fa8f9ec1a5ebdf95b172568a225685f71e235db23359ada79fd63bb091eed4a6",
+    ('fedpilot', 'fedavg', True): (
+        "5a9ed8ab634781c8dad6061c86c852ef89891e886c4bc911178553fedc2e247e",
+        "5bde7e705004edec25200b73fe007aa81db4a74e3f49e0d50d1148acb833b6b2",
+        "b1eda22809620372837dd29bed6d48d36ea344122880968fe9e42a3f39ed4a3e",
     ),
-    ("fedra_random", "comagg", True): (
-        "301b0864583f2342976eeec1497966707e0efcd528805e9e12d2b0598884cdf9",
-        "396b04464b0d17d3a42c40610e729c590349d0e5f2536043f9d2e7bbdb63c516",
-        "b87f12e7c1a9b71f40c72d47f45751b9c0fae27624d65ad86292b6a3a032102f",
+    ('fedra_random', 'comagg', True): (
+        "d9997101501852033405d438fb2c116233db854bc3896dc63eabe124efa116e6",
+        "e55ecbd77f2e239446a76bcf677842c9c7417ab999dfb78cec84dee7d3328009",
+        "21f58952fd95b88e38aae2d2630d04d0ade6caf1b736dd601dac088dbcd13a54",
     ),
-    ("ms", "fedavg", True): (
-        "69d61b2e6dece71bd6370a120580256b22ef643adb516578bc78e6bedd4a58cf",
-        "f8b614f0c1c73ee4daea3a3030f8dad177c7ccb19c888c94b6f68948eb55c4b6",
-        "ba57526158fb963cbcf37bf95e6e638271a8cba0af438837a062818e5523c1f7",
+    ('ms', 'fedavg', True): (
+        "f7b81c5254f65ca748195caa47d16e663795e4247ce6815025c319dcc72ad044",
+        "4fda2d49fe03ea52c8fff4f552b3ffd83245d15745a86da9a322da119379b282",
+        "9f1e2930ae69b470eff2375e238497f00c54775c4aacfab5e198c46e132b2b2c",
     ),
-    ("full", "comagg_fixed", True): (
-        "f16dd8f76693ed782a2064a6371efbd67c1dff1deb914cdcce506808c0fa75ef",
-        "164f9f8c89ba7445d060c01ef784684b166971537756834499d5f12d832460ea",
-        "0b6df49e7bdd13814492ade0df9455c9f87f6c5db9578eac101035bca2784615",
+    ('full', 'comagg_fixed', True): (
+        "74db5a9ea73ee094d30e04ab173f00cd986e2f7efcb305ac7d2802e7b1046b1e",
+        "74e786c94b25f9b0dfa3dcf62c74550ca2e053a53fe56e45e8e3597508b6d68b",
+        "f02364998ef3e773e357db3b0bad1081964dde851ebe00fc23e227f12f0d1c70",
     ),
 }
 

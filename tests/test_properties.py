@@ -1,8 +1,9 @@
 """Property tests: the array allocator against its oracles, one stacked
 solve of several instances against a reference solve of each, stacked
-effective-weight builds against each block's own, batched map
-prices against ``total_memory``, client updates from the per-client
-boundary against updates from the features, lockstep groups against the
+effective-weight builds against each block's own, a map stack's
+``trainers`` against its bits, batched map prices against
+``total_memory``, client updates from the per-client boundary against
+updates from the features, lockstep groups against the
 rebuilding per-client loop, the activation stamp
 check against an explicit write log, ``RoundWindow`` against the two
 windows it replaced, and the stacked aggregation rules against the
@@ -200,6 +201,36 @@ def test_stacked_weight_builds_give_the_bytes_of_each_blocks_own(data):
         check(group, data.draw(blocks))
     check(net, range(l))
     check(group, range(l))
+
+
+@PROPERTY
+@given(st.integers(1, 9).flatmap(lambda l: st.lists(
+    st.lists(st.booleans(), min_size=l, max_size=l), min_size=1, max_size=8)))
+def test_map_stack_trainers_are_the_runs_of_its_pair_order(rows):
+    l = len(rows[0])
+    maps = MapStack(tuple(sorted((AllocationMap(tuple(b)) for b in rows),
+                                 key=lambda m: l if m.earliest is None else m.earliest)))
+    bits = np.array([m.bits for m in maps.maps], dtype=bool)
+    trained = np.flatnonzero(bits.any(axis=0)).tolist()
+    assert maps.trained.tolist() == trained
+    assert sorted(maps.trainers) == trained
+    for j in trained:
+        assert maps.trainers[j].tolist() == np.flatnonzero(bits[:, j]).tolist()
+    # pair p's gradients hold p, so each slice shows the pairs it covers
+    p = len(maps.pair_block)
+    pairs = np.arange(p, dtype=float)
+    grads = Gradients(np.broadcast_to(pairs[:, None, None], (p, 2, 1)),
+                      np.broadcast_to(pairs[:, None, None], (p, 1, 2)), maps)
+    items = list(grads.items())
+    assert [j for j, _ in items] == trained[::-1]
+    lo = 0
+    for j, (n, m) in items:
+        hi = lo + len(maps.trainers[j])
+        assert n[:, 0, 0].tolist() == m[:, 0, 0].tolist() == list(range(lo, hi))
+        assert maps.pair_block[lo:hi].tolist() == [j] * (hi - lo)
+        assert maps.pair_client[lo:hi].tolist() == maps.trainers[j].tolist()
+        lo = hi
+    assert lo == p
 
 
 @PROPERTY

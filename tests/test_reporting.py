@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from fedlorasim.reporting import (
     load_run,
     summarize,
 )
-from fedlorasim.simulator import run_experiment
+from fedlorasim.simulator import ROW_KEYS, SUMMARY_KEYS, run_experiment
 
 
 def fake_run(dirpath, strategy="fedpilot", aggregation="comagg", distribution="iid",
@@ -71,16 +72,6 @@ def test_load_metrics_reports_line_number_for_bad_json(tmp_path):
         load_metrics(path)
 
 
-def test_load_metrics_reports_line_number_for_missing_keys(tmp_path):
-    run = fake_run(tmp_path / "r")
-    path = run / "metrics.jsonl"
-    lines = path.read_text().splitlines()
-    lines[1] = json.dumps({"round": 1, "accuracy": 0.5})
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ReportError, match=r"metrics\.jsonl:2: missing keys"):
-        load_metrics(path)
-
-
 def test_load_metrics_rejects_empty_and_nonsequential(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -102,13 +93,10 @@ def test_load_run_requires_summary(tmp_path):
         load_run(run)
 
 
-@pytest.mark.parametrize("payload", [["not", "an", "object"], "seed-null"])
-def test_malformed_summary_is_a_report_error(tmp_path, capsys, payload):
+def test_summary_that_is_not_an_object_is_a_report_error(tmp_path, capsys):
     run = fake_run(tmp_path / "runs" / "r")
     summary = run / "summary.json"
-    if payload == "seed-null":
-        payload = {**json.loads(summary.read_text()), "seed": None}
-    summary.write_text(json.dumps(payload))
+    summary.write_text(json.dumps(["not", "an", "object"]))
     with pytest.raises(ReportError, match=str(summary)):
         load_run(run)
     rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
@@ -140,29 +128,6 @@ def test_short_layer_counts_row_is_a_report_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
 
 
-@pytest.mark.parametrize("key, value, named", [
-    ("accuracy", "high", "accuracy"),
-    ("accuracy", True, "accuracy"),
-    ("loss", None, "loss"),
-    ("mean_utilization", [0.5], "mean_utilization"),
-    ("participants", 2.0, "participants"),
-    ("participants", False, "participants"),
-    ("layer_counts", [2, 2, "2", 2], r"layer_counts\[2\]"),
-    ("layer_counts", [2, 2.5, 2, 2], r"layer_counts\[1\]"),
-])
-def test_wrongly_typed_row_value_is_a_report_error(tmp_path, capsys, key, value, named):
-    run = fake_run(tmp_path / "runs" / "r", rounds=3, layers=4)
-    metrics = run / "metrics.jsonl"
-    rows = [json.loads(s) for s in metrics.read_text().splitlines()]
-    rows[2][key] = value
-    metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    with pytest.raises(ReportError, match=f"{metrics}:3: {named} must be"):
-        load_run(run)
-    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(tmp_path / "rep")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {metrics}:3: ")
-
-
 @pytest.mark.parametrize("participants, counts, named", [
     (2, [5, 0, 0, 0], r"layer_counts\[0\] must be in \[0, participants = 2\], got 5"),
     (2, [0, 0, -1, 0], r"layer_counts\[2\] must be in \[0, participants = 2\], got -1"),
@@ -181,76 +146,89 @@ def test_impossible_counts_are_a_report_error(tmp_path, capsys, participants, co
     assert not (tmp_path / "rep").exists()
 
 
-@pytest.mark.parametrize("key", ["accuracy", "loss", "mean_utilization"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_row_value_is_a_report_error_before_anything_is_written(
+MISSING = object()
+
+# values of the wrong type for each type a declaration uses; a bool is never
+# a number, and 1.0 and True equal row 1's round, so the round sequence alone
+# would let them pass
+WRONG = {
+    int: [1.0, True, 1.5, "3", None, float("inf")],
+    float: ["0.5", True, None, [0.5], float("nan"), float("inf"), -float("inf")],
+    str: [3, ["x"], None],
+    dict: [[], "x", None],
+    list[int]: ["x", None, {}, [2, 2, "2", 2], [2, 2.5, 2, 2], [2, True, 2, 2]],
+    list[dict]: ["x", None, {}, [1]],
+}
+
+# more wrong values, some equal to the key's value in a fake run (participants
+# 2, seed 0, rounds 3)
+EXTRA_WRONG = {"participants": [2.0, False], "seed": [0.0, False], "rounds": [3.0, 3.9]}
+
+
+def key_cases(table: dict) -> list:
+    return [pytest.param(key, value, id=f"{key}-{'missing' if value is MISSING else i}")
+            for key, kind in table.items()
+            for i, value in enumerate([MISSING, *WRONG[kind], *EXTRA_WRONG.get(key, [])])]
+
+
+def expected_error(where, key, value) -> str:
+    """The start of the error naming ``where`` and ``key``, as a pattern."""
+    if value is MISSING:
+        return re.escape(f"{where}: missing key {key!r}")
+    return re.escape(f"{where}: {key}") + r"(\[\d+\])? must be "
+
+
+def assert_report_fails(tmp_path, capsys, run, error):
+    with pytest.raises(ReportError, match=f"^{error}"):
+        load_run(run)
+    out = tmp_path / "rep"
+    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
+    assert rc == 1
+    assert re.match(f"error: {error}", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", key_cases(ROW_KEYS))
+def test_row_missing_a_declared_key_or_of_the_wrong_type_is_a_report_error(
         tmp_path, capsys, key, value):
     run = fake_run(tmp_path / "runs" / "r", rounds=3, layers=4)
     metrics = run / "metrics.jsonl"
     rows = [json.loads(s) for s in metrics.read_text().splitlines()]
-    rows[2][key] = value
+    if value is MISSING:
+        del rows[1][key]
+    else:
+        rows[1][key] = value
     metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))  # NaN/Infinity tokens
-    with pytest.raises(ReportError, match=f"{metrics}:3: {key} must be a finite number"):
-        load_metrics(metrics)
-    out = tmp_path / "rep"
-    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {metrics}:3: {key} ")
-    assert not out.exists()
+    assert_report_fails(tmp_path, capsys, run, expected_error(f"{metrics}:2", key, value))
 
 
-@pytest.mark.parametrize("key", ["final_accuracy", "best_accuracy", "mean_utilization"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_summary_value_is_a_report_error_before_anything_is_written(
-        tmp_path, capsys, key, value):
-    run = fake_run(tmp_path / "runs" / "r")
-    summary = run / "summary.json"
-    summary.write_text(json.dumps({**json.loads(summary.read_text()), key: value}))
-    with pytest.raises(ReportError, match=f"{summary}: {key} must be finite"):
-        load_run(run)
-    out = tmp_path / "rep"
-    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {summary}: {key} ")
-    assert not out.exists()
-
-
-def test_infinite_seed_in_summary_is_a_report_error(tmp_path):
-    run = fake_run(tmp_path / "r")
-    summary = run / "summary.json"
-    summary.write_text(json.dumps({**json.loads(summary.read_text()), "seed": float("inf")}))
-    with pytest.raises(ReportError, match=f"{summary}: bad value"):
-        load_run(run)
-
-
-@pytest.mark.parametrize("key, value", [
-    ("seed", 1.5), ("seed", True), ("seed", "3"), ("rounds", 3.9), ("rounds", 3.0),
-    ("distribution", 3), ("strategy", ["x"]), ("aggregation", None),
-    ("final_accuracy", "0.5"), ("best_accuracy", True),
-])
-def test_wrongly_typed_summary_value_is_a_report_error_before_anything_is_written(
+@pytest.mark.parametrize("key, value", key_cases(SUMMARY_KEYS))
+def test_summary_missing_a_declared_key_or_of_the_wrong_type_is_a_report_error(
         tmp_path, capsys, key, value):
     run = fake_run(tmp_path / "runs" / "r", rounds=3)
     summary = run / "summary.json"
-    summary.write_text(json.dumps({**json.loads(summary.read_text()), key: value}))
-    with pytest.raises(ReportError, match=f"{summary}: bad value: {key} must be"):
-        load_run(run)
-    out = tmp_path / "rep"
-    rc = main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {summary}: bad value: {key} ")
-    assert not out.exists()
+    payload = json.loads(summary.read_text())
+    if value is MISSING:
+        del payload[key]
+    else:
+        payload[key] = value
+    summary.write_text(json.dumps(payload))
+    assert_report_fails(tmp_path, capsys, run, expected_error(summary, key, value))
 
 
-@pytest.mark.parametrize("value", [1.0, True])
-def test_round_that_is_not_an_int_is_a_report_error(tmp_path, value):
-    run = fake_run(tmp_path / "r", rounds=3)
-    metrics = run / "metrics.jsonl"
-    rows = [json.loads(s) for s in metrics.read_text().splitlines()]
-    rows[1]["round"] = value  # equal to 1, so the sequence check alone lets it pass
-    metrics.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    with pytest.raises(ReportError, match=f"{metrics}:2: round must be an int"):
-        load_metrics(metrics)
+def test_a_run_writes_exactly_the_declared_keys_in_order(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "seed": 1, "rounds": 2, "strategy": "fedpilot",
+        "model": {"num_blocks": 4, "hidden_size": 8, "lora_rank": 2,
+                  "input_dim": 10, "num_classes": 5},
+        "data": {"samples_per_class": 40},
+        "clients": {"num_clients": 4, "batch_size": 16, "sampling_rate": 1.0},
+    })
+    run_experiment(cfg, tmp_path, quiet=True)
+    rows = [json.loads(s) for s in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert [list(r) for r in rows] == [list(ROW_KEYS)] * 3
+    assert list(json.loads((tmp_path / "summary.json").read_text())) == list(SUMMARY_KEYS)
+    assert load_run(tmp_path).summary["rounds"] == 2  # every value of its declared type
 
 
 def test_single_run_summary_echoes_final_metrics(tmp_path):

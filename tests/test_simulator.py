@@ -502,11 +502,17 @@ def _pack(arr) -> dict:
     return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-# each a malformed field of a 4-block run's round-2 checkpoint, and its key
+# each a malformed field of a 4-block run's round-2 checkpoint (H = 8, r = 2),
+# and its key
 MALFORMED_CHECKPOINTS = {
-    "nan-N-of-shape-2": (lambda s: s["params"]["0"].__setitem__(0, _pack([np.nan] * 2)), "params"),
-    "nan-N": (lambda s: s["params"]["0"].__setitem__(0, _pack(np.full((8, 2), np.nan))), "params"),
-    "block-3-missing": (lambda s: s["params"].pop("3"), "params"),
+    "nan-N-of-shape-2": (lambda s: s["params"].__setitem__(0, _pack([np.nan] * 2)), "params"),
+    "nan-N": (lambda s: s["params"].__setitem__(0, _pack(np.full((4, 8, 2), np.nan))), "params"),
+    "block-3-missing": (lambda s: s.__setitem__("params", [_pack(np.zeros((3, 8, 2))),
+                                                          _pack(np.zeros((3, 2, 8)))]), "params"),
+    "pair-of-one-array": (lambda s: s["params"].pop(), "params"),
+    "pair-of-two-numbers": (lambda s: s.__setitem__("params", [1.0, 2.0]), "params"),
+    "per-block-dict": (lambda s: s.__setitem__("prev_delta", dict(enumerate(s["prev_delta"]))),
+                       "prev_delta"),
     "record-of-another-client": (lambda s: s["last_records"]["0"].__setitem__("client_id", 5),
                                  "last_records"),
     "record-of-a-later-round": (lambda s: s["last_records"]["0"].__setitem__("round", 99),
@@ -517,9 +523,10 @@ MALFORMED_CHECKPOINTS = {
         "17", 1.0), "last_records"),
     "round-past-the-windows": (lambda s: s.__setitem__("round", 7), "round"),
     "prev-delta-missing": (lambda s: s.pop("prev_delta"), "prev_delta"),
-    "inf-delta": (lambda s: s["prev_delta"]["1"].__setitem__(1, _pack(np.full((2, 8), np.inf))),
+    "inf-delta": (lambda s: s["prev_delta"].__setitem__(1, _pack(np.full((4, 2, 8), np.inf))),
                   "prev_delta"),
-    "delta-of-rank-3": (lambda s: s["prev_delta"]["2"].__setitem__(0, _pack(np.zeros((8, 3)))),
+    "delta-of-rank-3": (lambda s: s.__setitem__("prev_delta", [_pack(np.zeros((4, 8, 3))),
+                                                              _pack(np.zeros((4, 3, 8)))]),
                         "prev_delta"),
     "client-key-00": (lambda s: s["last_records"].__setitem__("00", s["last_records"].pop("0")),
                       "last_records"),
