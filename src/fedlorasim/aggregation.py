@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fedlorasim.memory import AllocationMap
+from fedlorasim.memory import AllocationMap, finite_nonneg
 from fedlorasim.toymodel import Adapters
 
 #: (client_id, that client's delta, its allocation map)
@@ -51,6 +51,14 @@ class RoundWindow:
     value must be finite and >= 0. The contributor counts behind beta push
     every layer each round, so their window is the last ``window`` rounds;
     the IG score means push only the layers some client reported.
+
+    The window holds one entry per push that named a layer, in round order:
+    the values as given (``to_jsonable`` writes them, ints included) and a
+    float64 (2, L) array of the values and a 1.0 per named layer, with -0.0
+    for a layer the push did not name. Every mean is one pass over the
+    entries, adding them in round order to +0.0, then one division of the
+    value sums by the entry counts; -0.0 adds nothing, so the bytes are those
+    of a per-layer ``sum(values) / len(values)``.
     """
 
     def __init__(self, num_blocks: int, window: int):
@@ -59,36 +67,46 @@ class RoundWindow:
         self.num_blocks = num_blocks
         self.window = window
         self.round = 0
-        self._entries: list[deque[tuple[int, float]]] = [deque() for _ in range(num_blocks)]
+        #: (round, {layer: value}, (2, L) values and counts)
+        self._rows: deque[tuple[int, dict, np.ndarray]] = deque()
         self.means: tuple[float, ...] = (0.0,) * num_blocks
 
     def is_empty(self) -> bool:
-        return not any(self._entries)
+        return not self._rows
 
     def push(self, round: int, values: Mapping[int, float]) -> None:
         if round <= self.round:
             raise ValueError(f"round {round} does not follow round {self.round}")
-        for j, v in values.items():
-            if not 0 <= j < self.num_blocks:
-                raise ValueError(f"layer {j} out of range for {self.num_blocks} layers")
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"layer {j}: value must be finite and >= 0, got {v!r}")
-        for j, v in values.items():
-            self._entries[j].append((round, v))
+        values = dict(values)
+        if values:
+            layers, floats = list(values), list(values.values())
+            if not (0 <= min(layers) and max(layers) < self.num_blocks and finite_nonneg(floats)):
+                for j, v in values.items():  # the first entry either check refuses
+                    if not 0 <= j < self.num_blocks:
+                        raise ValueError(f"layer {j} out of range for {self.num_blocks} layers")
+                    if not 0 <= v < math.inf:
+                        raise ValueError(f"layer {j}: value must be finite and >= 0, got {v!r}")
+            row = np.full((2, self.num_blocks), -0.0)
+            row[0, layers] = floats
+            row[1, layers] = 1.0
+            self._rows.append((round, values, row))
         cutoff = round - self.window
-        for buf in self._entries:
-            while buf and buf[0][0] <= cutoff:
-                buf.popleft()
+        while self._rows and self._rows[0][0] <= cutoff:
+            self._rows.popleft()
         self.round = round
-        self.means = tuple(sum(v for _, v in buf) / len(buf) if buf else 0.0
-                           for buf in self._entries)
+        # a layer with no entry sums to +0.0 and divides by 1
+        total = np.zeros((2, self.num_blocks))
+        for _, _, row in self._rows:
+            total += row
+        self.means = tuple((total[0] / np.maximum(total[1], 1.0)).tolist())
 
     def to_jsonable(self) -> dict:
         return {
             "num_blocks": self.num_blocks,
             "window": self.window,
             "round": self.round,
-            "entries": [[[r, v] for r, v in buf] for buf in self._entries],
+            "entries": [[[r, values[j]] for r, values, _ in self._rows if j in values]
+                        for j in range(self.num_blocks)],
         }
 
     @classmethod

@@ -12,16 +12,22 @@ block for every earliest block (row l while the map is empty).
 one profile and batch in one call: it builds the table once and runs one
 greedy over a (clients, blocks) array, one row per instance. Each step
 prices every row's candidates with the table row of its map's earliest
-block; a bool mask marks the candidates, so the step's min and max are
-masked reductions along the rows. A row stops for good once its cheapest
+block plus a mask that is 0.0 for a candidate and NaN for a block already
+picked, so the step's min and max are NaN-skipping reductions along the
+rows (``fmin``/``fmax``) and a picked block is never feasible, as NaN
+compares false. A row stops for good once its cheapest
 candidate exceeds its residual budget. Each step min-max normalizes each
 row's raw weights across its candidates and picks the feasible one with the
 best value-to-normalized-weight ratio, ties going to the deeper block; each
-pick's raw weight is then checked against the ``marginal_weight`` oracle.
-The guard pass reruns only the rows where the best single feasible module
-is worth more than the greedy's map, with that module as their first pick.
-The picks are kept as plain columns; a ``SelectionTrace`` builds its
-``SelectionStep``s only when they are read.
+pick's raw weight is then checked against the ``marginal_weight`` oracle,
+asked about the map that holds only the row's earliest block (the empty map
+before its first pick), which prices every candidate as the row's own map
+does. The rows keep no map while they run: each row's ``AllocationMap`` is
+built once, from its picks, after the last step. The guard pass reruns only
+the rows where the best single feasible module is worth more than the
+greedy's map, with that module as their first pick. The picks are kept as
+plain columns; a ``SelectionTrace`` builds its ``SelectionStep``s only when
+they are read.
 
 Raw bytes decide feasibility; normalized weights only shape the ratio. Every
 cost stays below 2**53 (``KnapsackInstance`` checks the all-trainable map,
@@ -35,6 +41,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from fedlorasim.memory import (
     ModelProfile,
     check_batch,
     check_exact_costs,
+    finite_nonneg,
     is_int,
     marginal_weight,
     marginal_weights,
@@ -76,14 +85,15 @@ class KnapsackInstance:
         if not is_int(self.capacity_bytes) or self.capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be a positive int, got {self.capacity_bytes!r}")
         check_batch(self.batch)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != self.profile.num_blocks:
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        if len(values) != self.profile.num_blocks:
             raise ValueError(
-                f"values has {len(self.values)} entries, profile has {self.profile.num_blocks} blocks"
+                f"values has {len(values)} entries, profile has {self.profile.num_blocks} blocks"
             )
-        for j, v in enumerate(self.values):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"values[{j}] must be finite and >= 0, got {v}")
+        if not finite_nonneg(values):
+            j, v = next((j, v) for j, v in enumerate(values) if not 0 <= v < math.inf)
+            raise ValueError(f"values[{j}] must be finite and >= 0, got {v}")
         check_exact_costs(self.profile, self.batch)
 
 
@@ -148,13 +158,22 @@ def _normalized(cost: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarra
     candidates whose cheapest costs ``lo`` and dearest ``lo + span``; equal
     weights (``span`` 0) all map to 1, so selection degrades to ranking by
     value. Shapes broadcast."""
-    flat = span == 0
     norm = (cost - lo) * (1.0 - RATIO_EPS)
     norm /= np.maximum(span, 1)
     norm += RATIO_EPS
-    if flat.any():
-        norm[np.broadcast_to(flat, norm.shape)] = 1.0
+    if not span.all():
+        norm[np.broadcast_to(span == 0, norm.shape)] = 1.0
     return norm
+
+
+@lru_cache(maxsize=1024)
+def _earliest_only(num_blocks: int, block: int) -> AllocationMap:
+    """The map that trains only ``block``, or the empty map for block
+    ``num_blocks``: the map the oracle prices a pick on, since a price
+    depends on the map only through its earliest block."""
+    if block == num_blocks:
+        return AllocationMap.empty(num_blocks)
+    return AllocationMap.from_indices(num_blocks, (block,))
 
 
 def _greedy(profile: ModelProfile, batch: int, values: np.ndarray, capacity: np.ndarray,
@@ -163,20 +182,24 @@ def _greedy(profile: ModelProfile, batch: int, values: np.ndarray, capacity: np.
     float64 ``capacity`` (C,), at most EXACT_COST_LIMIT. Every step runs on
     all C rows; a row stops for good once its cheapest candidate exceeds
     its residual budget, and what later steps compute on it is never read.
-    Returns each row's map and its picks as (C, l) arrays of blocks, raw
-    costs, normalized weights and ratios, of which row i's first
-    ``maps[i].count`` entries are its own.
+    A row's state is its earliest block, its residual budget and its
+    picked-block mask; each live row's pick is checked against the
+    ``marginal_weight`` oracle on ``_earliest_only`` of its earliest block.
+    Returns each row's map, built once from its picks after the last step,
+    and its picks as (C, l) arrays of blocks, raw costs, normalized weights
+    and ratios, of which row i's first ``maps[i].count`` entries are its
+    own.
 
     The steps price in float64: every cost, every difference of two and
     every live residual is an integer below 2**53, so the floats are exact
     and give the comparisons and normalized weights of the int64 table."""
     c, l = values.shape
-    maps = [AllocationMap.empty(l)] * c
     prices = table.astype(np.float64)
     residual = capacity.copy()
     earliest = np.full(c, l)
-    candidate = np.ones((c, l), dtype=bool)
+    picked = np.zeros((c, l))  # NaN where a row has picked the block
     live = np.ones(c, dtype=bool)
+    count = np.zeros(c, dtype=np.int64)
     at = np.arange(c)
     # per step: each row's pick and its raw cost, and the cheapest
     # candidate and the range the step's normalization used
@@ -184,35 +207,40 @@ def _greedy(profile: ModelProfile, batch: int, values: np.ndarray, capacity: np.
     los, spans = np.zeros((l, c)), np.zeros((l, c))
     for step in range(l):
         price = prices[earliest]
-        lo = price.min(axis=1, where=candidate, initial=EXACT_COST_LIMIT)
+        price += picked
+        lo = np.fmin.reduce(price, axis=1)
         live &= lo <= residual
         alive = live.tolist()
         if not any(alive):
             break
-        span = price.max(axis=1, where=candidate, initial=0) - lo
+        span = np.fmax.reduce(price, axis=1) - lo
         ratio = values / _normalized(price, lo[:, None], span[:, None])
         if step == 0 and forced_first is not None:
             pick = forced_first
         else:
             # max ratio among the feasible; ties go to the deeper block, which
             # never extends the static range and so preserves future budget
-            feasible = np.where(candidate & (price <= residual[:, None]), ratio, -np.inf)
+            feasible = np.where(price <= residual[:, None], ratio, -np.inf)
             pick = (l - 1) - feasible[:, ::-1].argmax(axis=1)
         cost = table[earliest, pick]
-        for i, (ok, j, w) in enumerate(zip(alive, pick.tolist(), cost.tolist())):
-            if ok:
-                oracle = marginal_weight(profile, maps[i], j, batch)
-                if oracle != w:
-                    raise CostVectorMismatch(
-                        f"block {j}: cost table gives {w} B, marginal_weight gives {oracle} B"
-                    )
-                maps[i] = maps[i].with_block(j)
+        for e, j, w in compress(zip(earliest.tolist(), pick.tolist(), cost.tolist()), alive):
+            oracle = marginal_weight(profile, _earliest_only(l, e), j, batch)
+            if oracle != w:
+                raise CostVectorMismatch(
+                    f"block {j}: cost table gives {w} B, marginal_weight gives {oracle} B"
+                )
+        count += live
         picks[step], costs[step], los[step], spans[step] = pick, cost, lo, span
         residual -= cost
         np.minimum(earliest, pick, out=earliest)
-        candidate[at, pick] = False
-    norms = _normalized(costs, los, spans)
-    return maps, (picks.T, costs.T, norms.T, (values[at, picks] / norms).T)
+        picked[at, pick] = np.nan
+    picks, costs = picks.T, costs.T
+    norms = _normalized(costs, los.T, spans.T)
+    bits = np.zeros((c, l), dtype=bool)
+    kept = np.arange(l) < count[:, None]
+    bits[np.nonzero(kept)[0], picks[kept]] = True
+    maps = [AllocationMap(tuple(row)) for row in bits.tolist()]
+    return maps, (picks, costs, norms, values[at[:, None], picks] / norms)
 
 
 def optimize_allocation(instances: Sequence[KnapsackInstance]) -> list[AllocationResult]:
@@ -255,8 +283,8 @@ def optimize_allocation(instances: Sequence[KnapsackInstance]) -> list[Allocatio
                         dtype=np.float64)
     table = marginal_weights(profile, batch)
     maps, trace = _greedy(profile, batch, values, capacity, table)
-    totals = [sum(inst.values[j] for j in amap.trainable_indices)
-              for inst, amap in zip(instances, maps)]
+    # in block order from 0, as a sum over the map's trainable blocks adds
+    totals = [sum(compress(inst.values, amap.bits)) for inst, amap in zip(instances, maps)]
 
     # the best single feasible module (values are >= 0, so -1 marks one
     # that does not fit); ties go to the deeper block
@@ -268,7 +296,7 @@ def optimize_allocation(instances: Sequence[KnapsackInstance]) -> list[Allocatio
                                  forced_first=best[guard])
         for k, i in enumerate(guard.tolist()):
             maps[i] = rerun[k]
-            totals[i] = sum(instances[i].values[j] for j in maps[i].trainable_indices)
+            totals[i] = sum(compress(instances[i].values, maps[i].bits))
         for col, recol in zip(trace, retrace):
             col[guard] = recol
 

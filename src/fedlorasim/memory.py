@@ -30,6 +30,7 @@ the reference measurements report sizes.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import insort
 from dataclasses import dataclass, field
@@ -66,6 +67,16 @@ _ACT_FIELDS = ("static_act_per_sample", "dynamic_act_per_sample")
 def is_int(v) -> bool:
     """A Python int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def finite_nonneg(values: Sequence[float]) -> bool:
+    """Whether every one of ``values`` is a finite number >= 0 (True when
+    there are none), in three C-level passes: a NaN makes the sum NaN, and
+    min and max catch every other bad value."""
+    if not values:
+        return True
+    total = sum(values)
+    return total == total and min(values) >= 0 and max(values) < math.inf
 
 
 def _check_ints(name: str, v) -> None:
@@ -133,7 +144,10 @@ class AllocationMap:
         bad = [j for j in idx if not 0 <= j < num_blocks]
         if bad:
             raise ValueError(f"block indices out of range [0, {num_blocks}): {sorted(bad)}")
-        return cls(tuple(j in idx for j in range(num_blocks)))
+        bits = [False] * num_blocks
+        for j in idx:
+            bits[j] = True
+        return cls(tuple(bits))
 
     @classmethod
     def empty(cls, num_blocks: int) -> "AllocationMap":
@@ -246,6 +260,11 @@ class ModelProfile:
     @cached_property
     def _dyn_array(self) -> np.ndarray:
         return np.array(self.dynamic_act_per_sample, dtype=np.int64)
+
+    @cached_property
+    def _top_elem_bytes(self) -> int:
+        """Activation bytes per sample of the all-trainable map, the dearest."""
+        return self.bytes_per_elem * (sum(self.dynamic_act_per_sample) + self.static_tail_elems[0])
 
     @cached_property
     def _fixed_bytes(self) -> int:
@@ -371,11 +390,11 @@ def marginal_weight(profile: ModelProfile, current: AllocationMap, j: int, batch
 def check_exact_costs(profile: ModelProfile, batch: int) -> None:
     """Raise unless every cost of ``profile`` at ``batch`` is below
     ``EXACT_COST_LIMIT``; the all-trainable map, the dearest, bounds them all,
-    and is priced here in exact Python ints."""
+    and is priced here in exact Python ints from its per-sample part, which
+    the profile computes once."""
     check_batch(batch)
     top = profile._fixed_bytes + profile.num_blocks * profile._opt_bytes
-    top += batch * profile.bytes_per_elem * (sum(profile.dynamic_act_per_sample)
-                                             + profile.static_tail_elems[0])
+    top += batch * profile._top_elem_bytes
     if top >= EXACT_COST_LIMIT:
         raise ValueError(f"the all-trainable map costs {top} B; costs must stay below 2**53 B")
 

@@ -44,15 +44,15 @@ class IGScoreRecord:
 
 def local_ig_scores(
     net: ToyLoRANet,
-    allocation: Sequence[AllocationMap],
+    allocation: Sequence[AllocationMap] | MapStack,
     batches: Sequence[Sequence[tuple[np.ndarray | Activations, np.ndarray]]],
     loss_scale: float = 1.0,
 ) -> list[dict[int, float]]:
     """Per-module squared gradient norms summed over each client's scoring
     batches, for a group of clients in one pass per batch.
 
-    ``allocation`` holds one map per client, in pass order (see
-    ``MapStack``), and ``batches`` one list of batches per client; batch i
+    ``allocation`` holds one map per client, in pass order, or is their
+    ``MapStack``, and ``batches`` one list of batches per client; batch i
     has one row count for every client. A batch holds features or
     ``Activations`` (see ``ToyLoRANet.forward``). Returns,
     per client, {block: score} for its trainable blocks only; an all-frozen
@@ -66,7 +66,7 @@ def local_ig_scores(
         raise ValueError("scoring dataset is empty")
     if len({len(b) for b in batches}) != 1:
         raise ValueError("the clients of a group need the same number of scoring batches")
-    maps = MapStack(tuple(allocation))
+    maps = allocation if isinstance(allocation, MapStack) else MapStack(tuple(allocation))
     totals = np.zeros(len(maps.pair_block))
     for bi in range(len(batches[0])):
         if any(len(b[bi][0]) == 0 for b in batches):

@@ -48,7 +48,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history, value_function
-from fedlorasim.toymodel import Activations, Adapters, ToyLoRANet, local_train
+from fedlorasim.toymodel import Activations, Adapters, MapStack, ToyLoRANet, local_train
 
 # purpose tags for derived RNG streams
 _SAMPLING = 1
@@ -427,7 +427,7 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
             state.last_records.get(client.id),
             state.last_allocations.get(client.id),
         )
-        return KnapsackInstance(profile, client.capacity_bytes, b, tuple(values))
+        return KnapsackInstance(profile, client.capacity_bytes, b, values)
     rng = derive_rng(config.seed, _FEDRA, t, client.id) if config.strategy == "fedra_random" else None
     return baseline_allocation(config.strategy, client.capacity_bytes, profile, b, rng)
 
@@ -435,11 +435,11 @@ def _choose_allocation(state: GlobalState, client: ClientSpec, profile: ModelPro
 #: Most bytes of one block's per-client effective weights a lockstep group
 #: stacks (C * H * H * 8), which caps its size: 16 clients at H = 32, one at
 #: H = 128. Stacking pays while numpy's per-call cost leads a block's small
-#: products, and it costs memory. On wide-train (H = 128, one core, 6-second
-#: bench runs at seeds 160 and 163) groups of two or three ran 9.3-9.8
-#: rounds a second against 8.4-8.6 one client at a time, but peak RSS rose
-#: from 59.1-59.2 MB to 60.1-62.6 MB, most of the benchmark's 10% bound;
-#: groups of ten ran 10 rounds in 2.4 s against 1.9 s one at a time.
+#: products, and it costs memory. At H = 128 it no longer pays: on
+#: wide-train (15-second bench runs at seeds 1 and 2, 2-core machine) a
+#: 256 KiB cap (groups of two) ran 9.17-9.65 rounds a second at 57.0-57.8
+#: MB peak RSS and a 384 KiB cap 9.08-9.15 at 58.7-58.8 MB, against
+#: 10.48-10.91 at 55.2-55.5 MB with this cap, one client at a time.
 LOCKSTEP_WEIGHT_BYTES = 128 * 1024
 
 
@@ -473,7 +473,7 @@ def _client_updates(updates: list[tuple[ClientSpec, AllocationMap]], net: ToyLoR
     records, collected = [], []
     for group in lockstep_groups(updates, net.hidden_size):
         t0 = time.perf_counter()
-        maps = [amap for _, amap in group]
+        maps = MapStack(tuple(amap for _, amap in group))  # scoring and training share it
         inputs = [prefixes.update_inputs(client, net, amap, b) for client, amap in group]
         if config.strategy == "fedpilot":  # only the knapsack's values read the scores
             scores = local_ig_scores(net, maps, [client.ig_batches(x)
@@ -519,17 +519,21 @@ def run_round(state: GlobalState, clients: list[ClientSpec], net: ToyLoRANet,
     # the empty map's bytes: profile and batch are every client's
     base = total_memory(profile, AllocationMap.empty(profile.num_blocks), b).total_bytes
     maps = [_choose_allocation(state, clients[cid], profile, config, t, base) for cid in sampled]
+    # each map's memory breakdown: the solve's for the maps it makes, which it
+    # priced with total_memory, and priced below for the others
+    priced = [None] * len(maps)
     solve = [k for k, m in enumerate(maps) if isinstance(m, KnapsackInstance)]
     if solve:  # one knapsack pass for the round's solving clients, none without them
         for k, result in zip(solve, optimize_allocation([maps[k] for k in solve])):
-            maps[k] = result.map
+            maps[k], priced[k] = result.map, result.memory
     phase["allocate"] = time.perf_counter() - t0
-    for cid, amap in zip(sampled, maps):
+    for cid, amap, breakdown in zip(sampled, maps, priced):
         client = clients[cid]
         if amap is None or amap.count == 0:
             infos.append(ClientRoundInfo(cid, client.level, False, None, None, 0.0))
             continue
-        breakdown = total_memory(profile, amap, b)
+        if breakdown is None:
+            breakdown = total_memory(profile, amap, b)
         if config.strategy != "full" and breakdown.total_bytes > client.capacity_bytes:
             raise InvariantViolation(
                 f"round {t}: client {cid} allocation {amap.to_bitstring()} needs "

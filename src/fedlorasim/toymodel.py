@@ -24,7 +24,11 @@ weights forward used, so it computes neither again.
 The net holds its adapters as read-only per-block arrays in tuples, and
 ``W0`` as a tuple of read-only views of one (L, H, H) array; outside it the
 adapters are one ``Adapters``, which ``get_lora_state`` copies out and
-``set_lora_state``, their only writer from outside, takes. An effective
+``set_lora_state``, their only writer from outside, takes. Beside the
+tuples it holds the shared factors, the ones every client of a group starts
+from, as one read-only (L, H, r)/(L, r, H) pair: ``set_lora_state``
+compares a write against it in one array test, and the factors a group's
+pairs train from are gathered from it in one indexing. An effective
 weight ``W0 + scale * N @ M`` changes only when its block's adapters do, so
 the net keeps one per block: a write that leaves a block's factors
 byte-equal keeps that block's arrays and built weight, a write that changes
@@ -200,13 +204,15 @@ class MapStack:
         earliest = tuple(l if m.earliest is None else m.earliest for m in maps)
         if list(earliest) != sorted(earliest):
             raise ValueError(f"maps must be ordered by earliest trainable block, got {earliest}")
-        bits = np.array([m.bits for m in maps])
+        # a bool tuple's bytes are its 0/1 bits
+        bits = np.frombuffer(b"".join(bytes(m.bits) for m in maps), dtype=bool).reshape(-1, l)
         trained = np.flatnonzero(bits.any(axis=0))
         # row-major over the trained blocks from the top down: each block's trainers in order
         down, pair_client = np.nonzero(bits.T[trained[::-1]])
         pair_row = len(trained) - 1 - down
-        runs = np.split(pair_client, np.flatnonzero(np.diff(down)) + 1)
-        trainers = dict(zip(trained[::-1].tolist(), runs))
+        cuts = [0, *(np.flatnonzero(np.diff(down)) + 1).tolist(), len(down)]
+        trainers = {j: pair_client[lo:hi]
+                    for j, lo, hi in zip(trained[::-1].tolist(), cuts, cuts[1:])}
         for name, value in (("maps", maps), ("earliest", earliest), ("trainers", trainers),
                             ("trained", trained), ("pair_block", trained[pair_row]),
                             ("pair_client", pair_client), ("pair_row", pair_row)):
@@ -387,74 +393,93 @@ class ToyLoRANet:
         #: the block passes skip adding it (see the module docstring)
         self.b = tuple(np.zeros(h) for _ in range(num_blocks))
         self.head = rng.normal(0.0, 1.0 / np.sqrt(h), (h, num_classes))
-        self.N = tuple(rng.normal(0.0, 1.0 / np.sqrt(h), (h, lora_rank))
-                       for _ in range(num_blocks))
-        self.M = tuple(np.zeros((lora_rank, h)) for _ in range(num_blocks))
-        for arr in (self.embed, self.head, *self.b, *self.N, *self.M):
+        #: the shared factors, stacked; ``N`` and ``M`` view them until writes
+        #: replace blocks
+        self._shared = (np.stack([rng.normal(0.0, 1.0 / np.sqrt(h), (h, lora_rank))
+                                  for _ in range(num_blocks)]),
+                        np.zeros((num_blocks, lora_rank, h)))
+        for arr in (self.embed, self.head, *self.b, *self._shared):
             arr.setflags(write=False)
+        self.N, self.M = (tuple(x) for x in self._shared)
         #: effective weight of each block, None until forward builds it
         self._weights: list[np.ndarray | None] = [None] * num_blocks
 
     # ---- parameter plumbing -------------------------------------------------
 
     def get_lora_state(self) -> Adapters:
-        """A copy of the adapters, stacked over the blocks."""
-        return Adapters(np.stack(self.N), np.stack(self.M))
+        """A copy of the adapters, stacked over the blocks, of a net with no
+        client axis."""
+        if self.clients is not None:
+            raise ValueError("a net with a client axis holds no single adapter state")
+        return Adapters(*(x.copy() for x in self._shared))
 
     def set_lora_state(self, state: Adapters) -> None:
-        """The one writer of the adapters from outside. A block whose given
-        factors equal the held ones byte for byte keeps its arrays and built
-        weight; a changed block stores read-only copies, drops its built
-        weight and takes a new write tick."""
+        """The one writer of the adapters from outside, on a net with no
+        client axis. A block whose given factors equal the held ones byte
+        for byte keeps its arrays and built weight; a changed block stores
+        read-only copies, drops its built weight and takes a new write tick.
+        The byte test is one compare of the factors' 64-bit patterns, so
+        +0.0 and -0.0 differ, as their bytes do."""
+        if self.clients is not None:
+            raise ValueError("a net with a client axis takes no adapter state")
         want = (self.num_blocks, self.hidden_size, self.lora_rank)
         if state.N.shape != want:
             raise ValueError(f"adapter shapes {list(state.N.shape)}/{list(state.M.shape)} "
                              f"do not fit (L, H, r) = {want}")
-        changed = [j for j, (n, m) in enumerate(zip(state.N, state.M))
-                   if n.tobytes() != self.N[j].tobytes() or m.tobytes() != self.M[j].tobytes()]
-        if changed:
-            n, m = state.N[changed], state.M[changed]
-            n.setflags(write=False)
-            m.setflags(write=False)
+        changed = np.flatnonzero(
+            (state.N.view(np.uint64) != self._shared[0].view(np.uint64)).any(axis=(1, 2))
+            | (state.M.view(np.uint64) != self._shared[1].view(np.uint64)).any(axis=(1, 2)))
+        if changed.size:
+            self._shared = state.N.copy(), state.M.copy()
+            n, m = (x[changed] for x in self._shared)
+            for x in (*self._shared, n, m):
+                x.setflags(write=False)
             self._stack = None
             self._store(n, m, changed, shared=True)
 
-    def _store(self, n: np.ndarray, m: np.ndarray, changed: list[int], shared: bool) -> None:
+    def _store(self, n: np.ndarray, m: np.ndarray, changed: np.ndarray, shared: bool) -> None:
         """Hold the read-only factors n (T, ..., H, r) and m (T, ..., r, H)
         of the T blocks ``changed``, ascending: their per-block arrays view
         them, their built weights are dropped, to be built together on the
         next read, and they take one new tick, which ``shared`` factors give
         every client."""
-        N, M, ticks = list(self.N), list(self.M), list(self._changed_at)
-        tick = next(_write_clock)
-        for row, j in enumerate(changed):
-            N[j], M[j], ticks[j] = n[row], m[row], tick
+        N, M = list(self.N), list(self.M)
+        for j, nj, mj in zip(changed.tolist(), n, m):
+            N[j], M[j] = nj, mj
             self._weights[j] = None
-        self.N, self.M, self._changed_at = tuple(N), tuple(M), tuple(ticks)
-        self._fresh = _WeightBuild(changed, n, m)
+        self.N, self.M = tuple(N), tuple(M)
+        tick = next(_write_clock)
+        ticks = np.array(self._changed_at)
+        ticks[changed] = tick
+        self._changed_at = tuple(ticks.tolist())
         if shared:
-            changed = set(changed)
-            self._shared_at = tuple(tick if j in changed else t for j, t in enumerate(self._shared_at))
+            ticks = np.array(self._shared_at)
+            ticks[changed] = tick
+            self._shared_at = tuple(ticks.tolist())
+        self._fresh = _WeightBuild(changed.tolist(), n, m)
 
-    def _factor_stack(self, maps: MapStack, clients: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (T, clients, H, r)/(T, clients, r, H) factors of the T blocks
-        ``maps`` trains: the last SGD step's stack when it was taken with
-        these maps, else a fresh one read from the per-block arrays, whose
-        shared factors fill every client row."""
+    def _factor_stack(self, maps: MapStack) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, C, H, r)/(T, C, r, H) factors of the T blocks ``maps``
+        trains, one row per client of ``maps``: the last SGD step's stack
+        when it was taken with these maps, else the shared factors of those
+        blocks for every client, read-only, on a net with no client axis."""
         if self._stack is not None and self._stack[0] is maps:
             return self._stack[1], self._stack[2]
-        t, h, r = len(maps.trained), self.hidden_size, self.lora_rank
-        n, m = np.empty((t, clients, h, r)), np.empty((t, clients, r, h))
-        for row, j in enumerate(maps.trained.tolist()):
-            n[row], m[row] = self.N[j], self.M[j]
-        return n, m
+        if self.clients is not None:
+            raise ValueError("a net with a client axis holds factors for its own group only")
+        n, m = (x[maps.trained][:, None] for x in self._shared)
+        c = len(maps)
+        return (np.broadcast_to(n, (len(n), c, *n.shape[2:])),
+                np.broadcast_to(m, (len(m), c, *m.shape[2:])))
 
     def _pair_factors(self, maps: MapStack) -> tuple[np.ndarray, np.ndarray]:
         """The factors each (block, client) pair of ``maps`` trains from,
-        (P, H, r)/(P, r, H) in pair order; a net with no client axis holds
-        one row, the shared factors, for every client."""
-        n, m = self._factor_stack(maps, self.clients or 1)
-        at = maps.pair_row, (maps.pair_client if self.clients else 0)
+        (P, H, r)/(P, r, H) in pair order; on a net with no client axis, the
+        shared factors of each pair's block."""
+        if self.clients is None:
+            return self._shared[0][maps.pair_block], self._shared[1][maps.pair_block]
+        n, m = self._factor_stack(maps)
+        at = maps.pair_row, maps.pair_client
         return n[at], m[at]
 
     def _descend(self, grads: Gradients, lr: float) -> None:
@@ -465,14 +490,14 @@ class ToyLoRANet:
         trained blocks' per-block arrays become read-only views of the new
         stack, and every trained block takes a tick."""
         maps = grads.maps
-        n, m = (x.copy() for x in self._factor_stack(maps, len(maps)))
+        n, m = (x.copy() for x in self._factor_stack(maps))
         at = maps.pair_row, maps.pair_client
         n[at] -= lr * grads.N
         m[at] -= lr * grads.M
         n.setflags(write=False)
         m.setflags(write=False)
         self.clients, self._stack = len(maps), (maps, n, m)
-        self._store(n, m, maps.trained.tolist(), shared=False)
+        self._store(n, m, maps.trained, shared=False)
 
     @property
     def frozen_below(self) -> int:
@@ -715,7 +740,7 @@ def local_train(
     net: ToyLoRANet,
     X: Sequence[np.ndarray | Activations],
     y: Sequence[np.ndarray],
-    allocation: Sequence[AllocationMap],
+    allocation: Sequence[AllocationMap] | MapStack,
     epochs: int,
     batch_size: int,
     lr: float,
@@ -726,7 +751,8 @@ def local_train(
 
     X, y and allocation hold one entry per client, in pass order (see
     ``MapStack``): features or ``Activations`` (see ``ToyLoRANet.forward``),
-    labels of one count for every client, and its map. A client's deltas are
+    labels of one count for every client, and its map; ``allocation`` may
+    be the maps' ``MapStack``. A client's deltas are
     theta_after - theta_before on the blocks its map trains (all-zero when
     lr is 0) and zero rows on the others. A client's batches are sequential
     unless its rng (one per client, or None for all) shuffles each of its
@@ -752,7 +778,7 @@ def local_train(
     if not 0.0 <= lr < math.inf:
         raise ValueError(f"learning rate must be finite and nonnegative, got lr={lr}")
 
-    maps = MapStack(tuple(allocation))
+    maps = allocation if isinstance(allocation, MapStack) else MapStack(tuple(allocation))
     group = net.clone()
     for epoch in range(epochs):
         perms = [np.arange(n) if r is None else r.permutation(n) for r in rngs]

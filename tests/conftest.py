@@ -355,10 +355,17 @@ class ReferenceScoreHistory:
         self.buffers = [deque() for _ in range(num_blocks)]
 
     def update(self, records, round: int) -> None:
-        for j, buf in enumerate(self.buffers):
+        means = {}
+        for j in range(len(self.buffers)):
             reported = [rec.module_scores[j] for rec in records if j in rec.module_scores]
             if reported:
-                buf.append((round, sum(reported) / len(reported)))
+                means[j] = sum(reported) / len(reported)
+        self.push(round, means)
+
+    def push(self, round: int, values: dict) -> None:
+        """Append each given module's value, then evict by the round cutoff."""
+        for j, v in values.items():
+            self.buffers[j].append((round, v))
         for buf in self.buffers:
             while buf and buf[0][0] <= round - self.window:
                 buf.popleft()

@@ -322,6 +322,17 @@ def test_window_evicts_by_round_and_keeps_unnamed_layers():
     assert w.means == (0.0, 0.0) and w.is_empty()
 
 
+def test_window_means_add_in_round_order():
+    # a pairwise sum (numpy's reduce along one contiguous axis of 8 or more
+    # entries) gives 2**53 + 10 here; adding in round order, as a per-layer
+    # sum(...) does, loses every 1.0 to rounding and gives 2**53
+    values = [2.0**53] + [1.0] * 11
+    w = RoundWindow(num_blocks=1, window=12)
+    for t, v in enumerate(values, start=1):
+        w.push(t, {0: v})
+    assert w.means == (sum(values) / 12,) == (2.0**53 / 12,)
+
+
 def window_dict(*entries, round=4):
     return {"num_blocks": 4, "window": 2, "round": round,
             "entries": [list(e) for e in entries] + [[] for _ in range(4 - len(entries))]}

@@ -299,6 +299,26 @@ def test_cost_vector_checked_against_oracle(monkeypatch):
         optimize_allocation([inst])[0]
 
 
+def test_one_wrong_price_read_only_by_a_later_pick_raises(monkeypatch):
+    # the uniform ViT solve picks 11, 10, 9, 8, 7, each priced on the table
+    # row of the blocks picked so far's earliest; entry [8, 7] is read only
+    # by the fifth pick, so a check of the first pick alone misses it
+    real = fedlorasim.allocator.marginal_weights
+
+    def one_wrong(p, b):
+        table = real(p, b)
+        table[8, 7] += 1
+        return table
+
+    inst = KnapsackInstance(reference_vit_profile(), 24 * GB, 496, (1.0,) * 12)
+    assert [s.block for s in optimize_allocation([inst])[0].selection_trace] == [11, 10, 9, 8, 7]
+    monkeypatch.setattr(fedlorasim.allocator, "marginal_weights", one_wrong)
+    want = marginal_weight(inst.profile, AllocationMap.from_indices(12, [8, 9, 10, 11]), 7, 496)
+    with pytest.raises(CostVectorMismatch,
+                       match=f"block 7: cost table gives {want + 1} B, marginal_weight gives {want} B"):
+        optimize_allocation([inst])
+
+
 def test_one_call_solves_a_mix_of_instances_as_separate_calls_do():
     # one call over instances of one profile and batch: two rows where the
     # guard pass fires, forcing block 0 and block 1 first, a row that picks

@@ -26,8 +26,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fedlorasim.allocator import KnapsackInstance, optimize_allocation
+from fedlorasim.cli import main
 from fedlorasim.config import ExperimentConfig
 from fedlorasim.memory import naive_map, total_memory
 from fedlorasim.simulator import run_experiment, toy_profile
@@ -174,3 +177,83 @@ def test_wide_and_deep_outputs_match_pinned_digests(name, tmp_path):
     got = tuple(hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
                 for fname in ("metrics.jsonl", "summary.json"))
     assert got == digests
+
+
+# The allocator's bytes: ``fedlorasim allocate`` on the reference ViT
+# profile over a grid of capacities and value vectors at batches 1 and 496,
+# and one round-shaped ``optimize_allocation`` call at L = 96. The grid
+# holds empty maps (every block dearer than the budget), partial and full
+# maps, a capacity past every cost, ties, zeros, and a spiky vector whose
+# guard pass fires at 26.5 GB and batch 496 (block 4 alone beats the
+# greedy's map). Recorded before the greedy stopped growing a map per pick.
+REFERENCE_PROFILE = QUICK.parent / "reference_profile.json"
+ALLOCATE_CAPACITIES = (2_650_000_000, 2_700_000_000, 9 * 10**9, 16 * 10**9, 26_500_000_000, 2**60)
+ALLOCATE_VALUES = {
+    "uniform": (1.0,) * 12,
+    "ascending": tuple(float(j + 1) for j in range(12)),
+    "descending": tuple(float(12 - j) for j in range(12)),
+    "spiky": (0.0, 0.0, 0.0, 0.0, 9.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.01, 0.01),
+}
+
+# (batch, value vector): sha256 of the six capacities' stdout, in order
+PINNED_ALLOCATE = {
+    (1, "uniform"): "8d942a455d9a98a23d769362bebfcbca6718703e6fa9ba44992544d7d6118c96",
+    (1, "ascending"): "b0c4b22d448a0a20145afa159c2ae4cdb31e9c46f75b35f256e9dbb7db0cbdb4",
+    (1, "descending"): "8ade8bc65f5d66d7bb27c920f605747c2e55711a6edc0c28d176f96e38d196de",
+    (1, "spiky"): "933d0e9776d819e46361754396967fd05aa74f56ac068287d721acde959922e2",
+    (496, "uniform"): "e7738c2a23055f7ee71a6d8708981ae6caa55ba5ee6a8b997c464373412d1ab4",
+    (496, "ascending"): "534e082799e772c9d3245d24fde0a3146048c218dd9fa016c4b4438ee6fd76d1",
+    (496, "descending"): "dc158be7fe3b12849835f1442970305afc2a7a10b190b20383ef135082348464",
+    (496, "spiky"): "c21fe350b43621104c76a6ed38ef2c8682c093369765dba00aa03094e0b552c8",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ALLOCATE), ids=lambda c: f"b{c[0]}-{c[1]}")
+def test_allocate_outputs_match_pinned_digests(case, capsys):
+    batch, name = case
+    out = []
+    for capacity in ALLOCATE_CAPACITIES:
+        rc = main(["allocate", "--profile", str(REFERENCE_PROFILE), "--capacity", str(capacity),
+                   "--values", ",".join(map(repr, ALLOCATE_VALUES[name])), "--batch", str(batch)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, ""), capacity
+        out.append(captured.out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == PINNED_ALLOCATE[case]
+
+
+def test_allocate_infeasible_capacity_error_is_pinned(capsys):
+    rc = main(["allocate", "--profile", str(REFERENCE_PROFILE), "--capacity", "2600000000",
+               "--values", ",".join(["1.0"] * 12), "--batch", "496"])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: fixed footprint 2627916288 B exceeds capacity 2600000000 B\n")
+
+
+def deep_round_instances() -> list[KnapsackInstance]:
+    """Five instances of a ``deep-knapsack``-shaped round (toy profile, L = 96,
+    H = 16, batch 32): one per capacity tier (the last-u map plus 2%, u in
+    12, 24, 36, 48) with skewed random values, and a fifth at the top tier
+    whose one valuable shallow block fires the guard pass."""
+    d = json.loads(QUICK.read_text())
+    d["model"].update(num_blocks=96, hidden_size=16, input_dim=32, num_classes=10)
+    d["clients"]["batch_size"] = 32
+    cfg = ExperimentConfig.from_dict(d)
+    profile, b = toy_profile(cfg), cfg.clients.batch_size
+    caps = [int(1.02 * total_memory(profile, naive_map(96, "ms", u), b).total_bytes)
+            for u in (12, 24, 36, 48)]
+    rng = np.random.default_rng(23)
+    spike = [0.001] * 96
+    spike[40] = 50.0
+    return ([KnapsackInstance(profile, c, b, tuple(10.0 * rng.random(96) ** 4)) for c in caps]
+            + [KnapsackInstance(profile, caps[-1], b, tuple(spike))])
+
+
+PINNED_DEEP_ROUND = "f7f30c29a7ca1d91eac8c072c87c3533df2a255c9ea520ace1e6663652c1a478"
+
+
+def test_deep_round_allocation_matches_pinned_digest():
+    results = optimize_allocation(deep_round_instances())
+    # the guard pass fires on the fifth row only: it starts at block 40
+    assert [r.selection_trace[0].block for r in results] == [95, 95, 95, 95, 40]
+    got = hashlib.sha256(json.dumps([r.as_dict() for r in results]).encode()).hexdigest()
+    assert got == PINNED_DEEP_ROUND

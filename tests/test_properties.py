@@ -388,37 +388,66 @@ def _read_back(window: RoundWindow) -> RoundWindow:
     return RoundWindow.from_jsonable(json.loads(json.dumps(window.to_jsonable())))
 
 
+def _assert_window_is(window: RoundWindow, means, entries) -> None:
+    """``window`` holds ``entries`` ([round, value] lists per layer) and
+    ``means``, byte for byte: signed zeros and ints stay what they are, so
+    the JSON text is compared, and reading its JSON back gives it again."""
+    assert np.array(window.means).tobytes() == np.array(means).tobytes()
+    want = {"num_blocks": len(entries), "window": window.window, "round": window.round,
+            "entries": entries}
+    assert json.dumps(window.to_jsonable()) == json.dumps(want)
+    back = _read_back(window)
+    assert json.dumps(back.to_jsonable()) == json.dumps(want)
+    assert np.array(back.means).tobytes() == np.array(means).tobytes()
+
+
+#: values with signed zeros among them: a -0.0 entry keeps its sign in the
+#: window's entries, and a mean is -0.0 only if its sum starts from -0.0
+SCORES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1e12, allow_nan=False,
+                                                             allow_infinity=False))
+
+
 @PROPERTY
 @given(st.data())
 def test_score_window_matches_the_round_cutoff_buffers(data):
-    """``update_history`` gives the old score buffers' means, float for float,
-    over rounds with gaps, unreported modules and several clients."""
-    l, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    """``update_history``, or a push of given values, gives the old score
+    buffers' means and entries byte for byte, over windows up to 12 rounds,
+    rounds with gaps, unreported and never-reported modules, signed zeros
+    and several clients; its JSON reads back as written."""
+    l, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12))
     window, ref = RoundWindow(l, size), ReferenceScoreHistory(l, size)
-    score = st.floats(0, 1e12, allow_nan=False, allow_infinity=False)
     t = 0
-    for _ in range(data.draw(st.integers(0, 10))):
+    for _ in range(data.draw(st.integers(0, 16))):
         t += data.draw(st.integers(1, 3))
-        records = [IGScoreRecord(t, cid, data.draw(st.dictionaries(st.integers(0, l - 1), score)))
-                   for cid in range(data.draw(st.integers(0, 3)))]
-        update_history(window, records, t)
-        ref.update(records, t)
-        assert window.means == ref.means()
-        assert _read_back(window).means == window.means
+        if data.draw(st.booleans()):
+            records = [IGScoreRecord(t, cid, data.draw(st.dictionaries(st.integers(0, l - 1),
+                                                                       SCORES)))
+                       for cid in range(data.draw(st.integers(0, 3)))]
+            update_history(window, records, t)
+            ref.update(records, t)
+        else:
+            values = data.draw(st.dictionaries(st.integers(0, l - 1), SCORES))
+            window.push(t, values)
+            ref.push(t, values)
+        _assert_window_is(window, ref.means(), [[[r, m] for r, m in buf] for buf in ref.buffers])
 
 
 @PROPERTY
 @given(st.data())
 def test_count_window_matches_the_maxlen_deques(data):
-    """Pushing every layer's count each round gives the old deques' betas."""
-    l, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    """Pushing every layer's count each round gives the old deques' betas
+    byte for byte, over windows up to 12 rounds, and keeps the counts
+    Python ints in the window's JSON."""
+    l, size = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 12))
     window, ref = RoundWindow(l, size), ReferenceContributionHistory(l, size)
-    for _ in range(data.draw(st.integers(0, 10))):
+    for _ in range(data.draw(st.integers(0, 16))):
         counts = data.draw(st.lists(st.integers(0, 9), min_size=l, max_size=l))
         push_counts(window, counts)
         ref.append(counts)
-        assert window.means == tuple(ref.beta(j) for j in range(l))
-        assert _read_back(window).means == window.means
+        t = window.round
+        _assert_window_is(window, [ref.beta(j) for j in range(l)],
+                          [[[r, c] for r, c in zip(range(t - len(buf) + 1, t + 1), buf)]
+                           for buf in ref.counts])
 
 
 @st.composite

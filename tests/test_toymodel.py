@@ -848,6 +848,38 @@ def test_row_subset_products_are_bitwise_equal(hidden):
 GROUP_MAPS = ([1, 3], [2, 6], [4], [5, 6], [6])  # earliest blocks 1, 2, 4, 5, 6
 
 
+def test_a_zero_sign_flip_is_a_change_and_a_byte_equal_write_is_none():
+    # set_lora_state compares bytes: +0.0 and -0.0 are equal numbers with
+    # other bytes, so flipping one zero of block 2's M changes block 2 alone
+    net = small_net(num_blocks=6)
+    X = np.random.default_rng(83).normal(size=(3, net.input_dim))
+    full = AllocationMap.full(6)
+    randomize_adapters(net, np.random.default_rng(84), blocks=[4])
+    forward_one(net, X, full)  # builds every weight
+    below, above = net.prefix(X, 2), net.prefix(X, 3)
+    built, ticks = list(net._weights), net._changed_at
+    assert np.signbit(net.M[2]).sum() == 0  # M starts at +0.0
+    state = net.get_lora_state()
+    state.M[2][1, 3] = -0.0
+    net.set_lora_state(state)
+    assert [j for j in range(6) if net._changed_at[j] != ticks[j]] == [2]
+    assert net._weights[2] is None
+    assert all(net._weights[j] is built[j] for j in (0, 1, 3, 4, 5))
+    assert np.signbit(net.M[2]).sum() == 1
+    assert net.accepts(below) and not net.accepts(above)
+    forward_one(net, X, full)
+    assert net._weights[2] is not None and net._weights[2] is not built[2]
+    # writing the same bytes again, as fresh arrays, keeps every tick and weight
+    ticks, built = net._changed_at, list(net._weights)
+    write_blocks(net, {j: (net.N[j].copy(), net.M[j].copy()) for j in range(6)})
+    assert net._changed_at == ticks
+    assert all(w is b for w, b in zip(net._weights, built))
+    # and flipping it back is a change of block 2 again
+    state.M[2][1, 3] = 0.0
+    net.set_lora_state(state)
+    assert [j for j in range(6) if net._changed_at[j] != ticks[j]] == [2]
+
+
 def group_case(hidden, n, seed, num_blocks=7):
     """A net whose writes changed blocks 3 and up, and one dataset per map."""
     net = ToyLoRANet(num_blocks=num_blocks, hidden_size=hidden, lora_rank=2, input_dim=32,
@@ -1074,6 +1106,14 @@ def test_group_training_keeps_its_clients_inputs_accepted():
         group.prefix(data[0][0], 2)
     with pytest.raises(ValueError, match="client axis"):
         group.evaluate(data[0][0], data[0][1])
+    # its per-client factors make no single adapter state, and it trains no
+    # other group than its own
+    with pytest.raises(ValueError, match="client axis"):
+        group.get_lora_state()
+    with pytest.raises(ValueError, match="client axis"):
+        group.set_lora_state(net.get_lora_state())
+    with pytest.raises(ValueError, match="client axis"):
+        group._pair_factors(MapStack(tuple(maps)))
 
 
 def test_non_finite_loss_text_is_unchanged():
