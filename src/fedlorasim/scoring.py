@@ -58,7 +58,8 @@ def local_ig_scores(
     per client, {block: score} for its trainable blocks only; an all-frozen
     allocation yields an empty dict. Each client's score is summed on its
     own (block, client) pairs of the group's gradients, as a pass of that
-    client alone sums it. ``net`` is not written.
+    client alone sums it. ``net`` is not written; the passes run on its
+    scratch (see ``ToyLoRANet.forward``).
     """
     if len(batches) != len(allocation) or not allocation:
         raise ValueError("a group needs one map and one batch list per client")
@@ -71,7 +72,7 @@ def local_ig_scores(
     for bi in range(len(batches[0])):
         if any(len(b[bi][0]) == 0 for b in batches):
             raise ValueError(f"scoring batch {bi} is empty")
-        _, cache = net.forward([b[bi][0] for b in batches], maps)
+        _, cache = net.forward([b[bi][0] for b in batches], maps, scratch=True)
         labels = np.stack([np.asarray(b[bi][1]) for b in batches])
         g = net.backward(cache, labels, loss_scale=loss_scale)
         sq = np.square(g.N).sum(axis=(1, 2)) + np.square(g.M).sum(axis=(1, 2))

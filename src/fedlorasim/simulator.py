@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -150,10 +151,13 @@ class RoundMetrics:
         row["clients"] = [dict(vars(c)) for c in self.clients]
         return row
 
-    def timings_dict(self) -> dict:
-        """Wall-clock seconds of the round and of each phase; never in metrics.jsonl."""
+    def timings_dict(self, minor_faults: int) -> dict:
+        """The round's ``timings.jsonl`` row, never in metrics.jsonl: wall-clock
+        seconds of the round and of each phase, and ``minor_faults``, the
+        minor page faults the process took during the round."""
         return {"round": self.round, "total_s": self.wall_time_s,
-                **{f"{name}_s": self.phase_s[name] for name in PHASES}}
+                **{f"{name}_s": self.phase_s[name] for name in PHASES},
+                "minor_faults": minor_faults}
 
 
 def toy_profile(config: ExperimentConfig) -> ModelProfile:
@@ -749,9 +753,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, quiet=False) -
     Returns the summary dict. Each round, round 0's evaluation included,
     writes its ``metrics.jsonl`` and ``timings.jsonl`` rows and any due
     checkpoint as it ends, so a run that fails keeps its finished rounds;
-    ``summary.json`` is written after the last. Everything written under
-    ``out_dir`` except the per-phase wall times in ``timings.jsonl`` is a
-    pure function of the config.
+    ``summary.json`` is written after the last. A ``timings.jsonl`` row
+    holds the round's wall times and ``minor_faults``, the minor page
+    faults the process took during the round. Everything written under
+    ``out_dir`` except ``timings.jsonl`` is a pure function of the config.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -791,14 +796,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path, quiet=False) -
     utilization = 0.0
     with open(out / "metrics.jsonl", "w") as metrics, open(out / "timings.jsonl", "w") as timings:
         for t in range(config.rounds + 1):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             if t == 0:
                 rm = _round_zero_metrics(net, test, profile.num_blocks)
             else:
                 rm = run_round(state, clients, net, test, profile, config, prefixes=prefixes)
                 utilization += rm.mean_utilization
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             best = max(best, rm.accuracy)
             metrics.write(json.dumps(rm.as_jsonl_dict(), allow_nan=False) + "\n")
-            timings.write(json.dumps(rm.timings_dict(), allow_nan=False) + "\n")
+            timings.write(json.dumps(rm.timings_dict(faults), allow_nan=False) + "\n")
             # a run killed mid-round still leaves every finished round's rows
             metrics.flush()
             timings.flush()

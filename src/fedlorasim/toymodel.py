@@ -78,9 +78,21 @@ no block above its earliest trainable one, stays accepted for the whole
 update. ``local_ig_scores`` runs the same pass on the net itself, with no
 write.
 
-Block arithmetic writes into the fresh result of the block's product (the
-pre-activation, tanh' and the effective weight), never into an array that
-is kept: ``Activations.data``, the cache's activations or the factors.
+A lockstep pass keeps its big per-step arrays in buffers that live as
+long as the net (see ``_Scratch``): forward's block outputs in one
+(blocks + 1, C, B, H) slab, where each block's product is written into its
+slot and passed through tanh in place, and backward's chain arrays dz and
+da and its (P, H, H) weight gradients. ``local_train`` and
+``local_ig_scores`` run every pass on the scratch that the net and its
+clones share, so a step of a shape seen before allocates none of these,
+and the C allocator has no freed heap top to trim that the next step
+would fault in again. The cache of a forward on the scratch views it until
+the next forward on it, and backward refuses it after that. A forward
+without the scratch, for a caller that keeps a cache past the next pass,
+makes a slab of its own; backward's arrays are temporaries and always
+come from the scratch. Block arithmetic never writes into an array a
+caller keeps: ``Activations.data``, the factors, the built weights, the
+logits or the gradients, which stay fresh arrays.
 ``prefix`` and ``evaluate`` run their rows through the embedding and the
 blocks in chunks of ``ROW_CHUNK_BYTES``, so a large set such as a test set
 never takes a whole-set array per block; only the head, whose product is
@@ -101,8 +113,9 @@ from fedlorasim.memory import AllocationMap
 
 
 class StaleCacheError(ValueError):
-    """Backward got a cache made by a net with other frozen weights, or
-    before a write changed this net's adapters."""
+    """Backward got a cache made by a net with other frozen weights, before
+    a write changed this net's adapters, or whose arrays a later forward on
+    the net's scratch overwrote."""
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -238,6 +251,30 @@ class _WeightBuild:
         self.weights: np.ndarray | None = None
 
 
+class _Scratch:
+    """Buffers for the big per-step arrays of a lockstep pass: forward's
+    block outputs, one (blocks + 1, C, B, H) slab under ``"acts"``, and
+    backward's ``"dz"`` and ``"da"``, each (C, B, H), and (P, H, H)
+    ``"dW"``. Each is one flat array that grows to the largest pass it has
+    served and is sliced to shape, so a pass of a shape seen before
+    allocates none of them. A net and its clones share one, so one pass
+    at a time runs on it. Each forward on it takes a new
+    ``generation``, which its cache records: the next forward on it
+    overwrites that cache's arrays."""
+
+    def __init__(self):
+        self.generation = 0
+        self.buffers = dict.fromkeys(("acts", "dz", "da", "dW"), np.empty(0))
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Buffer ``name`` as an array of ``shape``, grown first if it is
+        too small; what it holds is left from the last pass."""
+        size = math.prod(shape)
+        if self.buffers[name].size < size:
+            self.buffers[name] = np.empty(size)
+        return self.buffers[name][:size].reshape(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Gradients:
     """Adapter gradients of a group's (block, client) pairs, ``N`` (P, H, r)
@@ -274,6 +311,12 @@ class ForwardCache:
     ``maps`` holds the clients' maps. ``base`` and ``stamp`` are the
     identity of the frozen weights and the write ticks of every block of the
     net that made it, as in ``Activations``.
+
+    ``acts`` and ``block_inputs`` view the slab of ``scratch`` and hold
+    their values while its generation is ``generation``: on the net's
+    scratch, which the net and its clones share, until the next forward on
+    it, after which backward refuses the cache; on a slab the forward made
+    for itself, for good. ``logits`` is always an array of its own.
     """
 
     logits: np.ndarray
@@ -282,6 +325,8 @@ class ForwardCache:
     maps: MapStack
     base: object
     stamp: tuple[int, ...]
+    scratch: _Scratch
+    generation: int
     _softmax: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -381,6 +426,8 @@ class ToyLoRANet:
         self._fresh: _WeightBuild | None = None
         #: identity of the frozen weights, shared with every clone
         self._base = object()
+        #: the lockstep passes' buffers, shared with every clone
+        self._scratch = _Scratch()
 
         rng = np.random.default_rng(seed)
         h = hidden_size
@@ -611,7 +658,8 @@ class ToyLoRANet:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
         return X, 0, True
 
-    def forward(self, inputs: Sequence[np.ndarray | Activations], maps: MapStack):
+    def forward(self, inputs: Sequence[np.ndarray | Activations], maps: MapStack, *,
+                scratch: bool = False):
         """Logits (C, B, K) of a group of C clients and the cache backward
         needs; builds the missing weights.
 
@@ -620,6 +668,16 @@ class ToyLoRANet:
         to the client's earliest trainable one, in the order of ``maps``,
         which holds the clients' maps in pass order. A net that has a client
         axis takes a group of its size.
+
+        The block outputs go into one (blocks + 1, C, B, H) slab, from the
+        block the first input enters: each block's product is written into
+        its slot and passed through tanh there, and a client whose input
+        enters block j is copied into the slot below it. With ``scratch``
+        the slab is the net's scratch (see ``_Scratch``), as in
+        ``local_train`` and ``local_ig_scores``. Without it the slab is a
+        fresh one per call, so the cache stays valid past later passes; only
+        a caller that keeps two caches alive needs that, such as a test that
+        compares them.
         """
         if not isinstance(maps, MapStack) or isinstance(inputs, (np.ndarray, Activations)):
             raise TypeError("forward takes one input per client and a MapStack of their maps")
@@ -637,30 +695,34 @@ class ToyLoRANet:
         if list(starts) != sorted(starts):
             raise ValueError(f"inputs entering blocks {starts} are not in the order of "
                              f"the clients' earliest trainable blocks {maps.earliest}")
-        first = maps.earliest[0]
+        first, s = maps.earliest[0], starts[0]
+        buffers = self._scratch if scratch else _Scratch()
+        buffers.generation += 1
+        slab = buffers.take("acts", (l - s + 1, len(arrays), len(arrays[0]), self.hidden_size))
         live, a = 0, None
         acts: dict[int, np.ndarray] = {}
         block_inputs: dict[int, np.ndarray] = {}
-        for j in range(starts[0], l + 1):
+        for j in range(s, l + 1):
             # the clients whose input enters block j join the stack
             k = bisect_right(starts, j, lo=live)
             if k > live:
-                # one joining client is a view: evaluation's test set is not copied
-                joined = arrays[live][None] if k - live == 1 else np.stack(arrays[live:k])
-                a = joined if a is None else np.concatenate([a, joined])
+                a = slab[j - s, :k]
+                for i in range(live, k):
+                    a[i] = arrays[i]
                 live = k
             if j == l:
                 break
             if j in maps.trainers:
                 block_inputs[j] = a
             w = self._weight(j)
-            a = a @ (w if w.ndim == 2 else w[:live])
+            a = np.matmul(a, w if w.ndim == 2 else w[:live], out=slab[j - s + 1, :live])
             np.tanh(a, out=a)
             if j >= first:
                 acts[j] = a
         logits = a @ self.head
         cache = ForwardCache(logits=logits, acts=acts, block_inputs=block_inputs, maps=maps,
-                             base=self._base, stamp=self._changed_at)
+                             base=self._base, stamp=self._changed_at, scratch=buffers,
+                             generation=buffers.generation)
         return logits, cache
 
     def backward(self, cache: ForwardCache, y: np.ndarray, loss_scale: float = 1.0) -> Gradients:
@@ -671,13 +733,19 @@ class ToyLoRANet:
         earliest trainable one; blocks below it never matter. The cache
         must come from these frozen weights through exactly the writes this
         net holds now, so the weights it builds or keeps are the ones
-        forward used. The chain runs block by block, and each trained
-        block writes its clients' weight gradients ``X^T @ dz`` into one
-        (P, H, H) stack, in pair order; the factor gradients of all P
-        pairs are then two stacked products.
+        forward used, and its arrays must not have been overwritten by a
+        later forward on the net's scratch. The chain runs block by block,
+        and each trained block writes its clients' weight gradients
+        ``X^T @ dz`` into one (P, H, H) stack, in pair order; the factor
+        gradients of all P pairs are then two stacked products. The chain's
+        dz and da and the (P, H, H) stack are temporaries, so they are
+        always the net's scratch buffers (see ``_Scratch``).
         """
         if cache.base is not self._base or cache.stamp != self._changed_at:
             raise StaleCacheError("this cache was not made through this net's current weights")
+        if cache.scratch.generation != cache.generation:
+            raise StaleCacheError("this cache's activations were overwritten by a later pass "
+                                  "on the net's scratch")
         maps = cache.maps
         first, earliest = maps.earliest[0], maps.earliest
         h, r = self.hidden_size, self.lora_rank
@@ -690,12 +758,14 @@ class ToyLoRANet:
         dlogits[np.arange(c)[:, None], np.arange(b), y] -= 1.0
         dlogits *= loss_scale / b
 
-        dW = np.empty((len(maps.pair_block), h, h))
+        dW = self._scratch.take("dW", (len(maps.pair_block), h, h))
+        dz_buf, da_buf = (self._scratch.take(name, (c, b, h)) for name in ("dz", "da"))
         lo = 0
-        da = dlogits[:bisect_right(earliest, self.num_blocks - 1)] @ self.head.T
+        k = bisect_right(earliest, self.num_blocks - 1)
+        da = np.matmul(dlogits[:k], self.head.T, out=da_buf[:k])
         for j in range(self.num_blocks - 1, first - 1, -1):
             k = len(da)
-            dz = np.square(cache.acts[j][:k])
+            dz = np.square(cache.acts[j][:k], out=dz_buf[:k])
             np.subtract(1.0, dz, out=dz)
             dz *= da
             rows = maps.trainers.get(j)
@@ -708,7 +778,8 @@ class ToyLoRANet:
             if j > first:
                 k = bisect_right(earliest, j - 1)
                 w = self._weight(j)
-                da = dz[:k] @ (w.T if w.ndim == 2 else w[:k].swapaxes(-1, -2))
+                da = np.matmul(dz[:k], w.T if w.ndim == 2 else w[:k].swapaxes(-1, -2),
+                               out=da_buf[:k])
         N, M = self._pair_factors(maps)
         gn, gm = dW @ M.swapaxes(-1, -2), N.swapaxes(-1, -2) @ dW
         if self.scale != 1.0:
@@ -759,7 +830,8 @@ def local_train(
     epochs; a batch takes its rows of features or ``Activations``. The
     clients train a clone of ``net``, which stays as it was; each step is
     one forward and one backward of the group, whose one softmax gives the
-    loss check and the gradient.
+    loss check and the gradient. The steps run on the scratch ``net`` shares
+    with its clones (see ``_Scratch``).
     """
     rngs = [None] * len(allocation) if rng is None else list(rng)
     X = [x if isinstance(x, Activations) else np.asarray(x, dtype=np.float64) for x in X]
@@ -784,7 +856,7 @@ def local_train(
         perms = [np.arange(n) if r is None else r.permutation(n) for r in rngs]
         for lo in range(0, n, batch_size):
             idx = [p[lo : lo + batch_size] for p in perms]
-            _, cache = group.forward([x[r] for x, r in zip(X, idx)], maps)
+            _, cache = group.forward([x[r] for x, r in zip(X, idx)], maps, scratch=True)
             labels = np.stack([yc[r] for yc, r in zip(y, idx)])
             losses = cache.losses(labels)
             bad = np.flatnonzero(~np.isfinite(losses))

@@ -279,13 +279,15 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     assert (tmp_path / "a" / "partition.json").read_bytes() == (tmp_path / "b" / "partition.json").read_bytes()
     assert s1 == s2
     # wall-clock numbers live outside the reproducible files: one line per
-    # round, round 0 included, with the round total and five phase times
+    # round, round 0 included, with the round total, five phase times and
+    # the round's minor page faults
     timings = [json.loads(s) for s in (tmp_path / "a" / "timings.jsonl").read_text().splitlines()]
     assert [row["round"] for row in timings] == list(range(cfg.rounds + 1))
     phases = ("allocate_s", "score_s", "train_s", "aggregate_s", "evaluate_s")
     for row in timings:
-        assert set(row) == {"round", "total_s", *phases}
+        assert set(row) == {"round", "total_s", *phases, "minor_faults"}
         assert all(row[k] >= 0.0 for k in phases)
+        assert type(row["minor_faults"]) is int and row["minor_faults"] >= 0
         assert sum(row[k] for k in phases) <= row["total_s"]
     assert sum(row["total_s"] for row in timings) <= elapsed
     assert not (tmp_path / "a" / "timings.txt").exists()

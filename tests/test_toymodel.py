@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1138,3 +1139,131 @@ def test_non_finite_loss_text_is_unchanged():
     # in a group, the first client given whose loss is not finite is named
     with pytest.raises(NonFiniteLossError, match="batch start 4, lr 0.1$"):
         local_train(net, [X, bad], [y, y], [full, full], epochs=1, batch_size=4, lr=0.1)
+
+
+#: ten maps of a 7-block net in pass order, earliest blocks 0, 0, 1, 2, 2, 3, 4, 4, 5, 6
+SCRATCH_MAPS = ([0, 3], [0, 6], [1, 2, 5], [2], [2, 4, 6], [3, 6], [4], [4, 5], [5, 6], [6])
+
+
+def test_a_cache_on_the_scratch_goes_stale_at_the_next_scratch_pass():
+    # a cache made on the scratch views buffers the net and its clones
+    # share: once a later forward on the scratch reuses them, on the net or
+    # on a clone, backward refuses it. A cache of a forward without the
+    # scratch holds arrays of its own and stays valid through any later passes
+    net, data, maps = group_case(16, 6, seed=12)
+    stack = MapStack(tuple(maps))
+    inputs, y = [X for X, _ in data], np.stack([labels for _, labels in data])
+    _, own = net.forward(inputs, stack)
+    want = net.backward(own, y)
+    for runner in (net, net.clone()):
+        _, cache = net.forward(inputs, stack, scratch=True)
+        got = net.backward(cache, y)
+        assert got.N.tobytes() == want.N.tobytes() and got.M.tobytes() == want.M.tobytes()
+        runner.forward(inputs, stack, scratch=True)
+        with pytest.raises(StaleCacheError, match="later pass on the net's scratch"):
+            net.backward(cache, y)
+    for _ in range(3):
+        local_train(net, inputs, list(y), maps, epochs=1, batch_size=4, lr=0.1)
+        local_ig_scores(net, maps, [[(X[:3], labels[:3])] for X, labels in data])
+        net.forward(inputs, stack)
+    got = net.backward(own, y)
+    assert got.N.tobytes() == want.N.tobytes() and got.M.tobytes() == want.M.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [16, 32, 128])
+def test_a_reused_poisoned_scratch_gives_the_reference_bytes(hidden, monkeypatch):
+    # every forward starts on a scratch full of NaN, and every backward on
+    # NaN chain buffers, so a slot row a pass reads before it writes shows.
+    # One net runs groups of 1, 10 and 3 clients, the last two with clients
+    # joining mid-stack from the net's prefix, and IG batches of 32 then 18
+    # rows: every client's deltas and scores are the bytes of the rebuilding
+    # per-client loop from the features
+    forward, backward = ToyLoRANet.forward, ToyLoRANet.backward
+
+    def poisoned_forward(self, *args, **kw):
+        for buf in self._scratch.buffers.values():
+            buf.fill(np.nan)
+        return forward(self, *args, **kw)
+
+    def poisoned_backward(self, *args, **kw):
+        for name in ("dz", "da", "dW"):
+            self._scratch.buffers[name].fill(np.nan)
+        return backward(self, *args, **kw)
+
+    monkeypatch.setattr(ToyLoRANet, "forward", poisoned_forward)
+    monkeypatch.setattr(ToyLoRANet, "backward", poisoned_backward)
+    net = ToyLoRANet(num_blocks=7, hidden_size=hidden, lora_rank=2, input_dim=32,
+                     num_classes=10, lora_alpha=None, seed=hidden + 1)
+    rng = np.random.default_rng(hidden)
+    randomize_adapters(net, rng, blocks=range(3, 7))
+    data = [(rng.normal(size=(50, 32)), rng.integers(0, 10, size=50)) for _ in SCRATCH_MAPS]
+    maps = [AllocationMap.from_indices(7, m) for m in SCRATCH_MAPS]
+    kw = dict(epochs=2, batch_size=16, lr=0.3)
+    # (clients, how many of them start from the features; the rest from the prefix)
+    for group, from_features in (([3], 1), (range(10), 5), ([4, 7, 9], 0)):
+        group = list(group)
+        inputs = [data[c][0] if i < from_features else net.prefix(data[c][0], maps[c].earliest)
+                  for i, c in enumerate(group)]
+        got = local_train(net, inputs, [data[c][1] for c in group], [maps[c] for c in group],
+                          rng=[np.random.default_rng(c) for c in group], **kw)
+        ig = [[(x[:32], data[c][1][:32]), (x[32:], data[c][1][32:])]
+              for x, c in zip(inputs, group)]
+        scores = local_ig_scores(net, [maps[c] for c in group], ig)
+        for c, delta, score in zip(group, got, scores):
+            (X, y), amap = data[c], maps[c]
+            assert same_bytes(delta, rebuilding_local_train(net.clone(), X, y, amap,
+                                                            rng=np.random.default_rng(c), **kw))
+            want = {j: 0.0 for j in amap.trainable_indices}
+            for rows in (slice(0, 32), slice(32, 50)):
+                _, cache = rebuilding_forward(net, X[rows], amap)
+                for j, (gn, gm) in rebuilding_backward(net, cache, y[rows]).items():
+                    want[j] += float((gn * gn).sum() + (gm * gm).sum())
+            assert score == want
+
+
+def scratch_need(net, maps, rows) -> int:
+    """Bytes a one-step pass of the group ``maps`` from the features, ``rows``
+    rows a client, takes from the scratch: the slab, dz, da and dW."""
+    c, h = len(maps), net.hidden_size
+    pairs = len(MapStack(tuple(maps)).pair_block)
+    return 8 * ((net.num_blocks + 1) * c * rows * h + 2 * c * rows * h + pairs * h * h)
+
+
+def test_the_scratch_grows_to_the_largest_pass_and_clones_share_it():
+    # each buffer grows to the largest pass seen and is sliced for smaller
+    # ones: passes of shapes A, B and A leave B's bytes, in the same arrays
+    net, data, maps = group_case(16, 24, seed=13)
+    clone = net.clone()
+    assert clone._scratch is net._scratch
+    passes = [(2, 8), (5, 24), (2, 8)]  # (clients, rows): A, B, A
+    held = []
+    for c, rows in passes:
+        local_train(net, [X[:rows] for X, _ in data[:c]], [y[:rows] for _, y in data[:c]],
+                    maps[:c], epochs=1, batch_size=rows, lr=0.1)
+        held.append(dict(net._scratch.buffers))
+        assert sum(b.nbytes for b in held[-1].values()) == max(scratch_need(net, maps[:c], rows)
+                                          for c, rows in passes[:len(held)])
+    assert all(held[2][k] is held[1][k] for k in held[1])
+    # a clone's passes use the one scratch: no copy, no growth
+    local_ig_scores(clone, maps[:2], [[(X[:8], y[:8])] for X, y in data[:2]])
+    assert clone._scratch is net._scratch
+    assert all(net._scratch.buffers[k] is held[1][k] for k in held[1])
+
+
+def test_a_warm_local_train_allocates_less_than_one_slab():
+    # after a first call has grown the scratch, a second of the same shapes
+    # keeps its block outputs and chain arrays there: what it allocates at
+    # its peak is less than one (blocks + 1, C, B, H) slab (0.68 of one,
+    # against 2.5 when each block's output is a fresh array)
+    net, data, maps = group_case(16, 128, seed=14, num_blocks=12)
+    X, y = [x for x, _ in data], [labels for _, labels in data]
+    kw = dict(epochs=1, batch_size=64, lr=0.1)
+    local_train(net, X, y, maps, **kw)
+    slab = 8 * (net.num_blocks + 1) * len(maps) * 64 * net.hidden_size
+    tracemalloc.start()
+    try:
+        local_train(net, X, y, maps, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < slab
