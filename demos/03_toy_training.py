@@ -16,7 +16,6 @@ from fedlorasim import (
     local_ig_scores,
     local_train,
     naive_map,
-    split_batches,
 )
 
 l, h, r = 8, 16, 2
@@ -30,9 +29,10 @@ print()
 
 # Same initial net, three allocation maps, same data and schedule: one
 # lockstep group of three clients, given in pass order (by earliest trained
-# block: 0, 3, 4). local_train leaves the net as it was and returns each
-# client's adapter deltas, stacked over all blocks with zeros on the blocks
-# its map does not train.
+# block: 0, 3, 4), whose inputs the net stacks into one group input.
+# local_train takes it and the (clients, rows) labels, leaves the net as it
+# was and returns each client's adapter deltas, stacked over all blocks with
+# zeros on the blocks its map does not train.
 maps = {
     "all blocks": naive_map(l, "full"),
     "block 3 only": AllocationMap.from_indices(l, [3]),
@@ -41,8 +41,9 @@ maps = {
 net = ToyLoRANet(num_blocks=l, hidden_size=h, lora_rank=r,
                  input_dim=16, num_classes=5, lora_alpha=None, seed=0)
 before_loss, before_acc = net.evaluate(test.X, test.y)
-group = local_train(net, [train.X] * 3, [train.y] * 3, list(maps.values()), epochs=3,
-                    batch_size=32, lr=0.2, rng=[np.random.default_rng(0) for _ in maps])
+inputs = net.group_input([train.X] * 3, list(maps.values()))
+group = local_train(net, inputs, np.stack([train.y] * 3), epochs=3, batch_size=32, lr=0.2,
+                    rng=[np.random.default_rng(0) for _ in maps])
 for (name, amap), deltas in zip(maps.items(), group):
     trained = net.clone()
     trained.set_lora_state(apply_delta(net.get_lora_state(), deltas))
@@ -54,15 +55,16 @@ for (name, amap), deltas in zip(maps.items(), group):
           f"delta norm^2 {norm:.4f}")
 print()
 
-# Gradient scores on a probe subset: squared adapter gradient norms per
+# Gradient scores on a probe subset, two batches of 32 rows given as (clients,
+# rows) indices into the group input: squared adapter gradient norms per
 # block, the raw material for the allocation value function. Scored on the
 # trained net so the numbers reflect what is still left to learn.
 full = naive_map(l, "full")
-deltas, = local_train(net, [train.X], [train.y], [full], epochs=1,
+deltas, = local_train(net, net.group_input([train.X], [full]), train.y[None], epochs=1,
                       batch_size=32, lr=0.2, rng=[np.random.default_rng(1)])
 net.set_lora_state(apply_delta(net.get_lora_state(), deltas))
-probe = split_batches(train.X[:64], train.y[:64], 32)
-scores, = local_ig_scores(net, [full], [probe])
+probe = [np.arange(0, 32)[None], np.arange(32, 64)[None]]
+scores, = local_ig_scores(net, net.group_input([train.X], [full]), train.y[None], probe)
 print("block  gradient score")
 for j in sorted(scores):
     bar = "#" * int(round(40 * scores[j] / max(scores.values())))
@@ -72,4 +74,5 @@ print()
 # Scoring respects the map: frozen blocks never appear.
 partial = AllocationMap.from_indices(l, [2, 6])
 print("scored blocks under map", partial.to_bitstring(), ":",
-      sorted(local_ig_scores(net, [partial], [probe])[0]))
+      sorted(local_ig_scores(net, net.group_input([train.X], [partial]), train.y[None],
+                             probe)[0]))

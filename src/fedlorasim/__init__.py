@@ -30,7 +30,6 @@ from fedlorasim.data import (
     SyntheticTask,
     generate,
     partition,
-    split_batches,
 )
 from fedlorasim.memory import (
     GB,
@@ -107,7 +106,6 @@ __all__ = [
     "reference_vit_profile",
     "run_experiment",
     "run_round",
-    "split_batches",
     "summarize",
     "total_memory",
     "toy_capacity_levels",

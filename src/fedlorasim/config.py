@@ -181,6 +181,19 @@ class ExperimentConfig:
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     clients: ClientConfig = field(default_factory=ClientConfig)
 
+    def __post_init__(self):
+        # the pathological schemes deal every class to some client, k classes each
+        if self.partition.scheme not in ("pathological", "pathological_dirichlet"):
+            return
+        k, classes = self.partition.classes_per_client, self.model.num_classes
+        if k > classes:
+            raise ConfigError(f"partition.classes_per_client: {k} exceeds "
+                              f"model.num_classes = {classes}")
+        if self.clients.num_clients * k < classes:
+            raise ConfigError(f"partition.classes_per_client: clients.num_clients = "
+                              f"{self.clients.num_clients} clients x {k} classes cannot "
+                              f"cover model.num_classes = {classes}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         return _read(cls, d, "")

@@ -231,12 +231,3 @@ def partition(data: LabeledData, spec: PartitionSpec) -> tuple[list[LabeledData]
         f"could not satisfy min_samples_per_client={spec.min_samples_per_client} "
         f"after 1000 draws"
     )
-
-
-def split_batches(X: np.ndarray, y: np.ndarray, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Sequential mini-batches covering the data once (last one may be short)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    if len(X) == 0:
-        raise ValueError("cannot batch an empty dataset")
-    return [(X[s : s + batch_size], y[s : s + batch_size]) for s in range(0, len(X), batch_size)]

@@ -114,6 +114,15 @@ def load_run(run_dir: str | Path) -> RunRecord:
     if len(rows) != rounds + 1:
         raise ReportError(f"{metrics_path}: {len(rows)} rows, but summary.json says "
                           f"{rounds} rounds, which need {rounds + 1}")
+    utilization = 0.0  # rows 1..T in order, added as the writer adds them
+    for row in rows[1:]:
+        utilization += row["mean_utilization"]
+    for key, want in (("final_accuracy", rows[-1]["accuracy"]), ("final_loss", rows[-1]["loss"]),
+                      ("best_accuracy", max(row["accuracy"] for row in rows)),
+                      ("mean_utilization", utilization / rounds if rounds else 0.0)):
+        if summary[key] != want:
+            raise ReportError(f"{summary_path}: {key} is {summary[key]!r}, but the rows of "
+                              f"metrics.jsonl give {want!r}")
     return RunRecord(path=str(run_dir), summary=summary, rows=tuple(rows))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
-from fedlorasim.toymodel import Activations, MapStack, NonFiniteLossError, ToyLoRANet
+from fedlorasim.toymodel import GroupInput, NonFiniteLossError, ToyLoRANet
 
 
 @dataclass(frozen=True)
@@ -44,42 +44,41 @@ class IGScoreRecord:
 
 def local_ig_scores(
     net: ToyLoRANet,
-    allocation: Sequence[AllocationMap] | MapStack,
-    batches: Sequence[Sequence[tuple[np.ndarray | Activations, np.ndarray]]],
+    group: GroupInput,
+    y: np.ndarray,
+    batches: Sequence[np.ndarray],
     loss_scale: float = 1.0,
 ) -> list[dict[int, float]]:
     """Per-module squared gradient norms summed over each client's scoring
     batches, for a group of clients in one pass per batch.
 
-    ``allocation`` holds one map per client, in pass order, or is their
-    ``MapStack``, and ``batches`` one list of batches per client; batch i
-    has one row count for every client. A batch holds features or
-    ``Activations`` (see ``ToyLoRANet.forward``). Returns,
-    per client, {block: score} for its trainable blocks only; an all-frozen
-    allocation yields an empty dict. Each client's score is summed on its
-    own (block, client) pairs of the group's gradients, as a pass of that
-    client alone sums it. ``net`` is not written; the passes run on its
-    scratch (see ``ToyLoRANet.forward``).
+    ``group`` is the group's input (see ``ToyLoRANet.group_input``) and y
+    its (C, n) labels. Each of ``batches`` is a (C, b) row index, one row
+    per client, that takes one scoring batch of every client from them.
+    Returns, per client, {block: score} for its trainable blocks only; an
+    all-frozen allocation yields an empty dict. Each client's score is
+    summed on its own (block, client) pairs of the group's gradients, as a
+    pass of that client alone sums it. ``net`` is not written; the passes
+    run on its scratch (see ``ToyLoRANet.forward``).
     """
-    if len(batches) != len(allocation) or not allocation:
-        raise ValueError("a group needs one map and one batch list per client")
-    if any(len(b) == 0 for b in batches):
+    maps = group.maps
+    y = np.asarray(y)
+    if y.shape != group.data.shape[:2]:
+        raise ValueError("features and labels disagree in length")
+    if not len(batches):
         raise ValueError("scoring dataset is empty")
-    if len({len(b) for b in batches}) != 1:
-        raise ValueError("the clients of a group need the same number of scoring batches")
-    maps = allocation if isinstance(allocation, MapStack) else MapStack(tuple(allocation))
     totals = np.zeros(len(maps.pair_block))
-    for bi in range(len(batches[0])):
-        if any(len(b[bi][0]) == 0 for b in batches):
+    for bi, rows in enumerate(batches):
+        rows = np.asarray(rows)
+        if not rows.size:
             raise ValueError(f"scoring batch {bi} is empty")
-        _, cache = net.forward([b[bi][0] for b in batches], maps, scratch=True)
-        labels = np.stack([np.asarray(b[bi][1]) for b in batches])
-        g = net.backward(cache, labels, loss_scale=loss_scale)
+        _, cache = net.forward(group, rows)
+        g = net.backward(cache, y[group.clients, rows], loss_scale=loss_scale)
         sq = np.square(g.N).sum(axis=(1, 2)) + np.square(g.M).sum(axis=(1, 2))
-        bad = np.flatnonzero(~np.isfinite(sq))
-        if bad.size:  # name the first pair in backward's order
+        if not np.isfinite(sq).all():  # name the first pair in backward's order
+            bad = np.flatnonzero(~np.isfinite(sq))[0]
             raise NonFiniteLossError(f"non-finite gradient for module "
-                                     f"{maps.pair_block[bad[0]]} in batch {bi}")
+                                     f"{maps.pair_block[bad]} in batch {bi}")
         totals += sq
     scores = [{j: 0.0 for j in m.trainable_indices} for m in maps.maps]
     for j, pos, total in zip(maps.pair_block.tolist(), maps.pair_client.tolist(), totals.tolist()):

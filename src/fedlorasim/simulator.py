@@ -19,6 +19,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import IGScoreRecord, local_ig_scores, update_history, value_function
-from fedlorasim.toymodel import Activations, Adapters, MapStack, ToyLoRANet, local_train
+from fedlorasim.toymodel import Activations, Adapters, ToyLoRANet, local_train
 
 # purpose tags for derived RNG streams
 _SAMPLING = 1
@@ -66,8 +67,15 @@ PHASES = ("allocate", "score", "train", "aggregate", "evaluate")
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
-    """Independent stream for one (purpose, round, client) coordinate."""
-    return np.random.default_rng(np.random.SeedSequence([seed, *keys]))
+    """Independent stream for one (purpose, round, client) coordinate.
+
+    Words that all fit in 32 bits go in as one uint32 array, the entropy
+    words ``SeedSequence`` would convert the list of ints to one by one;
+    any other seed goes in as the list."""
+    words = [seed, *keys]
+    if 0 <= min(words) and max(words) < 2**32:
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 @dataclass
@@ -84,12 +92,6 @@ class ClientSpec:
     def __post_init__(self):
         if self.capacity_bytes <= 0:
             raise ValueError(f"client {self.id}: capacity must be positive")
-
-    def ig_batches(self, inputs: np.ndarray | Activations) -> list[tuple]:
-        """The IG scoring batches as (rows of ``inputs``, labels), where
-        ``inputs`` stands for all the client's rows: its features or an
-        update input (see ``PrefixCache``)."""
-        return [(inputs[rows], self.data.y[rows]) for rows in self.ig_rows]
 
     def has_one_row_batch(self, batch_size: int) -> bool:
         """Whether a training or IG batch has a single row (see ``PrefixCache``)."""
@@ -225,18 +227,24 @@ def assign_capacities(num_clients: int, levels: dict[int, int],
     return out
 
 
-def max_feasible_naive_u(profile: ModelProfile, kind: str, batch: int, capacity: int) -> int | None:
-    """Largest u whose naive map fits, or None when even u=0 does not.
-
-    Row u of the (l+1, l) naive matrix is ``naive_map(l, kind, u)``: ``mh``
-    trains blocks 0..u-1 and ``ms`` the last u, its columns reversed.
-    ``map_costs`` prices all l+1 rows at once.
-    """
-    if kind not in ("ms", "mh"):
-        raise ValueError(f"kind must be 'ms' or 'mh', got {kind!r}")
+@lru_cache(maxsize=64)
+def _naive_costs(profile: ModelProfile, kind: str, batch: int) -> np.ndarray:
+    """Read-only costs of ``naive_map(l, kind, u)`` for u = 0..l: row u of
+    the (l+1, l) naive matrix trains blocks 0..u-1 for ``mh`` and the last u
+    for ``ms``, its columns reversed, and ``map_costs`` prices all l+1 rows
+    at once. A profile whose costs reach 2**53 raises on every call."""
     l = profile.num_blocks
     bits = np.tri(l + 1, l, -1, dtype=bool)
     costs = map_costs(profile, bits if kind == "mh" else bits[:, ::-1], batch)
+    costs.setflags(write=False)
+    return costs
+
+
+def max_feasible_naive_u(profile: ModelProfile, kind: str, batch: int, capacity: int) -> int | None:
+    """Largest u whose naive map fits, or None when even u=0 does not."""
+    if kind not in ("ms", "mh"):
+        raise ValueError(f"kind must be 'ms' or 'mh', got {kind!r}")
+    costs = _naive_costs(profile, kind, batch)
     # costs rise with u; a capacity past the last one fits every u
     u = int(np.searchsorted(costs, min(capacity, int(costs[-1])), side="right")) - 1
     return None if u < 0 else u
@@ -354,8 +362,9 @@ class PrefixCache:
     prefix or the features. That array is the update's input, and its
     training batches and IG batches are rows of it. ``run_round`` scores and
     trains a lockstep group of updates in one pass per batch (see
-    ``lockstep_groups``): each client joins the stack at its own e with its
-    input, which the global net and the group's clone both accept, since no
+    ``lockstep_groups``) from one ``GroupInput`` of the group's inputs,
+    built and checked once: each client joins the stack at its own e, and
+    the global net and the group's clone both accept its input, since no
     client of the group writes below its own e. Numpy multiplies a one-row
     batch as a vector, which can round differently from that row of a
     matrix product, so a client with any one-row batch, training or IG,
@@ -477,18 +486,19 @@ def _client_updates(updates: list[tuple[ClientSpec, AllocationMap]], net: ToyLoR
     records, collected = [], []
     for group in lockstep_groups(updates, net.hidden_size):
         t0 = time.perf_counter()
-        maps = MapStack(tuple(amap for _, amap in group))  # scoring and training share it
-        inputs = [prefixes.update_inputs(client, net, amap, b) for client, amap in group]
+        # scoring and training share the group's one input and labels
+        inputs = net.group_input([prefixes.update_inputs(client, net, amap, b)
+                                  for client, amap in group], [amap for _, amap in group])
+        y = np.stack([client.data.y for client, _ in group])
         if config.strategy == "fedpilot":  # only the knapsack's values read the scores
-            scores = local_ig_scores(net, maps, [client.ig_batches(x)
-                                                 for (client, _), x in zip(group, inputs)])
+            batches = [np.stack(rows) for rows in zip(*(client.ig_rows for client, _ in group))]
+            scores = local_ig_scores(net, inputs, y, batches)
             records.extend(IGScoreRecord(round=t, client_id=client.id, module_scores=s)
                            for (client, _), s in zip(group, scores))
         t1 = time.perf_counter()
         phase["score"] += t1 - t0
         deltas = local_train(
-            net, inputs, [client.data.y for client, _ in group], maps,
-            epochs=config.epochs, batch_size=b, lr=config.lr,
+            net, inputs, y, epochs=config.epochs, batch_size=b, lr=config.lr,
             rng=[derive_rng(config.seed, _TRAIN, t, client.id) for client, _ in group],
         )
         phase["train"] += time.perf_counter() - t1

@@ -49,21 +49,26 @@ ticks. ``prefix(X, k)`` returns the activations entering block k as
 ``Activations`` stamped with the ticks of blocks 0..k-1 and the identity of
 the frozen base, and a net ``accepts`` them while its own ticks below k are
 the stamp: while its blocks below k hold exactly the writes they were
-computed through. ``forward``, ``evaluate``, ``local_train`` and
-``local_ig_scores`` take features, or accepted ``Activations`` entering a
-block up to the earliest trainable one (backward never goes below it), and
-run only the blocks from there up. Activations entering a block up to
-``frozen_below``, the lowest block a write has ever changed, outlive a
-round.
+computed through. ``prefix``, ``evaluate`` and ``group_input`` take
+features, or accepted ``Activations`` entering a block up to the earliest
+trainable one (backward never goes below it), and the passes run only the
+blocks from there up. Activations entering a block up to ``frozen_below``,
+the lowest block a write has ever changed, outlive a round.
 
-The net has one call form, a group of clients in lockstep: ``forward``
-takes one input per client and a ``MapStack`` of their maps, in pass order
-(by earliest trainable block), and runs each block once for the stack,
-``(C, B, H)`` activations against the shared ``(H, H)`` weight or a
-``(C, H, H)`` stack of per-client ones; each numpy product on the stack
-gives the bytes of the per-client one. A single client is a group of one.
-Each client joins the stack at the block its input enters, so the clients
-live at a block are a leading slice. Backward chains the signal down block
+The net has one call form, a group of clients in lockstep. ``group_input``
+takes one input per client and the clients' maps, in pass order (by
+earliest trainable block), checks them once for the whole update and
+stacks them into one ``GroupInput``: a (C, n, w) array of all features or
+all activations, of one row count. ``forward`` takes it with a (C, B) row
+index, gathers every client's batch in one indexing, and runs each block
+once for the stack, ``(C, B, H)`` activations against the shared
+``(H, H)`` weight or a ``(C, H, H)`` stack of per-client ones; each numpy
+product on the stack gives the bytes of the per-client one. A single
+client is a group of one. Each client joins the stack at the block its
+input enters, so the clients live at a block are a leading slice.
+``local_train`` takes each step's batch and labels from the group input
+and a (C, n) label array with one row index, and ``local_ig_scores`` each
+IG batch as a (C, b) stack of row indices. Backward chains the signal down block
 by block, but the adapter gradients are computed only for the group's
 (block, client) pairs, the clients whose map trains a block, and for all of
 them at once: ``Gradients`` holds one ``(P, H, r)``/``(P, r, H)`` stack in
@@ -82,17 +87,15 @@ A lockstep pass keeps its big per-step arrays in buffers that live as
 long as the net (see ``_Scratch``): forward's block outputs in one
 (blocks + 1, C, B, H) slab, where each block's product is written into its
 slot and passed through tanh in place, and backward's chain arrays dz and
-da and its (P, H, H) weight gradients. ``local_train`` and
-``local_ig_scores`` run every pass on the scratch that the net and its
-clones share, so a step of a shape seen before allocates none of these,
-and the C allocator has no freed heap top to trim that the next step
-would fault in again. The cache of a forward on the scratch views it until
-the next forward on it, and backward refuses it after that. A forward
-without the scratch, for a caller that keeps a cache past the next pass,
-makes a slab of its own; backward's arrays are temporaries and always
-come from the scratch. Block arithmetic never writes into an array a
-caller keeps: ``Activations.data``, the factors, the built weights, the
-logits or the gradients, which stay fresh arrays.
+da and its (P, H, H) weight gradients. Every pass runs on the one scratch
+that the net and its clones share, so a step of a shape seen before
+allocates none of these, and the C allocator has no freed heap top to
+trim that the next step would fault in again. The cache of a forward views
+the scratch until the next forward on the net or a clone, and backward
+refuses it after that; a caller that keeps a cache past the next pass
+copies the arrays it needs. Block arithmetic never writes into an array a
+caller keeps: ``Activations.data``, a group input, the factors, the built
+weights, the logits or the gradients, which stay fresh arrays.
 ``prefix`` and ``evaluate`` run their rows through the embedding and the
 blocks in chunks of ``ROW_CHUNK_BYTES``, so a large set such as a test set
 never takes a whole-set array per block; only the head, whose product is
@@ -163,21 +166,12 @@ class Adapters:
 class Activations:
     """Read-only activations entering ``block``, made by ``ToyLoRANet.prefix``:
     ``base`` identifies the frozen weights of the net that computed them and
-    its clones, ``stamp`` that net's write ticks of blocks 0..block-1 then.
-    ``acts[rows]`` keeps all three."""
+    its clones, ``stamp`` that net's write ticks of blocks 0..block-1 then."""
 
     block: int
     data: np.ndarray
     base: object
     stamp: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, rows) -> "Activations":
-        data = self.data[rows]
-        data.setflags(write=False)
-        return Activations(self.block, data, self.base, self.stamp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +233,30 @@ class MapStack:
         return self.maps[0].num_blocks
 
 
+@dataclass(frozen=True, eq=False)
+class GroupInput:
+    """The one input of a lockstep group, made and checked once by
+    ``ToyLoRANet.group_input``: ``data`` stacks the clients' inputs, in the
+    order of ``maps``, as one read-only (C, n, w) array, all features
+    (``embed``, w = input_dim) or all activations (w = H). ``blocks`` holds
+    the block each client's input enters, ascending. ``base`` and ``stamp``
+    are, as in ``Activations``, the identity of the frozen weights the
+    activations were computed on and the write ticks of the blocks below
+    the highest entry block; None and () for features. ``clients`` is the
+    (C, 1) index that pairs the client axis with a (C, B) row index."""
+
+    maps: MapStack
+    data: np.ndarray
+    blocks: tuple[int, ...]
+    embed: bool
+    base: object
+    stamp: tuple[int, ...]
+    clients: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "clients", np.arange(len(self.maps))[:, None])
+
+
 class _WeightBuild:
     """The effective weights of the blocks one write changed (``blocks``,
     ascending, block ``blocks[k]`` at row k), from their stacked factors
@@ -258,9 +276,8 @@ class _Scratch:
     ``"dW"``. Each is one flat array that grows to the largest pass it has
     served and is sliced to shape, so a pass of a shape seen before
     allocates none of them. A net and its clones share one, so one pass
-    at a time runs on it. Each forward on it takes a new
-    ``generation``, which its cache records: the next forward on it
-    overwrites that cache's arrays."""
+    at a time runs on it. Each forward takes a new ``generation``, which
+    its cache records: the next forward overwrites that cache's arrays."""
 
     def __init__(self):
         self.generation = 0
@@ -312,11 +329,10 @@ class ForwardCache:
     identity of the frozen weights and the write ticks of every block of the
     net that made it, as in ``Activations``.
 
-    ``acts`` and ``block_inputs`` view the slab of ``scratch`` and hold
-    their values while its generation is ``generation``: on the net's
-    scratch, which the net and its clones share, until the next forward on
-    it, after which backward refuses the cache; on a slab the forward made
-    for itself, for good. ``logits`` is always an array of its own.
+    ``acts`` and ``block_inputs`` view the slab of the scratch that the net
+    and its clones share, and hold their values while its generation is
+    ``generation``: until the next forward on the net or a clone, after
+    which backward refuses the cache. ``logits`` is an array of its own.
     """
 
     logits: np.ndarray
@@ -325,17 +341,8 @@ class ForwardCache:
     maps: MapStack
     base: object
     stamp: tuple[int, ...]
-    scratch: _Scratch
     generation: int
     _softmax: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    @property
-    def static_count(self) -> int:
-        return len(self.acts)
-
-    @property
-    def dynamic_count(self) -> int:
-        return len(self.block_inputs)
 
     def softmax(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(logits less their row maximum, its exponential, that one's row
@@ -658,47 +665,77 @@ class ToyLoRANet:
             raise ValueError(f"expected features of shape (n, {self.input_dim}), got {X.shape}")
         return X, 0, True
 
-    def forward(self, inputs: Sequence[np.ndarray | Activations], maps: MapStack, *,
-                scratch: bool = False):
-        """Logits (C, B, K) of a group of C clients and the cache backward
-        needs; builds the missing weights.
+    def group_input(self, inputs: Sequence[np.ndarray | Activations],
+                    maps: Sequence[AllocationMap] | MapStack) -> GroupInput:
+        """The one input of a lockstep group, checked once for its update.
 
-        ``inputs`` holds one input per client, all of one row count:
-        features, or ``Activations`` this net accepts that enter a block up
-        to the client's earliest trainable one, in the order of ``maps``,
-        which holds the clients' maps in pass order. A net that has a client
-        axis takes a group of its size.
-
-        The block outputs go into one (blocks + 1, C, B, H) slab, from the
-        block the first input enters: each block's product is written into
-        its slot and passed through tanh there, and a client whose input
-        enters block j is copied into the slot below it. With ``scratch``
-        the slab is the net's scratch (see ``_Scratch``), as in
-        ``local_train`` and ``local_ig_scores``. Without it the slab is a
-        fresh one per call, so the cache stays valid past later passes; only
-        a caller that keeps two caches alive needs that, such as a test that
-        compares them.
+        ``maps`` holds the clients' maps in pass order, or is their
+        ``MapStack``, and ``inputs`` one input per client in that order,
+        all of one kind and one row count: features, or ``Activations``
+        this net accepts that enter a block up to the client's earliest
+        trainable one, those of later clients entering no lower block. A net
+        that has a client axis takes a group of its size. The inputs are
+        stacked into one array; a lone client's is a view of its own.
         """
-        if not isinstance(maps, MapStack) or isinstance(inputs, (np.ndarray, Activations)):
-            raise TypeError("forward takes one input per client and a MapStack of their maps")
+        if isinstance(inputs, (np.ndarray, Activations)):
+            raise TypeError("a group input takes one input per client")
+        maps = maps if isinstance(maps, MapStack) else MapStack(tuple(maps))
         inputs = tuple(inputs)
-        l = self.num_blocks
-        if maps.num_blocks != l:
-            raise ValueError(f"allocation has {maps.num_blocks} blocks, net has {l}")
+        if maps.num_blocks != self.num_blocks:
+            raise ValueError(f"allocation has {maps.num_blocks} blocks, net has {self.num_blocks}")
         if len(inputs) != len(maps) or self.clients not in (None, len(maps)):
             raise ValueError(f"{len(inputs)} inputs and {len(maps)} maps for a net "
                              f"with a client axis of {self.clients or 'none'}")
-        arrays, starts, embed = zip(*(self._entry(x, top) for x, top in zip(inputs, maps.earliest)))
-        arrays = [a @ self.embed if e else a for a, e in zip(arrays, embed)]
+        arrays, blocks, embed = zip(*(self._entry(x, top) for x, top in zip(inputs, maps.earliest)))
+        if len(set(embed)) != 1:
+            raise ValueError("the clients of a group need inputs of one kind: "
+                             "all features or all activations")
         if len({len(a) for a in arrays}) != 1:
-            raise ValueError("the clients of a group need batches of one row count")
-        if list(starts) != sorted(starts):
-            raise ValueError(f"inputs entering blocks {starts} are not in the order of "
+            raise ValueError("the clients of a group need inputs of one row count")
+        if list(blocks) != sorted(blocks):
+            raise ValueError(f"inputs entering blocks {blocks} are not in the order of "
                              f"the clients' earliest trainable blocks {maps.earliest}")
+        data = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        data.setflags(write=False)
+        if embed[0]:
+            return GroupInput(maps, data, blocks, True, None, ())
+        return GroupInput(maps, data, blocks, False, self._base, self._shared_at[:blocks[-1]])
+
+    def forward(self, group: GroupInput, rows: np.ndarray):
+        """Logits (C, B, K) of one batch of a lockstep group and the cache
+        backward needs; builds the missing weights.
+
+        ``group`` is the group's input (see ``group_input``), which this net
+        must still accept, and ``rows`` a (C, B) index: client c's batch is
+        rows ``rows[c]`` of its input, all C taken in one gather.
+
+        The block outputs go into one (blocks + 1, C, B, H) slab of the
+        net's scratch (see ``_Scratch``), from the block the first input
+        enters: each block's product is written into its slot and passed
+        through tanh there, and a client whose input enters block j above
+        the first is copied into the slot below it. Features go through the
+        embedding into the first slot.
+        """
+        if not isinstance(group, GroupInput):
+            raise TypeError("forward takes a GroupInput and a (C, B) row index")
+        maps, l = group.maps, self.num_blocks
+        if maps.num_blocks != l or self.clients not in (None, len(maps)):
+            raise ValueError(f"a group of {len(maps)} maps of {maps.num_blocks} blocks for a net "
+                             f"of {l} blocks with a client axis of {self.clients or 'none'}")
+        if group.base is not None and (group.base is not self._base
+                                       or self._shared_at[:len(group.stamp)] != group.stamp):
+            raise ValueError(f"activations entering block {group.blocks[-1]} were not computed "
+                             f"through this net's current blocks below it")
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or len(rows) != len(maps):
+            raise ValueError(f"a row index of shape {rows.shape} for a group of {len(maps)} clients")
+        starts = group.blocks
         first, s = maps.earliest[0], starts[0]
-        buffers = self._scratch if scratch else _Scratch()
-        buffers.generation += 1
-        slab = buffers.take("acts", (l - s + 1, len(arrays), len(arrays[0]), self.hidden_size))
+        self._scratch.generation += 1
+        slab = self._scratch.take("acts", (l - s + 1, *rows.shape, self.hidden_size))
+        x = group.data[group.clients, rows]
+        if group.embed:
+            x = np.matmul(x, self.embed, out=slab[0])
         live, a = 0, None
         acts: dict[int, np.ndarray] = {}
         block_inputs: dict[int, np.ndarray] = {}
@@ -706,9 +743,11 @@ class ToyLoRANet:
             # the clients whose input enters block j join the stack
             k = bisect_right(starts, j, lo=live)
             if k > live:
-                a = slab[j - s, :k]
-                for i in range(live, k):
-                    a[i] = arrays[i]
+                if live:
+                    a = slab[j - s, :k]
+                    a[live:] = x[live:k]
+                else:
+                    a = x[:k]
                 live = k
             if j == l:
                 break
@@ -721,8 +760,8 @@ class ToyLoRANet:
                 acts[j] = a
         logits = a @ self.head
         cache = ForwardCache(logits=logits, acts=acts, block_inputs=block_inputs, maps=maps,
-                             base=self._base, stamp=self._changed_at, scratch=buffers,
-                             generation=buffers.generation)
+                             base=self._base, stamp=self._changed_at,
+                             generation=self._scratch.generation)
         return logits, cache
 
     def backward(self, cache: ForwardCache, y: np.ndarray, loss_scale: float = 1.0) -> Gradients:
@@ -738,12 +777,12 @@ class ToyLoRANet:
         and each trained block writes its clients' weight gradients
         ``X^T @ dz`` into one (P, H, H) stack, in pair order; the factor
         gradients of all P pairs are then two stacked products. The chain's
-        dz and da and the (P, H, H) stack are temporaries, so they are
-        always the net's scratch buffers (see ``_Scratch``).
+        dz and da and the (P, H, H) stack are temporaries in the net's
+        scratch too (see ``_Scratch``).
         """
         if cache.base is not self._base or cache.stamp != self._changed_at:
             raise StaleCacheError("this cache was not made through this net's current weights")
-        if cache.scratch.generation != cache.generation:
+        if self._scratch.generation != cache.generation:
             raise StaleCacheError("this cache's activations were overwritten by a later pass "
                                   "on the net's scratch")
         maps = cache.maps
@@ -790,7 +829,7 @@ class ToyLoRANet:
     def evaluate(self, X: np.ndarray | Activations, y: np.ndarray) -> tuple[float, float]:
         """(mean cross-entropy, accuracy) of a net with no client axis, with
         the bytes of a forward of one client that trains nothing; X as one
-        input of ``forward``.
+        client's input of ``group_input``.
 
         The rows go through the blocks in chunks, as in ``prefix``, so that
         no block holds a product over the whole set. The head's product is
@@ -809,9 +848,8 @@ class ToyLoRANet:
 
 def local_train(
     net: ToyLoRANet,
-    X: Sequence[np.ndarray | Activations],
-    y: Sequence[np.ndarray],
-    allocation: Sequence[AllocationMap] | MapStack,
+    group: GroupInput,
+    y: np.ndarray,
     epochs: int,
     batch_size: int,
     lr: float,
@@ -820,54 +858,49 @@ def local_train(
     """Plain SGD for a group of clients in lockstep; returns each client's
     adapter deltas.
 
-    X, y and allocation hold one entry per client, in pass order (see
-    ``MapStack``): features or ``Activations`` (see ``ToyLoRANet.forward``),
-    labels of one count for every client, and its map; ``allocation`` may
-    be the maps' ``MapStack``. A client's deltas are
-    theta_after - theta_before on the blocks its map trains (all-zero when
-    lr is 0) and zero rows on the others. A client's batches are sequential
-    unless its rng (one per client, or None for all) shuffles each of its
-    epochs; a batch takes its rows of features or ``Activations``. The
-    clients train a clone of ``net``, which stays as it was; each step is
-    one forward and one backward of the group, whose one softmax gives the
-    loss check and the gradient. The steps run on the scratch ``net`` shares
-    with its clones (see ``_Scratch``).
+    ``group`` is the group's input (see ``ToyLoRANet.group_input``) and y
+    its (C, n) labels, one row per client in the order of its maps. A
+    client's deltas are theta_after - theta_before on the blocks its map
+    trains (all-zero when lr is 0) and zero rows on the others. A client's
+    batches are sequential unless its rng (one per client, or None for all)
+    shuffles each of its epochs. Each step takes the group's batch and
+    labels with one (C, B) row index and is one forward and one backward of
+    the group, whose one softmax gives the loss check and the gradient.
+    The clients train a clone of ``net``, which stays as it was, on the
+    scratch ``net`` shares with its clones (see ``_Scratch``).
     """
-    rngs = [None] * len(allocation) if rng is None else list(rng)
-    X = [x if isinstance(x, Activations) else np.asarray(x, dtype=np.float64) for x in X]
-    y = [np.asarray(labels) for labels in y]
-    if not len(X) == len(y) == len(allocation) == len(rngs) >= 1:
-        raise ValueError("a group needs one input, label set, map and rng per client")
-    n = len(X[0])
+    c, n = group.data.shape[:2]
+    rngs = [None] * c if rng is None else list(rng)
+    y = np.asarray(y)
+    if len(rngs) != c:
+        raise ValueError("a group needs one rng per client")
     if n == 0:
         raise ValueError("local dataset is empty")
-    if any(len(x) != len(labels) for x, labels in zip(X, y)):
+    if y.shape != (c, n):
         raise ValueError("features and labels disagree in length")
-    if any(len(x) != n for x in X):
-        raise ValueError("the clients of a group need datasets of one size")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
     if not 0.0 <= lr < math.inf:
         raise ValueError(f"learning rate must be finite and nonnegative, got lr={lr}")
 
-    maps = allocation if isinstance(allocation, MapStack) else MapStack(tuple(allocation))
-    group = net.clone()
+    maps = group.maps
+    trainer = net.clone()
     for epoch in range(epochs):
-        perms = [np.arange(n) if r is None else r.permutation(n) for r in rngs]
+        order = np.stack([np.arange(n) if r is None else r.permutation(n) for r in rngs])
         for lo in range(0, n, batch_size):
-            idx = [p[lo : lo + batch_size] for p in perms]
-            _, cache = group.forward([x[r] for x, r in zip(X, idx)], maps, scratch=True)
-            labels = np.stack([yc[r] for yc, r in zip(y, idx)])
+            rows = order[:, lo : lo + batch_size]
+            _, cache = trainer.forward(group, rows)
+            labels = y[group.clients, rows]
             losses = cache.losses(labels)
-            bad = np.flatnonzero(~np.isfinite(losses))
-            if bad.size:  # name the first client given whose loss is not finite
-                raise NonFiniteLossError(f"non-finite loss {float(losses[bad[0]])} at epoch "
+            if not np.isfinite(losses).all():  # name the first client whose loss is not finite
+                bad = np.flatnonzero(~np.isfinite(losses))[0]
+                raise NonFiniteLossError(f"non-finite loss {float(losses[bad])} at epoch "
                                          f"{epoch}, batch start {lo}, lr {lr}")
-            group._descend(group.backward(cache, labels), lr)
+            trainer._descend(trainer.backward(cache, labels), lr)
 
     l, h, r = net.num_blocks, net.hidden_size, net.lora_rank
-    dN, dM = np.zeros((len(maps), l, h, r)), np.zeros((len(maps), l, r, h))
-    (after_n, after_m), (before_n, before_m) = group._pair_factors(maps), net._pair_factors(maps)
+    dN, dM = np.zeros((c, l, h, r)), np.zeros((c, l, r, h))
+    (after_n, after_m), (before_n, before_m) = trainer._pair_factors(maps), net._pair_factors(maps)
     at = maps.pair_client, maps.pair_block
     dN[at] = after_n - before_n
     dM[at] = after_m - before_m

@@ -5,10 +5,11 @@ an independent oracle by the allocator tests, a reference greedy that
 prices every candidate through ``marginal_weight`` and normalizes one Python
 float at a time, a reference toy-model
 forward/backward/SGD loop that rebuilds every effective weight where it is
-used and recomputes tanh in backward, a reference cross-entropy, one-client
-calls of the lockstep ``forward``, ``backward``, ``local_train`` and
-``local_ig_scores``, a write of some blocks' adapters through
-``set_lora_state``, a central difference that perturbs one adapter entry
+used and recomputes tanh in backward, a reference cross-entropy, group and
+one-client calls of the lockstep ``forward``, ``backward``, ``local_train``
+and ``local_ig_scores`` that build the group input, rows of
+``Activations``, sequential mini-batches, a write of some blocks' adapters
+through ``set_lora_state``, a central difference that perturbs one adapter entry
 that way, the sequential ``fedra_random`` sampler that prices one random
 map at a time, the two windows ``RoundWindow`` replaced (the IG score
 buffers evicted by round cutoff and the ``maxlen`` deques of contributor
@@ -18,6 +19,7 @@ that the stacked blend replaced.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ from fedlorasim.memory import (
     total_memory,
 )
 from fedlorasim.scoring import local_ig_scores
-from fedlorasim.toymodel import Adapters, MapStack, local_train
+from fedlorasim.toymodel import Activations, Adapters, local_train
 
 
 def make_random_profile(
@@ -322,10 +324,40 @@ def same_bytes(a: Adapters, b: Adapters) -> bool:
                for x, y in ((a.N, b.N), (a.M, b.M)))
 
 
+def split_batches(X: np.ndarray, y: np.ndarray, batch_size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sequential mini-batches covering the data once (last one may be short)."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    if len(X) == 0:
+        raise ValueError("cannot batch an empty dataset")
+    return [(X[s : s + batch_size], y[s : s + batch_size]) for s in range(0, len(X), batch_size)]
+
+
+def all_rows(group):
+    """The (C, n) row index that takes every row of a group's input."""
+    c, n = group.data.shape[:2]
+    return np.broadcast_to(np.arange(n), (c, n))
+
+
+def own_arrays(cache):
+    """``cache`` with copies of the arrays it views in the net's scratch,
+    for a test that compares them with those of a later pass."""
+    copy = lambda d: {j: a.copy() for j, a in d.items()}  # noqa: E731
+    return dataclasses.replace(cache, acts=copy(cache.acts), block_inputs=copy(cache.block_inputs))
+
+
+def forward_group(net, inputs, maps):
+    """``ToyLoRANet.forward`` over every row of one input per map: the
+    (C, B, K) logits and the cache, whose arrays are copies (``own_arrays``)."""
+    group = net.group_input(inputs, maps)
+    logits, cache = net.forward(group, all_rows(group))
+    return logits, own_arrays(cache)
+
+
 def forward_one(net, X, allocation: AllocationMap):
-    """``ToyLoRANet.forward`` for a group of one client: its (B, K) logits
-    and the cache."""
-    logits, cache = net.forward([X], MapStack((allocation,)))
+    """``forward_group`` for a group of one client: its (B, K) logits and
+    the cache."""
+    logits, cache = forward_group(net, [X], [allocation])
     return logits[0], cache
 
 
@@ -335,14 +367,45 @@ def backward_one(net, cache, y, loss_scale=1.0):
     return {j: (gn[0], gm[0]) for j, (gn, gm) in grads.items()}
 
 
+def train_group(net, inputs, labels, maps, **kw):
+    """``local_train`` of one input, label array and map per client."""
+    return local_train(net, net.group_input(inputs, maps), np.stack(labels), **kw)
+
+
 def train_one(net, X, y, allocation: AllocationMap, rng=None, **kw):
     """``local_train`` for a group of one client: its deltas."""
-    return local_train(net, [X], [y], [allocation], rng=[rng], **kw)[0]
+    return train_group(net, [X], [y], [allocation], rng=[rng], **kw)[0]
+
+
+def score_group(net, maps, batches, loss_scale=1.0):
+    """``local_ig_scores`` of a group given one list of (input, labels)
+    batches per client, batch i of one row count for every client: a
+    client's batches, joined, are its input, and batch i takes its rows. An
+    ``Activations`` input is one client's only batch."""
+    inputs, labels = [], []
+    for client in batches:
+        xs, ys = zip(*client)
+        if len(xs) > 1 and any(isinstance(x, Activations) for x in xs):
+            raise TypeError("activations make a client's only scoring batch")
+        inputs.append(xs[0] if len(xs) == 1 else np.concatenate(xs))
+        labels.append(np.concatenate([np.asarray(y) for y in ys]))
+    cuts = np.cumsum([0, *(len(y) for _, y in batches[0])])
+    rows = [np.broadcast_to(np.arange(lo, hi), (len(maps), hi - lo))
+            for lo, hi in zip(cuts, cuts[1:])]
+    return local_ig_scores(net, net.group_input(inputs, maps), np.stack(labels), rows,
+                           loss_scale=loss_scale)
 
 
 def score_one(net, allocation: AllocationMap, batches, loss_scale=1.0):
-    """``local_ig_scores`` for a group of one client: its scores."""
-    return local_ig_scores(net, [allocation], [batches], loss_scale=loss_scale)[0]
+    """``score_group`` for a group of one client: its scores."""
+    return score_group(net, [allocation], [batches], loss_scale=loss_scale)[0]
+
+
+def rows_of(acts, rows):
+    """Rows ``rows`` of ``Activations``, with their block, base and stamp."""
+    data = acts.data[rows]
+    data.setflags(write=False)
+    return Activations(acts.block, data, acts.base, acts.stamp)
 
 
 class ReferenceScoreHistory:

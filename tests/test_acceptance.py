@@ -22,12 +22,13 @@ from conftest import (
     forward_one,
     make_random_profile,
     push_counts,
+    score_one,
+    split_batches,
     write_blocks,
 )
 from fedlorasim.aggregation import RoundWindow, com_agg, fed_avg, zero_delta_like
 from fedlorasim.allocator import KnapsackInstance, optimize_allocation
 from fedlorasim.config import ExperimentConfig
-from fedlorasim.data import split_batches
 from fedlorasim.memory import (
     MB,
     VIT_CONTEXT_MB_BY_LEVEL,
@@ -255,10 +256,10 @@ def test_06_gradient_score_properties():
     batches = split_batches(X, y, 8)
     amap = AllocationMap.from_indices(l, [1, 3])
 
-    scores, = local_ig_scores(net, [amap], [batches])
+    scores = score_one(net, amap, batches)
     assert set(scores) == {1, 3}, "frozen modules must not be scored"
     c = 3.7
-    scaled, = local_ig_scores(net, [amap], [batches], loss_scale=c)
+    scaled = score_one(net, amap, batches, loss_scale=c)
     worst = 0.0
     for j, s in scores.items():
         assert s > 0

@@ -83,6 +83,29 @@ def test_bad_field_is_rejected_naming_its_path(d, where):
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("scheme", ["pathological", "pathological_dirichlet"])
+@pytest.mark.parametrize("d, named", [
+    ({"partition": {"classes_per_client": 11}},
+     "partition.classes_per_client: 11 exceeds model.num_classes = 10"),
+    ({"model": {"num_classes": 3}, "partition": {"classes_per_client": 4}},
+     "partition.classes_per_client: 4 exceeds model.num_classes = 3"),
+    ({"clients": {"num_clients": 3}, "partition": {"classes_per_client": 3}},
+     "partition.classes_per_client: clients.num_clients = 3 clients x 3 classes "
+     "cannot cover model.num_classes = 10"),
+])
+def test_partition_rules_of_the_config_alone_fail_at_load(scheme, d, named):
+    # refused by the config's cross-field checks, so before any data exists;
+    # k = num_classes, and the least k whose clients cover the classes, load
+    d = {**d, "partition": {"scheme": scheme, "alpha": 0.5, **d["partition"]}}
+    with pytest.raises(ConfigError, match=rf"^{re.escape(named)}$"):
+        ExperimentConfig.from_dict(d)
+    iid = ExperimentConfig.from_dict({**d, "partition": {"scheme": "iid"}})
+    classes, clients = iid.model.num_classes, iid.clients.num_clients
+    for cut in ({"classes_per_client": classes},
+                {"classes_per_client": -(-classes // clients)}):
+        ExperimentConfig.from_dict({**d, "partition": {**d["partition"], **cut}})
+
+
 @pytest.mark.parametrize("d", [
     {"partition": {"scheme": "pathological", "classes_per_client": 2}},
     {"partition": {"scheme": "pathological_dirichlet", "classes_per_client": 2, "alpha": 0.5}},

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import split_batches
 from fedlorasim.data import (
     LabeledData,
     PartitionError,
@@ -16,7 +17,6 @@ from fedlorasim.data import (
     SyntheticTask,
     generate,
     partition,
-    split_batches,
 )
 
 

@@ -27,7 +27,7 @@ from fedlorasim.memory import (
     transformer_static_elems,
 )
 
-from fedlorasim.simulator import max_feasible_naive_u
+from fedlorasim.simulator import _naive_costs, max_feasible_naive_u
 
 from conftest import make_random_profile
 
@@ -272,6 +272,10 @@ def test_closed_forms_match_total_memory():
             for capacity in {c + d for c in costs for d in (-1, 0)} | {costs[-1] + 1}:
                 fits = [u for u in range(l + 1) if costs[u] <= capacity]
                 assert max_feasible_naive_u(p, kind, batch, capacity) == (max(fits) if fits else None)
+            # one read-only cost vector per (profile, kind, batch), priced once
+            vector = _naive_costs(p, kind, batch)
+            assert vector.tolist() == costs and not vector.flags.writeable
+            assert _naive_costs(dataclasses.replace(p), kind, batch) is vector
         table = marginal_weights(p, batch)
         assert table.dtype == np.int64 and table.shape == (l + 1, l)
         # check_exact_costs prices the all-trainable map itself: a copy whose
@@ -291,8 +295,9 @@ def test_closed_forms_match_total_memory():
 
 def test_cost_vectors_refuse_costs_from_2_to_the_53():
     p = dataclasses.replace(reference_vit_profile(), frozen_param_bytes=2**53)
-    for price in (lambda: marginal_weights(p, 1), lambda: max_feasible_naive_u(p, "ms", 1, 2**60),
-                  lambda: map_costs(p, np.zeros((1, 12), dtype=bool), 1)):
+    prices = (lambda: marginal_weights(p, 1), lambda: max_feasible_naive_u(p, "ms", 1, 2**60),
+              lambda: map_costs(p, np.zeros((1, 12), dtype=bool), 1))
+    for price in prices * 2:  # the naive cost vector is cached, a refusal never
         with pytest.raises(ValueError, match="below 2\\*\\*53"):
             price()
 

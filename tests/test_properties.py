@@ -34,11 +34,14 @@ from conftest import (  # noqa: E402
     all_maps,
     enumerate_costs,
     push_counts,
+    rebuilding_backward,
+    rebuilding_forward,
     rebuilding_local_train,
     reference_allocation,
     reference_com_agg,
     reference_com_agg_fixed,
     reference_fed_avg,
+    rows_of,
     same_bytes,
     score_one,
     train_one,
@@ -279,7 +282,7 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
     amap = AllocationMap.from_bits(bits)
     kw = dict(epochs=2, batch_size=batch, lr=0.3)
 
-    ref_scores = score_one(net, amap, client.ig_batches(data.X))
+    ref_scores = score_one(net, amap, [(data.X[rows], data.y[rows]) for rows in client.ig_rows])
     ref_deltas = train_one(net, data.X, data.y, amap, rng=np.random.default_rng(seed), **kw)
 
     cache = PrefixCache()
@@ -290,7 +293,8 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
             assert X is data.X
         else:
             assert isinstance(X, Activations) and X.block == amap.earliest and local.accepts(X)
-        scores = score_one(local, amap, client.ig_batches(X))
+        ig = [rows[None] for rows in client.ig_rows]  # the IG batches: rows of the update input
+        scores, = local_ig_scores(local, local.group_input([X], [amap]), data.y[None], ig)
         deltas = train_one(local, X, data.y, amap, rng=np.random.default_rng(seed), **kw)
         assert local._changed_at == net._changed_at  # not written
         assert scores == ref_scores
@@ -301,26 +305,38 @@ def test_update_from_the_client_boundary_equals_update_from_features(case):
 def lockstep_cases(draw):
     l = draw(st.integers(1, 7))
     hidden = draw(st.sampled_from([3, 8, 16]))
-    batch = draw(st.integers(2, 9))
     from_prefix = draw(st.booleans())
-    # batches sliced from a prefix have two rows or more (see PrefixCache)
-    n = draw(st.integers(2, 30).filter(lambda n: not from_prefix or n % batch != 1))
+    # IG batches of 32 and 18 rows over 50 rows, or one batch of n_ig rows
+    split_ig = draw(st.booleans())
+    n = 50 if split_ig else draw(st.integers(2, 30))
+    # batches sliced from a prefix have two rows or more (see PrefixCache);
+    # from the features a batch may have one row, or all of them
+    batch = draw(st.integers(2 if from_prefix else 1, 9)
+                 .filter(lambda b: not from_prefix or n % b != 1))
     maps = draw(st.lists(st.lists(st.booleans(), min_size=l, max_size=l), min_size=1, max_size=6))
     shuffled = draw(st.lists(st.booleans(), min_size=len(maps), max_size=len(maps)))
     # rank 1 makes the factor products outer products; lr 0 must give zero deltas
     rank, lr = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([0.0, 0.3]))
     return (l, hidden, batch, n, from_prefix, maps, shuffled, draw(st.integers(1, 2)),
-            draw(st.integers(1, n)), rank, lr, draw(st.integers(0, 2**16)))
+            draw(st.integers(1, n)), rank, lr, draw(st.integers(0, 2**16)), split_ig)
 
 
 @PROPERTY
 @given(lockstep_cases())
+# one-row batches from the features, three clients joining at blocks 0, 1, 2
+@example((4, 8, 1, 5, False, [[True, False, True, True], [False, True, False, True],
+                              [False, False, True, False]], [True, False, True], 2, 1, 2, 0.3,
+          7, False))
+# IG batches of 32 and 18 rows from each client's earliest block
+@example((5, 16, 8, 50, True, [[False, True, False, True, True], [False, False, True, False, True]],
+          [True, True], 1, 50, 2, 0.3, 11, True))
 def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
     """Random maps (empty ones too) for up to six clients, ranks 1 to 3 and
-    lr 0 or 0.3, from the features or from each client's earliest block:
-    every client's deltas and scores from one group pass are the bytes of
-    the rebuilding loop."""
-    l, hidden, batch, n, from_prefix, bits, shuffled, epochs, n_ig, rank, lr, seed = case
+    lr 0 or 0.3, from the features or from each client's earliest block,
+    batches of one row from the features, and one IG batch or two of 32 and
+    18 rows: every client's deltas and scores from one group input are the
+    bytes of the rebuilding per-client loop."""
+    l, hidden, batch, n, from_prefix, bits, shuffled, epochs, n_ig, rank, lr, seed, split = case
     rng = np.random.default_rng(seed)
     net = ToyLoRANet(num_blocks=l, hidden_size=hidden, lora_rank=rank, input_dim=8,
                      num_classes=3, lora_alpha=None, seed=seed)
@@ -333,12 +349,20 @@ def test_lockstep_group_equals_the_rebuilding_per_client_loop(case):
     inputs = [net.prefix(X, k) if from_prefix else X for (X, _), k in zip(data, starts)]
     orders = lambda: [np.random.default_rng(c) if s else None for c, s in enumerate(shuffled)]
     kw = dict(epochs=epochs, batch_size=batch, lr=lr)
-    deltas = local_train(net, inputs, [y for _, y in data], maps, rng=orders(), **kw)
-    scores = local_ig_scores(net, maps, [[(x[:n_ig], y[:n_ig])] for x, (_, y) in zip(inputs, data)])
+    group, labels = net.group_input(inputs, maps), np.stack([y for _, y in data])
+    deltas = local_train(net, group, labels, rng=orders(), **kw)
+    ig = [np.arange(32), np.arange(32, 50)] if split else [np.arange(n_ig)]
+    scores = local_ig_scores(net, group, labels,
+                             [np.broadcast_to(rows, (len(maps), len(rows))) for rows in ig])
     for (X, y), amap, d, s, r in zip(data, maps, deltas, scores, orders()):
         assert same_bytes(d, rebuilding_local_train(net.clone(), X, y, amap, rng=r, **kw))
-        if not from_prefix or n_ig > 1:
-            assert s == score_one(net, amap, [(X[:n_ig], y[:n_ig])])
+        if not from_prefix or all(len(rows) > 1 for rows in ig):
+            want = {j: 0.0 for j in amap.trainable_indices}
+            for rows in ig:
+                _, cache = rebuilding_forward(net, X[rows], amap)
+                for j, (gn, gm) in rebuilding_backward(net, cache, y[rows]).items():
+                    want[j] += float((gn * gn).sum() + (gm * gm).sum())
+            assert s == want
 
 
 @PROPERTY
@@ -374,7 +398,7 @@ def test_activations_are_accepted_exactly_while_no_block_below_them_changed(l, d
         else:
             k = data.draw(st.integers(0, l))
             rows = data.draw(st.sampled_from([slice(None), [2, 0]]))
-            made.append((net.prefix(X, k)[rows], rows, family[i], held[i][:k]))
+            made.append((rows_of(net.prefix(X, k), rows), rows, family[i], held[i][:k]))
         for acts, rows, fam, below in made:
             for b, other in enumerate(nets):
                 want = family[b] == fam and held[b][:acts.block] == below

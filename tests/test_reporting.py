@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 
 import pytest
@@ -39,6 +40,9 @@ def fake_run(dirpath, strategy="fedpilot", aggregation="comagg", distribution="i
     with open(dirpath / "metrics.jsonl", "w") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
+    utilization = 0.0  # as the simulator sums rows 1..T
+    for row in rows[1:]:
+        utilization += row["mean_utilization"]
     with open(dirpath / "summary.json", "w") as fh:
         json.dump({
             "strategy": strategy,
@@ -49,7 +53,7 @@ def fake_run(dirpath, strategy="fedpilot", aggregation="comagg", distribution="i
             "final_accuracy": accuracy[-1],
             "best_accuracy": max(accuracy),
             "final_loss": 2.0 - 0.1 * rounds,
-            "mean_utilization": 0.8,
+            "mean_utilization": utilization / rounds if rounds else 0.0,
             "config": {},
         }, fh)
     return dirpath
@@ -229,6 +233,30 @@ def test_a_run_writes_exactly_the_declared_keys_in_order(tmp_path):
     assert [list(r) for r in rows] == [list(ROW_KEYS)] * 3
     assert list(json.loads((tmp_path / "summary.json").read_text())) == list(SUMMARY_KEYS)
     assert load_run(tmp_path).summary["rounds"] == 2  # every value of its declared type
+
+
+@pytest.mark.parametrize("key", ["final_accuracy", "final_loss", "best_accuracy",
+                                 "mean_utilization"])
+def test_a_summary_that_disagrees_with_its_rows_is_refused(tmp_path, key):
+    # a real run loads; one hand-edited value of summary.json, every other
+    # key and every row as written, is refused, naming the file and the key
+    cfg = ExperimentConfig.from_dict({
+        "seed": 2, "rounds": 3, "strategy": "fedpilot",
+        "model": {"num_blocks": 4, "hidden_size": 8, "lora_rank": 2,
+                  "input_dim": 10, "num_classes": 5},
+        "data": {"samples_per_class": 40},
+        "clients": {"num_clients": 4, "batch_size": 16, "sampling_rate": 0.5},
+    })
+    run_experiment(cfg, tmp_path, quiet=True)
+    path = tmp_path / "summary.json"
+    summary = json.loads(path.read_text())
+    assert load_run(tmp_path).summary == summary
+    # the smallest step up and 0.99, which a mean or a maximum could also miss
+    for value in (math.nextafter(summary[key], math.inf), 0.99):
+        path.write_text(json.dumps({**summary, key: value}))
+        with pytest.raises(ReportError, match=rf"^{re.escape(str(path))}: {key} is {value!r}, "
+                                              rf"but the rows of metrics.jsonl give "):
+            load_run(tmp_path)
 
 
 def test_single_run_summary_echoes_final_metrics(tmp_path):

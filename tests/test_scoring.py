@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import central_difference, score_one, write_blocks
+from conftest import central_difference, score_group, score_one, write_blocks
 from fedlorasim.aggregation import RoundWindow
 from fedlorasim.memory import AllocationMap
 from fedlorasim.scoring import (
@@ -89,11 +89,14 @@ def test_scores_add_over_batches():
 def test_scoring_errors():
     net = scoring_net()
     rng = np.random.default_rng(6)
-    with pytest.raises(ValueError):
-        score_one(net, AllocationMap.full(2), [])
     X, y = batch(rng, net)
-    with pytest.raises(ValueError):
-        score_one(net, AllocationMap.full(2), [(X[:0], y[:0])])
+    group = net.group_input([X], [AllocationMap.full(2)])
+    with pytest.raises(ValueError, match="scoring dataset is empty"):
+        local_ig_scores(net, group, y[None], [])
+    with pytest.raises(ValueError, match="scoring batch 1 is empty"):
+        local_ig_scores(net, group, y[None], [np.arange(2)[None], np.zeros((1, 0), dtype=int)])
+    with pytest.raises(ValueError, match="disagree in length"):
+        local_ig_scores(net, group, y[None, :-1], [np.arange(2)[None]])
     bad = np.full_like(X, np.nan)
     with pytest.raises(NonFiniteLossError, match="module"):
         score_one(net, AllocationMap.full(2), [(bad, y)])
@@ -105,7 +108,7 @@ def test_scoring_errors():
     good = [batch(rng, net) for _ in range(2)]
     (X0, y0), (X1, y1) = (batch(rng, net) for _ in range(2))
     with pytest.raises(NonFiniteLossError) as e:
-        local_ig_scores(net, maps, [good, [(X0, y0), (np.full_like(X1, np.nan), y1)]])
+        score_group(net, maps, [good, [(X0, y0), (np.full_like(X1, np.nan), y1)]])
     assert str(e.value) == "non-finite gradient for module 1 in batch 1"
 
 

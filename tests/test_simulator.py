@@ -77,6 +77,18 @@ def test_derive_rng_reproducible_and_distinct():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40])
+def test_derive_rng_gives_the_streams_of_the_list_seed(seed):
+    # words below 2**32 go in as one uint32 array, others as the list; each
+    # gives the state and the draws of SeedSequence([seed, *keys])
+    for keys in ((2, 5, 1), (4, 0), (1, 60)):
+        want = np.random.default_rng(np.random.SeedSequence([seed, *keys]))
+        got = derive_rng(seed, *keys)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(0, 2**63, size=8).tolist() == want.integers(0, 2**63, size=8).tolist()
+        assert got.random(4).tobytes() == want.random(4).tobytes()
+
+
 def test_toy_profile_counts_every_frozen_parameter():
     cfg = tiny_config()
     p = toy_profile(cfg)
@@ -212,7 +224,7 @@ def test_build_clients_disjoint_data_and_bounded_ig_sets():
         seen.update(rows)
     assert len(seen) == sum(len(c.data) for c in clients)
     for c in clients:
-        n_ig = sum(len(by) for _, by in c.ig_batches(c.data.X))
+        n_ig = sum(len(rows) for rows in c.ig_rows)
         assert n_ig == min(cfg.ig_dataset_size, len(c.data))
         assert c.capacity_bytes == levels[c.level]
     # ratio (4, 3, 2, 1) over 4 clients floors to [1, 1, 0, 0] + 2 leftovers
@@ -617,10 +629,10 @@ def test_training_prefix_only_when_no_larger_than_features_and_no_one_row_batch(
             assert X.data.tobytes() == net.prefix(client.data.X, 9).data.tobytes()
             # the training prefix is kept only when no larger than the features
             assert [e.block for e in cache._entries.values()] == ([6] if hidden <= 10 else [])
-            # the IG batches are rows of the update input
-            for (a, y), rows in zip(client.ig_batches(X), client.ig_rows, strict=True):
-                assert a.block == 9 and a.data.tobytes() == X.data[rows].tobytes()
-                assert y.tobytes() == client.data.y[rows].tobytes()
+            # the IG batches are rows of the update input: each the prefix
+            # of its own rows of the features
+            for rows in client.ig_rows:
+                assert X.data[rows].tobytes() == net.prefix(client.data.X[rows], 9).data.tobytes()
         else:
             assert X is client.data.X and not cache._entries
     # a one-row IG batch sends the whole update back to the features
@@ -683,14 +695,28 @@ def test_run_from_prefixes_matches_run_from_features(aggregation, ig_size, tmp_p
 
 
 def test_only_fedpilot_builds_ig_batches(tmp_path, monkeypatch):
+    # a group's IG batches are (C, b) stacks of its clients' ig_rows, built
+    # only where fedpilot scores them, one per IG batch of a client
+    import fedlorasim.simulator as sim
+
     built = []
-    ig_batches = ClientSpec.ig_batches
-    monkeypatch.setattr(ClientSpec, "ig_batches",
-                        lambda client, inputs: built.append(client.id) or ig_batches(client, inputs))
+    score = sim.local_ig_scores
+
+    def recording(net, group, y, batches, *args, **kw):
+        built.append((len(group.maps), y.shape, [np.asarray(b).shape for b in batches]))
+        return score(net, group, y, batches, *args, **kw)
+
+    monkeypatch.setattr(sim, "local_ig_scores", recording)
     run_experiment(deep_config(strategy="ms", rounds=2), tmp_path / "ms", quiet=True)
     assert built == []
-    run_experiment(deep_config(rounds=2), tmp_path / "fedpilot", quiet=True)
+    cfg = deep_config(rounds=2)
+    run_experiment(cfg, tmp_path / "fedpilot", quiet=True)
     assert built
+    # a group's clients have one row count, and so one list of IG batch sizes
+    sizes = {len(client.data): [len(rows) for rows in client.ig_rows]
+             for client in build_clients(cfg)[0]}
+    for c, (labels_c, n), shapes in built:
+        assert labels_c == c and shapes == [(c, b) for b in sizes[n]]
 
 
 def test_prefixes_are_built_in_rounds_and_never_checkpointed(tmp_path, monkeypatch):

@@ -9,15 +9,21 @@ import numpy as np
 import pytest
 
 from conftest import (
+    all_rows,
     backward_one,
     central_difference,
+    forward_group,
     forward_one,
+    own_arrays,
     rebuilding_backward,
     rebuilding_forward,
     rebuilding_local_train,
     reference_cross_entropy,
+    rows_of,
     same_bytes,
+    score_group,
     score_one,
+    train_group,
     train_one,
     write_blocks,
 )
@@ -155,13 +161,13 @@ def test_cache_economy_mirrors_memory_split():
         amap = AllocationMap.from_indices(6, indices)
         _, cache = forward_one(net, X, amap)
         if indices:
-            assert cache.static_count == 6 - min(indices)
-            assert cache.dynamic_count == len(indices)
+            assert len(cache.acts) == 6 - min(indices)
+            assert len(cache.block_inputs) == len(indices)
             assert sorted(cache.block_inputs) == sorted(indices)
             assert sorted(cache.acts) == list(range(min(indices), 6))
         else:
-            assert cache.static_count == 0
-            assert cache.dynamic_count == 0
+            assert len(cache.acts) == 0
+            assert len(cache.block_inputs) == 0
 
 
 def test_loss_scale_scales_gradients_linearly():
@@ -613,10 +619,8 @@ def test_prefix_zero_is_the_embedding_and_prefix_l_feeds_the_head():
     # a prefix continued from a lower one is the prefix from the features
     assert net.prefix(net.prefix(X, 1), 3).data.tobytes() == net.prefix(X, 3).data.tobytes()
     acts = net.prefix(X, 2)
-    assert isinstance(acts, Activations) and len(acts) == 5 and not acts.data.flags.writeable
-    rows = acts[[4, 0]]
-    assert (rows.block, rows.base, rows.stamp) == (acts.block, acts.base, acts.stamp)
-    assert rows.data.tobytes() == acts.data[[4, 0]].tobytes() and not rows.data.flags.writeable
+    assert isinstance(acts, Activations) and acts.data.shape == (5, net.hidden_size)
+    assert not acts.data.flags.writeable
 
 
 @pytest.mark.parametrize("shuffle", [False, True], ids=["sequential", "shuffled"])
@@ -650,12 +654,16 @@ def test_local_ig_scores_from_prefix_match():
         (rng.normal(size=(n, net.input_dim)), rng.integers(0, net.num_classes, size=n))
         for n in (8, 8, 3)
     ]
+    # the batches as rows of one prefix over all 19 rows, as a client's IG
+    # batches are rows of its update input
+    X, y = (np.concatenate(x) for x in zip(*batches))
+    rows = [np.arange(0, 8)[None], np.arange(8, 16)[None], np.arange(16, 19)[None]]
     for kind in ("earliest-at-frozen", "earliest-above", "deepest"):
         amap = AllocationMap.from_indices(7, PREFIX_MAPS[kind])
         expected = score_one(net, amap, batches, loss_scale=1.5)
         for k in boundaries(net, amap):
-            started = [(net.prefix(X, k), y) for X, y in batches]
-            assert score_one(net, amap, started, loss_scale=1.5) == expected
+            group = net.group_input([net.prefix(X, k)], [amap])
+            assert local_ig_scores(net, group, y[None], rows, loss_scale=1.5) == [expected]
 
 
 def test_activations_above_the_earliest_block_are_rejected():
@@ -688,7 +696,7 @@ def test_activations_above_the_earliest_block_are_rejected():
 def assert_rejected_everywhere(net, acts, y, amap):
     """Every entry point refuses ``acts`` and leaves ``net`` unwritten."""
     ticks = net._changed_at
-    y = y[:len(acts)]
+    y = y[:len(acts.data)]
     calls = (
         lambda: forward_one(net, acts, amap),
         lambda: net.evaluate(acts, y),
@@ -715,9 +723,22 @@ def test_stale_or_foreign_activations_are_rejected_at_every_entry_point():
     write_blocks(net, {2: (net.N[2], net.M[2] + 0.1)})
     assert_rejected_everywhere(net, stale, y, amap)
     assert_rejected_everywhere(net.clone(), stale, y, amap)
-    assert_rejected_everywhere(net, stale[[0, 1]], y, amap)
+    assert_rejected_everywhere(net, rows_of(stale, [0, 1]), y, amap)
     logits, _ = forward_one(net, X, amap)
     assert forward_one(net, below, amap)[0].tobytes() == logits.tobytes()
+    # a group input is checked once, when it is made, and its stamp at every
+    # forward: one made before a write below its blocks is refused after it
+    group = net.group_input([below], [amap])
+    later = net.clone()
+    write_blocks(later, {1: (later.N[1], later.M[1] + 0.1)})
+    net.forward(group, all_rows(group))
+    ticks = later._changed_at
+    for call in (lambda: later.forward(group, all_rows(group)),
+                 lambda: local_train(later, group, y[None], epochs=1, batch_size=2, lr=0.1),
+                 lambda: local_ig_scores(later, group, y[None], [np.arange(2)[None]])):
+        with pytest.raises(ValueError, match="not computed through"):
+            call()
+    assert later._changed_at == ticks
     # from a net built separately on the same seed: the same bytes, another base
     twin = small_net(seed=5, num_blocks=7)
     foreign = twin.prefix(X, 2)
@@ -742,9 +763,10 @@ def test_clone_accepts_its_source_activations_until_a_write_below_them():
     assert a5.data.tobytes() == net.prefix(X, 5).data.tobytes()
     local = net.clone()
     logits, cache = forward_one(net, X, amap)
+    grads = backward_one(net, cache, y)  # before the clone's forward, on the scratch they share
     p_logits, p_cache = forward_one(local, a5, amap)
     assert p_logits.tobytes() == logits.tobytes()
-    grads, p_grads = backward_one(net, cache, y), backward_one(local, p_cache, y)
+    p_grads = backward_one(local, p_cache, y)
     assert all(p_grads[j][i].tobytes() == g[i].tobytes() for j, g in grads.items() for i in (0, 1))
     # the clone's own training writes blocks 5 and up and keeps accepting them
     deltas = train_one(local, a5, y, amap, epochs=2, batch_size=3, lr=0.2)
@@ -902,21 +924,22 @@ def moved_blocks(delta) -> list[int]:
 def test_group_pass_matches_per_client_reference(hidden, shuffle):
     # 37 rows in batches of 8 end each epoch on a short batch of 5. Each
     # client joins the stack at its own earliest block from the net's
-    # prefix; every client's deltas and scores must be the bytes of the
-    # rebuilding per-client loop from the features
+    # prefix; every client's deltas and scores, its IG batches rows of
+    # its own shuffle, must be the bytes of the rebuilding per-client loop
+    # from the features
     net, data, maps = group_case(hidden, 37, seed=hidden)
     order = lambda c: np.random.default_rng(c) if shuffle else None
     kw = dict(epochs=2, batch_size=8, lr=0.3)
-    inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
-    ig = [[(a[:8], y[:8]), (a[8:13], y[8:13])] for a, (_, y) in zip(inputs, data)]
-    got = local_train(net, inputs, [y for _, y in data], maps,
-                      rng=[order(c) for c in range(len(maps))], **kw)
-    scores = local_ig_scores(net, maps, ig)
+    group = net.group_input([net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)], maps)
+    y = np.stack([labels for _, labels in data])
+    ig = np.stack([np.random.default_rng(100 + c).permutation(37) for c in range(len(maps))])
+    got = local_train(net, group, y, rng=[order(c) for c in range(len(maps))], **kw)
+    scores = local_ig_scores(net, group, y, [ig[:, :8], ig[:, 8:13]])
     for c, ((X, y), amap) in enumerate(zip(data, maps)):
         assert same_bytes(got[c], rebuilding_local_train(net.clone(), X, y, amap,
                                                          rng=order(c), **kw))
         want = {j: 0.0 for j in amap.trainable_indices}
-        for rows in (slice(0, 8), slice(8, 13)):
+        for rows in (ig[c, :8], ig[c, 8:13]):
             _, cache = rebuilding_forward(net, X[rows], amap)
             for j, (gn, gm) in rebuilding_backward(net, cache, y[rows]).items():
                 want[j] += float((gn * gn).sum() + (gm * gm).sum())
@@ -928,42 +951,55 @@ def test_group_of_one_and_one_row_batches_from_the_features():
     # takes from the features; a group of one is the per-client loop
     net, data, maps = group_case(16, 33, seed=5)
     kw = dict(epochs=2, batch_size=8, lr=0.3)
-    got = local_train(net, [X for X, _ in data], [y for _, y in data], maps,
+    got = train_group(net, [X for X, _ in data], [y for _, y in data], maps,
                       rng=[np.random.default_rng(c) for c in range(len(maps))], **kw)
     for c, ((X, y), amap) in enumerate(zip(data, maps)):
         want = rebuilding_local_train(net.clone(), X, y, amap, rng=np.random.default_rng(c), **kw)
         assert same_bytes(got[c], want)
         assert same_bytes(train_one(net, X, y, amap, rng=np.random.default_rng(c), **kw), want)
     one_row = [(X[:1], y[:1]) for X, y in data]
-    got = local_ig_scores(net, maps, [[b] for b in one_row])
+    got = score_group(net, maps, [[b] for b in one_row])
     assert got == [score_one(net, m, [b]) for m, b in zip(maps, one_row)]
 
 
 def test_group_forward_takes_a_client_axis():
+    # the clients join the stack mid-way, each at its own earliest block
     net, data, maps = group_case(16, 6, seed=7)
     stack = MapStack(tuple(maps))
     inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
-    logits, cache = net.forward(inputs, stack)
+    group = net.group_input(inputs, stack)
+    assert group.blocks == (1, 2, 4, 5, 6) and group.data.shape == (len(maps), 6, 16)
+    assert not group.embed and not group.data.flags.writeable
+    logits, cache = net.forward(group, all_rows(group))
     assert logits.shape == (len(maps), 6, 10)
-    for c, ((X, _), m) in enumerate(zip(data, maps)):
-        assert logits[c].tobytes() == forward_one(net, X, m)[0].tobytes()
     # at block j the stack holds the clients whose input entered by then
     assert [len(cache.acts[j]) for j in range(1, 7)] == [1, 2, 2, 3, 4, 5]
     grads = net.backward(cache, np.stack([y for _, y in data]))
     assert {j: len(g[0]) for j, g in grads.items()} == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 3}
+    for c, ((X, _), m) in enumerate(zip(data, maps)):
+        assert logits[c].tobytes() == forward_one(net, X, m)[0].tobytes()
     with pytest.raises(ValueError, match="ordered by earliest"):
         MapStack(tuple(maps[::-1]))
-    with pytest.raises(TypeError, match="MapStack"):
-        net.forward(inputs, maps)  # a list of maps is not a group
+    # a list of maps in pass order makes the group's MapStack
+    assert net.group_input(inputs, maps).maps.earliest == stack.earliest
     with pytest.raises(TypeError, match="one input per client"):
-        net.forward(data[0][0], MapStack(tuple(maps[:1])))  # nor is one bare input
+        net.group_input(data[0][0], maps[:1])  # a bare input is not a group's
+    with pytest.raises(TypeError, match="GroupInput"):
+        net.forward(inputs, stack)  # forward takes the group's one input
+    pair = MapStack(tuple(maps[:2]))  # earliest blocks 1 and 2
+    with pytest.raises(ValueError, match="one kind"):
+        net.group_input([inputs[0], data[1][0]], pair)  # features beside activations
+    with pytest.raises(ValueError, match="one kind"):
+        net.group_input([data[0][0], inputs[1]], pair)
     with pytest.raises(ValueError, match="not in the order"):
-        net.forward([inputs[0], data[1][0]], MapStack(tuple(maps[:2])))
+        net.group_input([inputs[0], net.prefix(data[1][0], 0)], pair)
     with pytest.raises(ValueError, match="one row count"):
-        net.forward([inputs[0], inputs[1][:3]], MapStack(tuple(maps[:2])))
-    with pytest.raises(ValueError, match="datasets of one size"):
-        local_train(net, [data[0][0], data[1][0][:3]], [data[0][1], data[1][1][:3]], maps[:2],
-                    epochs=1, batch_size=2, lr=0.1)
+        net.group_input([inputs[0], rows_of(inputs[1], slice(3))], pair)
+    for rows in (all_rows(group)[0], all_rows(group)[1:]):
+        with pytest.raises(ValueError, match="row index of shape"):
+            net.forward(group, rows)
+    with pytest.raises(ValueError, match="disagree in length"):
+        local_train(net, group, np.stack([y[:3] for _, y in data]), epochs=1, batch_size=2, lr=0.1)
 
 
 def test_a_group_out_of_pass_order_is_refused():
@@ -973,15 +1009,15 @@ def test_a_group_out_of_pass_order_is_refused():
     ticks = net._changed_at
     pair = [1, 0]  # earliest blocks 2, 1
     with pytest.raises(ValueError, match=r"ordered by earliest trainable block, got \(2, 1\)"):
-        local_train(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
+        train_group(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
                     [maps[c] for c in pair], epochs=1, batch_size=2, lr=0.1)
     with pytest.raises(ValueError, match=r"ordered by earliest trainable block, got \(2, 1\)"):
-        local_ig_scores(net, [maps[c] for c in pair], [[data[c]] for c in pair])
+        score_group(net, [maps[c] for c in pair], [[data[c]] for c in pair])
     assert net._changed_at == ticks
     # ties in earliest block take either order
     tied = [AllocationMap.from_indices(7, [4]), AllocationMap.from_indices(7, [4, 6])]
     for pair in ([0, 1], [1, 0]):
-        deltas = local_train(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
+        deltas = train_group(net, [data[c][0] for c in pair], [data[c][1] for c in pair],
                              [tied[c] for c in pair], epochs=1, batch_size=2, lr=0.1)
         assert [moved_blocks(d) for d in deltas] == [list(tied[c].trainable_indices) for c in pair]
 
@@ -1004,7 +1040,7 @@ def test_evaluate_loss_is_the_reference_cross_entropy():
     # a group's losses are each client's, and labels must fit the batch
     group_net, data, maps = group_case(16, 9, seed=4)
     inputs = [group_net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
-    logits, cache = group_net.forward(inputs, MapStack(tuple(maps)))
+    logits, cache = forward_group(group_net, inputs, maps)
     losses = cache.losses(np.stack([y for _, y in data]))
     assert losses.tolist() == [reference_cross_entropy(logits[c], y)
                                for c, (_, y) in enumerate(data)]
@@ -1016,7 +1052,7 @@ def whole_set_evaluate(net, X, y) -> tuple[float, float]:
     """``evaluate`` as one forward of a client that trains nothing, over
     all rows at once."""
     y = np.asarray(y)[None]
-    logits, cache = net.forward([X], MapStack((AllocationMap.empty(net.num_blocks),)))
+    logits, cache = forward_group(net, [X], [AllocationMap.empty(net.num_blocks)])
     return float(cache.losses(y)[0]), float((logits.argmax(axis=-1) == y).mean())
 
 
@@ -1087,7 +1123,7 @@ def test_group_training_keeps_its_clients_inputs_accepted():
     ticks = net._changed_at
     inputs = [net.prefix(X, m.earliest) for (X, _), m in zip(data, maps)]
     held = (net.N, net.M, list(net._weights))
-    deltas = local_train(net, inputs, [y for _, y in data], maps, epochs=2, batch_size=4, lr=0.2)
+    deltas = train_group(net, inputs, [y for _, y in data], maps, epochs=2, batch_size=4, lr=0.2)
     assert net._changed_at == ticks and net.clients is None
     assert [moved_blocks(d) for d in deltas] == [list(m.trainable_indices) for m in maps]
     group = net.clone()
@@ -1138,7 +1174,7 @@ def test_non_finite_loss_text_is_unchanged():
     assert str(e.value) == "non-finite loss nan at epoch 0, batch start 4, lr 1e+200"
     # in a group, the first client given whose loss is not finite is named
     with pytest.raises(NonFiniteLossError, match="batch start 4, lr 0.1$"):
-        local_train(net, [X, bad], [y, y], [full, full], epochs=1, batch_size=4, lr=0.1)
+        train_group(net, [X, bad], [y, y], [full, full], epochs=1, batch_size=4, lr=0.1)
 
 
 #: ten maps of a 7-block net in pass order, earliest blocks 0, 0, 1, 2, 2, 3, 4, 4, 5, 6
@@ -1146,36 +1182,40 @@ SCRATCH_MAPS = ([0, 3], [0, 6], [1, 2, 5], [2], [2, 4, 6], [3, 6], [4], [4, 5], 
 
 
 def test_a_cache_on_the_scratch_goes_stale_at_the_next_scratch_pass():
-    # a cache made on the scratch views buffers the net and its clones
-    # share: once a later forward on the scratch reuses them, on the net or
-    # on a clone, backward refuses it. A cache of a forward without the
-    # scratch holds arrays of its own and stays valid through any later passes
+    # a cache views buffers the net and its clones share: once a later
+    # forward reuses them, on the net or on a clone, or a local_train or
+    # local_ig_scores pass does, backward refuses it. Its arrays, copied,
+    # keep the gradients of that batch
     net, data, maps = group_case(16, 6, seed=12)
-    stack = MapStack(tuple(maps))
-    inputs, y = [X for X, _ in data], np.stack([labels for _, labels in data])
-    _, own = net.forward(inputs, stack)
-    want = net.backward(own, y)
+    group = net.group_input([X for X, _ in data], maps)
+    y = np.stack([labels for _, labels in data])
+    _, cache = net.forward(group, all_rows(group))
+    own = own_arrays(cache)
+    want = net.backward(cache, y)
     for runner in (net, net.clone()):
-        _, cache = net.forward(inputs, stack, scratch=True)
+        _, cache = net.forward(group, all_rows(group))
         got = net.backward(cache, y)
         assert got.N.tobytes() == want.N.tobytes() and got.M.tobytes() == want.M.tobytes()
-        runner.forward(inputs, stack, scratch=True)
+        runner.forward(group, all_rows(group))
         with pytest.raises(StaleCacheError, match="later pass on the net's scratch"):
             net.backward(cache, y)
-    for _ in range(3):
-        local_train(net, inputs, list(y), maps, epochs=1, batch_size=4, lr=0.1)
-        local_ig_scores(net, maps, [[(X[:3], labels[:3])] for X, labels in data])
-        net.forward(inputs, stack)
-    got = net.backward(own, y)
-    assert got.N.tobytes() == want.N.tobytes() and got.M.tobytes() == want.M.tobytes()
+    for run in (lambda: local_train(net, group, y, epochs=1, batch_size=4, lr=0.1),
+                lambda: local_ig_scores(net, group, y, [all_rows(group)[:, :3]])):
+        _, cache = net.forward(group, all_rows(group))
+        run()
+        with pytest.raises(StaleCacheError, match="later pass"):
+            net.backward(cache, y)
+    _, cache = net.forward(group, all_rows(group))
+    assert all(cache.acts[j].tobytes() == a.tobytes() for j, a in own.acts.items())
+    assert all(cache.block_inputs[j].tobytes() == a.tobytes() for j, a in own.block_inputs.items())
 
 
 @pytest.mark.parametrize("hidden", [16, 32, 128])
 def test_a_reused_poisoned_scratch_gives_the_reference_bytes(hidden, monkeypatch):
     # every forward starts on a scratch full of NaN, and every backward on
     # NaN chain buffers, so a slot row a pass reads before it writes shows.
-    # One net runs groups of 1, 10 and 3 clients, the last two with clients
-    # joining mid-stack from the net's prefix, and IG batches of 32 then 18
+    # One net runs groups of 1, 10, 10 and 3 clients from the features or,
+    # joining mid-stack, from the net's prefix, and IG batches of 32 then 18
     # rows: every client's deltas and scores are the bytes of the rebuilding
     # per-client loop from the features
     forward, backward = ToyLoRANet.forward, ToyLoRANet.backward
@@ -1199,16 +1239,16 @@ def test_a_reused_poisoned_scratch_gives_the_reference_bytes(hidden, monkeypatch
     data = [(rng.normal(size=(50, 32)), rng.integers(0, 10, size=50)) for _ in SCRATCH_MAPS]
     maps = [AllocationMap.from_indices(7, m) for m in SCRATCH_MAPS]
     kw = dict(epochs=2, batch_size=16, lr=0.3)
-    # (clients, how many of them start from the features; the rest from the prefix)
-    for group, from_features in (([3], 1), (range(10), 5), ([4, 7, 9], 0)):
+    for group, from_features in (([3], True), (range(10), False), (range(10), True),
+                                 ([4, 7, 9], False)):
         group = list(group)
-        inputs = [data[c][0] if i < from_features else net.prefix(data[c][0], maps[c].earliest)
-                  for i, c in enumerate(group)]
-        got = local_train(net, inputs, [data[c][1] for c in group], [maps[c] for c in group],
-                          rng=[np.random.default_rng(c) for c in group], **kw)
-        ig = [[(x[:32], data[c][1][:32]), (x[32:], data[c][1][32:])]
-              for x, c in zip(inputs, group)]
-        scores = local_ig_scores(net, [maps[c] for c in group], ig)
+        inputs = net.group_input([data[c][0] if from_features
+                                else net.prefix(data[c][0], maps[c].earliest) for c in group],
+                          [maps[c] for c in group])
+        y = np.stack([data[c][1] for c in group])
+        got = local_train(net, inputs, y, rng=[np.random.default_rng(c) for c in group], **kw)
+        rows = all_rows(inputs)
+        scores = local_ig_scores(net, inputs, y, [rows[:, :32], rows[:, 32:]])
         for c, delta, score in zip(group, got, scores):
             (X, y), amap = data[c], maps[c]
             assert same_bytes(delta, rebuilding_local_train(net.clone(), X, y, amap,
@@ -1238,14 +1278,14 @@ def test_the_scratch_grows_to_the_largest_pass_and_clones_share_it():
     passes = [(2, 8), (5, 24), (2, 8)]  # (clients, rows): A, B, A
     held = []
     for c, rows in passes:
-        local_train(net, [X[:rows] for X, _ in data[:c]], [y[:rows] for _, y in data[:c]],
+        train_group(net, [X[:rows] for X, _ in data[:c]], [y[:rows] for _, y in data[:c]],
                     maps[:c], epochs=1, batch_size=rows, lr=0.1)
         held.append(dict(net._scratch.buffers))
         assert sum(b.nbytes for b in held[-1].values()) == max(scratch_need(net, maps[:c], rows)
                                           for c, rows in passes[:len(held)])
     assert all(held[2][k] is held[1][k] for k in held[1])
     # a clone's passes use the one scratch: no copy, no growth
-    local_ig_scores(clone, maps[:2], [[(X[:8], y[:8])] for X, y in data[:2]])
+    score_group(clone, maps[:2], [[(X[:8], y[:8])] for X, y in data[:2]])
     assert clone._scratch is net._scratch
     assert all(net._scratch.buffers[k] is held[1][k] for k in held[1])
 
@@ -1253,16 +1293,16 @@ def test_the_scratch_grows_to_the_largest_pass_and_clones_share_it():
 def test_a_warm_local_train_allocates_less_than_one_slab():
     # after a first call has grown the scratch, a second of the same shapes
     # keeps its block outputs and chain arrays there: what it allocates at
-    # its peak is less than one (blocks + 1, C, B, H) slab (0.68 of one,
+    # its peak is less than one (blocks + 1, C, B, H) slab (0.47 of one,
     # against 2.5 when each block's output is a fresh array)
     net, data, maps = group_case(16, 128, seed=14, num_blocks=12)
-    X, y = [x for x, _ in data], [labels for _, labels in data]
+    group, y = net.group_input([x for x, _ in data], maps), np.stack([labels for _, labels in data])
     kw = dict(epochs=1, batch_size=64, lr=0.1)
-    local_train(net, X, y, maps, **kw)
+    local_train(net, group, y, **kw)
     slab = 8 * (net.num_blocks + 1) * len(maps) * 64 * net.hidden_size
     tracemalloc.start()
     try:
-        local_train(net, X, y, maps, **kw)
+        local_train(net, group, y, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
